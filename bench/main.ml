@@ -19,7 +19,7 @@
      dune exec bench/main.exe -- figures 5    # all figures, 5 reps/point
      dune exec bench/main.exe -- ablations    # the ablation studies
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
-                                              # (default BENCH_pr9.json)
+                                              # (default BENCH_pr12.json)
 
    The json snapshot also times a small end-to-end sweep at
    --jobs 1/2/4 and records the parallel speedups, so the regression
@@ -292,36 +292,6 @@ let micro_tests () =
           fun () ->
             Sdn_sim.Engine.cancel
               (Sdn_sim.Engine.schedule engine ~delay:1.0 (fun () -> ()))));
-    (* One packet through the allocation-free kernel: pool alloc,
-       frame load, microflow classify + in-place TTL rewrite, egress
-       ring, release.  The minor-words estimate for this subject is
-       the zero-allocation guarantee the gate pins at 0. *)
-    Test.make ~name:"switch/fast-path-packet"
-      (Staged.stage
-         (let fp_pool = Sdn_net.Frame_pool.create ~slots:16 ~slot_size:128 () in
-          let fp =
-            Sdn_switch.Fast_path.create ~pool:fp_pool ~n_ports:2
-              ~ring_capacity:8 ()
-          in
-          let installed =
-            Sdn_switch.Fast_path.install fp ~proto:Sdn_net.Ipv4.proto_udp
-              ~src_ip:0x0A000001 ~dst_ip:0x0A000002 ~src_port:1000 ~dst_port:9
-              ~out_port:1
-          in
-          assert installed;
-          let template =
-            Packet.encode
-              (Packet.udp ~src_mac:mac1 ~dst_mac:mac2 ~src_ip:ip1 ~dst_ip:ip2
-                 ~src_port:1000 ~dst_port:9
-                 ~payload:(Bytes.make 18 'x')
-                 ())
-          in
-          fun () ->
-            let slot = Sdn_net.Frame_pool.alloc fp_pool in
-            Sdn_net.Frame_pool.load fp_pool slot template;
-            let port = Sdn_switch.Fast_path.process fp slot in
-            let out = Sdn_switch.Fast_path.dequeue fp port in
-            ignore (Sdn_net.Frame_pool.release fp_pool out : bool)));
     Test.make ~name:"heap/push-remove-1k"
       (Staged.stage
          (let heap =
@@ -576,114 +546,13 @@ let sweep_metrics () =
   in
   (absolute, speedups)
 
-(* ---- Event-queue scaling: the hierarchical timer wheel against the
-   indexed binary heap at extreme pending counts.
-
-   Each trial fills a queue with [pending] events at deterministic
-   pseudo-random times over a one-hour horizon, then drains it dry —
-   the schedule+dispatch churn an extreme-scale run puts through the
-   engine.  Per-event nanoseconds are recorded per backend and per
-   size, and the portable gate pins the derived wheel-over-heap
-   speedup, which must hold >= 2x at one million pending (the wheel's
-   O(1) insert vs the heap's O(log n) sift). *)
-
-type qev = { qt : float; qseq : int; mutable qidx : int }
-
-let queue_events ~pending =
-  let rng = Sdn_sim.Rng.of_int 42 in
-  Array.init pending (fun i ->
-      { qt = Sdn_sim.Rng.float rng 3600.0; qseq = i; qidx = -1 })
-
-let heap_churn events =
-  let n = Array.length events in
-  let heap =
-    Sdn_sim.Heap.create ~capacity:(n + 1)
-      ~set_index:(fun e i -> e.qidx <- i)
-      ~cmp:(fun a b ->
-        let c = Float.compare a.qt b.qt in
-        if c <> 0 then c else Int.compare a.qseq b.qseq)
-      ()
-  in
-  let t0 = Monotonic_clock.get () in
-  for i = 0 to n - 1 do
-    Sdn_sim.Heap.push heap events.(i)
-  done;
-  while not (Sdn_sim.Heap.is_empty heap) do
-    ignore (Sdn_sim.Heap.pop_exn heap)
-  done;
-  Monotonic_clock.get () -. t0
-
-let wheel_churn events =
-  let n = Array.length events in
-  let wheel =
-    Sdn_sim.Timer_wheel.create
-      ~time:(fun e -> e.qt)
-      ~seq:(fun e -> e.qseq)
-      ~cancelled:(fun _ -> false)
-      ()
-  in
-  let t0 = Monotonic_clock.get () in
-  for i = 0 to n - 1 do
-    Sdn_sim.Timer_wheel.add wheel events.(i)
-  done;
-  let continue = ref true in
-  while !continue do
-    if Sdn_sim.Timer_wheel.pop wheel = None then continue := false
-  done;
-  Monotonic_clock.get () -. t0
-
-let queue_metrics () =
-  (* Best-of shrinks with size: the big trials are stable (millions of
-     operations) and expensive enough that repeats would dominate the
-     bench run. *)
-  let best rounds churn events =
-    let best = ref Float.infinity in
-    for _ = 1 to rounds do
-      let dt = churn events in
-      if Float.compare dt !best < 0 then best := dt
-    done;
-    !best
-  in
-  let sizes =
-    [ ("10k", 10_000, 3); ("100k", 100_000, 3); ("1m", 1_000_000, 2);
-      ("10m", 10_000_000, 1) ]
-  in
-  List.concat_map
-    (fun (tag, pending, rounds) ->
-      let events = queue_events ~pending in
-      let heap_ns = best rounds heap_churn events in
-      let wheel_ns = best rounds wheel_churn events in
-      let per = 2.0 *. float_of_int pending in
-      [
-        (Printf.sprintf "event-queue/heap/%s-pending/ns-per-event" tag,
-         heap_ns /. per);
-        (Printf.sprintf "event-queue/wheel/%s-pending/ns-per-event" tag,
-         wheel_ns /. per);
-        (Printf.sprintf "derived/wheel_speedup_%s" tag, heap_ns /. wheel_ns);
-      ])
-    sizes
-
-(* ---- The massive scenario, scaled down to bench size: the
-   allocation-free datapath kernel and the sharded full-pipeline
-   phase.  The words-per-packet metric is the portable zero-allocation
-   guarantee of the switch fast path; the ns rates are informational
-   (host-dependent). *)
+(* ---- The massive scenario, scaled down to bench size: the sharded
+   full pipeline.  The ns rate is informational (host-dependent). *)
 let massive_metrics () =
   let t0 = Monotonic_clock.get () in
-  let w0 = Gc.minor_words () in
-  let dp = Sdn_core.Massive.run_datapath ~flows:1_000 ~packets:500_000 () in
-  let w1 = Gc.minor_words () in
-  let dp_ns = Monotonic_clock.get () -. t0 in
-  let t1 = Monotonic_clock.get () in
   let pl = Sdn_core.Massive.run_pipeline ~flows:20_000 ~shards:4 () in
-  let pl_ns = Monotonic_clock.get () -. t1 in
-  let packets = float_of_int dp.Sdn_core.Massive.dp_packets in
+  let pl_ns = Monotonic_clock.get () -. t0 in
   [
-    ("massive/datapath/ns-per-packet", dp_ns /. packets);
-    (* Setup (pool + table) allocates a handful of words; amortized
-       over the packet loop this must stay ~0 or the fast path has
-       started allocating. *)
-    ("massive/datapath/minor-words-per-packet", (w1 -. w0) /. packets);
     ("massive/pipeline-small/ns-per-event",
      pl_ns /. float_of_int pl.Sdn_core.Massive.pl_sim_events);
     ("massive/pipeline-small/sim-events",
@@ -735,12 +604,11 @@ let run_json path =
       ]
   in
   let sweep_absolute, sweep_speedups = sweep_metrics () in
-  let queue = queue_metrics () in
   let massive = massive_metrics () in
   let metrics =
     List.map (fun (n, v) -> (n ^ "/ns", v)) ns
     @ List.map (fun (n, v) -> (n ^ "/minor-words", v)) words
-    @ sweep_absolute @ derived @ sweep_speedups @ queue @ massive
+    @ sweep_absolute @ derived @ sweep_speedups @ massive
   in
   let oc = open_out path in
   Fun.protect
@@ -757,7 +625,7 @@ let run_json path =
       Printf.fprintf oc "  }\n}\n");
   List.iter
     (fun (name, v) -> Printf.printf "%-60s %14.3f\n" name v)
-    (derived @ sweep_speedups @ queue @ massive);
+    (derived @ sweep_speedups @ massive);
   Printf.printf "wrote %d metrics to %s\n" (List.length metrics) path
 
 (* ---- Figure harness ---- *)
@@ -780,7 +648,7 @@ let () =
       run_figures ();
       Sdn_core.Ablations.run_all ()
   | [ _; "micro" ] -> run_micro ()
-  | [ _; "json" ] -> run_json "BENCH_pr10.json"
+  | [ _; "json" ] -> run_json "BENCH_pr12.json"
   | [ _; "json"; path ] -> run_json path
   | [ _; "ablations" ] -> Sdn_core.Ablations.run_all ()
   | [ _; "figures" ] -> run_figures ()
@@ -788,5 +656,7 @@ let () =
   | [ _; id ] -> run_one_figure id ()
   | [ _; id; reps ] -> run_one_figure id ~reps:(int_of_string reps) ()
   | _ ->
-      prerr_endline "usage: main.exe [all|micro|figures [reps]|figN [reps]]";
+      prerr_endline
+        "usage: main.exe [all|micro|json [path]|ablations|figures [reps]|figN \
+         [reps]]";
       exit 2

@@ -4,6 +4,25 @@
 open Cmdliner
 open Sdn_core
 
+(* Numeric convs that reject non-positive values at parse time, so a
+   bad value exits with cmdliner's usage message instead of reaching an
+   [invalid_arg] deep in the simulator. *)
+let positive_conv base ~valid ~what =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when valid v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s must be %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive_int = positive_conv Arg.int ~valid:(fun n -> n > 0) ~what:"> 0"
+
+let positive_float =
+  positive_conv Arg.float
+    ~valid:(fun x -> Float.is_finite x && x > 0.0)
+    ~what:"a finite number > 0"
+
 let mechanism_conv =
   let parse = function
     | "no-buffer" | "none" -> Ok Config.No_buffer
@@ -35,7 +54,7 @@ let buffer_arg =
 
 let rate_arg =
   Arg.(
-    value & opt float 30.0
+    value & opt positive_float 30.0
     & info [ "r"; "rate" ] ~docv:"MBPS" ~doc:"Sending rate in Mbps.")
 
 let seed_arg =
@@ -178,7 +197,7 @@ let echo_interval_arg =
 
 let echo_misses_arg =
   Arg.(
-    value & opt int 3
+    value & opt positive_int 3
     & info [ "echo-misses" ] ~docv:"N"
         ~doc:"Unanswered keepalives before a session is declared down.")
 
@@ -195,30 +214,6 @@ let jobs_arg =
            with $(b,--check) to arm the parallel-equivalence replay, which \
            re-runs a sampled task sequentially and compares the results \
            field for field.")
-
-let event_queue_conv =
-  let parse = function
-    | "heap" -> Ok `Heap
-    | "wheel" -> Ok `Wheel
-    | s -> Error (`Msg (Printf.sprintf "unknown event queue %S" s))
-  in
-  let print fmt q =
-    Format.pp_print_string fmt
-      (match q with `Heap -> "heap" | `Wheel -> "wheel")
-  in
-  Arg.conv (parse, print)
-
-let event_queue_arg =
-  Arg.(
-    value
-    & opt event_queue_conv `Heap
-    & info [ "event-queue" ] ~docv:"QUEUE"
-        ~doc:
-          "Pending-event store for the simulation engine: $(b,heap) (the \
-           default index-tracked binary heap) or $(b,wheel) (the \
-           hierarchical timer wheel built for extreme pending-event \
-           counts). Both dispatch in identical order, so this never \
-           changes results — only runtime.")
 
 let check_arg =
   Arg.(
@@ -282,7 +277,7 @@ let workload_arg =
 
 let run_cmd =
   let run mechanism buffer rate seed workload faults crashes watermark
-      buf_policy echo_interval echo_misses fail_mode check jobs event_queue =
+      buf_policy echo_interval echo_misses fail_mode check jobs =
     let faults =
       {
         faults with
@@ -305,7 +300,6 @@ let run_cmd =
         fail_mode;
         check;
         jobs;
-        event_queue;
       }
     in
     let result = Experiment.run config in
@@ -317,7 +311,7 @@ let run_cmd =
       const run $ mechanism_arg $ buffer_arg $ rate_arg $ seed_arg
       $ workload_arg $ faults_arg $ crash_arg $ watermark_arg
       $ buf_policy_arg $ echo_interval_arg $ echo_misses_arg $ fail_mode_arg
-      $ check_arg $ jobs_arg $ event_queue_arg)
+      $ check_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "run"
@@ -641,84 +635,50 @@ let validate_cmd =
 let massive_cmd =
   let flows_arg =
     Arg.(
-      value & opt int 1_000_000
+      value & opt positive_int 1_000_000
       & info [ "flows" ] ~docv:"N"
-          ~doc:"Flows injected through the full pipeline phase.")
+          ~doc:"Flows injected through the full pipeline.")
   and shards_arg =
     Arg.(
-      value & opt int 20
+      value & opt positive_int 20
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Independent experiment shards the pipeline flows are split \
-             into (the parallel grain for $(b,--jobs)).")
-  and dp_flows_arg =
-    Arg.(
-      value & opt int 10_000
-      & info [ "datapath-flows" ] ~docv:"N"
-          ~doc:"Microflows installed in the datapath phase's fast path.")
-  and dp_packets_arg =
-    Arg.(
-      value & opt int 1_000_000
-      & info [ "datapath-packets" ] ~docv:"N"
-          ~doc:"Packets pushed through the datapath phase.")
+            "Independent experiment shards the flows are split into (the \
+             parallel grain for $(b,--jobs)).")
   in
-  let run flows shards dp_flows dp_packets seed event_queue check jobs =
+  let run flows shards seed check jobs =
     (* Deterministic counters go to stdout (CI byte-compares them
-       across --jobs widths and queue backends); wall-clock rates go
-       to stderr only. *)
+       across --jobs widths); the wall-clock rate goes to stderr only. *)
     let now () = Int64.to_float (Monotonic_clock.now ()) in
     let t0 = now () in
-    let dp =
-      Massive.run_datapath ~flows:dp_flows ~packets:dp_packets ~check ()
-    in
-    let dp_ns = now () -. t0 in
-    Printf.printf
-      "massive: datapath flows=%d packets=%d forwarded=%d misses=%d \
-       drops=%d pool_slots=%d\n"
-      dp.Massive.dp_flows dp.Massive.dp_packets dp.Massive.dp_forwarded
-      dp.Massive.dp_misses dp.Massive.dp_drops dp.Massive.dp_pool_slots;
-    let t1 = now () in
-    let pl =
-      Massive.run_pipeline ~flows ~shards ~event_queue ~check ~jobs ~seed ()
-    in
-    let pl_ns = now () -. t1 in
+    let pl = Massive.run_pipeline ~flows ~shards ~check ~jobs ~seed () in
+    let pl_ns = now () -. t0 in
     Printf.printf
       "massive: pipeline shards=%d flows=%d packets_in=%d packets_out=%d \
        flows_completed=%d sim_events=%d\n"
       pl.Massive.pl_shards pl.Massive.pl_flows pl.Massive.pl_packets_in
       pl.Massive.pl_packets_out pl.Massive.pl_flows_completed
       pl.Massive.pl_sim_events;
-    Printf.eprintf "massive: datapath %.2f Mpkt/s (wall %.3f s)\n"
-      (float_of_int dp.Massive.dp_packets /. dp_ns *. 1e3)
-      (dp_ns /. 1e9);
-    Printf.eprintf
-      "massive: pipeline %.2f Mevents/s (wall %.3f s, %d jobs, %s queue)\n"
+    Printf.eprintf "massive: pipeline %.2f Mevents/s (wall %.3f s, %d jobs)\n"
       (float_of_int pl.Massive.pl_sim_events /. pl_ns *. 1e3)
-      (pl_ns /. 1e9) jobs
-      (match event_queue with `Heap -> "heap" | `Wheel -> "wheel");
-    let violations =
-      dp.Massive.dp_check_violations + pl.Massive.pl_check_violations
-    in
-    Option.iter (Printf.eprintf "%s\n") dp.Massive.dp_check_report;
+      (pl_ns /. 1e9) jobs;
     List.iter (Printf.eprintf "%s\n") pl.Massive.pl_check_reports;
-    if violations > 0 then begin
-      Printf.eprintf "massive: %d invariant violations\n" violations;
+    if pl.Massive.pl_check_violations > 0 then begin
+      Printf.eprintf "massive: %d invariant violations\n"
+        pl.Massive.pl_check_violations;
       exit 1
     end
   in
   let term =
-    Term.(
-      const run $ flows_arg $ shards_arg $ dp_flows_arg $ dp_packets_arg
-      $ seed_arg $ event_queue_arg $ check_arg $ jobs_arg)
+    Term.(const run $ flows_arg $ shards_arg $ seed_arg $ check_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "massive"
        ~doc:
-         "Extreme-scale throughput scenario: saturate the allocation-free \
-          frame-pool datapath, then push an extreme Poisson flow count \
-          through the full switch/controller pipeline in independent \
-          shards. Counters print deterministically on stdout; wall-clock \
-          packet and event rates print on stderr.")
+         "Extreme-scale throughput scenario: push an extreme Poisson flow \
+          count through the full switch/controller pipeline in independent \
+          shards. Counters print deterministically on stdout; the \
+          wall-clock event rate prints on stderr.")
     term
 
 let calibration_cmd =

@@ -22,12 +22,6 @@ type pool_ledger = {
   mutable holdings : (string * int ref) list;
 }
 
-(* Frame-pool slot conservation ledger: the pool's fixed slot count
-   and how many slots the datapath currently holds. Claims and
-   releases carry the pool's own free count so the checker can verify
-   [live + free = slots] at every event. *)
-type frame_pool_ledger = { fp_slots : int; mutable fp_live : int }
-
 type t = {
   trace_depth : int;
   raise_on_violation : bool;
@@ -40,7 +34,6 @@ type t = {
   closed : (string * int32, unit) Hashtbl.t;
   xids : (string * int32, unit) Hashtbl.t;
   pools : (string, pool_ledger) Hashtbl.t;
-  frame_pools : (string, frame_pool_ledger) Hashtbl.t;
 }
 
 let create ?(trace_depth = 48) ?(raise_on_violation = false) () =
@@ -55,7 +48,6 @@ let create ?(trace_depth = 48) ?(raise_on_violation = false) () =
     closed = Hashtbl.create 256;
     xids = Hashtbl.create 1024;
     pools = Hashtbl.create 8;
-    frame_pools = Hashtbl.create 8;
   }
 
 let record t ~time event =
@@ -242,58 +234,6 @@ let note_pool_release t ~time ~pool ~class_ ~free =
         (Printf.sprintf "pool %s: release by unregistered class %s" pool
            class_));
   check_pool_conservation t ~time ~pool ledger ~free
-
-(* ---- Frame-pool slot conservation ---- *)
-
-let frame_pool_conservation t ~time ~pool ledger ~free =
-  if ledger.fp_live + free <> ledger.fp_slots then
-    violate t ~time ~invariant:"frame-pool-conservation"
-      (Printf.sprintf "frame pool %s: live (%d) + free (%d) <> slots (%d)" pool
-         ledger.fp_live free ledger.fp_slots)
-
-let note_frame_pool_create t ~time ~pool ~slots =
-  record t ~time (Printf.sprintf "frame pool create %s slots=%d" pool slots);
-  Hashtbl.replace t.frame_pools pool { fp_slots = slots; fp_live = 0 }
-
-let unknown_frame_pool t ~time ~pool ~what =
-  violate t ~time ~invariant:"frame-pool-conservation"
-    (Printf.sprintf "%s on unknown frame pool %s" what pool)
-
-let note_frame_pool_claim t ~time ~pool ~free =
-  record t ~time (Printf.sprintf "frame pool claim %s free=%d" pool free);
-  match Hashtbl.find_opt t.frame_pools pool with
-  | None -> unknown_frame_pool t ~time ~pool ~what:"claim"
-  | Some ledger ->
-      ledger.fp_live <- ledger.fp_live + 1;
-      if ledger.fp_live > ledger.fp_slots then
-        violate t ~time ~invariant:"frame-pool-conservation"
-          (Printf.sprintf "frame pool %s: %d slot(s) live out of %d" pool
-             ledger.fp_live ledger.fp_slots);
-      frame_pool_conservation t ~time ~pool ledger ~free
-
-let note_frame_pool_release t ~time ~pool ~free =
-  record t ~time (Printf.sprintf "frame pool release %s free=%d" pool free);
-  match Hashtbl.find_opt t.frame_pools pool with
-  | None -> unknown_frame_pool t ~time ~pool ~what:"release"
-  | Some ledger ->
-      ledger.fp_live <- ledger.fp_live - 1;
-      if ledger.fp_live < 0 then
-        violate t ~time ~invariant:"frame-pool-conservation"
-          (Printf.sprintf
-             "frame pool %s: release with no slot live (double release)" pool);
-      frame_pool_conservation t ~time ~pool ledger ~free
-
-let note_frame_pool_wipe t ~time ~pool ~free =
-  record t ~time (Printf.sprintf "frame pool wipe %s free=%d" pool free);
-  match Hashtbl.find_opt t.frame_pools pool with
-  | None -> unknown_frame_pool t ~time ~pool ~what:"wipe"
-  | Some ledger ->
-      ledger.fp_live <- 0;
-      if free <> ledger.fp_slots then
-        violate t ~time ~invariant:"frame-pool-conservation"
-          (Printf.sprintf
-             "frame pool %s: wipe left %d slot(s) free out of %d" pool free
-             ledger.fp_slots)
 
 let note_reconciliation t ~time ~session ~agree ~detail =
   record t ~time

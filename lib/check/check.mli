@@ -32,10 +32,6 @@
       equals the registered capacity at every claim/release event, no
       class's holdings ever go negative, and only registered classes
       claim or release;
-    - {b frame-pool-conservation}: in the fixed-slab frame pool the
-      live slot count plus the pool's reported free count equals the
-      slot total at every claim and release, no slot is released
-      twice, and a crash wipe leaves every slot free;
     - {b cold-restart-wipe}: no buffered chain survives a cold node
       restart — the wipe must have expired every live unit of the
       crashed pool;
@@ -129,27 +125,6 @@ val note_pool_release :
     free count {e after} the release. Violation if the class is
     unregistered, its holdings would go negative, or conservation
     fails. *)
-
-(* ---- Frame-pool slot conservation ---- *)
-
-val note_frame_pool_create : t -> time:float -> pool:string -> slots:int -> unit
-(** Fixed-slab frame pool [pool] came up with [slots] slots, all free.
-    Must precede the pool's first claim. *)
-
-val note_frame_pool_claim : t -> time:float -> pool:string -> free:int -> unit
-(** The datapath claimed one slot from [pool]; [free] is the pool's
-    free count {e after} the claim. Violation if the pool is unknown,
-    more slots are live than exist, or [live + free <> slots]. *)
-
-val note_frame_pool_release : t -> time:float -> pool:string -> free:int -> unit
-(** One slot went back to [pool]; [free] is the free count {e after}
-    the release. Violation on double release (no slot live) or a
-    broken conservation sum. *)
-
-val note_frame_pool_wipe : t -> time:float -> pool:string -> free:int -> unit
-(** A crash wipe forcibly released every slot of [pool]; [free] is
-    the pool's free count afterwards. Violation unless every slot is
-    free again. *)
 
 val note_reconciliation :
   t -> time:float -> session:string -> agree:bool -> detail:string -> unit

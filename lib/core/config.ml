@@ -47,7 +47,6 @@ type t = {
   egress_bandwidth_bps : float option;
   check : bool;
   jobs : int;
-  event_queue : Sdn_sim.Engine.queue_kind;
   switch_costs : Sdn_switch.Costs.t;
   controller_costs : Sdn_controller.Costs.t;
 }
@@ -80,7 +79,6 @@ let default =
     egress_bandwidth_bps = None;
     check = false;
     jobs = 1;
-    event_queue = `Heap;
     switch_costs = Calibration.switch_costs;
     controller_costs = Calibration.controller_costs;
   }

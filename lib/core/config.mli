@@ -102,12 +102,6 @@ type t = {
           contract every [jobs] value produces byte-identical results.
           A single {!Experiment.run} is always one domain; [jobs] only
           fans out independent replications. *)
-  event_queue : Sdn_sim.Engine.queue_kind;
-      (** pending-event store for the engine (the [--event-queue] CLI
-          flag): [`Heap] (the default) is the index-tracked binary
-          heap, [`Wheel] the hierarchical timer wheel built for
-          extreme pending counts. Both dispatch in identical order, so
-          this knob never changes results — only runtime. *)
   switch_costs : Sdn_switch.Costs.t;
   controller_costs : Sdn_controller.Costs.t;
 }

@@ -1,140 +1,6 @@
-(* The [massive] extreme-scale scenario. Phase 1 saturates the
-   allocation-free Frame_pool/Fast_path kernel; phase 2 shards an
-   extreme Poisson flow count over the full switch/controller
-   pipeline via Exec. Both phases return deterministic counters only
-   — the CLI owns the stopwatch. *)
-
-open Sdn_net
-
-type datapath_stats = {
-  dp_flows : int;
-  dp_packets : int;
-  dp_forwarded : int;
-  dp_misses : int;
-  dp_drops : int;
-  dp_pool_slots : int;
-  dp_check_violations : int;
-  dp_check_report : string option;
-}
-
-(* Microflow [f]'s installed 5-tuple. Source addresses enumerate
-   10.0.0.0/8, so up to 2^24 flows stay distinct; the miss variant
-   swaps in an 12.0.0.0/8 source no install ever uses. *)
-let src_ip_of ~miss f =
-  (if miss then 0x0C000000 else 0x0A000000) lor (f land 0xFFFFFF)
-
-let dst_ip = 0x0B000001
-let src_port = 4242
-let dst_port = 9
-let drain_batch = 64
-
-let template_frame () =
-  Packet.encode
-    (Packet.udp
-       ~src_mac:(Mac.of_string_exn "02:00:00:00:00:01")
-       ~dst_mac:(Mac.of_string_exn "02:00:00:00:00:02")
-       ~src_ip:(Ip.make 10 0 0 1) ~dst_ip:(Ip.make 11 0 0 1) ~src_port
-       ~dst_port ~ttl:64
-       ~payload:(Bytes.make 6 'x')
-       ())
-
-let run_datapath ?(flows = 10_000) ?(packets = 1_000_000) ?(check = false) () =
-  if flows <= 0 || flows > 0xFFFFFF then
-    invalid_arg "Massive.run_datapath: flows must be in [1, 2^24]";
-  if packets < 0 then invalid_arg "Massive.run_datapath: negative packets";
-  let slots = 512 and n_ports = 4 in
-  let pool = Frame_pool.create ~slots ~slot_size:64 () in
-  let table_capacity = max 1024 (2 * flows) in
-  let fp =
-    Sdn_switch.Fast_path.create ~pool ~n_ports ~table_capacity
-      ~ring_capacity:1024 ()
-  in
-  let checker = if check then Some (Sdn_check.Check.create ()) else None in
-  let note f = match checker with None -> () | Some c -> f c in
-  note (fun c ->
-      Sdn_check.Check.note_frame_pool_create c ~time:0.0 ~pool:"massive"
-        ~slots);
-  for f = 0 to flows - 1 do
-    let ok =
-      Sdn_switch.Fast_path.install fp ~proto:Ipv4.proto_udp
-        ~src_ip:(src_ip_of ~miss:false f) ~dst_ip ~src_port ~dst_port
-        ~out_port:(f land (n_ports - 1))
-    in
-    if not ok then invalid_arg "Massive.run_datapath: fast-path table full"
-  done;
-  let template = template_frame () in
-  let forwarded = ref 0 and misses = ref 0 and drops = ref 0 in
-  (* Per-packet notes match on the checker directly: the [note (fun c
-     -> ...)] shape used for one-time notes would cons a fresh closure
-     per packet, which the allocation-free loop cannot afford. *)
-  let note_claim () =
-    match checker with
-    | None -> ()
-    | Some c ->
-        Sdn_check.Check.note_frame_pool_claim c ~time:0.0 ~pool:"massive"
-          ~free:(Frame_pool.free_count pool)
-  and note_release () =
-    match checker with
-    | None -> ()
-    | Some c ->
-        Sdn_check.Check.note_frame_pool_release c ~time:0.0 ~pool:"massive"
-          ~free:(Frame_pool.free_count pool)
-  in
-  let drain_rings () =
-    for port = 0 to n_ports - 1 do
-      let continue = ref true in
-      while !continue do
-        let slot = Sdn_switch.Fast_path.dequeue fp port in
-        if slot < 0 then continue := false
-        else begin
-          incr forwarded;
-          ignore (Frame_pool.release pool slot : bool);
-          note_release ()
-        end
-      done
-    done
-  in
-  for i = 0 to packets - 1 do
-    let miss = i mod 97 = 0 in
-    let f = i mod flows in
-    let slot = Frame_pool.alloc pool in
-    (* drain_batch < slots, so the pool can never run dry here *)
-    assert (slot >= 0);
-    note_claim ();
-    Frame_pool.load pool slot template;
-    Frame_pool.set_u32 pool slot Frame_pool.off_src_ip (src_ip_of ~miss f);
-    let port = Sdn_switch.Fast_path.process fp slot in
-    if port < 0 then begin
-      if port = -1 then incr misses else incr drops;
-      ignore (Frame_pool.release pool slot : bool);
-      note_release ()
-    end;
-    if i mod drain_batch = drain_batch - 1 then drain_rings ()
-  done;
-  drain_rings ();
-  Frame_pool.wipe pool;
-  note (fun c ->
-      Sdn_check.Check.note_frame_pool_wipe c ~time:0.0 ~pool:"massive"
-        ~free:(Frame_pool.free_count pool));
-  let dp_check_violations, dp_check_report =
-    match checker with
-    | None -> (0, None)
-    | Some c ->
-        let n = List.length (Sdn_check.Check.violations c) in
-        (n, if n = 0 then None else Some (Sdn_check.Check.report c))
-  in
-  {
-    dp_flows = flows;
-    dp_packets = packets;
-    dp_forwarded = !forwarded;
-    dp_misses = !misses;
-    dp_drops = !drops;
-    dp_pool_slots = slots;
-    dp_check_violations;
-    dp_check_report;
-  }
-
-(* ---- phase 2: the full pipeline, sharded ---- *)
+(* The [massive] extreme-scale scenario: an extreme Poisson flow count
+   sharded over the full switch/controller pipeline via Exec. Returns
+   deterministic counters only — the CLI owns the stopwatch. *)
 
 type pipeline_stats = {
   pl_shards : int;
@@ -147,7 +13,7 @@ type pipeline_stats = {
   pl_check_reports : string list;
 }
 
-let shard_config ~event_queue ~check ~seed ~n_flows =
+let shard_config ~check ~seed ~n_flows =
   {
     Config.default with
     Config.workload = Config.Poisson_flows { n_flows };
@@ -156,11 +22,10 @@ let shard_config ~event_queue ~check ~seed ~n_flows =
     buffer_capacity = 4096;
     flow_table_capacity = 65536;
     check;
-    event_queue;
   }
 
-let run_pipeline ?(flows = 1_000_000) ?(shards = 20) ?(event_queue = `Heap)
-    ?(check = false) ?(jobs = 1) ?(seed = 1) () =
+let run_pipeline ?(flows = 1_000_000) ?(shards = 20) ?(check = false)
+    ?(jobs = 1) ?(seed = 1) () =
   if flows <= 0 then invalid_arg "Massive.run_pipeline: non-positive flows";
   if shards <= 0 then invalid_arg "Massive.run_pipeline: non-positive shards";
   let shards = min shards flows in
@@ -168,7 +33,7 @@ let run_pipeline ?(flows = 1_000_000) ?(shards = 20) ?(event_queue = `Heap)
   let configs =
     Array.init shards (fun i ->
         let n_flows = base + if i < extra then 1 else 0 in
-        shard_config ~event_queue ~check ~seed:(seed + i) ~n_flows)
+        shard_config ~check ~seed:(seed + i) ~n_flows)
   in
   let results =
     Exec.run_experiments

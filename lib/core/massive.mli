@@ -1,45 +1,18 @@
 (** The [massive] extreme-scale bench scenario.
 
-    Two phases, both deterministic (wall-clock timing is the caller's
-    job, so every count printed from these stats is byte-identical
-    across [--jobs] widths and queue backends):
+    Injects an extreme flow count through the {e full}
+    switch/controller pipeline (PACKET_IN, buffering, flow-mod,
+    forwarding) as independent Poisson single-packet-flow shards fanned
+    out over {!Exec.run_experiments}, so [--jobs] and [--check]
+    (parallel-equivalence replay included) work exactly as in the
+    standard sweeps. {!Experiment.result.sim_events} summed over shards
+    is the numerator of the headline events/s rate.
 
-    - {b datapath saturation}: drives millions of packets through the
-      allocation-free kernel ({!Sdn_net.Frame_pool} +
-      {!Sdn_switch.Fast_path}) — alloc, in-place header write,
-      microflow classify, egress ring, release — with the frame-pool
-      conservation invariant audited by {!Sdn_check.Check} when
-      [check] is set.
-    - {b pipeline}: injects an extreme flow count through the {e
-      full} switch/controller pipeline (PACKET_IN, buffering,
-      flow-mod, forwarding) as independent Poisson single-packet-flow
-      shards fanned out over {!Exec.run_experiments}, so [--jobs] and
-      [--check] (parallel-equivalence replay included) work exactly as
-      in the standard sweeps. {!Experiment.result.sim_events} summed
-      over shards is the numerator of the headline events/s rate.
-
-    The CLI's [massive] subcommand times each phase and prints the
-    wall-clock rates to stderr, keeping stdout deterministic for the
-    CI byte-compare. *)
-
-type datapath_stats = {
-  dp_flows : int;  (** microflows installed in the kernel *)
-  dp_packets : int;  (** packets pushed through the kernel *)
-  dp_forwarded : int;  (** microflow hits enqueued and drained *)
-  dp_misses : int;  (** packets with no installed microflow *)
-  dp_drops : int;  (** hits shed because an egress ring was full *)
-  dp_pool_slots : int;
-  dp_check_violations : int;
-  dp_check_report : string option;  (** [None] when clean or unchecked *)
-}
-
-val run_datapath :
-  ?flows:int -> ?packets:int -> ?check:bool -> unit -> datapath_stats
-(** Datapath phase: install [flows] (default 10_000) microflows, push
-    [packets] (default 1_000_000) header-built-in-place frames
-    through classify → TTL rewrite → egress ring → release, draining
-    rings in batches. Every 97th packet carries an uninstalled
-    5-tuple to keep the miss path honest. *)
+    The stats are deterministic (wall-clock timing is the caller's
+    job, so every count printed from them is byte-identical across
+    [--jobs] widths). The CLI's [massive] subcommand times the run and
+    prints the wall-clock rate to stderr, keeping stdout deterministic
+    for the CI byte-compare. *)
 
 type pipeline_stats = {
   pl_shards : int;
@@ -55,14 +28,12 @@ type pipeline_stats = {
 val run_pipeline :
   ?flows:int ->
   ?shards:int ->
-  ?event_queue:Sdn_sim.Engine.queue_kind ->
   ?check:bool ->
   ?jobs:int ->
   ?seed:int ->
   unit ->
   pipeline_stats
-(** Pipeline phase: split [flows] (default 1_000_000) Poisson
-    single-packet flows into [shards] (default 20) independent
-    full-pipeline experiments (seeded [seed], [seed+1], ...) and run
-    them [jobs]-wide. Raises [Invalid_argument] if [flows] or
-    [shards] is non-positive. *)
+(** Split [flows] (default 1_000_000) Poisson single-packet flows into
+    [shards] (default 20) independent full-pipeline experiments
+    (seeded [seed], [seed+1], ...) and run them [jobs]-wide. Raises
+    [Invalid_argument] if [flows] or [shards] is non-positive. *)

@@ -29,7 +29,7 @@ let host1_ip = Ip.make 10 0 0 1
 let host2_ip = Ip.make 10 0 0 2
 
 let build (config : Config.t) =
-  let engine = Engine.create ~queue:config.Config.event_queue () in
+  let engine = Engine.create () in
   let root_rng = Rng.of_int config.Config.seed in
   let traffic_rng = Rng.split root_rng in
   let switch_rng = Rng.split root_rng in

@@ -81,12 +81,19 @@ let rec write_list actions buf off =
   | [] -> off
   | a :: rest -> write_list rest buf (write_one a buf off)
 
+(* Smallest legal length of an action of wire type [typ]: the 16-byte
+   actions read past byte 8, so a corrupted length of 8 on one of them
+   must be rejected before the body is read. *)
+let min_len typ =
+  if typ = type_set_dl_src || typ = type_set_dl_dst || typ = type_enqueue then 16
+  else 8
+
 let read_one buf off =
   if off + 8 > Bytes.length buf then Error "Of_action.read: truncated header"
   else begin
     let typ = Bytes.get_uint16_be buf off in
     let len = Bytes.get_uint16_be buf (off + 2) in
-    if len < 8 || len mod 8 <> 0 || off + len > Bytes.length buf then
+    if len < min_len typ || len mod 8 <> 0 || off + len > Bytes.length buf then
       Error "Of_action.read: bad action length"
     else begin
       let action =

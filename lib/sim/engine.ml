@@ -3,74 +3,32 @@ type handle = {
   seq : int;
   action : unit -> unit;
   mutable cancelled : bool;
-  (* Heap backend: current slot in the owning heap, maintained by the
-     heap's [set_index] callback; [-1] once popped, removed or never
-     queued. Wheel backend: [0] while queued, [-1] once popped — the
-     wheel has no per-element index, this only gates [note_cancel] to
-     exactly one call per queued element. *)
+  (* Current slot in the owning heap, maintained by the heap's
+     [set_index] callback; [-1] once popped, removed or never queued. *)
   mutable heap_index : int;
-  queue : queue;
+  queue : handle Heap.t;
 }
-
-and queue =
-  | Q_heap of handle Heap.t
-  | Q_wheel of handle Timer_wheel.t
-
-type queue_kind = [ `Heap | `Wheel ]
 
 type t = {
   mutable clock : float;
   mutable seq : int;
   mutable processed : int;
-  queue : queue;
+  queue : handle Heap.t;
 }
 
 let compare_events a b =
   let c = Float.compare a.time b.time in
   if c <> 0 then c else Int.compare a.seq b.seq
 
-let create ?(now = 0.0) ?(queue = `Heap) () =
+let create ?(now = 0.0) () =
   let queue =
-    match queue with
-    | `Heap ->
-        Q_heap
-          (Heap.create ~capacity:1024 ~cmp:compare_events
-             ~set_index:(fun h i -> h.heap_index <- i)
-             ())
-    | `Wheel ->
-        Q_wheel
-          (Timer_wheel.create ~now
-             ~time:(fun h -> h.time)
-             ~seq:(fun h -> h.seq)
-             ~cancelled:(fun h -> h.cancelled)
-             ())
+    Heap.create ~capacity:1024 ~cmp:compare_events
+      ~set_index:(fun h i -> h.heap_index <- i)
+      ()
   in
   { clock = now; seq = 0; processed = 0; queue }
 
 let now t = t.clock
-
-let q_push q ev =
-  match q with
-  | Q_heap h -> Heap.push h ev
-  | Q_wheel w ->
-      ev.heap_index <- 0;
-      Timer_wheel.add w ev
-
-let q_peek q =
-  match q with Q_heap h -> Heap.peek h | Q_wheel w -> Timer_wheel.peek w
-
-let q_pop q =
-  match q with
-  | Q_heap h -> Heap.pop h
-  | Q_wheel w -> (
-      match Timer_wheel.pop w with
-      | Some ev as r ->
-          ev.heap_index <- -1;
-          r
-      | None -> None)
-
-let q_length q =
-  match q with Q_heap h -> Heap.length h | Q_wheel w -> Timer_wheel.length w
 
 let schedule_at t time action =
   if time < t.clock then
@@ -82,31 +40,23 @@ let schedule_at t time action =
       queue = t.queue }
   in
   t.seq <- t.seq + 1;
-  q_push t.queue ev;
+  Heap.push t.queue ev;
   ev
 
 let schedule t ~delay action =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t (t.clock +. delay) action
 
-(* Heap backend: true O(log n) removal — a cancelled event leaves the
-   heap immediately instead of lingering as a tombstone until popped.
-   Long chaos runs cancel echo keepalives and backoff timers
-   constantly; without real removal the queue grows monotonically and
-   [pending] drifts away from the live event count. Wheel backend:
-   O(1) lazy cancel — the wheel uncounts the event now and drops it
-   whenever a cascade or its tick reaches it. *)
+(* True O(log n) removal: a cancelled event leaves the heap
+   immediately instead of lingering as a tombstone until popped. Long
+   chaos runs cancel echo keepalives and backoff timers constantly;
+   without real removal the queue grows monotonically and [pending]
+   drifts away from the live event count. *)
 let cancel handle =
   if not handle.cancelled then begin
     handle.cancelled <- true;
-    match handle.queue with
-    | Q_heap h ->
-        if handle.heap_index >= 0 then ignore (Heap.remove h handle.heap_index)
-    | Q_wheel w ->
-        if handle.heap_index >= 0 then begin
-          handle.heap_index <- -1;
-          Timer_wheel.note_cancel w
-        end
+    if handle.heap_index >= 0 then
+      ignore (Heap.remove handle.queue handle.heap_index)
   end
 
 let is_cancelled handle = handle.cancelled
@@ -116,7 +66,7 @@ let exec t ev =
   ev.action ()
 
 let step t =
-  match q_pop t.queue with
+  match Heap.pop t.queue with
   | None -> false
   | Some ev ->
       t.clock <- ev.time;
@@ -128,7 +78,7 @@ let step t =
    seq order (including events an action schedules at that same
    instant), without re-checking any run limit in between. *)
 let step_batch t =
-  match q_pop t.queue with
+  match Heap.pop t.queue with
   | None -> 0
   | Some ev ->
       t.clock <- ev.time;
@@ -137,9 +87,9 @@ let step_batch t =
       let count = ref 1 in
       let same_time = ref true in
       while !same_time do
-        match q_peek t.queue with
+        match Heap.peek t.queue with
         | Some next when Float.equal next.time time ->
-            (match q_pop t.queue with
+            (match Heap.pop t.queue with
             | Some next ->
                 exec t next;
                 incr count
@@ -152,7 +102,7 @@ let rec run ?until t =
   match until with
   | None -> if step_batch t > 0 then run ?until t
   | Some limit -> (
-      match q_peek t.queue with
+      match Heap.peek t.queue with
       | None -> if t.clock < limit then t.clock <- limit
       | Some ev when ev.time > limit -> t.clock <- limit
       | Some _ ->
@@ -161,6 +111,6 @@ let rec run ?until t =
           ignore (step_batch t);
           run ~until:limit t)
 
-let pending t = q_length t.queue
+let pending t = Heap.length t.queue
 
 let processed t = t.processed

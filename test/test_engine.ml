@@ -182,6 +182,192 @@ let test_cancel_sibling_during_batch () =
   Alcotest.(check bool) "cancelled sibling skipped" false !second_ran;
   Alcotest.(check int) "queue empty" 0 (Engine.pending engine)
 
+(* Randomized schedule/cancel/step_batch scripts against a
+   sorted-list reference model. Op encoding: (kind, a) with kind 0-2 =
+   schedule at now + scaled delay (three delay scales so events share
+   timestamps, sit close together, and spread far apart), kind 3 =
+   cancel the a-th oldest handle (fired and cancelled ones included, so
+   late and repeated cancels are exercised), kind 4 = step_batch. Both
+   sides produce the dispatch trace [(id, time)] and a
+   [(pending, processed)] snapshot after every op, then drain. *)
+let scale_of_kind = function 0 -> 3.3e-7 | 1 -> 1.05e-4 | _ -> 2.7e-2
+
+let run_script ?(scale_of_kind = scale_of_kind) ops =
+  let engine = Engine.create () in
+  let trace = ref [] and counts = ref [] in
+  let handles = ref [] in
+  let next_id = ref 0 in
+  List.iter
+    (fun (kind, a) ->
+      (match kind with
+      | 0 | 1 | 2 ->
+          let id = !next_id in
+          incr next_id;
+          let h =
+            Engine.schedule engine
+              ~delay:(float_of_int a *. scale_of_kind kind)
+              (fun () -> trace := (id, Engine.now engine) :: !trace)
+          in
+          handles := !handles @ [ h ]
+      | 3 ->
+          let n = List.length !handles in
+          if n > 0 then Engine.cancel (List.nth !handles (a mod n))
+      | _ -> ignore (Engine.step_batch engine));
+      counts := (Engine.pending engine, Engine.processed engine) :: !counts)
+    ops;
+  Engine.run engine;
+  (List.rev !trace, List.rev !counts, Engine.processed engine)
+
+(* The reference: live events as a list kept sorted by (time, id) —
+   ids are assigned in schedule order, so they double as the engine's
+   tie-breaking sequence numbers. *)
+let model_script ?(scale_of_kind = scale_of_kind) ops =
+  let clock = ref 0.0 and processed = ref 0 in
+  let live = ref [] and trace = ref [] and counts = ref [] in
+  let n_scheduled = ref 0 in
+  let by_time (t1, i1) (t2, i2) =
+    let c = Float.compare t1 t2 in
+    if c <> 0 then c else Int.compare i1 i2
+  in
+  let dispatch (time, id) =
+    clock := time;
+    incr processed;
+    trace := (id, time) :: !trace
+  in
+  let step_batch () =
+    match !live with
+    | [] -> ()
+    | (time, _) :: _ ->
+        let batch, rest =
+          List.partition (fun (t, _) -> Float.equal t time) !live
+        in
+        live := rest;
+        List.iter dispatch batch
+  in
+  List.iter
+    (fun (kind, a) ->
+      (match kind with
+      | 0 | 1 | 2 ->
+          let time = !clock +. (float_of_int a *. scale_of_kind kind) in
+          let ev = (time, !n_scheduled) in
+          incr n_scheduled;
+          live := List.sort by_time (ev :: !live)
+      | 3 ->
+          if !n_scheduled > 0 then begin
+            let victim = a mod !n_scheduled in
+            live := List.filter (fun (_, id) -> id <> victim) !live
+          end
+      | _ -> step_batch ());
+      counts := (List.length !live, !processed) :: !counts)
+    ops;
+  while !live <> [] do
+    step_batch ()
+  done;
+  (List.rev !trace, List.rev !counts, !processed)
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"heap matches sorted-list model" ~count:300
+    QCheck.(list (pair (int_bound 4) (int_bound 200)))
+    (fun ops ->
+      run_script ops = model_script ops)
+
+(* {2 Timer-wheel-era edge cases}
+
+   These cases were first written against a hierarchical timer wheel
+   that has since been removed; they pin the same edge cases on the
+   heap: timestamps closer than a microsecond, times spread from 1 µs
+   to 1e5 s, a run limit parked between the clock and the next event,
+   and a batch that keeps going past a cancelled sibling. *)
+
+let test_sub_microsecond_ordering () =
+  let engine = Engine.create () in
+  let order = ref [] in
+  ignore (Engine.schedule_at engine 1.0000007 (fun () -> order := 3 :: !order));
+  ignore (Engine.schedule_at engine 1.0000001 (fun () -> order := 1 :: !order));
+  ignore (Engine.schedule_at engine 1.0000004 (fun () -> order := 2 :: !order));
+  Engine.run engine;
+  Alcotest.(check (list int)) "sub-microsecond times dispatch in time order"
+    [ 1; 2; 3 ] (List.rev !order)
+
+let test_wide_range_ordering () =
+  let engine = Engine.create () in
+  let times = [ 1e-6; 2.55e-4; 6.5e-2; 1.67e1; 4.2e3; 6.0e3; 1.0e5 ] in
+  let order = ref [] in
+  List.iteri
+    (fun i time ->
+      ignore (Engine.schedule_at engine time (fun () -> order := i :: !order)))
+    (List.rev times);
+  Engine.run engine;
+  Alcotest.(check (list int)) "times from 1 µs to 1e5 s dispatch in order"
+    [ 6; 5; 4; 3; 2; 1; 0 ] (List.rev !order);
+  Alcotest.(check (float 1e-9)) "clock at last event" 1.0e5 (Engine.now engine)
+
+let test_run_until_then_late_add () =
+  let engine = Engine.create () in
+  let fired = ref [] in
+  List.iter
+    (fun t -> ignore (Engine.schedule_at engine t (fun () -> fired := t :: !fired)))
+    [ 0.5; 1.5; 2.5 ];
+  Engine.run ~until:2.0 engine;
+  Alcotest.(check (list (float 1e-12))) "only events up to limit" [ 0.5; 1.5 ]
+    (List.rev !fired);
+  Alcotest.(check (float 1e-12)) "clock parked at limit" 2.0 (Engine.now engine);
+  Alcotest.(check int) "later event still queued" 1 (Engine.pending engine);
+  (* An event added between the parked clock and the queued one must
+     still fire first. *)
+  ignore (Engine.schedule_at engine 2.25 (fun () -> fired := 2.25 :: !fired));
+  Engine.run engine;
+  Alcotest.(check (list (float 1e-12))) "late add dispatches in order"
+    [ 0.5; 1.5; 2.25; 2.5 ] (List.rev !fired)
+
+let test_cancel_sibling_keeps_batch_going () =
+  let engine = Engine.create () in
+  let fired = ref [] in
+  let sibling = ref None in
+  ignore
+    (Engine.schedule_at engine 1.0 (fun () ->
+         fired := "killer" :: !fired;
+         Option.iter Engine.cancel !sibling));
+  sibling :=
+    Some (Engine.schedule_at engine 1.0 (fun () -> fired := "victim" :: !fired));
+  ignore (Engine.schedule_at engine 1.0 (fun () -> fired := "survivor" :: !fired));
+  ignore (Engine.step_batch engine);
+  Alcotest.(check (list string)) "victim skipped" [ "killer"; "survivor" ]
+    (List.rev !fired);
+  Alcotest.(check int) "no pending left" 0 (Engine.pending engine)
+
+(* The model property again, with delay scales up to tens of seconds
+   so a script's clock reaches thousands of seconds, where adding a
+   sub-microsecond delay can round to an existing timestamp and the
+   (time, seq) tie-break decides the order. *)
+let wide_scale_of_kind = function 0 -> 3.3e-7 | 1 -> 2.7e-2 | _ -> 4.3e1
+
+let prop_matches_model_wide_range =
+  QCheck.Test.make ~name:"wheel and heap dispatch identical traces" ~count:300
+    QCheck.(list (pair (int_bound 4) (int_bound 200)))
+    (fun ops ->
+      run_script ~scale_of_kind:wide_scale_of_kind ops
+      = model_script ~scale_of_kind:wide_scale_of_kind ops)
+
+let timer_wheel_era_suite =
+  [
+    Alcotest.test_case "runs in time order" `Quick test_runs_in_time_order;
+    Alcotest.test_case "FIFO tie break" `Quick test_fifo_tie_break;
+    Alcotest.test_case "sub-tick ordering" `Quick test_sub_microsecond_ordering;
+    Alcotest.test_case "cross-level and overflow ordering" `Quick
+      test_wide_range_ordering;
+    Alcotest.test_case "10k cancel leaves queue empty" `Quick
+      test_cancel_removes_from_queue;
+    Alcotest.test_case "cancel is idempotent" `Quick test_cancel_idempotent;
+    Alcotest.test_case "run until limit" `Quick test_run_until_then_late_add;
+    Alcotest.test_case "step_batch includes spawned same-time events" `Quick
+      test_step_batch_includes_spawned_same_time;
+    Alcotest.test_case "cancel sibling during batch" `Quick
+      test_cancel_sibling_keeps_batch_going;
+    Alcotest.test_case "chained events" `Quick test_events_schedule_events;
+    QCheck_alcotest.to_alcotest prop_matches_model_wide_range;
+  ]
+
 let suite =
   [
     Alcotest.test_case "time order" `Quick test_runs_in_time_order;
@@ -205,4 +391,5 @@ let suite =
       test_step_batch_includes_spawned_same_time;
     Alcotest.test_case "cancel sibling during batch" `Quick
       test_cancel_sibling_during_batch;
+    QCheck_alcotest.to_alcotest prop_matches_model;
   ]

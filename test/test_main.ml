@@ -7,14 +7,13 @@ let () =
       ("sim.rng", Test_rng.suite);
       ("sim.stats", Test_stats.suite);
       ("sim.engine", Test_engine.suite);
-      ("sim.timer_wheel", Test_timer_wheel.suite);
+      ("sim.timer_wheel", Test_engine.timer_wheel_era_suite);
       ("sim.link", Test_link.suite);
       ("sim.faults", Test_faults.suite);
       ("sim.cpu", Test_cpu.suite);
       ("net.addresses", Test_addr.suite);
       ("net.checksum", Test_checksum.suite);
       ("net.packet", Test_packet.suite);
-      ("net.frame_pool", Test_frame_pool.suite);
       ("openflow.match", Test_of_match.suite);
       ("openflow.codec", Test_of_codec.suite);
       ("openflow.codec-fuzz", Test_of_codec_fuzz.suite);

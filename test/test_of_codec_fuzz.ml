@@ -475,6 +475,20 @@ let test_each_constructor () =
       | Error e -> Alcotest.fail (Format.asprintf "%a: %s" Of_codec.pp msg e))
     msgs
 
+(* Regression for a corruption the fuzzer found: an 8-byte action
+   relabelled as set_dl_src (a 16-byte action) at the end of a
+   packet_out made the decoder read the MAC past the buffer. *)
+let test_short_wide_action () =
+  let msg =
+    Of_codec.Packet_out (Of_packet_out.release ~buffer_id:7l ~out_port:3)
+  in
+  let buf = Of_codec.encode ~xid:1l msg in
+  (* Header (8) + buffer_id, in_port, actions_len (8): the action's
+     type field starts at byte 16. *)
+  Bytes.set_uint16_be buf 16 4;
+  Alcotest.(check bool) "short set_dl_src decodes to Error" true
+    (decode_no_raise buf = `Error)
+
 let suite =
   [
     Alcotest.test_case "each constructor roundtrips" `Quick test_each_constructor;
@@ -484,4 +498,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_decode_sub_in_place;
     QCheck_alcotest.to_alcotest prop_truncation;
     QCheck_alcotest.to_alcotest prop_corruption_no_raise;
+    Alcotest.test_case "short 16-byte action is an error" `Quick
+      test_short_wide_action;
   ]

@@ -1,6 +1,6 @@
 (* Benchmark regression gate.
 
-   Compares a candidate benchmark snapshot (BENCH_pr4.json written by
+   Compares a candidate benchmark snapshot (BENCH_pr12.json written by
    [bench/main.exe json]) against a committed baseline and fails when a
    metric regresses by more than the threshold.
 
@@ -23,13 +23,13 @@
    Beyond the relative baseline comparison, [--min NAME=V] and
    [--max NAME=V] (repeatable) pin absolute floors and ceilings on
    candidate metrics: a floor enforces a claimed win outright (e.g.
-   [--min derived/wheel_speedup_1m=2.0] keeps the timer wheel >= 2x the
-   heap at 1M pending regardless of what the baseline drifted to), and
-   a ceiling pins a structural invariant (e.g.
-   [--max massive/datapath/minor-words-per-packet=0.5] is the
-   zero-allocation fast-path guarantee with room for measurement
-   jitter, not for a real allocation). A named metric absent from the
-   candidate is an error.
+   [--min derived/sweep_speedup_jobs4=0.9] keeps a four-wide sweep
+   from falling behind the sequential one regardless of what the
+   baseline drifted to), and a ceiling pins a structural invariant
+   (e.g. [--max micro/openflow/encode-flow_mod-scratch/minor-words=0.5]
+   is the allocation-free scratch encoder's guarantee with room for
+   measurement jitter, not for a real allocation). A named metric
+   absent from the candidate is an error.
 
    Usage:
      bench_gate BASELINE.json CANDIDATE.json [--portable]
