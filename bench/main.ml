@@ -19,7 +19,7 @@
      dune exec bench/main.exe -- figures 5    # all figures, 5 reps/point
      dune exec bench/main.exe -- ablations    # the ablation studies
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
-                                              # (default BENCH_pr12.json)
+                                              # (default BENCH_pr13.json)
 
    The json snapshot also times a small end-to-end sweep at
    --jobs 1/2/4 and records the parallel speedups, so the regression
@@ -66,10 +66,6 @@ let sample_flow_mod =
     ~actions:[ Sdn_openflow.Of_action.output 2 ]
     ()
 
-(* A populated flow table for lookup benchmarks: [n] exact 5-tuple
-   rules plus [wildcards] low-priority wildcarded rules (the default
-   rules a reactive deployment carries), which force the slow path to
-   run its linear scan. *)
 (* Hoisted message values: the encode subjects measure the encoder,
    not per-call variant/record construction. *)
 let sample_flow_mod_msg = Sdn_openflow.Of_codec.Flow_mod sample_flow_mod
@@ -86,23 +82,28 @@ let sample_pkt_in_buffered_msg =
        ~reason:Sdn_openflow.Of_packet_in.No_match ~frame:sample_frame
        ~miss_send_len:(Some 128))
 
+(* Exact rule [i] of [populated_table]. *)
+let populated_rule i =
+  let key =
+    Sdn_net.Flow_key.make ~proto:17
+      ~src_ip:(Sdn_net.Ip.of_int32 (Int32.of_int (0x0A010000 + i)))
+      ~dst_ip:ip2 ~src_port:(1000 + (i mod 16384)) ~dst_port:9
+  in
+  Sdn_switch.Flow_entry.of_flow_mod
+    (Sdn_openflow.Of_flow_mod.add
+       ~match_:(Sdn_openflow.Of_match.of_flow_key key)
+       ~actions:[ Sdn_openflow.Of_action.output 2 ]
+       ())
+    ~now:0.0
+
+(* A populated flow table for lookup benchmarks: [n] exact 5-tuple
+   rules plus [wildcards] low-priority wildcarded rules (the default
+   rules a reactive deployment carries), which force the slow path to
+   run its linear scan. *)
 let populated_table ?(wildcards = 0) n =
   let table = Sdn_switch.Flow_table.create ~capacity:(2 * (n + wildcards)) () in
   for i = 0 to n - 1 do
-    let key =
-      Sdn_net.Flow_key.make ~proto:17
-        ~src_ip:(Sdn_net.Ip.of_int32 (Int32.of_int (0x0A010000 + i)))
-        ~dst_ip:ip2 ~src_port:(1000 + (i mod 16384)) ~dst_port:9
-    in
-    let fm =
-      Sdn_openflow.Of_flow_mod.add
-        ~match_:(Sdn_openflow.Of_match.of_flow_key key)
-        ~actions:[ Sdn_openflow.Of_action.output 2 ]
-        ()
-    in
-    ignore
-      (Sdn_switch.Flow_table.insert table
-         (Sdn_switch.Flow_entry.of_flow_mod fm ~now:0.0))
+    ignore (Sdn_switch.Flow_table.insert table (populated_rule i))
   done;
   for i = 0 to wildcards - 1 do
     (* Distinct ingress ports no benchmark packet arrives on: scanned
@@ -120,6 +121,13 @@ let populated_table ?(wildcards = 0) n =
          (Sdn_switch.Flow_entry.of_flow_mod fm ~now:0.0))
   done;
   table
+
+(* Re-installing rule 0 replaces it, so the table keeps its [n] rules
+   from run to run: the cost of one install at that size. *)
+let insert_replace n =
+  let table = populated_table n in
+  let entry = populated_rule 0 in
+  Staged.stage (fun () -> ignore (Sdn_switch.Flow_table.insert table entry))
 
 (* A packet that matches rule 0 of [populated_table]. *)
 let hit_packet =
@@ -178,6 +186,8 @@ let micro_tests () =
           in
           fun () ->
             ignore (Sdn_switch.Flow_table.lookup table1000 ~in_port:1 miss_packet)));
+    Test.make ~name:"flow-table/insert-replace-100-rules" (insert_replace 100);
+    Test.make ~name:"flow-table/insert-replace-2000-rules" (insert_replace 2000);
     Test.make ~name:"buffer/packet-granularity-alloc-take"
       (Staged.stage
          (let engine = Sdn_sim.Engine.create () in
@@ -591,6 +601,13 @@ let run_json path =
           ratio
             (find_metric ns "flow-table/lookup-uncached-1k-mixed")
             (find_metric ns "flow-table/lookup-cached-1k-mixed") );
+        (* Install cost at 100 rules over the cost at 2000: ~1 when an
+           install is independent of table size, ~0.05 when it scans
+           the table. *)
+        ( "derived/flow_table_insert_flatness",
+          ratio
+            (find_metric ns "flow-table/insert-replace-100-rules")
+            (find_metric ns "flow-table/insert-replace-2000-rules") );
         (* Allocation reduction of the scratch encoder on the
            dominant PACKET_IN shape (full frame attached). *)
         ( "derived/pkt_in_encode_alloc_speedup",
@@ -648,7 +665,7 @@ let () =
       run_figures ();
       Sdn_core.Ablations.run_all ()
   | [ _; "micro" ] -> run_micro ()
-  | [ _; "json" ] -> run_json "BENCH_pr12.json"
+  | [ _; "json" ] -> run_json "BENCH_pr13.json"
   | [ _; "json"; path ] -> run_json path
   | [ _; "ablations" ] -> Sdn_core.Ablations.run_all ()
   | [ _; "figures" ] -> run_figures ()

@@ -24,17 +24,37 @@ type counters = {
   reconcile_installs : int;
 }
 
+(* The flow-view key: the (match, priority) pair, the identity OpenFlow
+   1.0 gives a flow entry, compared field-wise by [Of_match.equal] and
+   hashed by [Of_match.hash]. *)
+module View_key = struct
+  type t = Of_match.t * int
+
+  let equal (ma, pa) (mb, pb) = Int.equal pa pb && Of_match.equal ma mb
+  let hash (m, p) = (Of_match.hash m * 31) + p
+
+  (* Only reconciliation prints a key, to order its re-installs. *)
+  let to_string (m, p) = Format.asprintf "%a/%d" Of_match.pp m p
+
+  module Table = Hashtbl.Make (struct
+    type nonrec t = t
+
+    let equal = equal
+    let hash = hash
+  end)
+end
+
 (* Per-switch session state: the liveness tracker plus the handshake
    parameters remembered so they can be re-pushed verbatim on resync,
    and the controller's view of the entries it has installed — the
    basis of the post-rejoin flow-state reconciliation pass. The view is
-   keyed by the printed (match, priority) pair so no polymorphic
-   equality over match records is involved. *)
+   keyed structurally by {!View_key}, so recording an install costs a
+   hash of the match, not a print of it. *)
 type session = {
   tracker : Session.t;
   mutable enable_flow_buffer : Of_ext.backoff option;
   mutable miss_send_len : int option;
-  flow_view : (string, Of_flow_mod.t) Hashtbl.t;
+  flow_view : Of_flow_mod.t View_key.Table.t;
   mutable reconciling : bool;
   mutable reconcile_rounds : int;
   mutable needs_reconcile : bool;
@@ -132,12 +152,6 @@ let fresh_xid t =
 (* The checker's xid namespace for one controller->switch channel. *)
 let channel_name switch = Printf.sprintf "ctl/sw-%d" switch
 
-(* The flow-view key: the printed (match, priority) pair — the identity
-   OpenFlow 1.0 gives a flow entry — avoiding polymorphic equality on
-   the match record. *)
-let view_key match_ priority =
-  Format.asprintf "%a/%d" Of_match.pp match_ priority
-
 let flow_mod_outputs_to (fm : Of_flow_mod.t) port =
   List.exists
     (function
@@ -155,41 +169,36 @@ let note_flow_mod_view t ~switch (fm : Of_flow_mod.t) =
   match Hashtbl.find_opt t.sessions switch with
   | None -> ()
   | Some s -> (
+      let key = (fm.Of_flow_mod.match_, fm.Of_flow_mod.priority) in
+      let port_ok old =
+        fm.Of_flow_mod.out_port = Of_wire.Port.none
+        || flow_mod_outputs_to old fm.Of_flow_mod.out_port
+      in
       match fm.Of_flow_mod.command with
       | Of_flow_mod.Add | Of_flow_mod.Modify | Of_flow_mod.Modify_strict ->
-          Hashtbl.replace s.flow_view
-            (view_key fm.Of_flow_mod.match_ fm.Of_flow_mod.priority)
+          View_key.Table.replace s.flow_view key
             (* Re-installs must not reference a buffer that is long
                gone. *)
             { fm with Of_flow_mod.buffer_id = Of_wire.no_buffer }
-      | Of_flow_mod.Delete | Of_flow_mod.Delete_strict ->
-          let strict =
-            match fm.Of_flow_mod.command with
-            | Of_flow_mod.Delete_strict -> true
-            | _ -> false
-          in
+      | Of_flow_mod.Delete_strict -> (
+          match View_key.Table.find_opt s.flow_view key with
+          | Some old when port_ok old -> View_key.Table.remove s.flow_view key
+          | Some _ | None -> ())
+      | Of_flow_mod.Delete ->
           let doomed =
-            (* Sorted removal set: verdict independent of table order.
+            (* A removal set: the verdict is independent of table order.
                lint: allow hashtbl-order *)
-            Hashtbl.fold
+            View_key.Table.fold
               (fun key (old : Of_flow_mod.t) acc ->
-                let match_ok =
-                  if strict then
-                    old.Of_flow_mod.priority = fm.Of_flow_mod.priority
-                    && Of_match.equal old.Of_flow_mod.match_
-                         fm.Of_flow_mod.match_
-                  else
-                    Of_match.subsumes ~general:fm.Of_flow_mod.match_
-                      ~specific:old.Of_flow_mod.match_
-                in
-                let port_ok =
-                  fm.Of_flow_mod.out_port = Of_wire.Port.none
-                  || flow_mod_outputs_to old fm.Of_flow_mod.out_port
-                in
-                if match_ok && port_ok then key :: acc else acc)
+                if
+                  Of_match.subsumes ~general:fm.Of_flow_mod.match_
+                    ~specific:old.Of_flow_mod.match_
+                  && port_ok old
+                then key :: acc
+                else acc)
               s.flow_view []
           in
-          List.iter (Hashtbl.remove s.flow_view) doomed)
+          List.iter (View_key.Table.remove s.flow_view) doomed)
 
 (* [fresh] marks xids this controller allocated itself; replies that
    echo a request's xid (including the flow_mod + packet_out pair
@@ -309,7 +318,7 @@ let ensure_session t ~switch =
           tracker;
           enable_flow_buffer = None;
           miss_send_len = None;
-          flow_view = Hashtbl.create 64;
+          flow_view = View_key.Table.create 64;
           reconciling = false;
           reconcile_rounds = 0;
           needs_reconcile = false;
@@ -468,11 +477,11 @@ let handle_packet_in t ~switch ~xid (pkt_in : Of_packet_in.t) ~msg_bytes =
    this controller believes it installed. *)
 let reconcile_step t ~switch s stats =
   let now = Engine.now t.engine in
-  let reported = Hashtbl.create ((2 * List.length stats) + 1) in
+  let reported = View_key.Table.create ((2 * List.length stats) + 1) in
   List.iter
     (fun (st : Of_stats.flow_stats) ->
-      Hashtbl.replace reported
-        (view_key st.Of_stats.match_ st.Of_stats.priority)
+      View_key.Table.replace reported
+        (st.Of_stats.match_, st.Of_stats.priority)
         ())
     stats;
   (* Adopt switch entries the view does not know: after a cold
@@ -480,9 +489,9 @@ let reconcile_step t ~switch s stats =
      the network rather than flushed out of it. *)
   List.iter
     (fun (st : Of_stats.flow_stats) ->
-      let key = view_key st.Of_stats.match_ st.Of_stats.priority in
-      if not (Hashtbl.mem s.flow_view key) then
-        Hashtbl.replace s.flow_view key
+      let key = (st.Of_stats.match_, st.Of_stats.priority) in
+      if not (View_key.Table.mem s.flow_view key) then
+        View_key.Table.replace s.flow_view key
           (Of_flow_mod.add ~cookie:st.Of_stats.cookie
              ~idle_timeout:st.Of_stats.idle_timeout
              ~hard_timeout:st.Of_stats.hard_timeout
@@ -490,11 +499,12 @@ let reconcile_step t ~switch s stats =
              ~actions:st.Of_stats.actions ()))
     stats;
   let missing =
-    (* Sorted by key so re-installs go out in a deterministic order
-       (the sort discharges the hashtbl-order rule). *)
-    Hashtbl.fold
+    (* Sorted by printed key so re-installs go out in a deterministic
+       order (the sort discharges the hashtbl-order rule). *)
+    View_key.Table.fold
       (fun key fm acc ->
-        if Hashtbl.mem reported key then acc else (key, fm) :: acc)
+        if View_key.Table.mem reported key then acc
+        else (View_key.to_string key, fm) :: acc)
       s.flow_view []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
@@ -544,7 +554,7 @@ let handle_flow_stats t ~switch stats =
       if s.reconciling then begin
         let work =
           t.costs.Costs.reconcile_per_entry_cost
-          *. float_of_int (Hashtbl.length s.flow_view + List.length stats)
+          *. float_of_int (View_key.Table.length s.flow_view + List.length stats)
         in
         Cpu.submit t.cpu ~work_s:work (fun () ->
             if s.reconciling then reconcile_step t ~switch s stats)
@@ -591,8 +601,8 @@ let handle_message_from t ~switch buf =
              reconciliation pass does not resurrect it. *)
           (match Hashtbl.find_opt t.sessions switch with
           | Some s ->
-              Hashtbl.remove s.flow_view
-                (view_key fr.Of_flow_removed.match_ fr.Of_flow_removed.priority)
+              View_key.Table.remove s.flow_view
+                (fr.Of_flow_removed.match_, fr.Of_flow_removed.priority)
           | None -> ())
       | Of_codec.Port_status ps ->
           t.port_changes <- t.port_changes + 1;
@@ -685,7 +695,7 @@ let crash t ~mode =
         | Faults.Cold ->
             (* Full state loss: the installed-entry view must be
                relearnt from the switches after boot. *)
-            Hashtbl.reset s.flow_view
+            View_key.Table.reset s.flow_view
         | Faults.Warm -> ());
         Session.force_down s.tracker)
       (sorted_sessions t)

@@ -251,6 +251,31 @@ let equal a b =
   && opt_eq ( = ) a.tp_src b.tp_src
   && opt_eq ( = ) a.tp_dst b.tp_dst
 
+(* Mixes exactly the fields [equal] compares, a wildcard as 0 and a
+   pinned value as 1 + its hash, so equal matches hash equally. *)
+let hash t =
+  let mix h v = (h * 31) + v in
+  let int h = function None -> mix h 0 | Some v -> mix h (v + 1) in
+  let mac h = function None -> mix h 0 | Some m -> mix h (Mac.hash m + 1) in
+  let prefix h = function
+    | None -> mix h 0
+    | Some (ip, bits) -> mix (mix h (Ip.hash ip + 1)) bits
+  in
+  let h = int 0 t.in_port in
+  let h = mac h t.dl_src in
+  let h = mac h t.dl_dst in
+  let h = int h t.dl_vlan in
+  let h = int h t.dl_vlan_pcp in
+  let h = int h t.dl_type in
+  let h = int h t.nw_tos in
+  let h = int h t.nw_proto in
+  let h = prefix h t.nw_src in
+  let h = prefix h t.nw_dst in
+  let h = int h t.tp_src in
+  let h = int h t.tp_dst in
+  (* Hashtbl.Make buckets on the low bits; finish with a full mix. *)
+  Hashtbl.hash h
+
 let pp fmt t =
   let field name pp_v = function
     | None -> ()

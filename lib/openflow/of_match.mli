@@ -48,4 +48,10 @@ val write : t -> Bytes.t -> int -> unit
 val read : Bytes.t -> int -> (t, string) result
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** Field-wise and allocation-free; agrees with {!equal} (equal
+    matches hash equally), so a match can key a [Hashtbl.Make]
+    table. *)
+
 val pp : Format.formatter -> t -> unit

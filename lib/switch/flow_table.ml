@@ -101,21 +101,29 @@ let add_entry t entry =
   | None -> t.wildcard_uids <- uid :: t.wildcard_uids);
   uid
 
-let find_identical t (entry : Flow_entry.t) =
-  (* At most one entry can share (priority, match) — [insert] replaces
-     identical entries — so this fold finds at most one match no matter
-     the iteration order. lint: allow hashtbl-order *)
-  Hashtbl.fold
-    (fun uid (e : Flow_entry.t) acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          if
-            e.Flow_entry.priority = entry.Flow_entry.priority
-            && Of_match.equal e.Flow_entry.match_ entry.Flow_entry.match_
-          then Some uid
-          else None)
-    t.by_uid None
+(* The entry with this exact (priority, match), if any. An identical
+   match has the same [index_key], so it can only be filed in that
+   key's exact-index bucket, or among the wildcard rules when the key
+   is [None]; and [insert] replaces identical entries, so at most one
+   exists. *)
+let find_identical t ~match_ ~priority =
+  let uids =
+    match index_key match_ with
+    | None -> t.wildcard_uids
+    | Some key -> (
+        match Flow_key.Table.find_opt t.exact key with
+        | Some uids -> !uids
+        | None -> [])
+  in
+  List.find_map
+    (fun uid ->
+      match Hashtbl.find_opt t.by_uid uid with
+      | Some (e : Flow_entry.t)
+        when e.Flow_entry.priority = priority
+             && Of_match.equal e.Flow_entry.match_ match_ ->
+          Some (uid, e)
+      | Some _ | None -> None)
+    uids
 
 let eviction_victim t =
   (* Least-recently-used among the minimal-priority entries; uid breaks
@@ -137,8 +145,11 @@ let eviction_victim t =
     t.by_uid None
 
 let insert t entry =
-  match find_identical t entry with
-  | Some uid ->
+  match
+    find_identical t ~match_:entry.Flow_entry.match_
+      ~priority:entry.Flow_entry.priority
+  with
+  | Some (uid, _) ->
       remove_uid t uid;
       ignore (add_entry t entry);
       Replaced
@@ -252,23 +263,25 @@ let entry_outputs_to (e : Flow_entry.t) port =
     e.Flow_entry.actions
 
 let delete t ~strict ?(out_port = Of_wire.Port.none) ~match_ ~priority () =
+  let port_ok e = out_port = Of_wire.Port.none || entry_outputs_to e out_port in
   let doomed =
-    Hashtbl.fold
-      (fun uid (e : Flow_entry.t) acc ->
-        let match_ok =
-          if strict then
-            e.Flow_entry.priority = priority
-            && Of_match.equal e.Flow_entry.match_ match_
-          else Of_match.subsumes ~general:match_ ~specific:e.Flow_entry.match_
-        in
-        let port_ok =
-          out_port = Of_wire.Port.none || entry_outputs_to e out_port
-        in
-        if match_ok && port_ok then uid :: acc else acc)
-      t.by_uid []
+    if strict then
+      match find_identical t ~match_ ~priority with
+      | Some (uid, e) when port_ok e -> [ uid ]
+      | Some _ | None -> []
+    else
+      (* uid order = install order; keeps the removal sequence
+         deterministic. *)
+      List.sort Int.compare
+        (Hashtbl.fold
+           (fun uid (e : Flow_entry.t) acc ->
+             if
+               Of_match.subsumes ~general:match_ ~specific:e.Flow_entry.match_
+               && port_ok e
+             then uid :: acc
+             else acc)
+           t.by_uid [])
   in
-  (* uid order = install order; keeps the removal sequence deterministic. *)
-  let doomed = List.sort Int.compare doomed in
   List.iter (remove_uid t) doomed;
   List.length doomed
 

@@ -3,8 +3,12 @@
     exact-match microflow cache ({!Microflow}).
 
     Exact 5-tuple rules (the kind a reactive controller installs per
-    flow) are hash-indexed so lookup stays O(1) even with a thousand
-    installed rules; wildcarded rules take a linear scan. The paper's
+    flow) are hash-indexed on that 5-tuple, and wildcarded rules sit in
+    one list. Lookup, insert and strict delete consult only the
+    packet's or match's index bucket plus that list, so with few
+    wildcarded rules they cost the same at two thousand installed rules
+    as at ten. Choosing an eviction victim, non-strict delete and
+    expiry visit every entry. The paper's
     root-cause discussion — rules being "kicked out from the size
     limited flow table" — is modelled by [capacity] and eviction.
 

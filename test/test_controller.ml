@@ -199,6 +199,71 @@ let test_counters () =
   Alcotest.(check int) "flow_mods" 2 c.Controller.flow_mods_sent;
   Alcotest.(check int) "pkt_outs" 2 c.Controller.pkt_outs_sent
 
+(* After a crash, reconciliation re-installs every view entry the
+   switch no longer reports. The view is a hash table; sorting by the
+   printed (match, priority) key is what makes the re-install sequence
+   deterministic, and no report shows that order. The rules below are
+   installed out of key order, two of them in one 5-tuple (one pinned
+   further by in_port), one at another priority, one wildcarded. *)
+let test_reconcile_reinstall_order () =
+  let h = make_harness () in
+  Controller.start h.controller ();
+  let rule ?in_port ~priority ~src_port () =
+    let m =
+      Of_match.of_flow_key
+        (Flow_key.make ~proto:17 ~src_ip:ip1 ~dst_ip:ip2 ~src_port ~dst_port:9)
+    in
+    Of_flow_mod.add ~priority ~match_:{ m with Of_match.in_port }
+      ~actions:[ Of_action.output 2 ] ()
+  in
+  let rules =
+    [
+      rule ~priority:1 ~src_port:30 ();
+      rule ~priority:5 ~src_port:7 ();
+      rule ~in_port:2 ~priority:1 ~src_port:7 ();
+      Of_flow_mod.add ~priority:0 ~match_:Of_match.wildcard_all
+        ~actions:[ Of_action.output 1 ] ();
+      rule ~priority:1 ~src_port:7 ();
+    ]
+  in
+  Controller.install_proactive h.controller rules;
+  Engine.run h.engine;
+  Controller.crash h.controller ~mode:Faults.Warm;
+  Controller.restart h.controller ~mode:Faults.Warm;
+  h.to_switch := [];
+  (* Answer the first reconnect probe: the session comes back up and
+     the controller audits the switch's flow table. *)
+  let rec first_probe () =
+    match
+      List.find_map
+        (function xid, Of_codec.Echo_request _ -> Some xid | _ -> None)
+        (messages h)
+    with
+    | Some xid -> xid
+    | None ->
+        if Engine.step h.engine then first_probe ()
+        else Alcotest.fail "no reconnect probe"
+  in
+  deliver h (Of_codec.Echo_reply Bytes.empty) ~xid:(first_probe ());
+  Engine.run h.engine;
+  h.to_switch := [];
+  (* The switch reports an empty table: every rule is missing. *)
+  deliver h (Of_codec.Stats_reply (Of_stats.Flow_reply [])) ~xid:1l;
+  Engine.run h.engine;
+  let key (fm : Of_flow_mod.t) =
+    Format.asprintf "%a/%d" Of_match.pp fm.Of_flow_mod.match_
+      fm.Of_flow_mod.priority
+  in
+  let reinstalled =
+    List.filter_map
+      (function _, Of_codec.Flow_mod fm -> Some (key fm) | _ -> None)
+      (messages h)
+  in
+  Alcotest.(check (list string))
+    "re-installed in printed-key order"
+    (List.sort String.compare (List.map key rules))
+    reinstalled
+
 let suite =
   [
     Alcotest.test_case "buffered request gets flow_mod + small packet_out" `Quick
@@ -214,4 +279,6 @@ let suite =
     Alcotest.test_case "echo reply" `Quick test_echo_reply;
     Alcotest.test_case "handshake on start" `Quick test_start_handshake;
     Alcotest.test_case "counters" `Quick test_counters;
+    Alcotest.test_case "reconciliation re-installs in key order" `Quick
+      test_reconcile_reinstall_order;
   ]

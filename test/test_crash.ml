@@ -172,6 +172,20 @@ let test_outage_sweep_bytes () =
     (read_golden "golden/outage_sweep_pr6.txt")
     report
 
+(* The crash sweep is the one report that runs reconciliation, so it
+   pins how the controller keys its flow view and orders re-installs.
+   The fixture is the CLI's [chaos --crash -s 7] (default 30 Mbps);
+   regenerate deliberately after an intentional output change. *)
+let test_crash_sweep_bytes () =
+  let base =
+    { (Chaos.default_crash_base ~seed:7) with Config.rate_mbps = 30.0 }
+  in
+  let report = Chaos.crash_report (Chaos.run_crash ~base ()) in
+  Alcotest.(check string)
+    "crash sweep matches golden"
+    (read_golden "golden/crash_sweep_pr13.txt")
+    report
+
 let suite =
   [
     Alcotest.test_case "switch cold crash: wipe, loss, reconciliation" `Quick
@@ -188,4 +202,6 @@ let suite =
       test_chaos_sweep_bytes;
     Alcotest.test_case "outage sweep bytes match PR 6" `Quick
       test_outage_sweep_bytes;
+    Alcotest.test_case "crash sweep bytes match golden" `Quick
+      test_crash_sweep_bytes;
   ]

@@ -342,6 +342,215 @@ let prop_inserted_flow_is_found =
         (fun p -> Flow_table.lookup table ~in_port:1 (udp_pkt ~src_port:p) <> None)
         ports)
 
+(* ---- Reference model: identical-entry search, delete, expiry ----
+
+   A plain install-ordered list re-implements the table by brute force:
+   [insert] replaces the entry with equal (priority, match), otherwise
+   installs, or evicts the least-recently-used entry of minimal
+   priority (uid breaks ties); deletes and expiry filter the list. The
+   generated matches put several distinct rules into one exact-index
+   bucket (a 5-tuple pinned further by in_port or MACs) beside
+   wildcarded ones, so a search that looks in the wrong place, or stops
+   at the first entry of the right bucket, diverges from the model.
+   Both sides hold the same physical entries, compared with [==]. *)
+
+type model = {
+  m_capacity : int;
+  m_eviction : bool;
+  mutable m_next_uid : int;
+  mutable m_rules : (int * Flow_entry.t) list;  (* install order *)
+}
+
+let model_identical ~match_ ~priority (_, (e : Flow_entry.t)) =
+  e.Flow_entry.priority = priority && Of_match.equal e.Flow_entry.match_ match_
+
+let model_outputs_to out_port (_, (e : Flow_entry.t)) =
+  out_port = Of_wire.Port.none
+  || List.exists
+       (function
+         | Of_action.Output { port; _ } -> port = out_port
+         | _ -> false)
+       e.Flow_entry.actions
+
+let model_remove m keep = m.m_rules <- List.filter keep m.m_rules
+
+let model_insert m (e : Flow_entry.t) =
+  let add () =
+    m.m_rules <- m.m_rules @ [ (m.m_next_uid, e) ];
+    m.m_next_uid <- m.m_next_uid + 1
+  in
+  let identical =
+    model_identical ~match_:e.Flow_entry.match_ ~priority:e.Flow_entry.priority
+  in
+  if List.exists identical m.m_rules then begin
+    model_remove m (fun r -> not (identical r));
+    add ();
+    Flow_table.Replaced
+  end
+  else if List.length m.m_rules < m.m_capacity then begin
+    add ();
+    Flow_table.Installed
+  end
+  else if not m.m_eviction then Flow_table.Table_full
+  else begin
+    let older (ua, (a : Flow_entry.t)) (ub, (b : Flow_entry.t)) =
+      a.Flow_entry.priority < b.Flow_entry.priority
+      || a.Flow_entry.priority = b.Flow_entry.priority
+         && (a.Flow_entry.last_used < b.Flow_entry.last_used
+            || (Float.equal a.Flow_entry.last_used b.Flow_entry.last_used
+               && ua < ub))
+    in
+    match m.m_rules with
+    | [] -> Flow_table.Table_full
+    | first :: rest ->
+        let victim_uid, victim =
+          List.fold_left (fun best r -> if older r best then r else best)
+            first rest
+        in
+        model_remove m (fun (uid, _) -> uid <> victim_uid);
+        add ();
+        Flow_table.Evicted victim
+  end
+
+let model_delete m ~strict ~out_port ~match_ ~priority =
+  let doomed (r : int * Flow_entry.t) =
+    (if strict then model_identical ~match_ ~priority r
+     else Of_match.subsumes ~general:match_ ~specific:(snd r).Flow_entry.match_)
+    && model_outputs_to out_port r
+  in
+  let n = List.length (List.filter doomed m.m_rules) in
+  model_remove m (fun r -> not (doomed r));
+  n
+
+let model_expire m ~now =
+  let expired, live =
+    List.partition (fun (_, e) -> Flow_entry.is_expired e ~now) m.m_rules
+  in
+  m.m_rules <- live;
+  List.map snd expired
+
+let model_key port =
+  Flow_key.make ~proto:17 ~src_ip:(Ip.make 10 0 0 1) ~dst_ip:ip2
+    ~src_port:port ~dst_port:9
+
+let model_match_gen =
+  QCheck.Gen.(
+    let five_tuple = map (fun p -> Of_match.of_flow_key (model_key p)) (int_range 1 3) in
+    oneof
+      [
+        five_tuple;
+        (* Same exact-index bucket as the bare 5-tuple, different match. *)
+        map2
+          (fun m port -> { m with Of_match.in_port = Some port })
+          five_tuple (int_range 1 2);
+        map2
+          (fun m mac -> { m with Of_match.dl_src = Some mac })
+          five_tuple (oneofl [ mac1; mac2 ]);
+        (* Wildcarded: no index key. *)
+        return Of_match.wildcard_all;
+        map
+          (fun port -> { Of_match.wildcard_all with Of_match.in_port = Some port })
+          (int_range 1 2);
+        map
+          (fun m -> { m with Of_match.nw_src = Some (Ip.make 10 0 0 0, 24) })
+          five_tuple;
+      ])
+
+type model_op =
+  | Ins of Of_match.t * int * int * int * int  (* match, prio, port, idle, hard *)
+  | Del_strict of Of_match.t * int * int  (* match, prio, out_port *)
+  | Del of Of_match.t * int  (* match, out_port *)
+  | Expire
+  | Touch of int
+
+let pp_model_op = function
+  | Ins (m, prio, port, idle, hard) ->
+      Format.asprintf "insert %a prio=%d out=%d idle=%d hard=%d" Of_match.pp m
+        prio port idle hard
+  | Del_strict (m, prio, out) ->
+      Format.asprintf "delete-strict %a prio=%d out_port=%d" Of_match.pp m prio out
+  | Del (m, out) -> Format.asprintf "delete %a out_port=%d" Of_match.pp m out
+  | Expire -> "expire"
+  | Touch i -> Printf.sprintf "touch #%d" i
+
+let prop_model_equivalence =
+  let prio = QCheck.Gen.int_range 0 2 in
+  let out_filter = QCheck.Gen.oneofl [ Of_wire.Port.none; 1; 2 ] in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 6,
+            let* m = model_match_gen in
+            let* p = prio in
+            let* port = int_range 1 2 in
+            let* idle = int_range 0 3 in
+            let+ hard = int_range 0 4 in
+            Ins (m, p, port, idle, hard) );
+          (2, map3 (fun m p o -> Del_strict (m, p, o)) model_match_gen prio out_filter);
+          (1, map2 (fun m o -> Del (m, o)) model_match_gen out_filter);
+          (1, return Expire);
+          (1, map (fun i -> Touch i) (int_range 0 7));
+        ])
+  in
+  let case_gen =
+    QCheck.Gen.(
+      triple (int_range 1 6) bool
+        (list_size (int_range 1 60) (pair op_gen (oneofl [ 0.0; 0.5; 1.0 ]))))
+  in
+  let print (capacity, eviction, ops) =
+    Printf.sprintf "capacity=%d eviction=%b\n%s" capacity eviction
+      (String.concat "\n"
+         (List.map (fun (op, dt) -> Printf.sprintf "+%.1f %s" dt (pp_model_op op)) ops))
+  in
+  QCheck.Test.make ~name:"flow table agrees with a list model" ~count:300
+    (QCheck.make ~print case_gen)
+    (fun (capacity, eviction, ops) ->
+      let table = Flow_table.create ~eviction ~capacity () in
+      let m =
+        { m_capacity = capacity; m_eviction = eviction; m_next_uid = 0; m_rules = [] }
+      in
+      let now = ref 0.0 in
+      let same_entries a b = List.equal ( == ) a b in
+      List.for_all
+        (fun (op, dt) ->
+          now := !now +. dt;
+          let agree =
+            match op with
+            | Ins (match_, priority, port, idle, hard) -> (
+                let e =
+                  Flow_entry.of_flow_mod
+                    (Of_flow_mod.add ~priority ~idle_timeout:idle
+                       ~hard_timeout:hard ~match_
+                       ~actions:[ Of_action.output port ] ())
+                    ~now:!now
+                in
+                match (Flow_table.insert table e, model_insert m e) with
+                | Flow_table.Evicted a, Flow_table.Evicted b -> a == b
+                | a, b -> a = b)
+            | Del_strict (match_, priority, out_port) ->
+                Flow_table.delete table ~strict:true ~out_port ~match_ ~priority ()
+                = model_delete m ~strict:true ~out_port ~match_ ~priority
+            | Del (match_, out_port) ->
+                Flow_table.delete table ~strict:false ~out_port ~match_
+                  ~priority:0 ()
+                = model_delete m ~strict:false ~out_port ~match_ ~priority:0
+            | Expire ->
+                same_entries
+                  (Flow_table.expire table ~now:!now)
+                  (model_expire m ~now:!now)
+            | Touch i -> (
+                match List.nth_opt m.m_rules i with
+                | Some (_, e) ->
+                    Flow_entry.touch e ~now:!now ~bytes:64;
+                    true
+                | None -> true)
+          in
+          agree
+          && Flow_table.length table = List.length m.m_rules
+          && same_entries (Flow_table.entries table) (List.map snd m.m_rules))
+        ops)
+
 let suite =
   [
     Alcotest.test_case "miss on empty table" `Quick test_miss_on_empty;
@@ -371,4 +580,5 @@ let suite =
       test_microflow_audit_clean;
     QCheck_alcotest.to_alcotest prop_microflow_equivalence;
     QCheck_alcotest.to_alcotest prop_inserted_flow_is_found;
+    QCheck_alcotest.to_alcotest prop_model_equivalence;
   ]

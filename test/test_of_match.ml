@@ -151,6 +151,68 @@ let prop_exact_always_matches_source =
     arbitrary (fun (in_port, pkt) ->
       Of_match.matches (Of_match.exact_of_packet ~in_port pkt) ~in_port pkt)
 
+(* [Of_match.hash] keys the controller's flow view, so it must agree
+   with [Of_match.equal]. Each field is drawn from a tiny domain
+   (wildcard or one of two values, prefixes of two lengths), and the
+   partner match re-draws one field, so over a third of the pairs are
+   equal. A match read back from its wire encoding is rebuilt from
+   fresh boxes and must be equal to, and hash like, the original. *)
+let prop_hash_agrees_with_equal =
+  let open QCheck.Gen in
+  let field values = oneof [ return None; map Option.some (oneofl values) ] in
+  let prefix =
+    oneof
+      [
+        return None;
+        map2
+          (fun ip bits -> Some (ip, bits))
+          (oneofl [ Ip.make 10 0 0 1; Ip.make 10 0 0 0 ])
+          (oneofl [ 24; 32 ]);
+      ]
+  in
+  let set m i =
+    match i with
+    | 0 -> map (fun v -> { m with Of_match.in_port = v }) (field [ 1; 2 ])
+    | 1 -> map (fun v -> { m with Of_match.dl_src = v }) (field [ mac1; mac2 ])
+    | 2 -> map (fun v -> { m with Of_match.dl_dst = v }) (field [ mac1; mac2 ])
+    | 3 -> map (fun v -> { m with Of_match.dl_vlan = v }) (field [ 1; 2 ])
+    | 4 -> map (fun v -> { m with Of_match.dl_vlan_pcp = v }) (field [ 0; 3 ])
+    | 5 ->
+        map (fun v -> { m with Of_match.dl_type = v })
+          (field [ Ethernet.ethertype_ipv4; Ethernet.ethertype_arp ])
+    | 6 -> map (fun v -> { m with Of_match.nw_tos = v }) (field [ 0; 4 ])
+    | 7 -> map (fun v -> { m with Of_match.nw_proto = v }) (field [ 6; 17 ])
+    | 8 -> map (fun v -> { m with Of_match.nw_src = v }) prefix
+    | 9 -> map (fun v -> { m with Of_match.nw_dst = v }) prefix
+    | 10 -> map (fun v -> { m with Of_match.tp_src = v }) (field [ 1; 9 ])
+    | _ -> map (fun v -> { m with Of_match.tp_dst = v }) (field [ 1; 9 ])
+  in
+  let match_gen =
+    List.fold_left
+      (fun acc i -> acc >>= fun m -> set m i)
+      (return Of_match.wildcard_all)
+      (List.init 12 Fun.id)
+  in
+  let pair_gen =
+    let* a = match_gen in
+    let* i = int_range 0 12 in
+    let+ b = if i = 12 then return a else set a i in
+    (a, b)
+  in
+  let roundtrip m =
+    let buf = Bytes.make Of_match.size '\000' in
+    Of_match.write m buf 0;
+    Of_match.read buf 0
+  in
+  let print (a, b) = Format.asprintf "%a\n%a" Of_match.pp a Of_match.pp b in
+  QCheck.Test.make ~name:"hash agrees with equal" ~count:500
+    (QCheck.make ~print pair_gen) (fun (a, b) ->
+      (not (Of_match.equal a b) || Of_match.hash a = Of_match.hash b)
+      &&
+      match roundtrip a with
+      | Ok a' -> Of_match.equal a a' && Of_match.hash a = Of_match.hash a'
+      | Error _ -> false)
+
 let suite =
   [
     Alcotest.test_case "wildcard matches everything" `Quick
@@ -167,4 +229,5 @@ let suite =
     Alcotest.test_case "prefix subsumption" `Quick test_prefix_subsumption;
     QCheck_alcotest.to_alcotest prop_match_roundtrip;
     QCheck_alcotest.to_alcotest prop_exact_always_matches_source;
+    QCheck_alcotest.to_alcotest prop_hash_agrees_with_equal;
   ]
