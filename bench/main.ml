@@ -19,7 +19,7 @@
      dune exec bench/main.exe -- figures 5    # all figures, 5 reps/point
      dune exec bench/main.exe -- ablations    # the ablation studies
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
-                                              # (default BENCH_pr13.json)
+                                              # (default BENCH_pr14.json)
 
    The json snapshot also times a small end-to-end sweep at
    --jobs 1/2/4 and records the parallel speedups, so the regression
@@ -136,10 +136,6 @@ let hit_packet =
     ~dst_port:9
     ~payload:(Bytes.of_string "x")
     ()
-
-(* Element type for the raw heap benchmark (tracks its own slot for
-   indexed removal, the way engine handles do). *)
-type heap_slot = { v : int; mutable idx : int }
 
 let micro_tests () =
   let open Sdn_net in
@@ -302,21 +298,24 @@ let micro_tests () =
           fun () ->
             Sdn_sim.Engine.cancel
               (Sdn_sim.Engine.schedule engine ~delay:1.0 (fun () -> ()))));
-    Test.make ~name:"heap/push-remove-1k"
+    (* One pop and one push on a queue holding 25,000 events, the
+       pending set of the hit_path workload: each run dispatches the
+       earliest event, which reschedules itself after an Rng-drawn
+       delay. *)
+    Test.make ~name:"engine/churn-25k-pending"
       (Staged.stage
-         (let heap =
-            Sdn_sim.Heap.create ~capacity:2048
-              ~set_index:(fun s i -> s.idx <- i)
-              ~cmp:(fun a b -> Int.compare a.v b.v)
-              ()
+         (let engine = Sdn_sim.Engine.create () in
+          let rng = Sdn_sim.Rng.of_int 7 in
+          let rec fire () =
+            ignore
+              (Sdn_sim.Engine.schedule engine
+                 ~delay:(Sdn_sim.Rng.float rng 1e-3)
+                 fire)
           in
-          for i = 0 to 1022 do
-            Sdn_sim.Heap.push heap { v = 2 * i; idx = -1 }
+          for _ = 1 to 25_000 do
+            fire ()
           done;
-          let probe = { v = 1001; idx = -1 } in
-          fun () ->
-            Sdn_sim.Heap.push heap probe;
-            ignore (Sdn_sim.Heap.remove heap probe.idx)));
+          fun () -> ignore (Sdn_sim.Engine.step_batch engine)));
     (* The analytical oracle's full evaluation for one operating point:
        the three-station Jackson solve, the feedback model, and the
        Erlang-B loss recursion at buffer-16. Pure closed-form float
@@ -665,7 +664,7 @@ let () =
       run_figures ();
       Sdn_core.Ablations.run_all ()
   | [ _; "micro" ] -> run_micro ()
-  | [ _; "json" ] -> run_json "BENCH_pr13.json"
+  | [ _; "json" ] -> run_json "BENCH_pr14.json"
   | [ _; "json"; path ] -> run_json path
   | [ _; "ablations" ] -> Sdn_core.Ablations.run_all ()
   | [ _; "figures" ] -> run_figures ()

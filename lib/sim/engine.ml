@@ -3,48 +3,144 @@ type handle = {
   seq : int;
   action : unit -> unit;
   mutable cancelled : bool;
-  (* Current slot in the owning heap, maintained by the heap's
-     [set_index] callback; [-1] once popped, removed or never queued. *)
+  (* Current slot in the owning engine's heap; [-1] once popped,
+     removed or never queued. *)
   mutable heap_index : int;
-  queue : handle Heap.t;
+  engine : t;
 }
 
-type t = {
+(* The queue is a binary min-heap on (time, seq) laid out in [heap]:
+   slots [0, size) hold the queued events, every other slot holds
+   [sentinel]. *)
+and t = {
   mutable clock : float;
-  mutable seq : int;
+  mutable next_seq : int;
   mutable processed : int;
-  queue : handle Heap.t;
+  mutable heap : handle array;
+  mutable size : int;
 }
 
-let compare_events a b =
-  let c = Float.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
+(* Fills every slot at or past [size], so a slot write stores a handle
+   and never allocates an option cell. Shared by every engine, in every
+   domain, and never written: sifts write only slots below [size], and
+   it is never handed out, so nothing can cancel or reindex it. *)
+let sentinel =
+  {
+    time = infinity;
+    seq = max_int;
+    action = ignore;
+    cancelled = true;
+    heap_index = -1;
+    engine =
+      { clock = 0.0; next_seq = 0; processed = 0; heap = [||]; size = 0 };
+  }
+
+(* Initial capacity and shrink floor of the heap array. *)
+let min_capacity = 1024
+
+(* Strict dispatch order. Times are never NaN (schedule_at rejects
+   it), so this is exactly the order [Float.compare] then
+   [Int.compare] on (time, seq) gives. *)
+let[@inline] before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+let[@inline] place heap i ev =
+  heap.(i) <- ev;
+  ev.heap_index <- i
+
+(* Both sifts move a hole instead of swapping pairs: each displaced
+   event is written once, and [ev] only where the hole comes to rest. *)
+let rec sift_up heap i ev =
+  if i = 0 then place heap 0 ev
+  else
+    let parent = (i - 1) / 2 in
+    let p = heap.(parent) in
+    if before ev p then begin
+      place heap i p;
+      sift_up heap parent ev
+    end
+    else place heap i ev
+
+let rec sift_down heap size i ev =
+  let l = (2 * i) + 1 in
+  if l >= size then place heap i ev
+  else
+    let r = l + 1 in
+    let c = if r < size && before heap.(r) heap.(l) then r else l in
+    let child = heap.(c) in
+    if before child ev then begin
+      place heap i child;
+      sift_down heap size c ev
+    end
+    else place heap i ev
+
+let resize t capacity =
+  let heap = Array.make capacity sentinel in
+  Array.blit t.heap 0 heap 0 t.size;
+  t.heap <- heap
+
+(* Shrink the heap array once occupancy falls to a quarter, so a burst
+   (an outage scenario queueing tens of thousands of timers) does not
+   pin its high-water memory forever. Halving at one-quarter leaves a
+   factor-two hysteresis band, so push/pop around the boundary cannot
+   thrash between grow and shrink. *)
+let maybe_shrink t =
+  let cap = Array.length t.heap in
+  if cap > min_capacity && t.size * 4 <= cap then
+    resize t (max min_capacity (cap / 2))
+
+(* Remove the event in slot [i] (below [size]): the last event fills
+   the hole and sifts whichever way restores the order. *)
+let remove_at t i =
+  let heap = t.heap in
+  let last = t.size - 1 in
+  let ev = heap.(last) in
+  heap.(last) <- sentinel;
+  t.size <- last;
+  if i < last then begin
+    if i > 0 && before ev heap.((i - 1) / 2) then sift_up heap i ev
+    else sift_down heap last i ev
+  end;
+  maybe_shrink t
+
+let pop_min t =
+  let top = t.heap.(0) in
+  top.heap_index <- -1;
+  remove_at t 0;
+  top
 
 let create ?(now = 0.0) () =
-  let queue =
-    Heap.create ~capacity:1024 ~cmp:compare_events
-      ~set_index:(fun h i -> h.heap_index <- i)
-      ()
-  in
-  { clock = now; seq = 0; processed = 0; queue }
+  {
+    clock = now;
+    next_seq = 0;
+    processed = 0;
+    heap = Array.make min_capacity sentinel;
+    size = 0;
+  }
 
 let now t = t.clock
 
 let schedule_at t time action =
-  if time < t.clock then
+  (* Negated so that a NaN time, which compares false both ways, is
+     refused too. *)
+  if not (time >= t.clock) then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time
-         t.clock);
+      (Printf.sprintf "Engine.schedule_at: time %g is not at or after now %g"
+         time t.clock);
   let ev =
-    { time; seq = t.seq; action; cancelled = false; heap_index = -1;
-      queue = t.queue }
+    { time; seq = t.next_seq; action; cancelled = false; heap_index = -1;
+      engine = t }
   in
-  t.seq <- t.seq + 1;
-  Heap.push t.queue ev;
+  t.next_seq <- t.next_seq + 1;
+  if t.size = Array.length t.heap then resize t (2 * t.size);
+  let i = t.size in
+  t.size <- i + 1;
+  sift_up t.heap i ev;
   ev
 
 let schedule t ~delay action =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
+  if not (delay >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Engine.schedule: delay %g is negative or NaN" delay);
   schedule_at t (t.clock +. delay) action
 
 (* True O(log n) removal: a cancelled event leaves the heap
@@ -55,8 +151,11 @@ let schedule t ~delay action =
 let cancel handle =
   if not handle.cancelled then begin
     handle.cancelled <- true;
-    if handle.heap_index >= 0 then
-      ignore (Heap.remove handle.queue handle.heap_index)
+    let i = handle.heap_index in
+    if i >= 0 then begin
+      handle.heap_index <- -1;
+      remove_at handle.engine i
+    end
   end
 
 let is_cancelled handle = handle.cancelled
@@ -66,51 +165,47 @@ let exec t ev =
   ev.action ()
 
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some ev ->
-      t.clock <- ev.time;
-      exec t ev;
-      true
+  if t.size = 0 then false
+  else begin
+    let ev = pop_min t in
+    t.clock <- ev.time;
+    exec t ev;
+    true
+  end
 
 (* Dispatch every event carrying the earliest pending timestamp in one
    batch: the clock is advanced once and the events run back-to-back in
    seq order (including events an action schedules at that same
    instant), without re-checking any run limit in between. *)
 let step_batch t =
-  match Heap.pop t.queue with
-  | None -> 0
-  | Some ev ->
-      t.clock <- ev.time;
-      let time = ev.time in
-      exec t ev;
-      let count = ref 1 in
-      let same_time = ref true in
-      while !same_time do
-        match Heap.peek t.queue with
-        | Some next when Float.equal next.time time ->
-            (match Heap.pop t.queue with
-            | Some next ->
-                exec t next;
-                incr count
-            | None -> same_time := false)
-        | Some _ | None -> same_time := false
-      done;
-      !count
+  if t.size = 0 then 0
+  else begin
+    let ev = pop_min t in
+    let time = ev.time in
+    t.clock <- time;
+    exec t ev;
+    let count = ref 1 in
+    while t.size > 0 && t.heap.(0).time = time do
+      exec t (pop_min t);
+      incr count
+    done;
+    !count
+  end
 
+(* The clock never moves backwards: a limit below [now] dispatches
+   nothing and leaves the clock where it is. *)
 let rec run ?until t =
   match until with
-  | None -> if step_batch t > 0 then run ?until t
-  | Some limit -> (
-      match Heap.peek t.queue with
-      | None -> if t.clock < limit then t.clock <- limit
-      | Some ev when ev.time > limit -> t.clock <- limit
-      | Some _ ->
-          (* The whole batch shares one timestamp <= limit, so no
-             per-event limit check is needed. *)
-          ignore (step_batch t);
-          run ~until:limit t)
+  | None -> if step_batch t > 0 then run t
+  | Some limit ->
+      if t.size > 0 && t.heap.(0).time <= limit then begin
+        (* The whole batch shares one timestamp <= limit, so no
+           per-event limit check is needed. *)
+        ignore (step_batch t);
+        run ~until:limit t
+      end
+      else if t.clock < limit then t.clock <- limit
 
-let pending t = Heap.length t.queue
+let pending t = t.size
 
 let processed t = t.processed

@@ -94,6 +94,46 @@ let test_run_until_idle_advances_clock () =
   Engine.run ~until:7.0 engine;
   Alcotest.(check (float 1e-12)) "clock" 7.0 (Engine.now engine)
 
+(* Regression: with events pending, a limit below [now] used to set
+   the clock back to the limit, after which an event scheduled in the
+   engine's past dispatched after events that had already run. *)
+let test_run_until_never_moves_clock_back () =
+  let engine = Engine.create () in
+  let fired = ref [] in
+  List.iter
+    (fun t -> ignore (Engine.schedule_at engine t (fun () -> fired := t :: !fired)))
+    [ 5.0; 6.0 ];
+  Engine.run ~until:5.5 engine;
+  Engine.run ~until:1.0 engine;
+  Alcotest.(check (float 1e-12)) "clock stays at the earlier limit" 5.5
+    (Engine.now engine);
+  Alcotest.check_raises "the engine's past stays the past"
+    (Invalid_argument "Engine.schedule_at: time 2 is not at or after now 5.5")
+    (fun () -> ignore (Engine.schedule_at engine 2.0 (fun () -> ())));
+  Engine.run engine;
+  Alcotest.(check (list (float 1e-12))) "dispatch order" [ 5.0; 6.0 ]
+    (List.rev !fired)
+
+(* Regression: NaN passed both the past-time and the negative-delay
+   guard, and the NaN event then dispatched ahead of events already
+   queued. *)
+let test_rejects_nan () =
+  let engine = Engine.create () in
+  let fired = ref [] in
+  ignore (Engine.schedule_at engine 1.0 (fun () -> fired := "queued" :: !fired));
+  let rejects name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "NaN time" (fun () ->
+      Engine.schedule_at engine Float.nan (fun () -> fired := "nan" :: !fired));
+  rejects "NaN delay" (fun () ->
+      Engine.schedule engine ~delay:Float.nan (fun () -> fired := "nan" :: !fired));
+  Alcotest.(check int) "nothing queued" 1 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list string)) "only the queued event ran" [ "queued" ]
+    (List.rev !fired)
+
 let test_processed_counter () =
   let engine = Engine.create () in
   for _ = 1 to 4 do
@@ -187,32 +227,55 @@ let test_cancel_sibling_during_batch () =
    schedule at now + scaled delay (three delay scales so events share
    timestamps, sit close together, and spread far apart), kind 3 =
    cancel the a-th oldest handle (fired and cancelled ones included, so
-   late and repeated cancels are exercised), kind 4 = step_batch. Both
-   sides produce the dispatch trace [(id, time)] and a
-   [(pending, processed)] snapshot after every op, then drain. *)
+   late and repeated cancels are exercised), kind 4 = step_batch. The
+   burst kinds grow and shrink the queue by thousands at a time:
+   kind 5 = schedule [burst_size a] events at once, kind 6 = step_batch
+   until at most [a] events are pending, kind 7 = cancel every handle
+   [culled ~a] picks. Both sides produce the dispatch trace
+   [(id, time)] and a [(pending, processed)] snapshot after every op,
+   then drain. *)
 let scale_of_kind = function 0 -> 3.3e-7 | 1 -> 1.05e-4 | _ -> 2.7e-2
+
+let burst_size a = 500 + (20 * a)
+
+(* Spread over 4,093 steps of 10 µs, so a burst's events both collide
+   and land between events already queued. *)
+let burst_delay id = float_of_int (id * 7919 mod 4093) *. 1e-5
+
+let culled ~a id = ((id * 31) + a) mod 3 = 0
 
 let run_script ?(scale_of_kind = scale_of_kind) ops =
   let engine = Engine.create () in
   let trace = ref [] and counts = ref [] in
-  let handles = ref [] in
+  let handles = Hashtbl.create 64 in
   let next_id = ref 0 in
+  let schedule delay =
+    let id = !next_id in
+    incr next_id;
+    Hashtbl.replace handles id
+      (Engine.schedule engine ~delay (fun () ->
+           trace := (id, Engine.now engine) :: !trace))
+  in
   List.iter
     (fun (kind, a) ->
       (match kind with
-      | 0 | 1 | 2 ->
-          let id = !next_id in
-          incr next_id;
-          let h =
-            Engine.schedule engine
-              ~delay:(float_of_int a *. scale_of_kind kind)
-              (fun () -> trace := (id, Engine.now engine) :: !trace)
-          in
-          handles := !handles @ [ h ]
+      | 0 | 1 | 2 -> schedule (float_of_int a *. scale_of_kind kind)
       | 3 ->
-          let n = List.length !handles in
-          if n > 0 then Engine.cancel (List.nth !handles (a mod n))
-      | _ -> ignore (Engine.step_batch engine));
+          if !next_id > 0 then
+            Engine.cancel (Hashtbl.find handles (a mod !next_id))
+      | 4 -> ignore (Engine.step_batch engine)
+      | 5 ->
+          for _ = 1 to burst_size a do
+            schedule (burst_delay !next_id)
+          done
+      | 6 ->
+          while Engine.pending engine > a do
+            ignore (Engine.step_batch engine)
+          done
+      | _ ->
+          for id = 0 to !next_id - 1 do
+            if culled ~a id then Engine.cancel (Hashtbl.find handles id)
+          done);
       counts := (Engine.pending engine, Engine.processed engine) :: !counts)
     ops;
   Engine.run engine;
@@ -221,44 +284,67 @@ let run_script ?(scale_of_kind = scale_of_kind) ops =
 (* The reference: live events as a list kept sorted by (time, id) —
    ids are assigned in schedule order, so they double as the engine's
    tie-breaking sequence numbers. *)
+let by_time (t1, i1) (t2, i2) =
+  let c = Float.compare t1 t2 in
+  if c <> 0 then c else Int.compare i1 i2
+
 let model_script ?(scale_of_kind = scale_of_kind) ops =
   let clock = ref 0.0 and processed = ref 0 in
-  let live = ref [] and trace = ref [] and counts = ref [] in
+  let live = ref [] and n_live = ref 0 and trace = ref [] and counts = ref [] in
   let n_scheduled = ref 0 in
-  let by_time (t1, i1) (t2, i2) =
-    let c = Float.compare t1 t2 in
-    if c <> 0 then c else Int.compare i1 i2
+  let add delays =
+    let evs =
+      List.map
+        (fun delay ->
+          let ev = (!clock +. delay, !n_scheduled) in
+          incr n_scheduled;
+          ev)
+        delays
+    in
+    live := List.merge by_time (List.sort by_time evs) !live;
+    n_live := !n_live + List.length evs
+  in
+  let drop pred =
+    let gone, kept = List.partition (fun (_, id) -> pred id) !live in
+    live := kept;
+    n_live := !n_live - List.length gone
   in
   let dispatch (time, id) =
     clock := time;
     incr processed;
+    decr n_live;
     trace := (id, time) :: !trace
   in
+  (* [live] is sorted, so the batch is its same-time prefix. *)
   let step_batch () =
     match !live with
     | [] -> ()
     | (time, _) :: _ ->
-        let batch, rest =
-          List.partition (fun (t, _) -> Float.equal t time) !live
+        let rec go = function
+          | ((t, _) as ev) :: rest when Float.equal t time ->
+              dispatch ev;
+              go rest
+          | rest -> live := rest
         in
-        live := rest;
-        List.iter dispatch batch
+        go !live
   in
   List.iter
     (fun (kind, a) ->
       (match kind with
-      | 0 | 1 | 2 ->
-          let time = !clock +. (float_of_int a *. scale_of_kind kind) in
-          let ev = (time, !n_scheduled) in
-          incr n_scheduled;
-          live := List.sort by_time (ev :: !live)
+      | 0 | 1 | 2 -> add [ float_of_int a *. scale_of_kind kind ]
       | 3 ->
           if !n_scheduled > 0 then begin
             let victim = a mod !n_scheduled in
-            live := List.filter (fun (_, id) -> id <> victim) !live
+            drop (fun id -> id = victim)
           end
-      | _ -> step_batch ());
-      counts := (List.length !live, !processed) :: !counts)
+      | 4 -> step_batch ()
+      | 5 -> add (List.init (burst_size a) (fun i -> burst_delay (!n_scheduled + i)))
+      | 6 ->
+          while !n_live > a do
+            step_batch ()
+          done
+      | _ -> drop (culled ~a));
+      counts := (!n_live, !processed) :: !counts)
     ops;
   while !live <> [] do
     step_batch ()
@@ -380,6 +466,9 @@ let suite =
     Alcotest.test_case "run ~until" `Quick test_run_until;
     Alcotest.test_case "run ~until with empty queue" `Quick
       test_run_until_idle_advances_clock;
+    Alcotest.test_case "run ~until never moves the clock back" `Quick
+      test_run_until_never_moves_clock_back;
+    Alcotest.test_case "rejects NaN times" `Quick test_rejects_nan;
     Alcotest.test_case "processed counter" `Quick test_processed_counter;
     Alcotest.test_case "single step" `Quick test_step;
     Alcotest.test_case "cancel removes from queue" `Quick

@@ -1,232 +1,304 @@
-(* Unit and property tests for the binary min-heap. *)
+(* Tests of the engine's event queue, a binary min-heap on (time, seq)
+   that lives inside Engine, driven through Engine's public API: order
+   after growth past the initial 1,024 slots, reuse after a drain,
+   cancellation at the root, the last slot and interior slots, and the
+   shrink back to the initial footprint after a burst. *)
 
 open Sdn_sim
 
-let make () = Heap.create ~cmp:compare ()
+(* Schedule [(label, time)] pairs in list order; every event records
+   its label when it runs. *)
+let schedule_all engine log evs =
+  List.map
+    (fun (label, time) ->
+      Engine.schedule_at engine time (fun () -> log := label :: !log))
+    evs
+
+let ran log = List.rev !log
 
 let test_empty () =
-  let h = make () in
-  Alcotest.(check int) "length" 0 (Heap.length h);
-  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek" None (Heap.peek h);
-  Alcotest.(check (option int)) "pop" None (Heap.pop h)
+  let engine = Engine.create () in
+  Alcotest.(check int) "pending" 0 (Engine.pending engine);
+  Alcotest.(check bool) "step" false (Engine.step engine);
+  Alcotest.(check int) "step_batch" 0 (Engine.step_batch engine);
+  Engine.run engine;
+  Alcotest.(check int) "processed" 0 (Engine.processed engine);
+  Alcotest.(check (float 0.0)) "clock" 0.0 (Engine.now engine)
 
-let test_pop_exn_empty () =
-  let h = make () in
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
+(* A refused schedule leaves the queue exactly as it was. *)
+let test_rejected_schedule_leaves_queue () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  ignore (schedule_all engine log [ (1, 1.0); (2, 2.0) ]);
+  Engine.run ~until:1.5 engine;
+  let rejected f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "past time" true
+    (rejected (fun () -> Engine.schedule_at engine 1.0 (fun () -> log := 9 :: !log)));
+  Alcotest.(check bool) "negative delay" true
+    (rejected (fun () ->
+         Engine.schedule engine ~delay:(-0.5) (fun () -> log := 9 :: !log)));
+  Alcotest.(check int) "pending unchanged" 1 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list int)) "dispatch" [ 1; 2 ] (ran log)
 
 let test_ordering () =
-  let h = make () in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let drained = List.init 7 (fun _ -> Heap.pop_exn h) in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] drained;
-  Alcotest.(check bool) "drained" true (Heap.is_empty h)
+  let engine = Engine.create () in
+  let log = ref [] in
+  let times = [ 5.0; 1.0; 4.0; 1.0; 3.0; 9.0; 0.0 ] in
+  ignore (schedule_all engine log (List.mapi (fun i t -> (i, t)) times));
+  Engine.run engine;
+  Alcotest.(check (list int)) "by time, ties in schedule order"
+    [ 6; 1; 3; 4; 2; 0; 5 ] (ran log);
+  Alcotest.(check int) "drained" 0 (Engine.pending engine)
 
-let test_peek_does_not_remove () =
-  let h = make () in
-  Heap.push h 2;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  Alcotest.(check int) "length unchanged" 2 (Heap.length h)
+(* A run limit looks at the earliest event without taking it; the
+   limit itself is inclusive. *)
+let test_limit_peeks () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  ignore (schedule_all engine log [ (2, 2.0); (1, 1.0) ]);
+  Engine.run ~until:0.5 engine;
+  Alcotest.(check int) "nothing taken" 2 (Engine.pending engine);
+  Alcotest.(check (list int)) "nothing ran" [] (ran log);
+  Engine.run ~until:1.0 engine;
+  Alcotest.(check (list int)) "event at the limit runs" [ 1 ] (ran log);
+  Alcotest.(check int) "later event stays" 1 (Engine.pending engine)
+
+(* A permutation of 0 .. n-1 (7919 is prime and does not divide n). *)
+let scrambled n = List.init n (fun i -> i * 7919 mod n)
 
 let test_growth_beyond_capacity () =
-  let h = Heap.create ~capacity:2 ~cmp:compare () in
-  for i = 100 downto 1 do
-    Heap.push h i
-  done;
-  Alcotest.(check int) "length" 100 (Heap.length h);
-  Alcotest.(check (option int)) "min" (Some 1) (Heap.peek h)
+  let engine = Engine.create () in
+  let n = 5_000 in
+  let log = ref [] in
+  ignore
+    (schedule_all engine log
+       (List.map (fun k -> (k, float_of_int k)) (scrambled n)));
+  Alcotest.(check int) "all queued" n (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list int)) "sorted after growth" (List.init n Fun.id)
+    (ran log);
+  Alcotest.(check int) "processed" n (Engine.processed engine)
 
-let test_clear () =
-  let h = make () in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Heap.length h);
-  Heap.push h 7;
-  Alcotest.(check (option int)) "usable after clear" (Some 7) (Heap.pop h)
+let test_reuse_after_drain () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  ignore
+    (schedule_all engine log
+       (List.map (fun k -> (k, float_of_int k)) (scrambled 3_000)));
+  Engine.run engine;
+  log := [];
+  let now = Engine.now engine in
+  ignore (schedule_all engine log [ (3, now +. 3.0); (1, now +. 1.0); (2, now +. 2.0) ]);
+  Alcotest.(check int) "pending after reuse" 3 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list int)) "dispatch after reuse" [ 1; 2; 3 ] (ran log);
+  Alcotest.(check int) "processed" 3_003 (Engine.processed engine)
 
-let test_custom_comparator () =
-  let h = Heap.create ~cmp:(fun a b -> compare b a) () in
-  List.iter (Heap.push h) [ 1; 3; 2 ];
-  Alcotest.(check (option int)) "max-heap" (Some 3) (Heap.pop h)
+(* The engine's order is (time, schedule order), with the float order
+   of [Float.compare]: -0.0 ties with 0.0. *)
+let test_time_then_seq_order () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  ignore
+    (schedule_all engine log
+       [ (1, 2.0); (2, 1.0); (3, 2.0); (4, 0.0); (5, 1.0); (6, -0.0); (7, 2.0) ]);
+  Engine.run engine;
+  Alcotest.(check (list int)) "order" [ 4; 6; 2; 5; 1; 3; 7 ] (ran log)
 
-let test_to_list_contents () =
-  let h = make () in
-  List.iter (Heap.push h) [ 4; 2; 7 ];
-  Alcotest.(check (list int)) "contents" [ 2; 4; 7 ]
-    (List.sort compare (Heap.to_list h))
+(* The queue holds exactly the live events: [pending] counts them and
+   exactly they run. *)
+let test_queue_contents () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let handles =
+    schedule_all engine log (List.init 10 (fun i -> (i, float_of_int (10 - i))))
+  in
+  List.iteri (fun i h -> if i mod 3 = 0 then Engine.cancel h) handles;
+  Alcotest.(check int) "pending" 6 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list int)) "live events" [ 8; 7; 5; 4; 2; 1 ] (ran log)
 
-(* ---- Indexed removal ---- *)
+(* Scheduled in ascending time order, event k sits in heap slot k, so
+   the cancels below hit the last slot, an interior slot whose refill
+   sifts down, and the root. *)
+let test_cancel_root_last_interior () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let handles =
+    Array.of_list
+      (schedule_all engine log (List.init 10 (fun k -> (k, float_of_int (k + 1)))))
+  in
+  Engine.cancel handles.(9);
+  Engine.cancel handles.(3);
+  Engine.cancel handles.(0);
+  Alcotest.(check int) "pending" 7 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list int)) "rest in order" [ 1; 2; 4; 5; 6; 7; 8 ] (ran log);
+  (* Each event is scheduled no earlier than its parent slot, so the
+     heap is laid out in this order. Cancelling 11 (slot 3) refills
+     its slot with 7, which must sift up past 10, or 10 runs first. *)
+  let layout = [ 0; 10; 1; 11; 12; 2; 3; 13; 14; 15; 16; 4; 5; 6; 7 ] in
+  let engine = Engine.create () in
+  let log = ref [] in
+  let handles =
+    schedule_all engine log (List.map (fun t -> (t, float_of_int t)) layout)
+  in
+  Engine.cancel (List.nth handles 3);
+  Engine.run engine;
+  Alcotest.(check (list int)) "refill sifted up"
+    (List.sort Int.compare (List.filter (fun t -> t <> 11) layout))
+    (ran log)
 
-type slot = { v : int; mutable idx : int }
+(* Each queued handle owns its own slot: cancelling one removes exactly
+   that event, whichever slots the others have moved to. *)
+let test_handles_distinct () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let handles =
+    schedule_all engine log (List.init 16 (fun i -> (i, float_of_int (16 - i))))
+  in
+  List.iteri
+    (fun i h ->
+      if i mod 2 = 1 then begin
+        let before = Engine.pending engine in
+        Engine.cancel h;
+        Alcotest.(check int) "one fewer" (before - 1) (Engine.pending engine)
+      end)
+    handles;
+  Engine.run engine;
+  Alcotest.(check (list int)) "survivors"
+    [ 14; 12; 10; 8; 6; 4; 2; 0 ] (ran log)
 
-let indexed () =
-  Heap.create ~capacity:4
-    ~set_index:(fun s i -> s.idx <- i)
-    ~cmp:(fun a b -> Int.compare a.v b.v)
-    ()
+(* A fired or already-cancelled handle has no slot any more: cancelling
+   it must not remove whichever event now occupies its old slot. *)
+let test_stale_cancel_is_harmless () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let handles = schedule_all engine log [ (1, 1.0); (2, 2.0); (3, 3.0) ] in
+  Engine.run ~until:1.5 engine;
+  Engine.cancel (List.hd handles);
+  let third = List.nth handles 2 in
+  Engine.cancel third;
+  Engine.cancel third;
+  Alcotest.(check int) "only the live cancel counted" 1 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list int)) "dispatch" [ 1; 2 ] (ran log)
 
-let test_remove_by_index () =
-  let h = indexed () in
-  let slots = Array.init 10 (fun i -> { v = i; idx = -1 }) in
-  (* Scrambled insertion so removal exercises both sift directions. *)
-  List.iter (fun i -> Heap.push h slots.(i)) [ 7; 2; 9; 0; 5; 3; 8; 1; 6; 4 ];
-  let victim = slots.(5) in
-  let removed = Heap.remove h victim.idx in
-  Alcotest.(check bool) "same element" true (removed == victim);
-  Alcotest.(check int) "index reset to -1" (-1) victim.idx;
-  Alcotest.(check int) "length shrank" 9 (Heap.length h);
-  let drained = List.init 9 (fun _ -> (Heap.pop_exn h).v) in
-  Alcotest.(check (list int)) "rest still sorted"
-    [ 0; 1; 2; 3; 4; 6; 7; 8; 9 ] drained
+(* ---- Adaptive capacity ----
 
-let test_indices_live_and_distinct () =
-  let h = indexed () in
-  let slots = Array.init 16 (fun i -> { v = 16 - i; idx = -1 }) in
-  Array.iter (Heap.push h) slots;
-  Array.iter
-    (fun s -> Alcotest.(check bool) "live index" true (s.idx >= 0))
-    slots;
-  let seen = Hashtbl.create 16 in
-  Array.iter (fun s -> Hashtbl.replace seen s.idx ()) slots;
-  Alcotest.(check int) "indices distinct" 16 (Hashtbl.length seen)
+   The heap array halves whenever occupancy falls to a quarter, so a
+   burst does not pin its high-water memory. [Obj.reachable_words]
+   counts the engine, its heap array and everything still queued. *)
 
-let test_remove_bad_index () =
-  let h = indexed () in
-  Heap.push h { v = 1; idx = -1 };
-  Alcotest.check_raises "out of bounds"
-    (Invalid_argument "Heap.remove: index out of bounds") (fun () ->
-      ignore (Heap.remove h 5));
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Heap.remove: index out of bounds") (fun () ->
-      ignore (Heap.remove h (-1)))
-
-(* ---- Adaptive capacity ---- *)
+let burst = 100_000
 
 let test_shrink_after_burst () =
-  let h = Heap.create ~capacity:8 ~cmp:Int.compare () in
-  for i = 1 to 1000 do
-    Heap.push h i
+  let fresh = Obj.reachable_words (Obj.repr (Engine.create ())) in
+  let engine = Engine.create () in
+  for i = 1 to burst do
+    ignore (Engine.schedule engine ~delay:(float_of_int i) ignore)
   done;
-  let high = Heap.capacity h in
-  Alcotest.(check bool) "grew past burst" true (high >= 1000);
-  for _ = 1 to 990 do
-    ignore (Heap.pop h)
-  done;
-  Alcotest.(check bool) "released high-water memory" true
-    (Heap.capacity h < high / 8);
-  Alcotest.(check bool) "floor respected" true (Heap.capacity h >= 8);
-  for _ = 1 to 10 do
-    ignore (Heap.pop h)
-  done;
-  Alcotest.(check int) "back at creation capacity" 8 (Heap.capacity h)
+  let peak = Obj.reachable_words (Obj.repr engine) in
+  Alcotest.(check bool) "burst held" true (peak > fresh + burst);
+  Engine.run engine;
+  Alcotest.(check int) "processed" burst (Engine.processed engine);
+  (* The clock now points at the last event's boxed time. *)
+  Alcotest.(check bool) "back to a fresh engine's footprint" true
+    (Obj.reachable_words (Obj.repr engine) <= fresh + 2)
 
-let test_clear_resets_capacity () =
-  let h = Heap.create ~capacity:4 ~cmp:Int.compare () in
-  for i = 1 to 100 do
-    Heap.push h i
-  done;
-  Heap.clear h;
-  Alcotest.(check int) "capacity reset" 4 (Heap.capacity h);
-  Alcotest.(check int) "empty" 0 (Heap.length h)
-
-let remove_one s l =
-  let rec go = function
-    | [] -> []
-    | x :: rest -> if x == s then rest else x :: go rest
+let test_cancel_burst_resets_footprint () =
+  let fresh = Obj.reachable_words (Obj.repr (Engine.create ())) in
+  let engine = Engine.create () in
+  let handles =
+    List.init burst (fun i ->
+        Engine.schedule engine ~delay:(float_of_int (burst - i)) ignore)
   in
-  go l
+  List.iter Engine.cancel handles;
+  Alcotest.(check int) "empty" 0 (Engine.pending engine);
+  Alcotest.(check int) "fresh footprint" fresh
+    (Obj.reachable_words (Obj.repr engine))
 
-let prop_indexed_remove =
+(* ---- Properties ---- *)
+
+(* Bursts of thousands of events, drains below a quarter of the grown
+   capacity, and wholesale random cancels, against the sorted-list
+   model of Test_engine. *)
+let prop_burst_model =
   QCheck.Test.make ~name:"indexed remove keeps heap and model in step"
-    ~count:300
-    QCheck.(list (pair (int_bound 2) small_int))
-    (fun ops ->
-      let h = indexed () in
-      let live = ref [] in
-      let ok = ref true in
-      List.iter
-        (fun (op, v) ->
-          match op with
-          | 0 ->
-              let s = { v; idx = -1 } in
-              Heap.push h s;
-              live := s :: !live
-          | 1 -> (
-              match (Heap.pop h, !live) with
-              | None, [] -> ()
-              | None, _ :: _ | Some _, [] -> ok := false
-              | Some s, l :: ls ->
-                  let best =
-                    List.fold_left (fun acc x -> if x.v < acc.v then x else acc)
-                      l ls
-                  in
-                  ok := !ok && s.v = best.v && s.idx = -1;
-                  live := remove_one s !live)
-          | _ -> (
-              match !live with
-              | [] -> ()
-              | s :: _ ->
-                  let r = Heap.remove h s.idx in
-                  ok := !ok && r == s && s.idx = -1;
-                  live := remove_one s !live))
-        ops;
-      let drained = List.init (Heap.length h) (fun _ -> (Heap.pop_exn h).v) in
-      let expect = List.sort Int.compare (List.map (fun s -> s.v) !live) in
-      !ok && drained = expect)
+    ~count:100
+    QCheck.(
+      list_of_size (Gen.int_range 1 30) (pair (int_bound 7) (int_bound 200)))
+    (fun ops -> Test_engine.run_script ops = Test_engine.model_script ops)
 
-let prop_heap_sort =
+let prop_drains_sorted =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = make () in
-      List.iter (Heap.push h) xs;
-      let drained = List.filter_map (fun _ -> Heap.pop h) xs in
-      drained = List.sort compare xs)
+    QCheck.(list (int_bound 50))
+    (fun times ->
+      let engine = Engine.create () in
+      let log = ref [] in
+      let evs = List.mapi (fun i t -> (i, float_of_int t)) times in
+      ignore (schedule_all engine log evs);
+      Engine.run engine;
+      let expect =
+        List.map fst
+          (List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) evs)
+      in
+      ran log = expect)
 
+(* Single [step]s interleaved with schedules: each step runs the
+   model's earliest (time, id). *)
 let prop_interleaved =
   QCheck.Test.make ~name:"interleaved push/pop preserves min property"
     ~count:200
-    QCheck.(list (pair bool small_int))
+    QCheck.(list (pair bool (int_bound 20)))
     (fun ops ->
-      let h = make () in
-      let model = ref [] in
+      let engine = Engine.create () in
+      let log = ref [] and model = ref [] and next_id = ref 0 in
       List.for_all
-        (fun (is_push, v) ->
-          if is_push then begin
-            Heap.push h v;
-            model := List.sort compare (v :: !model);
+        (fun (is_schedule, a) ->
+          if is_schedule then begin
+            let id = !next_id and delay = float_of_int a *. 0.25 in
+            incr next_id;
+            ignore
+              (Engine.schedule engine ~delay (fun () -> log := id :: !log));
+            model :=
+              List.merge Test_engine.by_time
+                [ (Engine.now engine +. delay, id) ]
+                !model;
             true
           end
-          else begin
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some x, m :: rest ->
+          else
+            match (Engine.step engine, !model) with
+            | false, [] -> true
+            | true, (time, id) :: rest ->
                 model := rest;
-                x = m
-            | None, _ :: _ | Some _, [] -> false
-          end)
+                List.hd !log = id && Float.equal (Engine.now engine) time
+            | false, _ :: _ | true, [] -> false)
         ops)
 
 let suite =
   [
     Alcotest.test_case "empty heap" `Quick test_empty;
-    Alcotest.test_case "pop_exn on empty raises" `Quick test_pop_exn_empty;
+    Alcotest.test_case "pop_exn on empty raises" `Quick
+      test_rejected_schedule_leaves_queue;
     Alcotest.test_case "pops in sorted order" `Quick test_ordering;
-    Alcotest.test_case "peek does not remove" `Quick test_peek_does_not_remove;
+    Alcotest.test_case "peek does not remove" `Quick test_limit_peeks;
     Alcotest.test_case "grows beyond capacity" `Quick test_growth_beyond_capacity;
-    Alcotest.test_case "clear then reuse" `Quick test_clear;
-    Alcotest.test_case "custom comparator" `Quick test_custom_comparator;
-    Alcotest.test_case "to_list contents" `Quick test_to_list_contents;
-    Alcotest.test_case "remove by tracked index" `Quick test_remove_by_index;
-    Alcotest.test_case "indices live and distinct" `Quick
-      test_indices_live_and_distinct;
-    Alcotest.test_case "remove rejects bad index" `Quick test_remove_bad_index;
+    Alcotest.test_case "clear then reuse" `Quick test_reuse_after_drain;
+    Alcotest.test_case "custom comparator" `Quick test_time_then_seq_order;
+    Alcotest.test_case "to_list contents" `Quick test_queue_contents;
+    Alcotest.test_case "remove by tracked index" `Quick
+      test_cancel_root_last_interior;
+    Alcotest.test_case "indices live and distinct" `Quick test_handles_distinct;
+    Alcotest.test_case "remove rejects bad index" `Quick
+      test_stale_cancel_is_harmless;
     Alcotest.test_case "shrinks after burst" `Quick test_shrink_after_burst;
     Alcotest.test_case "clear resets capacity" `Quick
-      test_clear_resets_capacity;
-    QCheck_alcotest.to_alcotest prop_indexed_remove;
-    QCheck_alcotest.to_alcotest prop_heap_sort;
+      test_cancel_burst_resets_footprint;
+    QCheck_alcotest.to_alcotest prop_burst_model;
+    QCheck_alcotest.to_alcotest prop_drains_sorted;
     QCheck_alcotest.to_alcotest prop_interleaved;
   ]

@@ -1,6 +1,6 @@
 (* Benchmark regression gate.
 
-   Compares a candidate benchmark snapshot (BENCH_pr12.json written by
+   Compares a candidate benchmark snapshot (a BENCH_*.json written by
    [bench/main.exe json]) against a committed baseline and fails when a
    metric regresses by more than the threshold.
 
