@@ -450,7 +450,7 @@ let handle_packet_in t ~switch ~xid (pkt_in : Of_packet_in.t) ~msg_bytes =
         {
           App.in_port = pkt_in.Of_packet_in.in_port;
           headers;
-          flow_key = Packet.peek_flow_key pkt_in.Of_packet_in.data;
+          flow_key = Packet.flow_key_of_headers headers;
           buffer_id = pkt_in.Of_packet_in.buffer_id;
           total_len = pkt_in.Of_packet_in.total_len;
         }

@@ -84,13 +84,9 @@ let on_switch_egress t ~time frame =
           if flow.egressed = flow.expected_packets then finish_flow t flow)
 
 let flow_id_of_pkt_in (pkt_in : Of_packet_in.t) =
-  let data = pkt_in.Of_packet_in.data in
-  let payload_off = Sdn_net.Packet.min_udp_frame in
-  if Bytes.length data >= payload_off + Tag.size then
-    Option.map
-      (fun tag -> tag.Tag.flow_id)
-      (Tag.read_payload (Bytes.sub data payload_off Tag.size))
-  else None
+  Option.map
+    (fun tag -> tag.Tag.flow_id)
+    (Tag.read_frame pkt_in.Of_packet_in.data)
 
 let on_to_controller t ~time buf =
   match Of_codec.decode buf with

@@ -16,6 +16,9 @@ let proto_udp = 17
 
 let write t ~payload_len buf off =
   if payload_len < 0 then invalid_arg "Ipv4.write: negative payload length";
+  (* Bytes.set_uint16_be would wrap a larger total length silently. *)
+  if size + payload_len > 0xFFFF then
+    invalid_arg "Ipv4.write: total length exceeds the 16-bit field";
   Bytes.set_uint8 buf off 0x45 (* version 4, IHL 5 *);
   Bytes.set_uint8 buf (off + 1) t.tos;
   Bytes.set_uint16_be buf (off + 2) (size + payload_len);

@@ -1,23 +1,21 @@
-type t = int64 (* low 48 bits *)
+type t = int (* low 48 bits *)
 
-let mask = 0xFFFF_FFFF_FFFFL
+let mask = 0xFFFF_FFFF_FFFF
 
-let of_int64 x = Int64.logand x mask
+let of_int64 x = Int64.to_int x land mask
 
-let to_int64 t = t
+let to_int64 t = Int64.of_int t
 
 let of_octets a b c d e f =
   let check o =
     if o < 0 || o > 255 then invalid_arg "Mac.of_octets: octet out of range"
   in
   check a; check b; check c; check d; check e; check f;
-  let ( << ) x n = Int64.shift_left (Int64.of_int x) n in
-  List.fold_left Int64.logor 0L
-    [ a << 40; b << 32; c << 24; d << 16; e << 8; f << 0 ]
+  (a lsl 40) lor (b lsl 32) lor (c lsl 24) lor (d lsl 16) lor (e lsl 8) lor f
 
 let octet t i =
   (* i = 0 is the most significant octet. *)
-  Int64.to_int (Int64.logand (Int64.shift_right_logical t (8 * (5 - i))) 0xFFL)
+  (t lsr (8 * (5 - i))) land 0xFF
 
 let to_string t =
   Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x" (octet t 0) (octet t 1)
@@ -49,21 +47,22 @@ let of_string_exn s =
 
 let broadcast = mask
 
-let zero = 0L
+let zero = 0
 
-let is_broadcast t = Int64.equal t broadcast
+let is_broadcast t = Int.equal t broadcast
 
-let compare = Int64.compare
-let equal = Int64.equal
-let hash t = Int64.to_int t land max_int
+let compare = Int.compare
+let equal = Int.equal
+let hash t = t
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let write t buf off =
-  for i = 0 to 5 do
-    Bytes.set_uint8 buf (off + i) (octet t i)
-  done
+  Bytes.set_uint16_be buf off (t lsr 32);
+  Bytes.set_uint16_be buf (off + 2) ((t lsr 16) land 0xFFFF);
+  Bytes.set_uint16_be buf (off + 4) (t land 0xFFFF)
 
 let read buf off =
-  let get i = Bytes.get_uint8 buf (off + i) in
-  of_octets (get 0) (get 1) (get 2) (get 3) (get 4) (get 5)
+  (Bytes.get_uint16_be buf off lsl 32)
+  lor (Bytes.get_uint16_be buf (off + 2) lsl 16)
+  lor Bytes.get_uint16_be buf (off + 4)

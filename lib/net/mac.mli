@@ -1,4 +1,10 @@
-(** 48-bit Ethernet MAC addresses. *)
+(** 48-bit Ethernet MAC addresses.
+
+    A MAC address is an immediate integer holding the 48-bit value, so
+    building, reading and writing one allocates nothing. {!hash} is that
+    value and {!compare} orders by it, both exactly as when the address
+    was a boxed [int64], so tables hashed through {!hash} keep their
+    order. *)
 
 type t
 (** A MAC address. Total order and equality are structural. *)
@@ -30,10 +36,14 @@ val is_broadcast : t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
+(** The 48-bit value itself, in [\[0, 2^48)]. *)
+
 val pp : Format.formatter -> t -> unit
 
 val write : t -> Bytes.t -> int -> unit
-(** [write t buf off] stores the 6 octets at [buf.\[off..off+5\]]. *)
+(** [write t buf off] stores the 6 octets at [buf.\[off..off+5\]],
+    most significant first. *)
 
 val read : Bytes.t -> int -> t
-(** [read buf off] reads 6 octets. *)
+(** [read buf off] reads 6 octets. Both raise [Invalid_argument] when
+    the field does not fit in [buf]. *)

@@ -191,14 +191,17 @@ let peek_headers buf =
             Ok { h_eth = eth; h_ipv4 = Some ip; h_l4_ports = ports }
       end
 
-let peek_flow_key buf =
-  match peek_headers buf with
-  | Error _ -> None
-  | Ok { h_ipv4 = Some ip; h_l4_ports = Some (src_port, dst_port); _ } ->
+let flow_key_of_headers = function
+  | { h_ipv4 = Some ip; h_l4_ports = Some (src_port, dst_port); _ } ->
       Some
         (Flow_key.make ~proto:ip.Ipv4.proto ~src_ip:ip.Ipv4.src
            ~dst_ip:ip.Ipv4.dst ~src_port ~dst_port)
-  | Ok _ -> None
+  | { h_ipv4 = None; _ } | { h_l4_ports = None; _ } -> None
+
+let peek_flow_key buf =
+  match peek_headers buf with
+  | Error _ -> None
+  | Ok headers -> flow_key_of_headers headers
 
 let equal_l4 a b =
   match (a, b) with

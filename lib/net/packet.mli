@@ -23,7 +23,12 @@ val size : t -> int
 (** Exact encoded size in bytes (without recomputing the encoding). *)
 
 val encode : t -> Bytes.t
-(** Serialize to wire format, computing all checksums. *)
+(** Serialize to wire format, computing all checksums. The IPv4 total
+    length and the UDP length are 16-bit fields, as is the TCP length
+    in the checksum's pseudo-header: a packet whose IPv4 datagram
+    exceeds 65,535 bytes (a UDP frame above 65,549 bytes), or whose
+    transport segment does, raises [Invalid_argument] instead of
+    encoding a wrapped length. *)
 
 val decode : Bytes.t -> (t, string) result
 (** Parse a frame. Transport layers of IPv4 packets are parsed for UDP
@@ -60,7 +65,8 @@ val udp_frame_of_size :
     bytes (the paper uses 1000-byte frames). [payload_fill] writes the
     application payload in place (e.g. a pktgen-style tag). Raises
     [Invalid_argument] if [frame_size] is smaller than the combined
-    headers (42 bytes). *)
+    headers (42 bytes). The largest frame {!encode} accepts is 65,549
+    bytes (Ethernet header plus a 65,535-byte IPv4 datagram). *)
 
 val tcp :
   src_mac:Mac.t ->
@@ -105,5 +111,10 @@ val peek_headers : Bytes.t -> (headers, string) result
     possibly-truncated frame prefix. The IPv4 header checksum is still
     verified (it lies within the prefix); payload integrity is not. *)
 
+val flow_key_of_headers : headers -> Flow_key.t option
+(** The 5-tuple of already-peeked headers, if they carry IPv4 and L4
+    ports. *)
+
 val peek_flow_key : Bytes.t -> Flow_key.t option
-(** The 5-tuple from a possibly-truncated frame prefix. *)
+(** The 5-tuple from a possibly-truncated frame prefix:
+    {!peek_headers} followed by {!flow_key_of_headers}. *)

@@ -47,6 +47,9 @@ let flags_of_int i =
 
 let write t ~src_ip ~dst_ip ~payload buf off =
   let len = size + Bytes.length payload in
+  (* The pseudo-header carries the segment length in 16 bits. *)
+  if len > 0xFFFF then
+    invalid_arg "Tcp.write: length exceeds the 16-bit pseudo-header field";
   Bytes.set_uint16_be buf off t.src_port;
   Bytes.set_uint16_be buf (off + 2) t.dst_port;
   Bytes.set_int32_be buf (off + 4) t.seq;

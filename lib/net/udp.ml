@@ -2,17 +2,21 @@ type t = { src_port : int; dst_port : int }
 
 let size = 8
 
+(* The 16-bit words of the 12-byte pseudo-header: both addresses, the
+   zero byte with the protocol, and the length. *)
 let pseudo_header_sum ~src_ip ~dst_ip ~proto ~l4_len =
-  let buf = Bytes.create 12 in
-  Ip.write src_ip buf 0;
-  Ip.write dst_ip buf 4;
-  Bytes.set_uint8 buf 8 0;
-  Bytes.set_uint8 buf 9 proto;
-  Bytes.set_uint16_be buf 10 l4_len;
-  Checksum.sum buf 0 12
+  let words ip =
+    let a = Int32.to_int (Ip.to_int32 ip) land 0xFFFF_FFFF in
+    (a lsr 16) + (a land 0xFFFF)
+  in
+  Checksum.add
+    (words src_ip + words dst_ip)
+    ((proto land 0xFF) + (l4_len land 0xFFFF))
 
 let write t ~src_ip ~dst_ip ~payload buf off =
   let len = size + Bytes.length payload in
+  if len > 0xFFFF then
+    invalid_arg "Udp.write: length exceeds the 16-bit length field";
   Bytes.set_uint16_be buf off t.src_port;
   Bytes.set_uint16_be buf (off + 2) t.dst_port;
   Bytes.set_uint16_be buf (off + 4) len;

@@ -12,21 +12,18 @@ let write t buf =
   Bytes.set_int32_be buf 8 (Int32.of_int t.seq);
   Bytes.set_int32_be buf 12 (Int32.of_int t.flow_packets)
 
-let read_payload buf =
-  if Bytes.length buf < size then None
-  else if not (Int32.equal (Bytes.get_int32_be buf 0) magic) then None
+let read_at buf off =
+  if off < 0 || Bytes.length buf - off < size then None
+  else if not (Int32.equal (Bytes.get_int32_be buf off) magic) then None
   else
     Some
       {
-        flow_id = Int32.to_int (Bytes.get_int32_be buf 4);
-        seq = Int32.to_int (Bytes.get_int32_be buf 8);
-        flow_packets = Int32.to_int (Bytes.get_int32_be buf 12);
+        flow_id = Int32.to_int (Bytes.get_int32_be buf (off + 4));
+        seq = Int32.to_int (Bytes.get_int32_be buf (off + 8));
+        flow_packets = Int32.to_int (Bytes.get_int32_be buf (off + 12));
       }
 
-let read_frame frame =
-  let off = Packet.min_udp_frame in
-  if Bytes.length frame < off + size then None
-  else read_payload (Bytes.sub frame off size)
+let read_frame frame = read_at frame Packet.min_udp_frame
 
 let pp fmt t =
   Format.fprintf fmt "tag{flow=%d seq=%d/%d}" t.flow_id t.seq t.flow_packets

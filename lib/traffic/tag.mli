@@ -15,10 +15,13 @@ val size : int
 val write : t -> Bytes.t -> unit
 (** Stamp at offset 0 of a payload buffer (needs {!size} bytes). *)
 
-val read_payload : Bytes.t -> t option
-(** Parse from a payload buffer. *)
+val read_at : Bytes.t -> int -> t option
+(** [read_at buf off] parses the tag at [buf.\[off..off+15\]] in place
+    ([off] is 0 for a payload buffer); [None] when it does not fit or
+    the magic word is absent. *)
 
 val read_frame : Bytes.t -> t option
-(** Parse from a full encoded UDP frame (payload at offset 42). *)
+(** Parse from an encoded UDP frame or a prefix of one (payload at
+    offset 42): [read_at frame 42]. *)
 
 val pp : Format.formatter -> t -> unit

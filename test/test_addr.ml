@@ -40,6 +40,60 @@ let test_mac_rejects_bad_octet () =
        false
      with Invalid_argument _ -> true)
 
+(* The int64 model [Mac] was written against: the low 48 bits of an
+   int64, hashed as [Int64.to_int v land max_int] and ordered by
+   [Int64.compare]. Every hashtable keyed through [Mac.hash] iterates
+   in an order fixed by these values. *)
+let model_mask = 0xFFFF_FFFF_FFFFL
+
+let model_octet v i =
+  Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * (5 - i))) 0xFFL)
+
+let mac_value_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        int64;
+        oneofl
+          [ 0L; 1L; -1L; model_mask; 0x8000_0000_0000L; 0x7FFF_FFFF_FFFFL;
+            0xFFFF_0000_0000_0001L ];
+      ])
+
+let prop_mac_matches_int64_model =
+  QCheck.Test.make ~name:"mac matches its int64 model" ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b, off) -> Printf.sprintf "%Lx %Lx off=%d" a b off)
+       QCheck.Gen.(
+         let odd_offset = map (fun k -> (2 * k) + 1) (int_range 0 4) in
+         triple mac_value_gen mac_value_gen odd_offset))
+    (fun (a, b, off) ->
+      let va = Int64.logand a model_mask and vb = Int64.logand b model_mask in
+      let ma = Mac.of_int64 a and mb = Mac.of_int64 b in
+      let buf = Bytes.make (off + 8) '\x5a' in
+      Mac.write ma buf off;
+      let octets_ok =
+        List.for_all
+          (fun i -> Bytes.get_uint8 buf (off + i) = model_octet va i)
+          [ 0; 1; 2; 3; 4; 5 ]
+      in
+      let untouched =
+        Bytes.get buf (off - 1) = '\x5a'
+        && Bytes.get buf (off + 6) = '\x5a'
+        && Bytes.get buf (off + 7) = '\x5a'
+      in
+      Int64.equal (Mac.to_int64 ma) va
+      && octets_ok && untouched
+      && Mac.equal (Mac.read buf off) ma
+      && Mac.hash ma = Int64.to_int va land max_int
+      && Int.compare (Mac.compare ma mb) 0 = Int.compare (Int64.compare va vb) 0
+      && Bool.equal (Mac.equal ma mb) (Int64.equal va vb)
+      && String.equal (Mac.to_string ma)
+           (String.concat ":"
+              (List.map
+                 (fun i -> Printf.sprintf "%02x" (model_octet va i))
+                 [ 0; 1; 2; 3; 4; 5 ]))
+      && Bool.equal (Mac.is_broadcast ma) (Int64.equal va model_mask))
+
 let test_ip_string_roundtrip () =
   let ip = Ip.make 192 168 1 200 in
   Alcotest.(check string) "to_string" "192.168.1.200" (Ip.to_string ip);
@@ -95,6 +149,7 @@ let suite =
     Alcotest.test_case "mac bytes roundtrip" `Quick test_mac_bytes_roundtrip;
     Alcotest.test_case "mac broadcast" `Quick test_mac_broadcast;
     Alcotest.test_case "mac rejects bad octet" `Quick test_mac_rejects_bad_octet;
+    QCheck_alcotest.to_alcotest prop_mac_matches_int64_model;
     Alcotest.test_case "ip string roundtrip" `Quick test_ip_string_roundtrip;
     Alcotest.test_case "ip parse errors" `Quick test_ip_parse_errors;
     Alcotest.test_case "ip unsigned compare" `Quick test_ip_unsigned_compare;

@@ -132,8 +132,75 @@ let test_peek_flow_key_matches_full () =
   let pkt = sample_udp () in
   let encoded = Packet.encode pkt in
   let full = Option.get (Packet.flow_key pkt) in
-  let peeked = Option.get (Packet.peek_flow_key (Bytes.sub encoded 0 48)) in
-  Alcotest.(check bool) "same key" true (Flow_key.equal full peeked)
+  let prefix = Bytes.sub encoded 0 48 in
+  let peeked = Option.get (Packet.peek_flow_key prefix) in
+  Alcotest.(check bool) "same key" true (Flow_key.equal full peeked);
+  match Packet.peek_headers prefix with
+  | Ok headers ->
+      Alcotest.(check bool) "from headers" true
+        (Option.equal Flow_key.equal (Some full)
+           (Packet.flow_key_of_headers headers))
+  | Error msg -> Alcotest.fail msg
+
+let test_every_payload_bit_flip_detected () =
+  (* One flipped bit anywhere in the payload of a 1000-B frame changes
+     one 16-bit word by a power of two, never a multiple of 0xFFFF, so
+     the UDP checksum must reject it: offsets 42-999 reach every lane
+     position of the 32-byte loop and the 16-bit tail. *)
+  let frame =
+    Packet.encode
+      (Packet.udp_frame_of_size ~src_mac:mac1 ~dst_mac:mac2 ~src_ip:ip1
+         ~dst_ip:ip2 ~src_port:5 ~dst_port:6 ~frame_size:1000
+         ~payload_fill:(fun p ->
+           Bytes.iteri (fun i _ -> Bytes.set_uint8 p i ((i * 37) land 0xFF)) p))
+  in
+  Alcotest.(check bool) "intact frame decodes" true
+    (Result.is_ok (Packet.decode frame));
+  for off = Packet.min_udp_frame to 999 do
+    let corrupted = Bytes.copy frame in
+    Bytes.set_uint8 corrupted off
+      (Bytes.get_uint8 corrupted off lxor (1 lsl (off land 7)));
+    if Result.is_ok (Packet.decode corrupted) then
+      Alcotest.failf "bit flip at offset %d not detected" off
+  done
+
+let test_length_fields_do_not_wrap () =
+  (* 14 + 65,535: the largest frame whose IPv4 total length fits. *)
+  let frame frame_size =
+    Packet.udp_frame_of_size ~src_mac:mac1 ~dst_mac:mac2 ~src_ip:ip1 ~dst_ip:ip2
+      ~src_port:5 ~dst_port:6 ~frame_size ~payload_fill:(fun _ -> ())
+  in
+  let largest = frame 65_549 in
+  let encoded = Packet.encode largest in
+  Alcotest.(check int) "encoded size" 65_549 (Bytes.length encoded);
+  (match Packet.decode encoded with
+  | Ok decoded ->
+      Alcotest.(check bool) "roundtrip" true (Packet.equal largest decoded)
+  | Error msg -> Alcotest.fail msg);
+  let raises name f =
+    Alcotest.(check bool) name true
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  raises "65,550-byte frame" (fun () -> ignore (Packet.encode (frame 65_550)));
+  let buf = Bytes.make 70_000 '\000' in
+  raises "udp length" (fun () ->
+      Udp.write { Udp.src_port = 1; dst_port = 2 } ~src_ip:ip1 ~dst_ip:ip2
+        ~payload:(Bytes.create (0x10000 - Udp.size)) buf 0);
+  raises "tcp length" (fun () ->
+      Tcp.write
+        {
+          Tcp.src_port = 1;
+          dst_port = 2;
+          seq = 0l;
+          ack_seq = 0l;
+          flags = Tcp.no_flags;
+          window = 0;
+        }
+        ~src_ip:ip1 ~dst_ip:ip2
+        ~payload:(Bytes.create (0x10000 - Tcp.size)) buf 0)
 
 let test_udp_zero_checksum_accepted () =
   (* RFC 768 allows checksum 0 = not computed. *)
@@ -189,6 +256,10 @@ let suite =
       test_peek_flow_key_matches_full;
     Alcotest.test_case "udp zero checksum accepted" `Quick
       test_udp_zero_checksum_accepted;
+    Alcotest.test_case "every payload bit flip detected" `Quick
+      test_every_payload_bit_flip_detected;
+    Alcotest.test_case "length fields do not wrap" `Quick
+      test_length_fields_do_not_wrap;
     QCheck_alcotest.to_alcotest prop_udp_roundtrip;
     QCheck_alcotest.to_alcotest prop_size_equals_encoding;
   ]

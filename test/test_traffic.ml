@@ -11,7 +11,10 @@ let test_tag_roundtrip () =
   let tag = { Tag.flow_id = 123; seq = 45; flow_packets = 20 } in
   let buf = Bytes.make Tag.size '\000' in
   Tag.write tag buf;
-  Alcotest.(check bool) "payload roundtrip" true (Tag.read_payload buf = Some tag)
+  Alcotest.(check bool) "payload roundtrip" true (Tag.read_at buf 0 = Some tag);
+  let framed = Bytes.make (5 + Tag.size) 'x' in
+  Bytes.blit buf 0 framed 5 Tag.size;
+  Alcotest.(check bool) "read in place" true (Tag.read_at framed 5 = Some tag)
 
 let test_tag_in_frame () =
   let injections =
@@ -29,8 +32,15 @@ let test_tag_in_frame () =
 
 let test_tag_rejects_untagged () =
   Alcotest.(check bool) "no magic" true
-    (Tag.read_payload (Bytes.make Tag.size 'x') = None);
-  Alcotest.(check bool) "too short" true (Tag.read_frame (Bytes.make 10 'x') = None)
+    (Tag.read_at (Bytes.make Tag.size 'x') 0 = None);
+  Alcotest.(check bool) "too short" true (Tag.read_frame (Bytes.make 10 'x') = None);
+  let tag = Bytes.make Tag.size '\000' in
+  Tag.write { Tag.flow_id = 1; seq = 2; flow_packets = 3 } tag;
+  (* The magic word fits; the rest of the tag does not. *)
+  let cut = Bytes.make (4 + Tag.size - 1) '\000' in
+  Bytes.blit tag 0 cut 4 (Tag.size - 1);
+  Alcotest.(check bool) "cut short" true (Tag.read_at cut 4 = None);
+  Alcotest.(check bool) "negative offset" true (Tag.read_at tag (-1) = None)
 
 let test_addressing_unique_flows () =
   let a = Addressing.default in
