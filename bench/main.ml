@@ -19,7 +19,7 @@
      dune exec bench/main.exe -- figures 5    # all figures, 5 reps/point
      dune exec bench/main.exe -- ablations    # the ablation studies
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
-                                              # (default BENCH_pr15.json)
+                                              # (default BENCH_pr16.json)
 
    The json snapshot also times a small end-to-end sweep at
    --jobs 1/2/4 and records the parallel speedups, so the regression
@@ -152,6 +152,34 @@ let hit_packet =
     ~dst_port:9
     ~payload:(Bytes.of_string "x")
     ()
+
+(* The [Pktgen.schedule] that queued a whole traffic plan at set-up,
+   one [Engine.schedule_at] per injection: the reference for
+   [derived/plan_stream_speedup]. *)
+let schedule_upfront engine ~inject injections =
+  List.iter
+    (fun (inj : Sdn_traffic.Patterns.injection) ->
+      ignore
+        (Sdn_sim.Engine.schedule_at engine inj.time (fun () ->
+             inject ~in_port:inj.in_port inj.frame)))
+    injections
+
+(* Schedule and drain a 2,000-injection plan of 64-B frames at
+   100 Mbps on a fresh engine; each injection schedules one follow-on
+   event 20 µs later, as a link delivery would, so a few are in
+   flight beside the plan. *)
+let plan_2k schedule =
+  let injections =
+    Sdn_traffic.Patterns.udp_burst ~rng:(Sdn_sim.Rng.of_int 7) ~n_packets:2000
+      ~rate_mbps:100.0 ~frame_size:64 ()
+  in
+  Staged.stage (fun () ->
+      let engine = Sdn_sim.Engine.create () in
+      schedule engine
+        ~inject:(fun ~in_port:_ _ ->
+          ignore (Sdn_sim.Engine.schedule engine ~delay:2e-5 ignore))
+        injections;
+      Sdn_sim.Engine.run engine)
 
 (* Measured before [micro_tests] builds its fixtures (see [bench_raw]). *)
 let checksum_tests () =
@@ -324,10 +352,11 @@ let micro_tests () =
           fun () ->
             Sdn_sim.Engine.cancel
               (Sdn_sim.Engine.schedule engine ~delay:1.0 (fun () -> ()))));
-    (* One pop and one push on a queue holding 25,000 events, the
-       pending set of the hit_path workload: each run dispatches the
-       earliest event, which reschedules itself after an Rng-drawn
-       delay. *)
+    (* One pop and one push on a queue holding 25,000 events: each
+       run dispatches the earliest event, which reschedules itself
+       after an Rng-drawn delay. No shipped workload queues that many
+       since traffic plans stream in (hit_path's queue peaks near
+       300); the subject pins the queue's cost at a large size. *)
     Test.make ~name:"engine/churn-25k-pending"
       (Staged.stage
          (let engine = Sdn_sim.Engine.create () in
@@ -342,6 +371,11 @@ let micro_tests () =
             fire ()
           done;
           fun () -> ignore (Sdn_sim.Engine.step_batch engine)));
+    (* A traffic plan streamed through the queue, next injection only,
+       against the same plan queued whole at set-up. *)
+    Test.make ~name:"engine/plan-2k-stream"
+      (plan_2k Sdn_traffic.Pktgen.schedule);
+    Test.make ~name:"engine/plan-2k-upfront" (plan_2k schedule_upfront);
     (* The analytical oracle's full evaluation for one operating point:
        the three-station Jackson solve, the feedback model, and the
        Erlang-B loss recursion at buffer-16. Pure closed-form float
@@ -651,6 +685,12 @@ let run_json path =
           ratio
             (find_metric ns "net/checksum-1000B-reference")
             (find_metric ns "net/checksum-1000B") );
+        (* A 2,000-injection plan queued whole at set-up against the
+           same plan streamed one injection at a time. *)
+        ( "derived/plan_stream_speedup",
+          ratio
+            (find_metric ns "engine/plan-2k-upfront")
+            (find_metric ns "engine/plan-2k-stream") );
         (* Allocation reduction of the scratch encoder on the
            dominant PACKET_IN shape (full frame attached). *)
         ( "derived/pkt_in_encode_alloc_speedup",
@@ -708,7 +748,7 @@ let () =
       run_figures ();
       Sdn_core.Ablations.run_all ()
   | [ _; "micro" ] -> run_micro ()
-  | [ _; "json" ] -> run_json "BENCH_pr15.json"
+  | [ _; "json" ] -> run_json "BENCH_pr16.json"
   | [ _; "json"; path ] -> run_json path
   | [ _; "ablations" ] -> Sdn_core.Ablations.run_all ()
   | [ _; "figures" ] -> run_figures ()

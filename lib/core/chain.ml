@@ -199,29 +199,7 @@ type result = {
 
 let run (config : Config.t) ~n_switches =
   let chain = build config ~n_switches in
-  let injections =
-    match config.Config.workload with
-    | Config.Exp_a { n_flows } ->
-        Sdn_traffic.Patterns.exp_a ~rng:chain.traffic_rng ~start:0.05 ~n_flows
-          ~rate_mbps:config.Config.rate_mbps
-          ~frame_size:config.Config.frame_size ()
-    | Config.Exp_b { n_flows; packets_per_flow; concurrent } ->
-        Sdn_traffic.Patterns.exp_b ~rng:chain.traffic_rng ~start:0.05 ~n_flows
-          ~packets_per_flow ~concurrent ~rate_mbps:config.Config.rate_mbps
-          ~frame_size:config.Config.frame_size ()
-    | Config.Udp_burst { n_packets } ->
-        Sdn_traffic.Patterns.udp_burst ~rng:chain.traffic_rng ~start:0.05
-          ~n_packets ~rate_mbps:config.Config.rate_mbps
-          ~frame_size:config.Config.frame_size ()
-    | Config.Poisson_flows { n_flows } ->
-        Sdn_traffic.Patterns.poisson_flows ~rng:chain.traffic_rng ~start:0.05
-          ~n_flows ~rate_mbps:config.Config.rate_mbps
-          ~frame_size:config.Config.frame_size ()
-    | Config.Poisson_mix { n_packets; miss_fraction } ->
-        Sdn_traffic.Patterns.poisson_mix ~rng:chain.traffic_rng ~start:0.05
-          ~n_packets ~miss_fraction ~rate_mbps:config.Config.rate_mbps
-          ~frame_size:config.Config.frame_size ()
-  in
+  let injections = Experiment.injections_of config chain.traffic_rng in
   let plan = Sdn_traffic.Pktgen.stats_of injections in
   Sdn_traffic.Pktgen.schedule chain.engine
     ~inject:(fun ~in_port:_ frame -> inject chain frame)

@@ -19,6 +19,10 @@ val traffic_start : float
     validator uses it to undo the lead-in dilution of time-averaged
     metrics. *)
 
+val injections_of : Config.t -> Rng.t -> Sdn_traffic.Patterns.injection list
+(** The traffic plan of [config]'s workload, starting at
+    {!traffic_start}, drawn from the given traffic stream. *)
+
 type result = {
   config : Config.t;
   send_window : float;  (** first to last injection, seconds *)

@@ -18,6 +18,9 @@ and t = {
   mutable processed : int;
   mutable heap : handle array;
   mutable size : int;
+  (* Planned events not yet in the heap: every plan keeps only its
+     next event queued (see [schedule_plan]). *)
+  mutable backlog : int;
 }
 
 (* Fills every slot at or past [size], so a slot write stores a handle
@@ -32,7 +35,14 @@ let sentinel =
     cancelled = true;
     heap_index = -1;
     engine =
-      { clock = 0.0; next_seq = 0; processed = 0; heap = [||]; size = 0 };
+      {
+        clock = 0.0;
+        next_seq = 0;
+        processed = 0;
+        heap = [||];
+        size = 0;
+        backlog = 0;
+      };
   }
 
 (* Initial capacity and shrink floor of the heap array. *)
@@ -115,9 +125,16 @@ let create ?(now = 0.0) () =
     processed = 0;
     heap = Array.make min_capacity sentinel;
     size = 0;
+    backlog = 0;
   }
 
 let now t = t.clock
+
+let push t ev =
+  if t.size = Array.length t.heap then resize t (2 * t.size);
+  let i = t.size in
+  t.size <- i + 1;
+  sift_up t.heap i ev
 
 let schedule_at t time action =
   (* Negated so that a NaN time, which compares false both ways, is
@@ -131,11 +148,53 @@ let schedule_at t time action =
       engine = t }
   in
   t.next_seq <- t.next_seq + 1;
-  if t.size = Array.length t.heap then resize t (2 * t.size);
-  let i = t.size in
-  t.size <- i + 1;
-  sift_up t.heap i ev;
+  push t ev;
   ev
+
+(* A plan of [n] events takes the [n] sequence numbers that [n] calls
+   to [schedule_at] in index order would have taken, so every event
+   keeps the (time, seq) key it would have had in the heap. Times are
+   nondecreasing and seqs increase, so the plan's next event is the
+   least of its remaining ones and the only one that can be the queue
+   minimum: queueing it alone changes no dispatch. It pushes its
+   successor before its action runs, so an action that raises still
+   leaves the rest of the plan queued. Events run in index order, so
+   one shared action reads its index from a cursor. *)
+let schedule_plan t times f =
+  let n = Array.length times in
+  if n > 0 then begin
+    (* Negated, as in [schedule_at], so that NaN is refused too. *)
+    if not (times.(0) >= t.clock) then
+      invalid_arg
+        (Printf.sprintf
+           "Engine.schedule_plan: time %g is not at or after now %g"
+           times.(0) t.clock);
+    for i = 1 to n - 1 do
+      if not (times.(i) >= times.(i - 1)) then
+        invalid_arg
+          (Printf.sprintf
+             "Engine.schedule_plan: time %g at index %d is not at or after \
+              time %g"
+             times.(i) i times.(i - 1))
+    done;
+    let base = t.next_seq in
+    t.next_seq <- base + n;
+    t.backlog <- t.backlog + n - 1;
+    let next = ref 0 in
+    let rec fire () =
+      let i = !next in
+      next := i + 1;
+      if i + 1 < n then begin
+        t.backlog <- t.backlog - 1;
+        push t (planned (i + 1))
+      end;
+      f i
+    and planned i =
+      { time = times.(i); seq = base + i; action = fire; cancelled = false;
+        heap_index = -1; engine = t }
+    in
+    push t (planned 0)
+  end
 
 let schedule t ~delay action =
   if not (delay >= 0.0) then
@@ -206,6 +265,6 @@ let rec run ?until t =
       end
       else if t.clock < limit then t.clock <- limit
 
-let pending t = t.size
+let pending t = t.size + t.backlog
 
 let processed t = t.processed

@@ -19,10 +19,13 @@
     timestamp are dispatched as one batch ({!step_batch}).
 
     Times are in seconds (floats); NaN times and delays are refused.
-    Workloads schedule their whole traffic plan up front, so the
-    pending set peaks near the run's packet count: at most 1,567
-    events in the figure grid, the chaos sweeps and [validate]'s grids,
-    and 50,026 in a default [massive] shard of 50k flows. *)
+    A traffic plan is known in full at set-up, but it is handed over
+    with {!schedule_plan}, which keeps only the plan's next event
+    queued: the queue holds what the simulation has in flight, not the
+    injections still to come. In every shipped command it peaks
+    below 500 events (448 in a 50k-flow [massive] shard, whose
+    pending set peaks at 50,026), and {!pending} still counts every
+    planned event. *)
 
 type t
 (** A simulation engine (clock + event queue). *)
@@ -45,6 +48,22 @@ val schedule_at : t -> float -> (unit -> unit) -> handle
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule t ~delay f] is [schedule_at t (now t +. delay) f].
     A negative or NaN [delay] raises [Invalid_argument]. *)
+
+val schedule_plan : t -> float array -> (int -> unit) -> unit
+(** [schedule_plan t times f] runs [f i] when the clock reaches
+    [times.(i)], for every index [i] in order. Dispatch is exactly as
+    if [schedule_at t times.(i) (fun () -> f i)] had been called for
+    each [i] in index order now: the plan takes that block of
+    insertion order, so its events tie with other events as those
+    calls would have. Only the plan's next event is queued; it queues
+    its successor just before [f i] runs, so an [f i] that raises
+    leaves the rest of the plan queued. {!pending} counts the whole
+    plan. Plan events have no handles and cannot be cancelled.
+
+    [times] must be nondecreasing, at or after {!now} and free of NaN;
+    otherwise [Invalid_argument] is raised and the engine is left
+    unchanged. The engine reads [times] as the plan runs, so the
+    caller must not change it afterwards. *)
 
 val cancel : handle -> unit
 (** Prevent the event from firing and remove it from the queue in
@@ -73,8 +92,9 @@ val run : ?until:float -> t -> unit
     runs nothing and leaves the clock where it is. *)
 
 val pending : t -> int
-(** Number of {e live} events still queued. Cancelled events are
-    removed immediately and never counted. *)
+(** Number of {e live} events still to run: those queued plus the
+    planned events of {!schedule_plan} not yet queued. Cancelled
+    events are removed immediately and never counted. *)
 
 val processed : t -> int
 (** Total number of events executed so far. *)

@@ -2,13 +2,38 @@ open Sdn_sim
 
 type stats = { injected : int; bytes : int; first : float; last : float }
 
+(* The plan goes to the engine as three arrays in dispatch order.
+   Each frame slot is emptied once its frame is injected, so the plan
+   does not keep injected frames alive until the last one. *)
 let schedule engine ~inject injections =
-  List.iter
-    (fun (inj : Patterns.injection) ->
-      ignore
-        (Engine.schedule_at engine inj.Patterns.time (fun () ->
-             inject ~in_port:inj.Patterns.in_port inj.Patterns.frame)))
-    injections
+  let n = List.length injections in
+  let times = Array.make n 0.0
+  and ports = Array.make n 0
+  and frames = Array.make n Bytes.empty in
+  let sorted = ref true in
+  List.iteri
+    (fun i (inj : Patterns.injection) ->
+      if i > 0 && inj.Patterns.time < times.(i - 1) then sorted := false;
+      times.(i) <- inj.Patterns.time;
+      ports.(i) <- inj.Patterns.in_port;
+      frames.(i) <- inj.Patterns.frame)
+    injections;
+  (* A stable sort keeps list order among equal times, the order
+     separate [schedule_at] calls in list order would dispatch them. *)
+  let times, ports, frames =
+    if !sorted then (times, ports, frames)
+    else begin
+      let order = Array.init n Fun.id in
+      Array.stable_sort (fun a b -> Float.compare times.(a) times.(b)) order;
+      ( Array.map (Array.get times) order,
+        Array.map (Array.get ports) order,
+        Array.map (Array.get frames) order )
+    end
+  in
+  Engine.schedule_plan engine times (fun i ->
+      let frame = frames.(i) in
+      frames.(i) <- Bytes.empty;
+      inject ~in_port:ports.(i) frame)
 
 let stats_of injections =
   match injections with

@@ -222,6 +222,95 @@ let test_cancel_sibling_during_batch () =
   Alcotest.(check bool) "cancelled sibling skipped" false !second_ran;
   Alcotest.(check int) "queue empty" 0 (Engine.pending engine)
 
+(* {2 Plans} *)
+
+(* A plan's events tie with other events as one [schedule_at] per
+   index, in index order, at the call would: after events scheduled
+   before it, before events scheduled after it. *)
+let test_plan_ties_like_schedule_at () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let note label () = log := label :: !log in
+  ignore (Engine.schedule_at engine 1.0 (note "before@1"));
+  ignore (Engine.schedule_at engine 2.0 (note "before@2"));
+  Engine.schedule_plan engine [| 1.0; 1.0; 2.0 |] (fun i ->
+      note (Printf.sprintf "plan%d" i) ();
+      (* Scheduled while the plan runs: after its same-time siblings. *)
+      if i = 0 then ignore (Engine.schedule engine ~delay:0.0 (note "spawned")));
+  ignore (Engine.schedule_at engine 1.0 (note "after@1"));
+  Engine.run engine;
+  Alcotest.(check (list string)) "dispatch order"
+    [ "before@1"; "plan0"; "plan1"; "after@1"; "spawned"; "before@2"; "plan2" ]
+    (List.rev !log)
+
+(* A refused plan queues nothing: the events already queued run as
+   before, in the same tie order. *)
+let test_plan_rejects_bad_times () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let note label () = log := label :: !log in
+  ignore (Engine.schedule_at engine 1.0 (note "a@1"));
+  ignore (Engine.schedule_at engine 2.0 (note "a@2"));
+  Engine.run ~until:1.0 engine;
+  let rejects name times =
+    Alcotest.(check bool) name true
+      (match Engine.schedule_plan engine times (fun _ -> note "planned" ()) with
+      | () -> false
+      | exception Invalid_argument _ -> true);
+    Alcotest.(check int) (name ^ ": pending") 1 (Engine.pending engine);
+    Alcotest.(check int) (name ^ ": processed") 1 (Engine.processed engine)
+  in
+  rejects "unsorted" [| 2.0; 1.5 |];
+  rejects "NaN first" [| Float.nan; 2.0 |];
+  rejects "NaN later" [| 2.0; Float.nan |];
+  rejects "before now" [| 0.5; 2.0 |];
+  ignore (Engine.schedule_at engine 2.0 (note "b@2"));
+  Engine.run engine;
+  Alcotest.(check (list string)) "only the scheduled events ran"
+    [ "a@1"; "a@2"; "b@2" ] (List.rev !log)
+
+let test_plan_pending_counts_backlog () =
+  let engine = Engine.create () in
+  Engine.schedule_plan engine [| 1.0; 2.0; 2.0; 3.0 |] ignore;
+  Engine.schedule_plan engine [||] ignore;
+  ignore (Engine.schedule_at engine 2.5 ignore);
+  Alcotest.(check int) "queued and planned" 5 (Engine.pending engine);
+  let pending_after_each = ref [] in
+  while Engine.step engine do
+    pending_after_each := Engine.pending engine :: !pending_after_each
+  done;
+  Alcotest.(check (list int)) "one fewer per event" [ 4; 3; 2; 1; 0 ]
+    (List.rev !pending_after_each);
+  Alcotest.(check int) "processed" 5 (Engine.processed engine)
+
+let test_plan_run_until_keeps_rest () =
+  let engine = Engine.create () in
+  let ran = ref [] in
+  Engine.schedule_plan engine [| 1.0; 2.0; 3.0; 4.0 |] (fun i -> ran := i :: !ran);
+  Engine.run ~until:2.5 engine;
+  Alcotest.(check (list int)) "events up to the limit" [ 0; 1 ] (List.rev !ran);
+  Alcotest.(check (float 1e-12)) "clock at the limit" 2.5 (Engine.now engine);
+  Alcotest.(check int) "rest pending" 2 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list int)) "rest runs later" [ 0; 1; 2; 3 ] (List.rev !ran)
+
+(* As when each event was scheduled on its own, an action that raises
+   leaves the later events queued. *)
+let test_plan_raise_keeps_successor () =
+  let engine = Engine.create () in
+  let ran = ref [] in
+  Engine.schedule_plan engine [| 1.0; 2.0; 3.0 |] (fun i ->
+      ran := i :: !ran;
+      if i = 1 then raise Exit);
+  Alcotest.check_raises "the action's exception escapes" Exit (fun () ->
+      Engine.run engine);
+  Alcotest.(check (float 1e-12)) "clock at the failed event" 2.0
+    (Engine.now engine);
+  Alcotest.(check int) "successor still pending" 1 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list int)) "successor runs" [ 0; 1; 2 ] (List.rev !ran);
+  Alcotest.(check int) "processed" 3 (Engine.processed engine)
+
 (* Randomized schedule/cancel/step_batch scripts against a
    sorted-list reference model. Op encoding: (kind, a) with kind 0-2 =
    schedule at now + scaled delay (three delay scales so events share
@@ -231,7 +320,9 @@ let test_cancel_sibling_during_batch () =
    burst kinds grow and shrink the queue by thousands at a time:
    kind 5 = schedule [burst_size a] events at once, kind 6 = step_batch
    until at most [a] events are pending, kind 7 = cancel every handle
-   [culled ~a] picks. Both sides produce the dispatch trace
+   [culled ~a] picks. Kind 8 = [Engine.schedule_plan] of [burst_size a]
+   events at [plan_delays] past now; plan events have no handles, so
+   kinds 3 and 7 skip their ids. Both sides produce the dispatch trace
    [(id, time)] and a [(pending, processed)] snapshot after every op,
    then drain. *)
 let scale_of_kind = function 0 -> 3.3e-7 | 1 -> 1.05e-4 | _ -> 2.7e-2
@@ -243,6 +334,35 @@ let burst_size a = 500 + (20 * a)
 let burst_delay id = float_of_int (id * 7919 mod 4093) *. 1e-5
 
 let culled ~a id = ((id * 31) + a) mod 3 = 0
+
+let plan_kind = 8
+
+(* A plan's delays: the burst delays of the ids it takes, sorted, so
+   they collide with each other and with events already queued. *)
+let plan_delays ~first a =
+  List.sort Float.compare
+    (List.init (burst_size a) (fun i -> burst_delay (first + i)))
+
+(* Scripts for the two model properties below: single-event kinds 0-4
+   and at most one plan, at a random position. A plan adds hundreds of
+   events that one step_batch barely drains, and every later schedule
+   copies the model's list up to its slot, so more plans would make
+   long scripts crawl. Test_heap's burst property runs several plans
+   at once on short scripts. *)
+let script =
+  let with_plan ops = function
+    | None -> ops
+    | Some (pos, a) ->
+        List.filteri (fun i _ -> i < pos) ops
+        @ ((plan_kind, a) :: List.filteri (fun i _ -> i >= pos) ops)
+  in
+  QCheck.(
+    set_gen
+      Gen.(
+        list (pair (int_bound 4) (int_bound 200)) >>= fun ops ->
+        opt (pair (int_bound (List.length ops)) (int_bound 200))
+        >|= with_plan ops)
+      (list (pair (int_bound plan_kind) (int_bound 200))))
 
 let run_script ?(scale_of_kind = scale_of_kind) ops =
   let engine = Engine.create () in
@@ -256,13 +376,12 @@ let run_script ?(scale_of_kind = scale_of_kind) ops =
       (Engine.schedule engine ~delay (fun () ->
            trace := (id, Engine.now engine) :: !trace))
   in
+  let cancel id = Option.iter Engine.cancel (Hashtbl.find_opt handles id) in
   List.iter
     (fun (kind, a) ->
       (match kind with
       | 0 | 1 | 2 -> schedule (float_of_int a *. scale_of_kind kind)
-      | 3 ->
-          if !next_id > 0 then
-            Engine.cancel (Hashtbl.find handles (a mod !next_id))
+      | 3 -> if !next_id > 0 then cancel (a mod !next_id)
       | 4 -> ignore (Engine.step_batch engine)
       | 5 ->
           for _ = 1 to burst_size a do
@@ -272,10 +391,19 @@ let run_script ?(scale_of_kind = scale_of_kind) ops =
           while Engine.pending engine > a do
             ignore (Engine.step_batch engine)
           done
-      | _ ->
+      | 7 ->
           for id = 0 to !next_id - 1 do
-            if culled ~a id then Engine.cancel (Hashtbl.find handles id)
-          done);
+            if culled ~a id then cancel id
+          done
+      | _ ->
+          let first = !next_id and now = Engine.now engine in
+          let times =
+            Array.of_list
+              (List.map (fun d -> now +. d) (plan_delays ~first a))
+          in
+          next_id := first + Array.length times;
+          Engine.schedule_plan engine times (fun i ->
+              trace := (first + i, Engine.now engine) :: !trace));
       counts := (Engine.pending engine, Engine.processed engine) :: !counts)
     ops;
   Engine.run engine;
@@ -291,7 +419,7 @@ let by_time (t1, i1) (t2, i2) =
 let model_script ?(scale_of_kind = scale_of_kind) ops =
   let clock = ref 0.0 and processed = ref 0 in
   let live = ref [] and n_live = ref 0 and trace = ref [] and counts = ref [] in
-  let n_scheduled = ref 0 in
+  let n_scheduled = ref 0 and planned = Hashtbl.create 64 in
   let add delays =
     let evs =
       List.map
@@ -304,10 +432,15 @@ let model_script ?(scale_of_kind = scale_of_kind) ops =
     live := List.merge by_time (List.sort by_time evs) !live;
     n_live := !n_live + List.length evs
   in
+  (* Only events scheduled one by one can be cancelled. A cancel that
+     hits nothing live copies nothing. *)
   let drop pred =
-    let gone, kept = List.partition (fun (_, id) -> pred id) !live in
-    live := kept;
-    n_live := !n_live - List.length gone
+    let hit (_, id) = pred id && not (Hashtbl.mem planned id) in
+    if List.exists hit !live then begin
+      let gone, kept = List.partition hit !live in
+      live := kept;
+      n_live := !n_live - List.length gone
+    end
   in
   let dispatch (time, id) =
     clock := time;
@@ -343,7 +476,12 @@ let model_script ?(scale_of_kind = scale_of_kind) ops =
           while !n_live > a do
             step_batch ()
           done
-      | _ -> drop (culled ~a));
+      | 7 -> drop (culled ~a)
+      | _ ->
+          let first = !n_scheduled in
+          let delays = plan_delays ~first a in
+          List.iteri (fun i _ -> Hashtbl.replace planned (first + i) ()) delays;
+          add delays);
       counts := (!n_live, !processed) :: !counts)
     ops;
   while !live <> [] do
@@ -353,7 +491,7 @@ let model_script ?(scale_of_kind = scale_of_kind) ops =
 
 let prop_matches_model =
   QCheck.Test.make ~name:"heap matches sorted-list model" ~count:300
-    QCheck.(list (pair (int_bound 4) (int_bound 200)))
+    script
     (fun ops ->
       run_script ops = model_script ops)
 
@@ -430,7 +568,7 @@ let wide_scale_of_kind = function 0 -> 3.3e-7 | 1 -> 2.7e-2 | _ -> 4.3e1
 
 let prop_matches_model_wide_range =
   QCheck.Test.make ~name:"wheel and heap dispatch identical traces" ~count:300
-    QCheck.(list (pair (int_bound 4) (int_bound 200)))
+    script
     (fun ops ->
       run_script ~scale_of_kind:wide_scale_of_kind ops
       = model_script ~scale_of_kind:wide_scale_of_kind ops)
@@ -481,4 +619,14 @@ let suite =
     Alcotest.test_case "cancel sibling during batch" `Quick
       test_cancel_sibling_during_batch;
     QCheck_alcotest.to_alcotest prop_matches_model;
+    Alcotest.test_case "plan ties like schedule_at" `Quick
+      test_plan_ties_like_schedule_at;
+    Alcotest.test_case "plan rejects bad times" `Quick
+      test_plan_rejects_bad_times;
+    Alcotest.test_case "plan pending counts backlog" `Quick
+      test_plan_pending_counts_backlog;
+    Alcotest.test_case "plan run ~until keeps the rest" `Quick
+      test_plan_run_until_keeps_rest;
+    Alcotest.test_case "plan action raising keeps successor" `Quick
+      test_plan_raise_keeps_successor;
   ]

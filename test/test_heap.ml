@@ -224,13 +224,14 @@ let test_cancel_burst_resets_footprint () =
 (* ---- Properties ---- *)
 
 (* Bursts of thousands of events, drains below a quarter of the grown
-   capacity, and wholesale random cancels, against the sorted-list
-   model of Test_engine. *)
+   capacity, wholesale random cancels and plans, against the
+   sorted-list model of Test_engine. *)
 let prop_burst_model =
   QCheck.Test.make ~name:"indexed remove keeps heap and model in step"
     ~count:100
     QCheck.(
-      list_of_size (Gen.int_range 1 30) (pair (int_bound 7) (int_bound 200)))
+      list_of_size (Gen.int_range 1 30)
+        (pair (int_bound Test_engine.plan_kind) (int_bound 200)))
     (fun ops -> Test_engine.run_script ops = Test_engine.model_script ops)
 
 let prop_drains_sorted =

@@ -206,6 +206,140 @@ let test_pktgen_schedules_at_times () =
       Alcotest.(check bytes) "right frame" inj.Patterns.frame frame)
     injections (List.rev !delivered)
 
+(* One [Engine.schedule_at] per injection, in list order: how
+   [Pktgen.schedule] queued a plan before it handed plans to
+   [Engine.schedule_plan]. Its dispatch order is the reference. *)
+let schedule_each engine ~inject injections =
+  List.iter
+    (fun (inj : Patterns.injection) ->
+      ignore
+        (Engine.schedule_at engine inj.Patterns.time (fun () ->
+             inject ~in_port:inj.Patterns.in_port inj.Patterns.frame)))
+    injections
+
+(* Shaped like [examples/qos_scheduling.ml]'s [bulk @ interactive]: two
+   sorted plans concatenated, so the list is unsorted. Dyadic times make
+   every interactive frame tie exactly with a bulk frame, the first two
+   at the start. *)
+let bulk_then_interactive () =
+  let rng = rng () in
+  let every ~step ~in_port injections =
+    List.mapi
+      (fun i (inj : Patterns.injection) ->
+        { inj with Patterns.time = 0.0625 +. (float_of_int i *. step); in_port })
+      injections
+  in
+  let frames n ~frame_size =
+    Patterns.udp_burst ~rng ~n_packets:n ~rate_mbps:97.0 ~frame_size ()
+  in
+  every ~step:0x1p-12 ~in_port:1 (frames 40 ~frame_size:1000)
+  @ every ~step:0x1p-10 ~in_port:2 (frames 8 ~frame_size:200)
+
+type dispatched = Injected of int * Bytes.t | Foreign of string
+
+(* The dispatch trace of [bulk_then_interactive] under [schedule], with
+   foreign events at tied instants scheduled before and after the plan
+   and from inside [inject]. *)
+let pktgen_trace schedule =
+  let engine = Engine.create () in
+  let trace = ref [] in
+  let record ev = trace := (Engine.now engine, ev) :: !trace in
+  let foreign label at =
+    ignore (Engine.schedule_at engine at (fun () -> record (Foreign label)))
+  in
+  let tie = 0.0625 +. (8.0 *. 0x1p-12) in
+  foreign "before@start" 0.0625;
+  foreign "before@tie" tie;
+  let injected = ref 0 in
+  schedule engine
+    ~inject:(fun ~in_port frame ->
+      record (Injected (in_port, Bytes.copy frame));
+      incr injected;
+      if !injected mod 5 = 0 then begin
+        foreign (Printf.sprintf "now%d" !injected) (Engine.now engine);
+        foreign (Printf.sprintf "next%d" !injected)
+          (Engine.now engine +. 0x1p-12)
+      end)
+    (bulk_then_interactive ());
+  foreign "after@start" 0.0625;
+  foreign "after@tie" tie;
+  Engine.run engine;
+  List.rev !trace
+
+let test_pktgen_unsorted_plan_dispatch () =
+  let streamed = pktgen_trace Pktgen.schedule in
+  Alcotest.(check int) "every event ran" (48 + 4 + 18) (List.length streamed);
+  Alcotest.(check bool) "same trace as one schedule_at per injection" true
+    (streamed = pktgen_trace schedule_each);
+  (* Frames arrive intact, in time order and list order among ties. *)
+  let planned =
+    List.stable_sort
+      (fun (a : Patterns.injection) b -> Float.compare a.time b.time)
+      (bulk_then_interactive ())
+  in
+  let injected =
+    List.filter_map
+      (function t, Injected (port, frame) -> Some (t, port, frame) | _, Foreign _ -> None)
+      streamed
+  in
+  List.iter2
+    (fun (inj : Patterns.injection) (t, port, frame) ->
+      Alcotest.(check (float 0.0)) "time" inj.time t;
+      Alcotest.(check int) "port" inj.in_port port;
+      Alcotest.(check bytes) "frame" inj.frame frame)
+    planned injected
+
+(* A bad time anywhere in the list, sorted or not, refuses the whole
+   plan before any frame is queued. *)
+let test_pktgen_refuses_bad_plan () =
+  let engine = Engine.create ~now:1.0 () in
+  let plan times =
+    List.map2
+      (fun time (inj : Patterns.injection) -> { inj with Patterns.time })
+      times
+      (Patterns.udp_burst ~rng:(rng ()) ~n_packets:(List.length times)
+         ~rate_mbps:10.0 ~frame_size:100 ())
+  in
+  List.iter
+    (fun (name, times) ->
+      Alcotest.(check bool) name true
+        (match
+           Pktgen.schedule engine ~inject:(fun ~in_port:_ _ -> ()) (plan times)
+         with
+        | () -> false
+        | exception Invalid_argument _ -> true);
+      Alcotest.(check int) (name ^ ": nothing queued") 0 (Engine.pending engine))
+    [
+      ("NaN in a sorted list", [ 1.0; Float.nan; 2.0 ]);
+      ("NaN in an unsorted list", [ 2.0; 1.5; Float.nan ]);
+      ("before now", [ 1.5; 0.5 ]);
+    ]
+
+(* Built in its own function so that no local of the test keeps the
+   list alive once it is scheduled. *)
+let[@inline never] schedule_watched engine weak =
+  let injections =
+    Patterns.exp_a ~rng:(rng ()) ~n_flows:3 ~rate_mbps:10.0 ~frame_size:1000 ()
+  in
+  Weak.set weak 0 (Some (List.hd injections).Patterns.frame);
+  Weak.set weak 1 (Some (List.nth injections 2).Patterns.frame);
+  Pktgen.schedule engine ~inject:(fun ~in_port:_ _ -> ()) injections
+
+(* The plan lets go of a frame once it is injected, as the frame's own
+   event did when each injection was scheduled separately. *)
+let test_pktgen_releases_injected_frames () =
+  let engine = Engine.create () in
+  let weak = Weak.create 2 in
+  schedule_watched engine weak;
+  Alcotest.(check bool) "first injection" true (Engine.step engine);
+  Gc.full_major ();
+  Alcotest.(check bool) "injected frame collected" true
+    (Option.is_none (Weak.get weak 0));
+  Alcotest.(check bool) "frame still to inject kept" true
+    (Option.is_some (Weak.get weak 1));
+  Engine.run engine;
+  Alcotest.(check int) "all injected" 3 (Engine.processed engine)
+
 let test_pktgen_stats () =
   let injections =
     Patterns.exp_a ~rng:(rng ()) ~jitter:0.0 ~n_flows:100 ~rate_mbps:40.0
@@ -239,4 +373,10 @@ let suite =
     Alcotest.test_case "pktgen schedules at times" `Quick
       test_pktgen_schedules_at_times;
     Alcotest.test_case "pktgen stats" `Quick test_pktgen_stats;
+    Alcotest.test_case "pktgen unsorted plan dispatch" `Quick
+      test_pktgen_unsorted_plan_dispatch;
+    Alcotest.test_case "pktgen refuses a bad plan whole" `Quick
+      test_pktgen_refuses_bad_plan;
+    Alcotest.test_case "pktgen releases injected frames" `Quick
+      test_pktgen_releases_injected_frames;
   ]
