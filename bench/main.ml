@@ -66,21 +66,9 @@ let sample_flow_mod =
     ~actions:[ Sdn_openflow.Of_action.output 2 ]
     ()
 
-(* Hoisted message values: the encode subjects measure the encoder,
-   not per-call variant/record construction. *)
+(* Hoisted message value: the FLOW_MOD encode subject measures the
+   encoder, not per-call variant/record construction. *)
 let sample_flow_mod_msg = Sdn_openflow.Of_codec.Flow_mod sample_flow_mod
-
-let sample_pkt_in_full_msg =
-  Sdn_openflow.Of_codec.Packet_in
-    (Sdn_openflow.Of_packet_in.make ~buffer_id:Sdn_openflow.Of_wire.no_buffer
-       ~in_port:1 ~reason:Sdn_openflow.Of_packet_in.No_match
-       ~frame:sample_frame ~miss_send_len:None)
-
-let sample_pkt_in_buffered_msg =
-  Sdn_openflow.Of_codec.Packet_in
-    (Sdn_openflow.Of_packet_in.make ~buffer_id:7l ~in_port:1
-       ~reason:Sdn_openflow.Of_packet_in.No_match ~frame:sample_frame
-       ~miss_send_len:(Some 128))
 
 (* Exact rule [i] of [populated_table]. *)
 let populated_rule i =
@@ -307,8 +295,8 @@ let micro_tests () =
           fun () ->
             ignore (Sdn_sim.Engine.schedule engine ~delay:1e-9 (fun () -> ()));
             ignore (Sdn_sim.Engine.step engine)));
-    (* ---- Hot-path subjects: fast vs slow classification, the
-       allocation-free codec, and O(log n) cancellation. ---- *)
+    (* ---- Hot-path subjects: fast vs slow classification and
+       O(log n) cancellation. ---- *)
     Test.make ~name:"flow-table/lookup-cached-1k-mixed"
       (Staged.stage
          (let table = populated_table ~wildcards:32 968 in
@@ -321,31 +309,6 @@ let micro_tests () =
             ignore
               (Sdn_switch.Flow_table.lookup_uncached table ~in_port:1
                  hit_packet)));
-    Test.make ~name:"openflow/encode-pkt_in-no-buffer-scratch"
-      (Staged.stage
-         (let scratch = Sdn_openflow.Of_wire.Scratch.create () in
-          fun () ->
-            ignore
-              (Of_codec.encode_scratch scratch ~xid:1l
-                 sample_pkt_in_full_msg)));
-    Test.make ~name:"openflow/encode-pkt_in-buffered-scratch"
-      (Staged.stage
-         (let scratch = Sdn_openflow.Of_wire.Scratch.create () in
-          fun () ->
-            ignore
-              (Of_codec.encode_scratch scratch ~xid:1l
-                 sample_pkt_in_buffered_msg)));
-    Test.make ~name:"openflow/encode-flow_mod-scratch"
-      (Staged.stage
-         (let scratch = Sdn_openflow.Of_wire.Scratch.create () in
-          fun () ->
-            ignore
-              (Of_codec.encode_scratch scratch ~xid:1l sample_flow_mod_msg)));
-    Test.make ~name:"openflow/decode_sub-pkt_in-buffered"
-      (Staged.stage (fun () ->
-           ignore
-             (Of_codec.decode_sub sample_pkt_in_buffered ~pos:0
-                ~len:(Bytes.length sample_pkt_in_buffered))));
     Test.make ~name:"engine/schedule-cancel"
       (Staged.stage
          (let engine = Sdn_sim.Engine.create () in
@@ -691,16 +654,6 @@ let run_json path =
           ratio
             (find_metric ns "engine/plan-2k-upfront")
             (find_metric ns "engine/plan-2k-stream") );
-        (* Allocation reduction of the scratch encoder on the
-           dominant PACKET_IN shape (full frame attached). *)
-        ( "derived/pkt_in_encode_alloc_speedup",
-          ratio
-            (find_metric words "openflow/encode-pkt_in-no-buffer")
-            (find_metric words "openflow/encode-pkt_in-no-buffer-scratch") );
-        ( "derived/flow_mod_encode_alloc_speedup",
-          ratio
-            (find_metric words "openflow/encode-flow_mod")
-            (find_metric words "openflow/encode-flow_mod-scratch") );
       ]
   in
   let sweep_absolute, sweep_speedups = sweep_metrics () in
@@ -748,7 +701,7 @@ let () =
       run_figures ();
       Sdn_core.Ablations.run_all ()
   | [ _; "micro" ] -> run_micro ()
-  | [ _; "json" ] -> run_json "BENCH_pr16.json"
+  | [ _; "json" ] -> run_json "BENCH_pr17.json"
   | [ _; "json"; path ] -> run_json path
   | [ _; "ablations" ] -> Sdn_core.Ablations.run_all ()
   | [ _; "figures" ] -> run_figures ()

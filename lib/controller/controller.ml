@@ -10,12 +10,7 @@ type counters = {
   flow_mods_sent : int;
   pkt_outs_sent : int;
   drops_decided : int;
-  errors_received : int;
-  errors_sent : int;
-  echo_requests : int;
-  flow_removed_received : int;
   port_changes : int;
-  decode_failures : int;
   switch_downs : int;
   resyncs : int;
   crashes : int;
@@ -84,12 +79,7 @@ type t = {
   mutable flow_mods_sent : int;
   mutable pkt_outs_sent : int;
   mutable drops_decided : int;
-  mutable errors_received : int;
-  mutable errors_sent : int;
-  mutable echo_requests : int;
-  mutable flow_removed_received : int;
   mutable port_changes : int;
-  mutable decode_failures : int;
   mutable resyncs : int;
   (* Crash–restart fault injection: while [dead] the process neither
      receives nor emits; messages arriving meanwhile are lost. *)
@@ -127,12 +117,7 @@ let create engine ~app ~costs ~rng ?check ?(release_strategy = `Pair)
     flow_mods_sent = 0;
     pkt_outs_sent = 0;
     drops_decided = 0;
-    errors_received = 0;
-    errors_sent = 0;
-    echo_requests = 0;
-    flow_removed_received = 0;
     port_changes = 0;
-    decode_failures = 0;
     resyncs = 0;
     dead = false;
     crashes = 0;
@@ -234,7 +219,6 @@ let send ?(fresh = false) t ~switch ~xid msg =
   | None -> ()
 
 let send_error t ~switch ~xid ~error_type ~code ~offending =
-  t.errors_sent <- t.errors_sent + 1;
   let data = Bytes.sub offending 0 (min 64 (Bytes.length offending)) in
   let work = t.costs.Costs.parse_base_cost +. t.costs.Costs.encode_base_cost in
   Cpu.submit t.cpu ~work_s:work (fun () ->
@@ -444,7 +428,7 @@ let handle_packet_in t ~switch ~xid (pkt_in : Of_packet_in.t) ~msg_bytes =
   t.pkt_ins_received <- t.pkt_ins_received + 1;
   let gc = note_arrival t ~bytes:msg_bytes in
   match Packet.peek_headers pkt_in.Of_packet_in.data with
-  | Error _ -> t.decode_failures <- t.decode_failures + 1
+  | Error _ -> ()
   | Ok headers ->
       let ctx =
         {
@@ -567,18 +551,9 @@ let handle_message_from t ~switch buf =
   else
   match Of_codec.decode buf with
   | Error _ ->
-      t.decode_failures <- t.decode_failures + 1;
       (* A buggy switch must learn its frame was rejected: answer with
          the OFPT_ERROR matching what was wrong with it. *)
-      let error_type, code =
-        match Of_codec.error_kind buf with
-        | Of_codec.Truncated | Of_codec.Bad_body ->
-            (Of_error.Bad_request, Of_error.Bad_request_code.bad_len)
-        | Of_codec.Bad_version _ ->
-            (Of_error.Hello_failed, Of_error.Hello_failed_code.incompatible)
-        | Of_codec.Bad_type _ ->
-            (Of_error.Bad_request, Of_error.Bad_request_code.bad_type)
-      in
+      let error_type, code = Of_codec.error_reply buf in
       send_error t ~switch ~xid:(Of_codec.peek_xid buf) ~error_type ~code
         ~offending:buf
   | Ok (xid, msg) -> (
@@ -589,14 +564,11 @@ let handle_message_from t ~switch buf =
       match msg with
       | Of_codec.Packet_in pkt_in ->
           handle_packet_in t ~switch ~xid pkt_in ~msg_bytes:(Bytes.length buf)
-      | Of_codec.Error_msg _ -> t.errors_received <- t.errors_received + 1
       | Of_codec.Echo_request payload ->
-          t.echo_requests <- t.echo_requests + 1;
           let work = t.costs.Costs.parse_base_cost +. t.costs.Costs.encode_base_cost in
           Cpu.submit t.cpu ~work_s:work (fun () ->
               send t ~switch ~xid (Of_codec.Echo_reply payload))
       | Of_codec.Flow_removed fr ->
-          t.flow_removed_received <- t.flow_removed_received + 1;
           (* The entry timed out at the switch; forget it so the
              reconciliation pass does not resurrect it. *)
           (match Hashtbl.find_opt t.sessions switch with
@@ -621,18 +593,17 @@ let handle_message_from t ~switch buf =
           end
       | Of_codec.Stats_reply (Of_stats.Flow_reply stats) ->
           handle_flow_stats t ~switch stats
-      | Of_codec.Hello | Of_codec.Echo_reply _ | Of_codec.Features_reply _
-      | Of_codec.Get_config_reply _ | Of_codec.Stats_reply _
-      | Of_codec.Barrier_reply | Of_codec.Vendor _ ->
-          (* Handshake replies and statistics land here; nothing to do
-             for the reproduction's workloads. *)
+      | Of_codec.Hello | Of_codec.Error_msg _ | Of_codec.Echo_reply _
+      | Of_codec.Features_reply _ | Of_codec.Get_config_reply _
+      | Of_codec.Stats_reply _ | Of_codec.Barrier_reply | Of_codec.Vendor _ ->
+          (* Handshake replies, statistics and error reports land here;
+             nothing to do for the reproduction's workloads. *)
           ()
       | Of_codec.Features_request | Of_codec.Get_config_request
       | Of_codec.Set_config _ | Of_codec.Packet_out _ | Of_codec.Flow_mod _
       | Of_codec.Stats_request _ | Of_codec.Barrier_request ->
           (* Switch-bound messages should not arrive at the controller;
              reject them explicitly. *)
-          t.decode_failures <- t.decode_failures + 1;
           send_error t ~switch ~xid ~error_type:Of_error.Bad_request
             ~code:Of_error.Bad_request_code.bad_type ~offending:buf)
 
@@ -738,12 +709,7 @@ let counters t =
     flow_mods_sent = t.flow_mods_sent;
     pkt_outs_sent = t.pkt_outs_sent;
     drops_decided = t.drops_decided;
-    errors_received = t.errors_received;
-    errors_sent = t.errors_sent;
-    echo_requests = t.echo_requests;
-    flow_removed_received = t.flow_removed_received;
     port_changes = t.port_changes;
-    decode_failures = t.decode_failures;
     switch_downs = switch_downs t;
     resyncs = t.resyncs;
     crashes = t.crashes;

@@ -21,13 +21,7 @@ type counters = {
   flow_mods_sent : int;
   pkt_outs_sent : int;
   drops_decided : int;
-  errors_received : int;
-  errors_sent : int;
-      (** OFPT_ERROR replies to malformed or misdirected frames *)
-  echo_requests : int;
-  flow_removed_received : int;
   port_changes : int;
-  decode_failures : int;
   switch_downs : int;
       (** switch sessions declared Down by the echo keepalive *)
   resyncs : int;
@@ -41,6 +35,9 @@ type counters = {
       (** entries re-installed because a post-crash audit found them
           missing from the switch *)
 }
+(** Cumulative controller counters, each read by an experiment result,
+    a report or a test. Malformed or misdirected switch frames are
+    answered with an OFPT_ERROR, not counted. *)
 
 type t
 

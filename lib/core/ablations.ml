@@ -138,7 +138,7 @@ let resend_timeout_under_loss ?(loss_rates = [ 0.0; 0.01; 0.05; 0.10 ])
     {
       (Config.exp_a ~mechanism ~buffer_capacity:256 ~rate_mbps:40.0 ~seed) with
       Config.workload = Config.Exp_a { n_flows = 500 };
-      control_loss_rate = loss;
+      faults = { Sdn_sim.Faults.none with Sdn_sim.Faults.loss_rate = loss };
     }
   in
   let rows =

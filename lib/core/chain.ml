@@ -43,28 +43,15 @@ let build (config : Config.t) ~n_switches =
       ~costs:config.Config.controller_costs ~rng:controller_rng
       ~release_strategy:config.Config.release_strategy ()
   in
+  let switch_config = Scenario.switch_config config in
   let switches =
     Array.init n_switches (fun i ->
-        let switch_config =
-          {
-            Sdn_switch.Switch.default_config with
-            Sdn_switch.Switch.datapath_id = Int64.of_int (i + 1);
-            mechanism = config.Config.mechanism;
-            buffer_capacity = max 1 config.Config.buffer_capacity;
-            miss_send_len = config.Config.miss_send_len;
-            resend_timeout = config.Config.resend_timeout;
-            flow_table_capacity = config.Config.flow_table_capacity;
-          }
-        in
-        let switch_config =
-          if config.Config.buffer_capacity = 0 then
+        Sdn_switch.Switch.create engine
+          ~config:
             {
               switch_config with
-              Sdn_switch.Switch.mechanism = Sdn_switch.Switch.No_buffer;
+              Sdn_switch.Switch.datapath_id = Int64.of_int (i + 1);
             }
-          else switch_config
-        in
-        Sdn_switch.Switch.create engine ~config:switch_config
           ~costs:config.Config.switch_costs ~rng:(Rng.split root_rng) ())
   in
   let chain = ref None in
@@ -111,18 +98,12 @@ let build (config : Config.t) ~n_switches =
   done;
   (* One control channel per switch, all observed by the same capture
      and delay tracker (switch xid blocks keep requests distinct). *)
-  let control_loss_rng = Rng.split root_rng in
   for i = 0 to n_switches - 1 do
-    let loss =
-      if config.Config.control_loss_rate > 0.0 then
-        Some (config.Config.control_loss_rate, Rng.split control_loss_rng)
-      else None
-    in
     let to_controller =
       Link.create engine
         ~name:(Printf.sprintf "sw%d->controller" (i + 1))
         ~bandwidth_bps:Calibration.control_link_bandwidth_bps
-        ~propagation_s:Calibration.control_link_latency ?loss
+        ~propagation_s:Calibration.control_link_latency
         ~capture:(fun ~time ~size:_ buf ->
           Capture.observe capture Capture.To_controller ~time buf;
           Delay.on_to_controller delay ~time buf)
@@ -134,7 +115,7 @@ let build (config : Config.t) ~n_switches =
       Link.create engine
         ~name:(Printf.sprintf "controller->sw%d" (i + 1))
         ~bandwidth_bps:Calibration.control_link_bandwidth_bps
-        ~propagation_s:Calibration.control_link_latency ?loss
+        ~propagation_s:Calibration.control_link_latency
         ~capture:(fun ~time ~size:_ buf ->
           Capture.observe capture Capture.To_switch ~time buf)
         ~receiver:(fun buf ->
@@ -146,19 +127,8 @@ let build (config : Config.t) ~n_switches =
     Sdn_controller.Controller.add_switch controller ~switch:i to_switch;
     Sdn_switch.Switch.start switches.(i)
   done;
+  let enable_flow_buffer = Scenario.flow_buffer_backoff config in
   for i = 0 to n_switches - 1 do
-    let enable_flow_buffer =
-      match config.Config.mechanism with
-      | Config.Flow_granularity ->
-          Some
-            {
-              Sdn_openflow.Of_ext.timeout = config.Config.resend_timeout;
-              multiplier = config.Config.resend_multiplier;
-              cap = config.Config.resend_cap;
-              max_resends = config.Config.max_resends;
-            }
-      | Config.No_buffer | Config.Packet_granularity -> None
-    in
     Sdn_controller.Controller.start_switch controller ~switch:i
       ?enable_flow_buffer ~miss_send_len:config.Config.miss_send_len ()
   done;

@@ -32,7 +32,6 @@ let point_config ~base ~mechanism ~loss_rate =
     Config.mechanism;
     buffer_capacity =
       (if mechanism = Config.No_buffer then 0 else base.Config.buffer_capacity);
-    control_loss_rate = 0.0;
     faults;
   }
 
@@ -172,7 +171,6 @@ let outage_point_config ~base ~mechanism ~fail_mode ~duration =
     Config.mechanism;
     buffer_capacity =
       (if mechanism = Config.No_buffer then 0 else base.Config.buffer_capacity);
-    control_loss_rate = 0.0;
     fail_mode;
     faults;
   }
@@ -326,7 +324,6 @@ let crash_point_config ~base ~mechanism ~node ~mode ~down =
     Config.mechanism;
     buffer_capacity =
       (if mechanism = Config.No_buffer then 0 else base.Config.buffer_capacity);
-    control_loss_rate = 0.0;
     faults;
   }
 

@@ -28,7 +28,6 @@ type t = {
   workload : workload;
   seed : int;
   release_strategy : Sdn_controller.Controller.release_strategy;
-  control_loss_rate : float;
   faults : Sdn_sim.Faults.spec;
   miss_send_len : int;
   resend_timeout : float;
@@ -60,7 +59,6 @@ let default =
     workload = Exp_a { n_flows = 1000 };
     seed = 1;
     release_strategy = `Pair;
-    control_loss_rate = 0.0;
     faults = Sdn_sim.Faults.none;
     miss_send_len = 128;
     resend_timeout = 50e-3;

@@ -46,14 +46,11 @@ type t = {
   workload : workload;
   seed : int;
   release_strategy : Sdn_controller.Controller.release_strategy;
-  control_loss_rate : float;
-      (** probability that a control-channel message (either direction)
-          is lost; 0 on the paper's wired testbed. Shorthand for a
-          [faults] spec with only independent loss; merged into
-          [faults] by the scenario builder. *)
   faults : Sdn_sim.Faults.spec;
-      (** richer control-channel fault plan (bursts, jitter, outages);
-          each direction gets its own deterministic plan instance *)
+      (** control-channel fault plan (independent loss, bursts, jitter,
+          outages, crashes); {!Sdn_sim.Faults.none} on the paper's wired
+          testbed. Each direction gets its own deterministic plan
+          instance *)
   miss_send_len : int;
       (** bytes of a buffered packet carried in the PACKET_IN (128 in
           OpenFlow 1.0 and in the paper) *)

@@ -28,6 +28,53 @@ type t = {
 let host1_ip = Ip.make 10 0 0 1
 let host2_ip = Ip.make 10 0 0 2
 
+let switch_config (config : Config.t) =
+  {
+    Sdn_switch.Switch.default_config with
+    (* buffer_capacity = 0 means the no-buffer configuration. *)
+    Sdn_switch.Switch.mechanism =
+      (if config.Config.buffer_capacity = 0 then Sdn_switch.Switch.No_buffer
+       else config.Config.mechanism);
+    buffer_capacity = max 1 config.Config.buffer_capacity;
+    miss_send_len = config.Config.miss_send_len;
+    resend_timeout = config.Config.resend_timeout;
+    resend_multiplier = config.Config.resend_multiplier;
+    resend_cap = config.Config.resend_cap;
+    resend_jitter = config.Config.resend_jitter;
+    max_resends = config.Config.max_resends;
+    flow_table_capacity = config.Config.flow_table_capacity;
+    echo_interval = config.Config.echo_interval;
+    echo_misses = config.Config.echo_misses;
+    fail_mode = config.Config.fail_mode;
+    overload_watermark = config.Config.overload_watermark;
+    buf_policy = config.Config.buf_policy;
+    (* Headroom for the non-static policies: twice the QoS queues'
+       combined capacity, so complete sharing / DT have real slack to
+       move between the ingress pool and the egress classes. Static
+       ignores it (admission is per-class quota). *)
+    shared_headroom =
+      (match (config.Config.buf_policy, config.Config.qos) with
+      | Some _, Some qos ->
+          2
+          * List.fold_left
+              (fun acc (q : Sdn_switch.Egress_queue.queue_config) ->
+                acc + q.Sdn_switch.Egress_queue.capacity)
+              0 qos.Config.queues
+      | _, _ -> 0);
+  }
+
+let flow_buffer_backoff (config : Config.t) =
+  match config.Config.mechanism with
+  | Config.Flow_granularity ->
+      Some
+        {
+          Sdn_openflow.Of_ext.timeout = config.Config.resend_timeout;
+          multiplier = config.Config.resend_multiplier;
+          cap = config.Config.resend_cap;
+          max_resends = config.Config.max_resends;
+        }
+  | Config.No_buffer | Config.Packet_granularity -> None
+
 let build (config : Config.t) =
   let engine = Engine.create () in
   let root_rng = Rng.of_int config.Config.seed in
@@ -40,46 +87,8 @@ let build (config : Config.t) =
     if config.Config.check then Some (Sdn_check.Check.create ()) else None
   in
   let addressing = Sdn_traffic.Addressing.default in
-  let switch_config =
-    {
-      Sdn_switch.Switch.default_config with
-      Sdn_switch.Switch.mechanism = config.Config.mechanism;
-      buffer_capacity = max 1 config.Config.buffer_capacity;
-      miss_send_len = config.Config.miss_send_len;
-      resend_timeout = config.Config.resend_timeout;
-      resend_multiplier = config.Config.resend_multiplier;
-      resend_cap = config.Config.resend_cap;
-      resend_jitter = config.Config.resend_jitter;
-      max_resends = config.Config.max_resends;
-      flow_table_capacity = config.Config.flow_table_capacity;
-      echo_interval = config.Config.echo_interval;
-      echo_misses = config.Config.echo_misses;
-      fail_mode = config.Config.fail_mode;
-      overload_watermark = config.Config.overload_watermark;
-      buf_policy = config.Config.buf_policy;
-      (* Headroom for the non-static policies: twice the QoS queues'
-         combined capacity, so complete sharing / DT have real slack to
-         move between the ingress pool and the egress classes. Static
-         ignores it (admission is per-class quota). *)
-      shared_headroom =
-        (match (config.Config.buf_policy, config.Config.qos) with
-        | Some _, Some qos ->
-            2
-            * List.fold_left
-                (fun acc (q : Sdn_switch.Egress_queue.queue_config) ->
-                  acc + q.Sdn_switch.Egress_queue.capacity)
-                0 qos.Config.queues
-        | _, _ -> 0);
-    }
-  in
-  (* buffer_capacity = 0 means the no-buffer configuration. *)
-  let switch_config =
-    if config.Config.buffer_capacity = 0 then
-      { switch_config with Sdn_switch.Switch.mechanism = Sdn_switch.Switch.No_buffer }
-    else switch_config
-  in
   let switch =
-    Sdn_switch.Switch.create engine ?check ~config:switch_config
+    Sdn_switch.Switch.create engine ?check ~config:(switch_config config)
       ~costs:config.Config.switch_costs ~rng:switch_rng ()
   in
   let hosts =
@@ -105,16 +114,10 @@ let build (config : Config.t) =
       ~echo_interval:config.Config.echo_interval
       ~echo_misses:config.Config.echo_misses ()
   in
-  (* The legacy [control_loss_rate] knob folds into the fault plan's
-     independent-loss field; each direction of the control channel gets
-     its own plan (and RNG stream) so the schedules are independent but
-     both derived from the run seed. *)
-  let fault_spec =
-    let spec = config.Config.faults in
-    if config.Config.control_loss_rate > 0.0 && spec.Faults.loss_rate = 0.0
-    then { spec with Faults.loss_rate = config.Config.control_loss_rate }
-    else spec
-  in
+  (* Each direction of the control channel gets its own plan (and RNG
+     stream) so the schedules are independent but both derived from the
+     run seed. *)
+  let fault_spec = config.Config.faults in
   let faults_up = Faults.create ~spec:fault_spec ~rng:(Rng.split root_rng) () in
   let faults_down =
     Faults.create ~spec:fault_spec ~rng:(Rng.split root_rng) ()
@@ -199,19 +202,8 @@ let build (config : Config.t) =
   Sdn_switch.Switch.set_controller_link switch to_controller;
   Sdn_controller.Controller.set_switch_link controller to_switch;
   Sdn_switch.Switch.start switch;
-  let enable_flow_buffer =
-    match config.Config.mechanism with
-    | Config.Flow_granularity ->
-        Some
-          {
-            Sdn_openflow.Of_ext.timeout = config.Config.resend_timeout;
-            multiplier = config.Config.resend_multiplier;
-            cap = config.Config.resend_cap;
-            max_resends = config.Config.max_resends;
-          }
-    | Config.No_buffer | Config.Packet_granularity -> None
-  in
-  Sdn_controller.Controller.start controller ?enable_flow_buffer
+  Sdn_controller.Controller.start controller
+    ?enable_flow_buffer:(flow_buffer_backoff config)
     ~miss_send_len:config.Config.miss_send_len ();
   (* Crash schedule: the fault plan's crash entries are interpreted
      here, at the topology layer — the only place that knows both

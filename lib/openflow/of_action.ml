@@ -167,7 +167,7 @@ let rewrite_l4 f (pkt : Packet.t) =
 
 type output_spec = { out_port : int; queue_id : int32 option }
 
-let apply_full actions pkt =
+let apply actions pkt =
   let step (pkt, outputs) action =
     match action with
     | Output { port; _ } -> (pkt, { out_port = port; queue_id = None } :: outputs)
@@ -188,10 +188,6 @@ let apply_full actions pkt =
   in
   let pkt, outputs = List.fold_left step (pkt, []) actions in
   (pkt, List.rev outputs)
-
-let apply actions pkt =
-  let pkt, outputs = apply_full actions pkt in
-  (pkt, List.map (fun o -> o.out_port) outputs)
 
 let equal a b =
   match (a, b) with

@@ -36,13 +36,10 @@ type output_spec = { out_port : int; queue_id : int32 option }
 (** One forwarding decision: a port, and the egress queue when the
     action was [Enqueue]. *)
 
-val apply : t list -> Packet.t -> Packet.t * int list
-(** Apply header rewrites in order and collect output ports. The port
-    list preserves action order. *)
-
-val apply_full : t list -> Packet.t -> Packet.t * output_spec list
-(** Like {!apply} but keeps the queue assignment of [Enqueue] actions,
-    for switches with QoS egress scheduling. *)
+val apply : t list -> Packet.t -> Packet.t * output_spec list
+(** Apply header rewrites in order and collect the forwarding
+    decisions, in action order. [Enqueue] actions keep their queue
+    assignment, for switches with QoS egress scheduling. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -59,19 +59,12 @@ let body_size = function
 
 let size msg = Of_wire.header_size + body_size msg
 
-(* [length] must be [size msg]; the public entry points compute it
-   once and share it between sizing the buffer and writing, keeping
-   the body-size walk off the hot path twice. *)
-let encode_sized ~xid msg buf ~pos ~length =
-  if pos < 0 || pos + length > Bytes.length buf then
-    invalid_arg "Of_codec.encode_into: buffer too small";
-  (* Body writers may skip pad bytes; zero the window first so the
-     result is byte-identical to a fresh-buffer [encode]. *)
-  Bytes.fill buf pos length '\000';
-  (* Field form, not the header record: this is the scratch path's
-     hot spot and must not allocate. *)
-  Of_wire.write_header_fields ~msg_type:(msg_type msg) ~length ~xid buf ~pos;
-  let off = pos + Of_wire.header_size in
+let encode ~xid msg =
+  let length = size msg in
+  (* Body writers may skip pad bytes, so the buffer starts zeroed. *)
+  let buf = Bytes.make length '\000' in
+  Of_wire.write_header ~msg_type:(msg_type msg) ~length ~xid buf;
+  let off = Of_wire.header_size in
   (match msg with
   | Hello | Features_request | Get_config_request | Barrier_request
   | Barrier_reply ->
@@ -89,27 +82,13 @@ let encode_sized ~xid msg buf ~pos ~length =
   | Flow_mod f -> Of_flow_mod.write_body f buf off
   | Stats_request r -> Of_stats.write_request_body r buf off
   | Stats_reply r -> Of_stats.write_reply_body r buf off);
-  length
-
-let encode_into ~xid msg buf ~pos =
-  encode_sized ~xid msg buf ~pos ~length:(size msg)
-
-let encode ~xid msg =
-  let length = size msg in
-  let buf = Bytes.create length in
-  ignore (encode_sized ~xid msg buf ~pos:0 ~length);
   buf
 
-let encode_scratch scratch ~xid msg =
-  let length = size msg in
-  let buf = Of_wire.Scratch.ensure scratch length in
-  encode_sized ~xid msg buf ~pos:0 ~length
-
-let decode_sub buf ~pos ~len:window =
-  match Of_wire.read_header_sub buf ~pos ~len:window with
+let decode buf =
+  match Of_wire.read_header buf with
   | Error _ as e -> e
   | Ok header -> (
-      let off = pos + Of_wire.header_size in
+      let off = Of_wire.header_size in
       let len = header.Of_wire.length - Of_wire.header_size in
       let body =
         match header.Of_wire.msg_type with
@@ -166,36 +145,21 @@ let decode_sub buf ~pos ~len:window =
       | Ok msg -> Ok (header.Of_wire.xid, msg)
       | Error _ as e -> e)
 
-let decode buf = decode_sub buf ~pos:0 ~len:(Bytes.length buf)
-
-type error_kind =
-  | Truncated
-  | Bad_version of int
-  | Bad_type of int
-  | Bad_body
-
-let error_kind buf =
-  if Bytes.length buf < Of_wire.header_size then Truncated
-  else begin
-    let v = Bytes.get_uint8 buf 0 in
-    if v <> Of_wire.version then Bad_version v
-    else begin
-      match Of_wire.Msg_type.of_int (Bytes.get_uint8 buf 1) with
-      | Error _ -> Bad_type (Bytes.get_uint8 buf 1)
-      | Ok Of_wire.Msg_type.Port_mod -> Bad_type (Bytes.get_uint8 buf 1)
-      | Ok _ ->
-          let length = Bytes.get_uint16_be buf 2 in
-          if length < Of_wire.header_size || length > Bytes.length buf then
-            Truncated
-          else Bad_body
-    end
-  end
-
-let error_kind_to_string = function
-  | Truncated -> "truncated"
-  | Bad_version v -> Printf.sprintf "bad-version(0x%02x)" v
-  | Bad_type n -> Printf.sprintf "bad-type(%d)" n
-  | Bad_body -> "bad-body"
+(* Every reason [decode] can give maps to one reply: a foreign
+   version fails the version negotiation, an unknown (or unimplemented)
+   type byte is a type problem, and anything else (a short buffer, a
+   length field that lies, a body that does not parse) is a length
+   problem. *)
+let error_reply buf =
+  let bad_len = (Of_error.Bad_request, Of_error.Bad_request_code.bad_len) in
+  if Bytes.length buf < Of_wire.header_size then bad_len
+  else if Bytes.get_uint8 buf 0 <> Of_wire.version then
+    (Of_error.Hello_failed, Of_error.Hello_failed_code.incompatible)
+  else
+    match Of_wire.Msg_type.of_int (Bytes.get_uint8 buf 1) with
+    | Error _ | Ok Of_wire.Msg_type.Port_mod ->
+        (Of_error.Bad_request, Of_error.Bad_request_code.bad_type)
+    | Ok _ -> bad_len
 
 let peek_xid buf =
   if Bytes.length buf >= Of_wire.header_size then Bytes.get_int32_be buf 4

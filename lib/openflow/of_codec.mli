@@ -1,9 +1,11 @@
 (** Top-level OpenFlow 1.0 message codec.
 
-    [encode] produces the exact wire bytes (common header included);
-    [decode] parses them back. Every byte the control channel carries
-    in the reproduction goes through this module, so link-level byte
-    counters measure real OpenFlow message sizes. *)
+    [encode] produces the exact wire bytes (common header included) in
+    a buffer of their own; [decode] parses one whole message back.
+    Links carry whole messages, so there is no stream to frame. Every
+    byte the control channel carries in the reproduction goes through
+    this module, so link-level byte counters measure real OpenFlow
+    message sizes. *)
 
 type msg =
   | Hello
@@ -32,51 +34,26 @@ val size : msg -> int
 (** Encoded size including the 8-byte header. *)
 
 val encode : xid:int32 -> msg -> Bytes.t
-
-val encode_into : xid:int32 -> msg -> Bytes.t -> pos:int -> int
-(** Encode at offset [pos] of a caller-owned buffer and return the
-    encoded length — the allocation-free hot path. The window is
-    zeroed first, so the bytes produced are identical to [encode]'s
-    even into a dirty buffer. Raises [Invalid_argument] when the
-    buffer cannot hold {!size} bytes at [pos]. *)
-
-val encode_scratch : Of_wire.Scratch.t -> xid:int32 -> msg -> int
-(** Encode into a reusable scratch buffer, growing it if needed;
-    returns the encoded length. The bytes live at offset 0 of
-    [Of_wire.Scratch.buffer] until the next encode. Steady-state cost
-    is the header+body writes only — zero per-message allocation (a
-    result pair would be the last minor-heap word on the path, so the
-    buffer is not returned). *)
+(** A fresh buffer of exactly {!size} bytes holding the message. Each
+    message gets its own bytes because a link holds the payload until
+    delivery. Raises [Invalid_argument] when the message does not fit
+    the 16-bit length field. *)
 
 val decode : Bytes.t -> (int32 * msg, string) result
 (** Parse one message from the start of the buffer; the buffer must be
     exactly one message long (as delivered by the simulated channel). *)
 
-val decode_sub : Bytes.t -> pos:int -> len:int -> (int32 * msg, string) result
-(** Parse one message in place at offset [pos] of a [len]-byte window —
-    what the stream reassembler uses, avoiding a copy of every message
-    out of its receive buffer. Trailing bytes beyond the header's
-    length field are ignored. *)
-
 val peek_type : Bytes.t -> (Of_wire.Msg_type.t, string) result
 (** Cheap classification of an encoded message without a full parse —
     what the capture/metrics layer uses per sniffed message. *)
 
-type error_kind =
-  | Truncated  (** buffer shorter than the header, or the length field lies *)
-  | Bad_version of int  (** wire version other than 0x01 *)
-  | Bad_type of int  (** unknown (or unimplemented) message type byte *)
-  | Bad_body  (** header fine, body failed to parse *)
-
-val error_kind : Bytes.t -> error_kind
-(** Classify why [decode] failed on this buffer, by re-inspecting the raw
-    bytes. Only meaningful when [decode] returned [Error _]; endpoints use
-    it to pick the OFPT_ERROR type/code mandated by the 1.0 spec
-    (truncation → [Bad_request]/[bad_len], unknown type →
-    [Bad_request]/[bad_type], version mismatch →
-    [Hello_failed]/[incompatible]). *)
-
-val error_kind_to_string : error_kind -> string
+val error_reply : Bytes.t -> Of_error.error_type * int
+(** The OFPT_ERROR type and code an endpoint answers a buffer with when
+    [decode] rejected it, as the 1.0 spec mandates: a version mismatch
+    is [Hello_failed]/[incompatible], an unknown (or unimplemented)
+    type byte [Bad_request]/[bad_type], and a short buffer, a lying
+    length field or a body that fails to parse [Bad_request]/[bad_len].
+    Only meaningful when [decode] returned [Error _]. *)
 
 val peek_xid : Bytes.t -> int32
 (** Best-effort xid extraction from a (possibly malformed) buffer: the

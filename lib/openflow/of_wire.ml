@@ -1,7 +1,6 @@
 let version = 0x01
 let header_size = 8
 let no_buffer = 0xFFFF_FFFFl
-let max_xid = Int32.max_int
 
 module Port = struct
   let max_physical = 0xFF00
@@ -128,60 +127,29 @@ type header = { msg_type : Msg_type.t; length : int; xid : int32 }
    a larger value silently and emit a frame the peer cannot parse.
    Oversized bodies (a stats reply for a huge flow table, say) must
    be split by the sender before framing. *)
-let write_header_fields ~msg_type ~length ~xid buf ~pos =
+let write_header ~msg_type ~length ~xid buf =
   if length > 0xffff then
     invalid_arg "Of_wire.write_header: length exceeds the 16-bit wire field";
-  Bytes.set_uint8 buf pos version;
-  Bytes.set_uint8 buf (pos + 1) (Msg_type.to_int msg_type);
-  Bytes.set_uint16_be buf (pos + 2) length;
-  Bytes.set_int32_be buf (pos + 4) xid
+  Bytes.set_uint8 buf 0 version;
+  Bytes.set_uint8 buf 1 (Msg_type.to_int msg_type);
+  Bytes.set_uint16_be buf 2 length;
+  Bytes.set_int32_be buf 4 xid
 
-let write_header_at h buf ~pos =
-  write_header_fields ~msg_type:h.msg_type ~length:h.length ~xid:h.xid buf ~pos
-
-let write_header h buf = write_header_at h buf ~pos:0
-
-let read_header_sub buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
-    Error "Of_wire.read_header: slice out of bounds"
-  else if len < header_size then Error "Of_wire.read_header: truncated"
+let read_header buf =
+  if Bytes.length buf < header_size then Error "Of_wire.read_header: truncated"
   else begin
-    let v = Bytes.get_uint8 buf pos in
+    let v = Bytes.get_uint8 buf 0 in
     if v <> version then
       Error (Printf.sprintf "Of_wire.read_header: unsupported version 0x%02x" v)
     else begin
-      match Msg_type.of_int (Bytes.get_uint8 buf (pos + 1)) with
+      match Msg_type.of_int (Bytes.get_uint8 buf 1) with
       | Error msg -> Error msg
       | Ok msg_type ->
-          let length = Bytes.get_uint16_be buf (pos + 2) in
+          let length = Bytes.get_uint16_be buf 2 in
           if length < header_size then
             Error "Of_wire.read_header: length smaller than header"
-          else if length > len then
+          else if length > Bytes.length buf then
             Error "Of_wire.read_header: length exceeds buffer"
-          else Ok { msg_type; length; xid = Bytes.get_int32_be buf (pos + 4) }
+          else Ok { msg_type; length; xid = Bytes.get_int32_be buf 4 }
     end
   end
-
-let read_header buf = read_header_sub buf ~pos:0 ~len:(Bytes.length buf)
-
-module Scratch = struct
-  type t = { mutable buf : Bytes.t }
-
-  let create ?(capacity = 2048) () =
-    if capacity <= 0 then invalid_arg "Of_wire.Scratch.create: capacity";
-    { buf = Bytes.create capacity }
-
-  let ensure t n =
-    if Bytes.length t.buf < n then begin
-      let capacity = ref (Bytes.length t.buf) in
-      while !capacity < n do
-        capacity := 2 * !capacity
-      done;
-      (* Contents are scratch: no need to preserve them across growth. *)
-      t.buf <- Bytes.create !capacity
-    end;
-    t.buf
-
-  let buffer t = t.buf
-  let capacity t = Bytes.length t.buf
-end

@@ -1,7 +1,10 @@
 (** OpenFlow 1.0 wire-level basics: protocol constants, the common
     8-byte message header, and reserved port numbers.
 
-    All multi-byte fields are big-endian, as on the wire. *)
+    The header has one writer and one reader, both at offset 0: every
+    message lives in a buffer of its own ({!Of_codec.encode}), so
+    nothing frames messages at an offset. All multi-byte fields are
+    big-endian, as on the wire. *)
 
 val version : int
 (** OpenFlow 1.0 = 0x01. *)
@@ -12,8 +15,6 @@ val header_size : int
 val no_buffer : int32
 (** [0xffffffff] — the [buffer_id] value meaning "packet not buffered;
     full frame travels inside the message". *)
-
-val max_xid : int32
 
 (** Reserved/virtual port numbers (OF 1.0, 16-bit port space). *)
 module Port : sig
@@ -66,47 +67,14 @@ end
 type header = { msg_type : Msg_type.t; length : int; xid : int32 }
 (** The common header with the version byte implied ({!version}). *)
 
-val write_header : header -> Bytes.t -> unit
+val write_header :
+  msg_type:Msg_type.t -> length:int -> xid:int32 -> Bytes.t -> unit
 (** Serialize at offset 0 of a buffer that is at least
     {!header_size} long. Raises [Invalid_argument] when [length]
     exceeds the 16-bit wire field (65535): the value would otherwise
     wrap silently and frame garbage. *)
 
-val write_header_at : header -> Bytes.t -> pos:int -> unit
-(** Serialize at offset [pos]; the caller guarantees room. Same
-    16-bit length guard as {!write_header}. *)
-
-val write_header_fields :
-  msg_type:Msg_type.t -> length:int -> xid:int32 -> Bytes.t -> pos:int -> unit
-(** {!write_header_at} without building the intermediate [header]
-    record — the form the scratch encoder's zero-allocation hot path
-    uses. Same 16-bit length guard. *)
-
 val read_header : Bytes.t -> (header, string) result
 (** Parse the header at offset 0; checks version, type and that
-    [length] does not exceed the buffer. *)
-
-val read_header_sub : Bytes.t -> pos:int -> len:int -> (header, string) result
-(** Parse the header at offset [pos] of a [len]-byte window — the
-    zero-copy variant the stream reassembler uses to decode in place.
-    Checks version, type and that [length] does not exceed [len]. *)
-
-(** A reusable, growable byte buffer for allocation-free encoding on
-    the per-packet hot path. A component owns one scratch and encodes
-    into it instead of allocating a fresh buffer per message. *)
-module Scratch : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** Initial [capacity] defaults to 2048 bytes (every fixed-size
-      OpenFlow 1.0 message and any packet_in carrying a standard-MTU
-      frame fits without growth). Raises [Invalid_argument] when
-      [capacity <= 0]. *)
-
-  val ensure : t -> int -> Bytes.t
-  (** [ensure t n] returns the backing buffer, regrown (by doubling)
-      to hold at least [n] bytes. Growth discards previous contents. *)
-
-  val buffer : t -> Bytes.t
-  val capacity : t -> int
-end
+    [length] is at least {!header_size} and does not exceed the
+    buffer. *)

@@ -4,7 +4,6 @@ type 'a t = {
   bandwidth_bps : float;
   propagation_s : float;
   capture : (time:float -> size:int -> 'a -> unit) option;
-  loss : (float * Rng.t) option;
   faults : Faults.t option;
   receiver : 'a -> unit;
   mutable busy_until : float;
@@ -14,21 +13,16 @@ type 'a t = {
   mutable backlog_bytes : int;
 }
 
-let create engine ~name ~bandwidth_bps ~propagation_s ?capture ?loss ?faults
+let create engine ~name ~bandwidth_bps ~propagation_s ?capture ?faults
     ~receiver () =
   if bandwidth_bps <= 0.0 then invalid_arg "Link.create: bandwidth must be positive";
   if propagation_s < 0.0 then invalid_arg "Link.create: negative propagation";
-  (match loss with
-  | Some (rate, _) when rate < 0.0 || rate > 1.0 ->
-      invalid_arg "Link.create: loss rate out of [0, 1]"
-  | Some _ | None -> ());
   {
     engine;
     name;
     bandwidth_bps;
     propagation_s;
     capture;
-    loss;
     faults;
     receiver;
     busy_until = Engine.now engine;
@@ -50,21 +44,13 @@ let send t ~size payload =
   (match t.capture with
   | Some f -> f ~time:start ~size payload
   | None -> ());
-  let lost =
-    match t.loss with
-    | Some (rate, rng) -> rate > 0.0 && Rng.float rng 1.0 < rate
-    | None -> false
-  in
-  (* The fault plan is consulted once per message even when the legacy
-     loss model already dropped it, so the fault schedule stays a pure
-     function of (seed, spec, message sequence). *)
   let lost, jitter_s =
     match t.faults with
-    | None -> (lost, 0.0)
+    | None -> (false, 0.0)
     | Some plan -> (
         match Faults.judge plan ~now with
         | Faults.Drop _ -> (true, 0.0)
-        | Faults.Deliver { jitter_s } -> (lost, jitter_s))
+        | Faults.Deliver { jitter_s } -> (false, jitter_s))
   in
   let deliver_at = t.busy_until +. t.propagation_s +. jitter_s in
   ignore

@@ -8,6 +8,11 @@
     carries encoded OpenFlow messages, and the switch-internal
     ASIC-to-CPU bus carries transfer descriptors.
 
+    A link holds each payload until delivery and hands the receiver
+    the very value it was sent: the control channel moves whole
+    encoded messages, so a receiver never reassembles a byte stream,
+    and a sender cannot reuse a buffer it has sent.
+
     Links keep byte and message counters; the control-path-load metric
     (paper Figs. 2 and 9) is computed from these, and an optional
     capture hook plays the role of [tcpdump] on the interface. *)
@@ -21,7 +26,6 @@ val create :
   bandwidth_bps:float ->
   propagation_s:float ->
   ?capture:(time:float -> size:int -> 'a -> unit) ->
-  ?loss:float * Rng.t ->
   ?faults:Faults.t ->
   receiver:('a -> unit) ->
   unit ->
@@ -31,19 +35,14 @@ val create :
     instant its transmission begins (what a sniffer on the sending
     interface sees). [receiver] is invoked at delivery time.
 
-    [loss], if given, drops each message independently with the given
-    probability (drawn from the given generator) — the message still
-    occupies the wire, it just never arrives. Used to model an
-    unreliable control channel, the failure case the flow-granularity
-    mechanism's re-request timeout exists for.
-
-    [faults], if given, is a richer fault plan ({!Faults}) judged once
-    per message at the instant {!send} is called: it can drop the
-    message (independent loss, a Gilbert–Elliott burst, or a scheduled
-    outage window) or delay its delivery by a bounded jitter, which
-    reorders messages in flight. Dropped messages still occupy the
-    wire. [faults] composes with [loss]: a message survives only if
-    both models deliver it. *)
+    [faults], if given, is the link's loss model: a fault plan
+    ({!Faults}) judged once per message at the instant {!send} is
+    called. It can drop the message (independent loss, a
+    Gilbert–Elliott burst, or a scheduled outage window) or delay its
+    delivery by a bounded jitter, which reorders messages in flight.
+    A dropped message still occupies the wire; it just never arrives.
+    An unreliable control channel is the failure case the
+    flow-granularity mechanism's re-request timeout exists for. *)
 
 val send : 'a t -> size:int -> 'a -> unit
 (** Enqueue a message of [size] bytes for transmission. Returns
@@ -71,6 +70,6 @@ val utilization : _ t -> since:float -> until_:float -> float
     link). *)
 
 val messages_lost : _ t -> int
-(** Messages dropped by the loss model since creation. *)
+(** Messages dropped by the fault plan since creation. *)
 
 val reset_counters : _ t -> unit

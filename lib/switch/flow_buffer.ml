@@ -9,7 +9,10 @@ type unit_state = {
   mutable resend_handle : Engine.handle option;
 }
 
-type slot_state = Free | Held of unit_state | Reclaiming
+(* [Reclaiming] carries the deferred-reclaim timer so [wipe] can
+   cancel it: otherwise the stale callback would free the slot's next
+   allocation before its own reclaim lag ran out. *)
+type slot_state = Free | Held of unit_state | Reclaiming of Engine.handle
 
 type slot = { mutable state : slot_state; mutable generation : int }
 
@@ -173,7 +176,7 @@ let rec arm_resend t i (u : unit_state) ~generation =
               | [] -> ());
               arm_resend t i u ~generation
             end
-        | Held _ | Free | Reclaiming -> ())
+        | Held _ | Free | Reclaiming _ -> ())
   in
   u.resend_handle <- Some handle
 
@@ -188,7 +191,7 @@ let add t ~key ~frame =
           let id = id_of ~generation:slot.generation ~slot:i in
           checked t (Sdn_check.Check.note_buffer_append ~id);
           Appended id
-      | Free | Reclaiming ->
+      | Free | Reclaiming _ ->
           (* Unreachable: [by_key] never points at a non-held slot —
              take_all and drop_unit both remove the key from the map
              before the slot leaves Held. *)
@@ -246,14 +249,14 @@ let take_all t id =
              ~packets:(List.length frames));
         t.packets <- t.packets - List.length frames;
         Flow_key.Table.remove t.by_key u.key;
-        slot.state <- Reclaiming;
-        ignore
-          (Engine.schedule t.engine ~delay:t.reclaim_lag (fun () ->
-               match slot.state with
-               | Reclaiming -> release_slot t i
-               | Free | Held _ -> ()));
+        slot.state <-
+          Reclaiming
+            (Engine.schedule t.engine ~delay:t.reclaim_lag (fun () ->
+                 match slot.state with
+                 | Reclaiming _ -> release_slot t i
+                 | Free | Held _ -> ()));
         Taken frames
-    | Held _ | Free | Reclaiming ->
+    | Held _ | Free | Reclaiming _ ->
         t.stale_takes <- t.stale_takes + 1;
         Unknown_id
   end
@@ -271,7 +274,7 @@ let freeze t =
             | None -> ());
             u.resend_handle <- None;
             t.chains_frozen <- t.chains_frozen + 1
-        | Free | Reclaiming -> ())
+        | Free | Reclaiming _ -> ())
       t.slots
   end
 
@@ -294,7 +297,7 @@ let resume t =
               t.chains_resumed <- t.chains_resumed + 1;
               arm_resend t i u ~generation:slot.generation
             end
-        | Free | Reclaiming -> ())
+        | Free | Reclaiming _ -> ())
       t.slots
   end
 
@@ -317,9 +320,10 @@ let wipe t =
           release_slot t i;
           incr chains;
           packets := !packets + n
-      | Reclaiming ->
-          (* The deferred release would fire into a dead pool; reclaim
-             now. The pending callback sees Free and stands down. *)
+      | Reclaiming handle ->
+          (* Reclaim now, and cancel the deferred release so it cannot
+             fire against a later allocation of this slot. *)
+          Engine.cancel handle;
           release_slot t i
       | Free -> ())
     t.slots;

@@ -66,21 +66,11 @@ let default_config =
   }
 
 type counters = {
-  frames_received : int;
   frames_forwarded : int;
   frames_dropped : int;
-  table_misses : int;
   pkt_ins_sent : int;
   pkt_in_resends : int;
   full_packet_fallbacks : int;
-  pkt_outs_handled : int;
-  flow_mods_handled : int;
-  errors_sent : int;
-  errors_received : int;
-  decode_failures : int;
-  decode_truncated : int;
-  decode_bad_version : int;
-  decode_bad_type : int;
   standalone_frames : int;
   fail_secure_drops : int;
   crashes : int;
@@ -118,21 +108,11 @@ type t = {
      active; reset at each outage so stale locations don't survive. *)
   standalone_table : (Mac.t, int) Hashtbl.t;
   (* mutable counter fields *)
-  mutable frames_received : int;
   mutable frames_forwarded : int;
   mutable frames_dropped : int;
-  mutable table_misses : int;
   mutable pkt_ins_sent : int;
   mutable pkt_in_resends : int;
   mutable full_packet_fallbacks : int;
-  mutable pkt_outs_handled : int;
-  mutable flow_mods_handled : int;
-  mutable errors_sent : int;
-  mutable errors_received : int;
-  mutable decode_failures : int;
-  mutable decode_truncated : int;
-  mutable decode_bad_version : int;
-  mutable decode_bad_type : int;
   mutable standalone_frames : int;
   mutable fail_secure_drops : int;
   (* Crash–restart fault injection: while [dead] the datapath neither
@@ -345,7 +325,7 @@ let resolve_outputs t ~in_port outputs =
 (* Egress of a data-plane frame: one kernel forwarding job, then the
    port link. *)
 let egress t ~in_port ~actions pkt frame =
-  let rewritten, outputs = Of_action.apply_full actions pkt in
+  let rewritten, outputs = Of_action.apply actions pkt in
   let frame =
     (* Re-encode only if an action rewrote a header. *)
     if rewritten == pkt then frame else Packet.encode rewritten
@@ -479,7 +459,6 @@ let miss_fail_secure t ~in_port:_ pkt frame =
   | Packet_granularity | No_buffer -> drop ()
 
 let handle_miss t ~in_port pkt frame =
-  t.table_misses <- t.table_misses + 1;
   if Session.is_down (the_session t) then
     (* Controller unreachable: degrade per the configured fail mode
        instead of emitting PACKET_INs into a dead channel. *)
@@ -497,19 +476,16 @@ let handle_miss t ~in_port pkt frame =
         | Flow_granularity -> miss_flow_granularity t ~in_port pkt frame)
 
 let handle_frame t ~in_port frame =
-  t.frames_received <- t.frames_received + 1;
   if t.dead then begin
-    (* A crashed datapath is a black hole: the frame is counted in and
-       immediately lost, with no CPU work burned. *)
+    (* A crashed datapath is a black hole: the frame is dropped at
+       once, with no CPU work burned. *)
     t.frames_dropped <- t.frames_dropped + 1;
     t.crash_lost_frames <- t.crash_lost_frames + 1
   end
   else
   Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_rx_cost (fun () ->
       match Packet.decode frame with
-      | Error _ ->
-          t.decode_failures <- t.decode_failures + 1;
-          t.frames_dropped <- t.frames_dropped + 1
+      | Error _ -> t.frames_dropped <- t.frames_dropped + 1
       | Ok pkt -> (
           match Flow_table.lookup t.table ~in_port pkt with
           | Some entry ->
@@ -521,7 +497,6 @@ let handle_frame t ~in_port frame =
 (* ---- Controller-to-switch message handling ---- *)
 
 let send_error ?xid t ~error_type ~code ~offending =
-  t.errors_sent <- t.errors_sent + 1;
   let data = Bytes.sub offending 0 (min 64 (Bytes.length offending)) in
   send_to_controller ?xid t
     (Of_codec.Error_msg (Of_error.make ~error_type ~code ~data ()))
@@ -533,7 +508,7 @@ let release_buffered t ~actions frame =
       Cpu.submit t.kernel ~work_s:t.costs.Costs.release_per_packet_cost
         (fun () ->
           match Packet.decode frame with
-          | Error _ -> t.decode_failures <- t.decode_failures + 1
+          | Error _ -> ()
           | Ok pkt -> egress t ~in_port:0 ~actions pkt frame))
 
 (* Release a whole flow-granularity chain (Algorithm 2 lines 4-10). *)
@@ -545,7 +520,7 @@ let release_chain t ~actions frames =
             Cpu.submit t.kernel
               ~work_s:t.costs.Costs.release_per_packet_cost (fun () ->
                 (match Packet.decode frame with
-                | Error _ -> t.decode_failures <- t.decode_failures + 1
+                | Error _ -> ()
                 | Ok pkt -> egress t ~in_port:0 ~actions pkt frame);
                 forward_next rest)
       in
@@ -580,7 +555,6 @@ let apply_buffer_release t ~buffer_id ~actions ~offending =
   end
 
 let handle_flow_mod t (fm : Of_flow_mod.t) ~offending =
-  t.flow_mods_handled <- t.flow_mods_handled + 1;
   let work = t.costs.Costs.flow_mod_install_cost in
   Cpu.submit t.userspace ~work_s:work (fun () ->
       match fm.Of_flow_mod.command with
@@ -617,7 +591,6 @@ let handle_flow_mod t (fm : Of_flow_mod.t) ~offending =
                ~priority:fm.Of_flow_mod.priority ()))
 
 let handle_packet_out t (po : Of_packet_out.t) ~offending =
-  t.pkt_outs_handled <- t.pkt_outs_handled + 1;
   let data_len = Bytes.length po.Of_packet_out.data in
   let work =
     t.costs.Costs.pkt_out_base_cost
@@ -633,7 +606,7 @@ let handle_packet_out t (po : Of_packet_out.t) ~offending =
           let frame = po.Of_packet_out.data in
           bus_transfer t ~bytes:data_len (fun () ->
               match Packet.decode frame with
-              | Error _ -> t.decode_failures <- t.decode_failures + 1
+              | Error _ -> ()
               | Ok pkt ->
                   egress t ~in_port:po.Of_packet_out.in_port
                     ~actions:po.Of_packet_out.actions pkt frame)
@@ -777,23 +750,8 @@ let handle_of_message t buf =
   else
   match Of_codec.decode buf with
   | Error _ ->
-      t.decode_failures <- t.decode_failures + 1;
-      (* Per the 1.0 spec, the reply code depends on what exactly was
-         wrong with the frame (satellite of the wire-format story):
-         truncation is a length problem, an unknown type byte a type
-         problem, and a foreign version a failed version negotiation. *)
-      let error_type, code =
-        match Of_codec.error_kind buf with
-        | Of_codec.Truncated | Of_codec.Bad_body ->
-            t.decode_truncated <- t.decode_truncated + 1;
-            (Of_error.Bad_request, Of_error.Bad_request_code.bad_len)
-        | Of_codec.Bad_version _ ->
-            t.decode_bad_version <- t.decode_bad_version + 1;
-            (Of_error.Hello_failed, Of_error.Hello_failed_code.incompatible)
-        | Of_codec.Bad_type _ ->
-            t.decode_bad_type <- t.decode_bad_type + 1;
-            (Of_error.Bad_request, Of_error.Bad_request_code.bad_type)
-      in
+      (* A buggy controller must learn its frame was rejected. *)
+      let error_type, code = Of_codec.error_reply buf in
       send_error ~xid:(Of_codec.peek_xid buf) t ~error_type ~code
         ~offending:buf
   | Ok (xid, msg) -> (
@@ -824,13 +782,13 @@ let handle_of_message t buf =
           (* The controller configures how much of a buffered packet
              rides in the PACKET_IN (paper, Section IV). *)
           t.miss_send_len <- max 0 (min 0xFFFF c.Of_config.miss_send_len)
-      | Of_codec.Error_msg _ -> t.errors_received <- t.errors_received + 1
-      | Of_codec.Echo_reply _ | Of_codec.Features_reply _
+      | Of_codec.Error_msg _ | Of_codec.Echo_reply _ | Of_codec.Features_reply _
       | Of_codec.Get_config_reply _ | Of_codec.Packet_in _
       | Of_codec.Flow_removed _ | Of_codec.Port_status _
       | Of_codec.Stats_reply _ | Of_codec.Barrier_reply ->
-          (* Controller-bound messages are ignored if echoed back;
-             echo replies were consumed by the session above. *)
+          (* Controller-bound messages are ignored if echoed back,
+             and so are error reports; echo replies were consumed by
+             the session above. *)
           ())
 
 (* Session-down: stop burning re-request budgets into a dead link (the
@@ -965,21 +923,11 @@ let create engine ?check ~config ~costs ~rng () =
           (Int32.shift_left
              (Int32.of_int (Int64.to_int (Int64.rem config.datapath_id 1024L)))
              20);
-      frames_received = 0;
       frames_forwarded = 0;
       frames_dropped = 0;
-      table_misses = 0;
       pkt_ins_sent = 0;
       pkt_in_resends = 0;
       full_packet_fallbacks = 0;
-      pkt_outs_handled = 0;
-      flow_mods_handled = 0;
-      errors_sent = 0;
-      errors_received = 0;
-      decode_failures = 0;
-      decode_truncated = 0;
-      decode_bad_version = 0;
-      decode_bad_type = 0;
       standalone_frames = 0;
       fail_secure_drops = 0;
       dead = false;
@@ -1112,21 +1060,11 @@ let flow_table t = t.table
 
 let counters t =
   {
-    frames_received = t.frames_received;
     frames_forwarded = t.frames_forwarded;
     frames_dropped = t.frames_dropped;
-    table_misses = t.table_misses;
     pkt_ins_sent = t.pkt_ins_sent;
     pkt_in_resends = t.pkt_in_resends;
     full_packet_fallbacks = t.full_packet_fallbacks;
-    pkt_outs_handled = t.pkt_outs_handled;
-    flow_mods_handled = t.flow_mods_handled;
-    errors_sent = t.errors_sent;
-    errors_received = t.errors_received;
-    decode_failures = t.decode_failures;
-    decode_truncated = t.decode_truncated;
-    decode_bad_version = t.decode_bad_version;
-    decode_bad_type = t.decode_bad_type;
     standalone_frames = t.standalone_frames;
     fail_secure_drops = t.fail_secure_drops;
     crashes = t.crashes;

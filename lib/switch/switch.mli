@@ -78,26 +78,13 @@ type config = {
 val default_config : config
 
 type counters = {
-  frames_received : int;
   frames_forwarded : int;
   frames_dropped : int;
-  table_misses : int;
   pkt_ins_sent : int;
   pkt_in_resends : int;
   full_packet_fallbacks : int;
       (** misses handled without a buffer unit (pool empty / non-flow
           packet under flow granularity / no-buffer mode) *)
-  pkt_outs_handled : int;
-  flow_mods_handled : int;
-  errors_sent : int;
-  errors_received : int;  (** OFPT_ERROR messages from the controller *)
-  decode_failures : int;
-  decode_truncated : int;
-      (** decode failures answered with [Bad_request]/[bad_len] *)
-  decode_bad_version : int;
-      (** decode failures answered with [Hello_failed]/[incompatible] *)
-  decode_bad_type : int;
-      (** decode failures answered with [Bad_request]/[bad_type] *)
   standalone_frames : int;
       (** miss-match frames carried by the fail-standalone L2 path *)
   fail_secure_drops : int;
@@ -114,6 +101,10 @@ type counters = {
       (** new miss chains refused by the admission guard at the
           {!config.overload_watermark} *)
 }
+(** Cumulative per-switch counters, each read by an experiment result,
+    a report or a test. Malformed controller frames are answered with
+    an OFPT_ERROR ({!Sdn_openflow.Of_codec.error_reply}), not
+    counted. *)
 
 type t
 

@@ -145,12 +145,17 @@ let test_flow_removed_on_expiry () =
 
 (* ---- Lossy links ---- *)
 
+let loss_plan ~rate =
+  Faults.create
+    ~spec:{ Faults.none with Faults.loss_rate = rate }
+    ~rng:(Rng.of_int 5) ()
+
 let test_link_loss_statistics () =
   let engine = Engine.create () in
   let received = ref 0 in
   let link =
     Link.create engine ~name:"lossy" ~bandwidth_bps:1e9 ~propagation_s:0.0
-      ~loss:(0.3, Rng.of_int 5)
+      ~faults:(loss_plan ~rate:0.3)
       ~receiver:(fun (_ : int) -> incr received)
       ()
   in
@@ -166,14 +171,9 @@ let test_link_loss_statistics () =
     (lost > 230 && lost < 370)
 
 let test_link_loss_rate_validation () =
-  let engine = Engine.create () in
   Alcotest.(check bool) "rejects rate > 1" true
     (try
-       ignore
-         (Link.create engine ~name:"bad" ~bandwidth_bps:1e9 ~propagation_s:0.0
-            ~loss:(1.5, Rng.of_int 1)
-            ~receiver:(fun (_ : unit) -> ())
-            ());
+       ignore (loss_plan ~rate:1.5);
        false
      with Invalid_argument _ -> true)
 
@@ -182,7 +182,7 @@ let test_zero_loss_is_lossless () =
   let received = ref 0 in
   let link =
     Link.create engine ~name:"clean" ~bandwidth_bps:1e9 ~propagation_s:0.0
-      ~loss:(0.0, Rng.of_int 5)
+      ~faults:(loss_plan ~rate:0.0)
       ~receiver:(fun (_ : int) -> incr received)
       ()
   in
@@ -202,7 +202,7 @@ let run_lossy mechanism =
       buffer_capacity = 256;
       rate_mbps = 40.0;
       workload = Config.Exp_a { n_flows = 300 };
-      control_loss_rate = 0.08;
+      faults = { Faults.none with Faults.loss_rate = 0.08 };
       seed = 4;
     }
 

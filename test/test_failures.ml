@@ -1,5 +1,6 @@
 (* Failure-injection tests: port failures, PORT_STATUS notifications,
-   rule flushing, and the reactive recovery path. *)
+   rule flushing, the reactive recovery path, control-channel loss and
+   malformed frames at either endpoint. *)
 
 open Sdn_sim
 open Sdn_net
@@ -290,6 +291,72 @@ let test_lossy_run_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check bool) "identical outcomes" true (a = b)
 
+(* ---- Malformed frames ---- *)
+
+(* Each malformed frame, with the OFPT_ERROR type, code and xid the
+   receiving endpoint must answer it with. *)
+let malformed_frames =
+  let hello_with ~byte ~value =
+    let buf = Of_codec.encode ~xid:41l Of_codec.Hello in
+    Bytes.set_uint8 buf byte value;
+    buf
+  in
+  [
+    ( "3-byte frame",
+      Bytes.of_string "abc",
+      Of_error.Bad_request,
+      Of_error.Bad_request_code.bad_len,
+      0l );
+    ( "HELLO with version 0x04",
+      hello_with ~byte:0 ~value:0x04,
+      Of_error.Hello_failed,
+      Of_error.Hello_failed_code.incompatible,
+      41l );
+    ( "HELLO with type 0xEE",
+      hello_with ~byte:1 ~value:0xEE,
+      Of_error.Bad_request,
+      Of_error.Bad_request_code.bad_type,
+      41l );
+  ]
+
+let check_one_error what replies ~error_type ~code ~xid =
+  match replies with
+  | [ (x, Of_codec.Error_msg e) ] ->
+      Alcotest.(check int32) (what ^ ": echoes the xid") xid x;
+      Alcotest.(check bool) (what ^ ": error type") true
+        (e.Of_error.error_type = error_type);
+      Alcotest.(check int) (what ^ ": error code") code e.Of_error.code
+  | l ->
+      Alcotest.failf "%s: expected one OFPT_ERROR, got %d messages" what
+        (List.length l)
+
+let test_malformed_frame_replies () =
+  List.iter
+    (fun (what, buf, error_type, code, xid) ->
+      let h = make_harness () in
+      Switch.handle_of_message h.switch buf;
+      Engine.run ~until:1.0 h.engine;
+      check_one_error ("switch, " ^ what) !(h.to_controller) ~error_type ~code
+        ~xid;
+      let engine = Engine.create () in
+      let controller =
+        Sdn_controller.Controller.create engine
+          ~app:(Sdn_controller.Apps.forwarding ~hosts:[] ())
+          ~costs:Sdn_controller.Costs.default ~rng:(Rng.of_int 1) ()
+      in
+      let to_switch = ref [] in
+      Sdn_controller.Controller.set_switch_link controller
+        (Link.create engine ~name:"down" ~bandwidth_bps:1e9 ~propagation_s:0.0
+           ~receiver:(fun reply ->
+             match Of_codec.decode reply with
+             | Ok decoded -> to_switch := decoded :: !to_switch
+             | Error e -> Alcotest.fail e)
+           ());
+      Sdn_controller.Controller.handle_message controller buf;
+      Engine.run ~until:1.0 engine;
+      check_one_error ("controller, " ^ what) !to_switch ~error_type ~code ~xid)
+    malformed_frames
+
 let suite =
   [
     Alcotest.test_case "PORT_STATUS roundtrip" `Quick test_port_status_roundtrip;
@@ -310,4 +377,6 @@ let suite =
       test_other_mechanisms_lose_packets;
     Alcotest.test_case "lossy runs are deterministic" `Quick
       test_lossy_run_deterministic;
+    Alcotest.test_case "malformed frames draw one OFPT_ERROR at each endpoint"
+      `Quick test_malformed_frame_replies;
   ]

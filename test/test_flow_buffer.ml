@@ -265,6 +265,36 @@ let test_freeze_resume_idempotent () =
   Flow_buffer.resume pool;
   Alcotest.(check int) "one chain resumed" 1 (Flow_buffer.chains_resumed pool)
 
+(* Regression: a cold wipe arriving while a slot is in its deferred
+   reclaim must cancel the reclaim timer, as Packet_buffer's does.
+   Otherwise the stale callback fires against the slot's next chain
+   and frees it before that chain's own reclaim lag has run. *)
+let test_wipe_cancels_pending_reclaim () =
+  let engine = Engine.create () in
+  let pool = make ~capacity:1 ~reclaim:0.01 ~timeout:100.0 engine in
+  let add_and_take n =
+    match Flow_buffer.add pool ~key:(key n) ~frame:(frame n) with
+    | Flow_buffer.First id -> (
+        match Flow_buffer.take_all pool id with
+        | Flow_buffer.Taken _ -> ()
+        | Flow_buffer.Unknown_id -> Alcotest.fail "take_all must succeed")
+    | Flow_buffer.Appended _ | Flow_buffer.No_space ->
+        Alcotest.fail "expected a fresh unit"
+  in
+  (* First life: reclaim due at 10 ms. The wipe frees the slot at once;
+     the second life starts and is taken at 5 ms, due at 15 ms. *)
+  add_and_take 1;
+  ignore (Flow_buffer.wipe pool);
+  Alcotest.(check int) "wipe reclaims the in-flight release" 0
+    (Flow_buffer.units_in_use pool);
+  ignore (Engine.schedule_at engine 0.005 (fun () -> add_and_take 2));
+  Engine.run ~until:0.012 engine;
+  Alcotest.(check int) "second reclaim honours the full lag" 1
+    (Flow_buffer.units_in_use pool);
+  Engine.run ~until:0.02 engine;
+  Alcotest.(check int) "second reclaim completes on time" 0
+    (Flow_buffer.units_in_use pool)
+
 let prop_chain_preserves_frames =
   QCheck.Test.make ~name:"take_all returns exactly the added frames" ~count:100
     QCheck.(int_range 1 40)
@@ -307,5 +337,7 @@ let suite =
       test_resume_expires_spent_chains;
     Alcotest.test_case "freeze/resume idempotent" `Quick
       test_freeze_resume_idempotent;
+    Alcotest.test_case "wipe cancels pending reclaim" `Quick
+      test_wipe_cancels_pending_reclaim;
     QCheck_alcotest.to_alcotest prop_chain_preserves_frames;
   ]

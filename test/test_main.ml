@@ -17,7 +17,6 @@ let () =
       ("openflow.match", Test_of_match.suite);
       ("openflow.codec", Test_of_codec.suite);
       ("openflow.codec-fuzz", Test_of_codec_fuzz.suite);
-      ("openflow.stream", Test_of_stream.suite);
       ("switch.flow_table", Test_flow_table.suite);
       ("switch.packet_buffer", Test_packet_buffer.suite);
       ("switch.flow_buffer", Test_flow_buffer.suite);

@@ -268,7 +268,11 @@ let test_decode_garbage () =
   let bad_type = Of_codec.encode ~xid:1l Of_codec.Hello in
   Bytes.set_uint8 bad_type 1 0xEE;
   Alcotest.(check bool) "unknown type" true
-    (Result.is_error (Of_codec.decode bad_type))
+    (Result.is_error (Of_codec.decode bad_type));
+  let bad_length = Of_codec.encode ~xid:1l Of_codec.Hello in
+  Bytes.set_uint16_be bad_length 2 4 (* below header size *);
+  Alcotest.(check bool) "length field below header size" true
+    (Result.is_error (Of_codec.decode bad_length))
 
 let test_peek_type () =
   let encoded = Of_codec.encode ~xid:9l (Of_codec.Flow_mod sample_flow_mod) in

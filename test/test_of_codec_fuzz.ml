@@ -390,52 +390,6 @@ let prop_corruption_no_raise =
       ignore (decode_no_raise buf);
       true)
 
-(* The allocation-free entry points must be bit-for-bit equivalent to
-   the allocating ones, whatever was in the target buffer beforehand. *)
-let prop_encode_into_identical =
-  QCheck.Test.make ~name:"encode_into is byte-identical to encode" ~count:500
-    QCheck.(pair arb_msg (int_bound 64))
-    (fun (msg, pos) ->
-      let reference = Of_codec.encode ~xid:42l msg in
-      let buf = Bytes.make (pos + Of_codec.size msg + 16) '\xFF' in
-      let len = Of_codec.encode_into ~xid:42l msg buf ~pos in
-      len = Bytes.length reference
-      && Bytes.equal reference (Bytes.sub buf pos len)
-      (* Bytes outside the window stay untouched. *)
-      && (pos = 0 || Bytes.get_uint8 buf (pos - 1) = 0xFF)
-      && Bytes.get_uint8 buf (pos + len) = 0xFF)
-
-let prop_encode_scratch_identical =
-  QCheck.Test.make ~name:"scratch encode reuses its buffer, same bytes"
-    ~count:300
-    QCheck.(pair arb_msg arb_msg)
-    (fun (m1, m2) ->
-      let scratch = Of_wire.Scratch.create ~capacity:16 () in
-      let check msg =
-        let reference = Of_codec.encode ~xid:7l msg in
-        let len = Of_codec.encode_scratch scratch ~xid:7l msg in
-        let buf = Of_wire.Scratch.buffer scratch in
-        len = Bytes.length reference && Bytes.equal reference (Bytes.sub buf 0 len)
-      in
-      (* Encoding a second message over the first must not leak stale
-         bytes from the larger previous encoding. *)
-      check m1 && check m2 && check m1)
-
-let prop_decode_sub_in_place =
-  QCheck.Test.make ~name:"decode_sub parses mid-buffer without copying"
-    ~count:500
-    QCheck.(triple arb_msg (int_bound 32) (int_bound 32))
-    (fun (msg, before, after) ->
-      let encoded = Of_codec.encode ~xid:5l msg in
-      let len = Bytes.length encoded in
-      (* Surround the message with garbage on both sides. *)
-      let buf = Bytes.make (before + len + after) '\xEE' in
-      Bytes.blit encoded 0 buf before len;
-      match Of_codec.decode_sub buf ~pos:before ~len with
-      | Ok (5l, msg') -> Of_codec.equal msg msg'
-      | Ok _ -> false
-      | Error e -> QCheck.Test.fail_reportf "decode_sub error: %s" e)
-
 (* Deterministic single-example roundtrip over each of the 19
    constructors, so a codec regression names the constructor instead of
    a shrunk counterexample. *)
@@ -493,9 +447,6 @@ let suite =
   [
     Alcotest.test_case "each constructor roundtrips" `Quick test_each_constructor;
     QCheck_alcotest.to_alcotest prop_roundtrip;
-    QCheck_alcotest.to_alcotest prop_encode_into_identical;
-    QCheck_alcotest.to_alcotest prop_encode_scratch_identical;
-    QCheck_alcotest.to_alcotest prop_decode_sub_in_place;
     QCheck_alcotest.to_alcotest prop_truncation;
     QCheck_alcotest.to_alcotest prop_corruption_no_raise;
     Alcotest.test_case "short 16-byte action is an error" `Quick

@@ -26,10 +26,10 @@
    [--min derived/sweep_speedup_jobs4=0.9] keeps a four-wide sweep
    from falling behind the sequential one regardless of what the
    baseline drifted to), and a ceiling pins a structural invariant
-   (e.g. [--max micro/openflow/encode-flow_mod-scratch/minor-words=0.5]
-   is the allocation-free scratch encoder's guarantee with room for
-   measurement jitter, not for a real allocation). A named metric
-   absent from the candidate is an error.
+   (e.g. [--max micro/engine/churn-25k-pending/minor-words=24] keeps a
+   queue slot write from allocating again, with room for measurement
+   jitter but not for a real allocation). A named metric absent from
+   the candidate is an error.
 
    Usage:
      bench_gate BASELINE.json CANDIDATE.json [--portable]
