@@ -19,7 +19,7 @@
      dune exec bench/main.exe -- figures 5    # all figures, 5 reps/point
      dune exec bench/main.exe -- ablations    # the ablation studies
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
-                                              # (default BENCH_pr16.json)
+                                              # (default BENCH_pr19.json)
 
    The json snapshot also times a small end-to-end sweep at
    --jobs 1/2/4 and records the parallel speedups, so the regression
@@ -144,39 +144,64 @@ let hit_packet =
 (* The [Pktgen.schedule] that queued a whole traffic plan at set-up,
    one [Engine.schedule_at] per injection: the reference for
    [derived/plan_stream_speedup]. *)
-let schedule_upfront engine ~inject injections =
-  List.iter
-    (fun (inj : Sdn_traffic.Patterns.injection) ->
+let schedule_upfront engine ~inject (plan : Sdn_traffic.Patterns.t) =
+  Array.iteri
+    (fun i time ->
       ignore
-        (Sdn_sim.Engine.schedule_at engine inj.time (fun () ->
-             inject ~in_port:inj.in_port inj.frame)))
-    injections
+        (Sdn_sim.Engine.schedule_at engine time (fun () ->
+             inject ~in_port:plan.ports.(i) (plan.frame i))))
+    plan.times
 
-(* Schedule and drain a 2,000-injection plan of 64-B frames at
-   100 Mbps on a fresh engine; each injection schedules one follow-on
-   event 20 µs later, as a link delivery would, so a few are in
-   flight beside the plan. *)
+(* Schedule and drain a 2,000-injection plan at 100 Mbps on a fresh
+   engine; each injection schedules one follow-on event 20 µs later,
+   as a link delivery would, so a few are in flight beside the plan.
+   Every injection hands over one prebuilt 64-B frame, so both
+   subjects gauge the queue, not frame building. *)
 let plan_2k schedule =
-  let injections =
+  let plan =
     Sdn_traffic.Patterns.udp_burst ~rng:(Sdn_sim.Rng.of_int 7) ~n_packets:2000
       ~rate_mbps:100.0 ~frame_size:64 ()
   in
+  let frame = plan.frame 0 in
+  let plan = { plan with frame = (fun _ -> frame) } in
   Staged.stage (fun () ->
       let engine = Sdn_sim.Engine.create () in
       schedule engine
         ~inject:(fun ~in_port:_ _ ->
           ignore (Sdn_sim.Engine.schedule engine ~delay:2e-5 ignore))
-        injections;
+        plan;
       Sdn_sim.Engine.run engine)
 
+(* One 1000-B Exp-A frame, built by a plan from its template and, as
+   the reference, by the general encoder. *)
+let udp_frame_plan =
+  Sdn_traffic.Patterns.exp_a ~rng:(Sdn_sim.Rng.of_int 7) ~n_flows:1
+    ~rate_mbps:100.0 ~frame_size:1000 ()
+
+let reference_udp_frame () =
+  let a = Sdn_traffic.Addressing.default in
+  Sdn_net.Packet.encode
+    (Sdn_net.Packet.udp_frame_of_size ~src_mac:a.src_mac ~dst_mac:a.dst_mac
+       ~src_ip:(Sdn_traffic.Addressing.src_ip a ~flow_id:0)
+       ~dst_ip:a.dst_ip
+       ~src_port:(Sdn_traffic.Addressing.src_port a ~flow_id:0)
+       ~dst_port:a.dst_port ~frame_size:1000
+       ~payload_fill:
+         (Sdn_traffic.Tag.write
+            { Sdn_traffic.Tag.flow_id = 0; seq = 0; flow_packets = 1 }))
+
 (* Measured before [micro_tests] builds its fixtures (see [bench_raw]). *)
-let checksum_tests () =
+let early_tests () =
   [
     Test.make ~name:"net/checksum-1000B"
       (Staged.stage (fun () ->
            ignore (Sdn_net.Checksum.sum sample_frame 0 1000)));
     Test.make ~name:"net/checksum-1000B-reference"
       (Staged.stage (fun () -> ignore (reference_checksum sample_frame 0 1000)));
+    Test.make ~name:"traffic/udp-frame-1000B"
+      (Staged.stage (fun () -> ignore (udp_frame_plan.frame 0)));
+    Test.make ~name:"traffic/udp-frame-1000B-reference"
+      (Staged.stage (fun () -> ignore (reference_udp_frame ())));
   ]
 
 let micro_tests () =
@@ -475,8 +500,9 @@ let minor_words =
    [micro_tests] live (populated tables, a 25k-event engine) each
    compaction takes most of the time quota, leaving a sub-microsecond
    subject a handful of cold-cache samples; the checksum pair, whose
-   ratio CI floors, read 3.1-5.0 across five snapshots that way. So it
-   runs first, while the heap holds only the sample frames. *)
+   ratio CI floors, read 3.1-5.0 across five snapshots that way. So
+   the gated pairs run first, while the heap holds only the sample
+   frames. *)
 let bench_raw ~instances =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
@@ -484,7 +510,7 @@ let bench_raw ~instances =
   let run tests =
     Benchmark.all cfg instances (Test.make_grouped ~name:"micro" tests)
   in
-  let raw = run (checksum_tests ()) in
+  let raw = run (early_tests ()) in
   (* Subject names are distinct, so the merge is independent of
      iteration order. lint: allow hashtbl-order *)
   Hashtbl.iter (Hashtbl.replace raw) (run (micro_tests ()));
@@ -648,6 +674,12 @@ let run_json path =
           ratio
             (find_metric ns "net/checksum-1000B-reference")
             (find_metric ns "net/checksum-1000B") );
+        (* The general encoder against a plan's template, building
+           the same 1000-B frame. *)
+        ( "derived/udp_frame_template_speedup",
+          ratio
+            (find_metric ns "traffic/udp-frame-1000B-reference")
+            (find_metric ns "traffic/udp-frame-1000B") );
         (* A 2,000-injection plan queued whole at set-up against the
            same plan streamed one injection at a time. *)
         ( "derived/plan_stream_speedup",
@@ -701,7 +733,7 @@ let () =
       run_figures ();
       Sdn_core.Ablations.run_all ()
   | [ _; "micro" ] -> run_micro ()
-  | [ _; "json" ] -> run_json "BENCH_pr17.json"
+  | [ _; "json" ] -> run_json "BENCH_pr19.json"
   | [ _; "json"; path ] -> run_json path
   | [ _; "ablations" ] -> Sdn_core.Ablations.run_all ()
   | [ _; "figures" ] -> run_figures ()

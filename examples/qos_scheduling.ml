@@ -71,9 +71,12 @@ let run policy_name ~policy ~queues ~interactive_queue =
     Patterns.udp_burst ~rng ~addressing:interactive_addressing ~start:0.05
       ~n_packets:80 ~rate_mbps:0.8 ~frame_size:200 ()
   in
-  Pktgen.schedule engine
-    ~inject:(fun ~in_port frame -> Scenario.inject scenario ~in_port frame)
-    (bulk @ interactive);
+  (* Scheduled back to back, so where a bulk and an interactive frame
+     tie, the bulk frame goes first. *)
+  List.iter
+    (Pktgen.schedule engine ~inject:(fun ~in_port frame ->
+         Scenario.inject scenario ~in_port frame))
+    [ bulk; interactive ];
   Scenario.run_until_quiet ~min_time:0.3 scenario;
   let scheduler =
     Option.get (Sdn_switch.Switch.port_scheduler scenario.Scenario.switch ~port:2)

@@ -34,18 +34,15 @@ let run mechanism buffer_capacity =
   let engine = scenario.Scenario.engine in
   (* Handshake, 30 data segments, 4 s of silence (> idle timeout),
      then 30 more segments on the same established connection. *)
-  let injections =
+  let plan =
     Patterns.tcp_idle_resume ~rng:scenario.Scenario.traffic_rng ~start:0.05
       ~flow_id:1 ~first_burst:30 ~idle_gap:4.0 ~second_burst:30
       ~rate_mbps:60.0 ~frame_size:1000 ()
   in
   Pktgen.schedule engine
     ~inject:(fun ~in_port frame -> Scenario.inject scenario ~in_port frame)
-    injections;
-  let plan_end =
-    List.fold_left (fun acc i -> Float.max acc i.Patterns.time) 0.0 injections
-  in
-  Scenario.run_until_quiet ~min_time:plan_end scenario;
+    plan;
+  Scenario.run_until_quiet ~min_time:(Pktgen.stats_of plan).Pktgen.last scenario;
   let cap = scenario.Scenario.capture in
   let counters = Sdn_switch.Switch.counters scenario.Scenario.switch in
   let table = Sdn_switch.Switch.flow_table scenario.Scenario.switch in

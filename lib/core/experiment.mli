@@ -19,7 +19,7 @@ val traffic_start : float
     validator uses it to undo the lead-in dilution of time-averaged
     metrics. *)
 
-val injections_of : Config.t -> Rng.t -> Sdn_traffic.Patterns.injection list
+val injections_of : Config.t -> Rng.t -> Sdn_traffic.Patterns.t
 (** The traffic plan of [config]'s workload, starting at
     {!traffic_start}, drawn from the given traffic stream. *)
 

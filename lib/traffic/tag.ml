@@ -6,11 +6,13 @@ let magic = 0x5344_4E47l (* "SDNG" *)
 
 let size = 16
 
-let write t buf =
-  Bytes.set_int32_be buf 0 magic;
-  Bytes.set_int32_be buf 4 (Int32.of_int t.flow_id);
-  Bytes.set_int32_be buf 8 (Int32.of_int t.seq);
-  Bytes.set_int32_be buf 12 (Int32.of_int t.flow_packets)
+let write_at t buf off =
+  Bytes.set_int32_be buf off magic;
+  Bytes.set_int32_be buf (off + 4) (Int32.of_int t.flow_id);
+  Bytes.set_int32_be buf (off + 8) (Int32.of_int t.seq);
+  Bytes.set_int32_be buf (off + 12) (Int32.of_int t.flow_packets)
+
+let write t buf = write_at t buf 0
 
 let read_at buf off =
   if off < 0 || Bytes.length buf - off < size then None

@@ -15,6 +15,11 @@ val size : int
 val write : t -> Bytes.t -> unit
 (** Stamp at offset 0 of a payload buffer (needs {!size} bytes). *)
 
+val write_at : t -> Bytes.t -> int -> unit
+(** [write_at t buf off] stamps [buf.\[off..off+15\]]: {!write} at an
+    offset, e.g. into an encoded UDP frame at 42. Fields are stored as
+    their low 32 bits, as {!write} does. *)
+
 val read_at : Bytes.t -> int -> t option
 (** [read_at buf off] parses the tag at [buf.\[off..off+15\]] in place
     ([off] is 0 for a payload buffer); [None] when it does not fit or
