@@ -1,23 +1,12 @@
-(* Benchmark harness.
-
-   Two halves:
-
-   1. Bechamel micro-benchmarks of the building blocks (codec, flow
-      table, buffer pools, event engine) — the cost of the mechanisms
-      themselves, independent of any scenario.
-
-   2. The figure harness: regenerates every table/figure of the paper's
-      evaluation (Figs. 2-13) by running the Section IV and Section V
-      sweeps and printing the series, followed by the headline
-      aggregate claims next to the paper's reported numbers.
+(* Benchmark harness: Bechamel micro-benchmarks of the building blocks
+   (codec, flow table, buffer pools, event engine) — the cost of the
+   mechanisms themselves, independent of any scenario. The paper's
+   figures and the ablation studies come from the CLI
+   ([sdn_buffer_cli all], [figure], [ablations]).
 
    Usage:
-     dune exec bench/main.exe                 # micro + all figures
-     dune exec bench/main.exe -- micro        # micro-benchmarks only
-     dune exec bench/main.exe -- figures      # all figures only
-     dune exec bench/main.exe -- fig5         # one figure
-     dune exec bench/main.exe -- figures 5    # all figures, 5 reps/point
-     dune exec bench/main.exe -- ablations    # the ablation studies
+     dune exec bench/main.exe                 # micro-benchmarks
+     dune exec bench/main.exe -- micro        # the same
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
                                               # (default BENCH_pr19.json)
 
@@ -713,35 +702,11 @@ let run_json path =
     (derived @ sweep_speedups @ massive);
   Printf.printf "wrote %d metrics to %s\n" (List.length metrics) path
 
-(* ---- Figure harness ---- *)
-
-let run_figures ?reps () = Sdn_core.Figures.run_all ?reps ()
-
-let run_one_figure id ?reps () =
-  match List.assoc_opt id Sdn_core.Figures.exp_a_figures with
-  | Some f -> f (Sdn_core.Figures.run_exp_a ?reps ())
-  | None -> (
-      match List.assoc_opt id Sdn_core.Figures.exp_b_figures with
-      | Some f -> f (Sdn_core.Figures.run_exp_b ?reps ())
-      | None -> Printf.eprintf "unknown figure %S\n" id)
-
 let () =
-  let args = Array.to_list Sys.argv in
-  match args with
-  | [ _ ] | [ _; "all" ] ->
-      run_micro ();
-      run_figures ();
-      Sdn_core.Ablations.run_all ()
-  | [ _; "micro" ] -> run_micro ()
+  match Array.to_list Sys.argv with
+  | [ _ ] | [ _; "micro" ] -> run_micro ()
   | [ _; "json" ] -> run_json "BENCH_pr19.json"
   | [ _; "json"; path ] -> run_json path
-  | [ _; "ablations" ] -> Sdn_core.Ablations.run_all ()
-  | [ _; "figures" ] -> run_figures ()
-  | [ _; "figures"; reps ] -> run_figures ~reps:(int_of_string reps) ()
-  | [ _; id ] -> run_one_figure id ()
-  | [ _; id; reps ] -> run_one_figure id ~reps:(int_of_string reps) ()
   | _ ->
-      prerr_endline
-        "usage: main.exe [all|micro|json [path]|ablations|figures [reps]|figN \
-         [reps]]";
+      prerr_endline "usage: main.exe [micro|json [path]]";
       exit 2

@@ -1,5 +1,6 @@
 (* Command-line front end for the reproduction: single runs, sweeps,
-   individual figures, the full evaluation, and calibration checks. *)
+   individual figures, the full evaluation, the ablation studies and
+   calibration checks. *)
 
 open Cmdliner
 open Sdn_core
@@ -23,21 +24,21 @@ let positive_float =
     ~valid:(fun x -> Float.is_finite x && x > 0.0)
     ~what:"a finite number > 0"
 
+(* A conv from a parser and printer pair, such as the library's own
+   [*_of_string] / [*_to_string] converters. *)
+let conv_of ~parse ~print =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun msg -> `Msg msg) (parse s)),
+      fun fmt v -> Format.pp_print_string fmt (print v) )
+
 let mechanism_conv =
-  let parse = function
-    | "no-buffer" | "none" -> Ok Config.No_buffer
-    | "packet" | "packet-granularity" -> Ok Config.Packet_granularity
-    | "flow" | "flow-granularity" -> Ok Config.Flow_granularity
-    | s -> Error (`Msg (Printf.sprintf "unknown mechanism %S" s))
-  in
-  let print fmt m =
-    Format.pp_print_string fmt
-      (match m with
-      | Config.No_buffer -> "no-buffer"
-      | Config.Packet_granularity -> "packet-granularity"
-      | Config.Flow_granularity -> "flow-granularity")
-  in
-  Arg.conv (parse, print)
+  conv_of
+    ~parse:(function
+      | "no-buffer" | "none" -> Ok Config.No_buffer
+      | "packet" | "packet-granularity" -> Ok Config.Packet_granularity
+      | "flow" | "flow-granularity" -> Ok Config.Flow_granularity
+      | s -> Error (Printf.sprintf "unknown mechanism %S" s))
+    ~print:Sdn_switch.Switch.mechanism_to_string
 
 let mechanism_arg =
   Arg.(
@@ -72,15 +73,8 @@ let rates_arg =
     & info [ "rates" ] ~docv:"R1,R2,..." ~doc:"Sending rates to sweep (Mbps).")
 
 let faults_conv =
-  let parse s =
-    match Sdn_sim.Faults.spec_of_string s with
-    | Ok spec -> Ok spec
-    | Error msg -> Error (`Msg msg)
-  in
-  let print fmt spec =
-    Format.pp_print_string fmt (Sdn_sim.Faults.spec_to_string spec)
-  in
-  Arg.conv (parse, print)
+  conv_of ~parse:Sdn_sim.Faults.spec_of_string
+    ~print:Sdn_sim.Faults.spec_to_string
 
 let faults_arg =
   Arg.(
@@ -98,23 +92,20 @@ let faults_arg =
    value is parsed by prefixing "crash=" and handing it to the spec
    parser, so the two spellings can never drift apart. *)
 let crash_conv =
-  let parse s =
-    match Sdn_sim.Faults.spec_of_string ("crash=" ^ s) with
-    | Ok spec -> Ok spec.Sdn_sim.Faults.crashes
-    | Error msg -> Error (`Msg msg)
-  in
-  let print fmt crashes =
-    Format.pp_print_string fmt
-      (String.concat "+"
-         (List.map
-            (fun (c : Sdn_sim.Faults.crash) ->
-              Printf.sprintf "%s:%g:%g:%s"
-                (Sdn_sim.Faults.crash_node_to_string c.Sdn_sim.Faults.node)
-                c.Sdn_sim.Faults.at_s c.Sdn_sim.Faults.down_s
-                (Sdn_sim.Faults.restart_mode_to_string c.Sdn_sim.Faults.mode))
-            crashes))
-  in
-  Arg.conv (parse, print)
+  conv_of
+    ~parse:(fun s ->
+      Result.map
+        (fun spec -> spec.Sdn_sim.Faults.crashes)
+        (Sdn_sim.Faults.spec_of_string ("crash=" ^ s)))
+    ~print:(fun crashes ->
+      String.concat "+"
+        (List.map
+           (fun (c : Sdn_sim.Faults.crash) ->
+             Printf.sprintf "%s:%g:%g:%s"
+               (Sdn_sim.Faults.crash_node_to_string c.Sdn_sim.Faults.node)
+               c.Sdn_sim.Faults.at_s c.Sdn_sim.Faults.down_s
+               (Sdn_sim.Faults.restart_mode_to_string c.Sdn_sim.Faults.mode))
+           crashes))
 
 let crash_arg =
   Arg.(
@@ -141,15 +132,8 @@ let watermark_arg =
            default) disables the guard.")
 
 let buf_policy_conv =
-  let parse s =
-    match Sdn_switch.Buf_policy.kind_of_string s with
-    | Ok k -> Ok k
-    | Error msg -> Error (`Msg msg)
-  in
-  let print fmt k =
-    Format.pp_print_string fmt (Sdn_switch.Buf_policy.kind_to_string k)
-  in
-  Arg.conv (parse, print)
+  conv_of ~parse:Sdn_switch.Buf_policy.kind_of_string
+    ~print:Sdn_switch.Buf_policy.kind_to_string
 
 let buf_policy_arg =
   Arg.(
@@ -166,15 +150,8 @@ let buf_policy_arg =
            private buffers and byte-identical output.")
 
 let fail_mode_conv =
-  let parse s =
-    match Sdn_switch.Session.fail_mode_of_string s with
-    | Ok m -> Ok m
-    | Error msg -> Error (`Msg msg)
-  in
-  let print fmt m =
-    Format.pp_print_string fmt (Sdn_switch.Session.fail_mode_to_string m)
-  in
-  Arg.conv (parse, print)
+  conv_of ~parse:Sdn_switch.Session.fail_mode_of_string
+    ~print:Sdn_switch.Session.fail_mode_to_string
 
 let fail_mode_arg =
   Arg.(
@@ -226,46 +203,43 @@ let check_arg =
            unchecked one; any violation is reported with its event trace and \
            the command exits 1.")
 
-(* Shared --check epilogue: report every dirty run and fail the command. *)
-let check_exit results =
-  let dirty =
-    List.filter_map
-      (fun (label, (r : Experiment.result)) ->
-        Option.map
-          (fun rep -> (label, r.Experiment.check_violations, rep))
-          r.Experiment.check_report)
+(* Shared --check epilogue: report every dirty run of a grid and fail
+   the command. *)
+let check_exit (results : Experiment.result list) =
+  List.iteri
+    (fun i (r : Experiment.result) ->
+      Option.iter
+        (Printf.eprintf "invariant violations in %s: %d\n%s\n"
+           (Exec.describe i r.Experiment.config)
+           r.Experiment.check_violations)
+        r.Experiment.check_report)
+    results;
+  if
+    List.exists
+      (fun (r : Experiment.result) -> Option.is_some r.Experiment.check_report)
       results
-  in
-  if dirty <> [] then begin
-    List.iter
-      (fun (label, n, rep) ->
-        Printf.eprintf "invariant violations in %s: %d\n%s\n" label n rep)
-      dirty;
-    exit 1
-  end
+  then exit 1
 
 let workload_arg =
   let workload_conv =
-    let parse = function
-      | "exp-a" -> Ok (Config.Exp_a { n_flows = 1000 })
-      | "exp-b" ->
-          Ok (Config.Exp_b { n_flows = 50; packets_per_flow = 20; concurrent = 5 })
-      | "burst" -> Ok (Config.Udp_burst { n_packets = 200 })
-      | "poisson" -> Ok (Config.Poisson_flows { n_flows = 1000 })
-      | "poisson-mix" ->
-          Ok (Config.Poisson_mix { n_packets = 1000; miss_fraction = 0.5 })
-      | s -> Error (`Msg (Printf.sprintf "unknown workload %S" s))
-    in
-    let print fmt w =
-      Format.pp_print_string fmt
-        (match w with
+    conv_of
+      ~parse:(function
+        | "exp-a" -> Ok (Config.Exp_a { n_flows = 1000 })
+        | "exp-b" ->
+            Ok
+              (Config.Exp_b
+                 { n_flows = 50; packets_per_flow = 20; concurrent = 5 })
+        | "burst" -> Ok (Config.Udp_burst { n_packets = 200 })
+        | "poisson" -> Ok (Config.Poisson_flows { n_flows = 1000 })
+        | "poisson-mix" ->
+            Ok (Config.Poisson_mix { n_packets = 1000; miss_fraction = 0.5 })
+        | s -> Error (Printf.sprintf "unknown workload %S" s))
+      ~print:(function
         | Config.Exp_a _ -> "exp-a"
         | Config.Exp_b _ -> "exp-b"
         | Config.Udp_burst _ -> "burst"
         | Config.Poisson_flows _ -> "poisson"
         | Config.Poisson_mix _ -> "poisson-mix")
-    in
-    Arg.conv (parse, print)
   in
   Arg.(
     value
@@ -277,7 +251,7 @@ let workload_arg =
 
 let run_cmd =
   let run mechanism buffer rate seed workload faults crashes watermark
-      buf_policy echo_interval echo_misses fail_mode check jobs =
+      buf_policy echo_interval echo_misses fail_mode check =
     let faults =
       {
         faults with
@@ -299,27 +273,20 @@ let run_cmd =
         echo_misses;
         fail_mode;
         check;
-        jobs;
       }
     in
     let result = Experiment.run config in
     Format.printf "%a@." Experiment.pp_result result;
-    check_exit [ (Config.label config, result) ]
+    check_exit [ result ]
   in
   let term =
     Term.(
       const run $ mechanism_arg $ buffer_arg $ rate_arg $ seed_arg
       $ workload_arg $ faults_arg $ crash_arg $ watermark_arg
       $ buf_policy_arg $ echo_interval_arg $ echo_misses_arg $ fail_mode_arg
-      $ check_arg $ jobs_arg)
+      $ check_arg)
   in
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:
-         "Run one experiment and print its metrics. A single run is always \
-          one domain; $(b,--jobs) is recorded in the configuration and only \
-          fans out the sweep commands.")
-    term
+  Cmd.v (Cmd.info "run" ~doc:"Run one experiment and print its metrics.") term
 
 let chaos_cmd =
   let loss_rates_arg =
@@ -357,19 +324,15 @@ let chaos_cmd =
   in
   let restart_modes_arg =
     let modes_conv =
-      let parse = function
-        | "both" -> Ok Chaos.default_crash_modes
-        | s -> (
-            match Sdn_sim.Faults.restart_mode_of_string s with
-            | Ok m -> Ok [ m ]
-            | Error msg -> Error (`Msg msg))
-      in
-      let print fmt = function
-        | [ m ] ->
-            Format.pp_print_string fmt (Sdn_sim.Faults.restart_mode_to_string m)
-        | _ -> Format.pp_print_string fmt "both"
-      in
-      Arg.conv (parse, print)
+      conv_of
+        ~parse:(function
+          | "both" -> Ok Chaos.default_crash_modes
+          | s ->
+              Result.map (fun m -> [ m ])
+                (Sdn_sim.Faults.restart_mode_of_string s))
+        ~print:(function
+          | [ m ] -> Sdn_sim.Faults.restart_mode_to_string m
+          | _ -> "both")
     in
     Arg.(
       value
@@ -414,83 +377,44 @@ let chaos_cmd =
   in
   let run seed rate loss_rates faults outage durations crash modes downs policy
       policies buffers check jobs =
-    if policy then begin
-      let base =
-        { (Chaos.default_policy_base ~seed) with Config.check; jobs }
-      in
-      let points = Chaos.run_policy ~policies ~buffers ~base () in
-      Chaos.print_policy_report points;
-      check_exit
-        (List.map
-           (fun (p : Chaos.policy_point) ->
-             (Printf.sprintf "policy/%s" (Config.label p.Chaos.config),
-              p.Chaos.result))
-           points)
-    end
-    else if crash then begin
-      let base =
-        {
-          (Chaos.default_crash_base ~seed) with
-          Config.rate_mbps = rate;
-          check;
-          jobs;
-        }
-      in
-      let points = Chaos.run_crash ~modes ~downs ~base () in
-      Chaos.print_crash_report points;
-      check_exit
-        (List.map
-           (fun (p : Chaos.crash_point) ->
-             ( Printf.sprintf "%s/%s/%s/%.0fms"
-                 (Config.label p.Chaos.config)
-                 (Sdn_sim.Faults.crash_node_to_string p.Chaos.node)
-                 (Sdn_sim.Faults.restart_mode_to_string p.Chaos.mode)
-                 (p.Chaos.down *. 1e3),
-               p.Chaos.result ))
-           points)
-    end
-    else if outage then begin
-      let base =
-        {
-          (Chaos.default_outage_base ~seed) with
-          Config.rate_mbps = rate;
-          check;
-          jobs;
-        }
-      in
-      let points = Chaos.run_outage ~durations ~base () in
-      Chaos.print_outage_report points;
-      check_exit
-        (List.map
-           (fun (p : Chaos.outage_point) ->
-             ( Printf.sprintf "%s/%s/%.0fms"
-                 (Config.label p.Chaos.config)
-                 (Sdn_switch.Session.fail_mode_to_string p.Chaos.fail_mode)
-                 (p.Chaos.duration *. 1e3),
-               p.Chaos.result ))
-           points)
-    end
-    else begin
-      let base =
-        {
-          (Chaos.default_base ~seed) with
-          Config.rate_mbps = rate;
-          faults;
-          check;
-          jobs;
-        }
-      in
-      let points = Chaos.run ~loss_rates ~base () in
-      Chaos.print_report points;
-      check_exit
-        (List.map
-           (fun (p : Chaos.point) ->
-             ( Printf.sprintf "%s/loss=%.0f%%"
-                 (Config.label p.Chaos.config)
-                 (p.Chaos.loss_rate *. 100.0),
-               p.Chaos.result ))
-           points)
-    end
+    let results =
+      if policy then begin
+        let base = { (Chaos.default_policy_base ~seed) with Config.check } in
+        let results = Chaos.run_policy ~policies ~buffers ~jobs ~base () in
+        Chaos.print_policy_report results;
+        results
+      end
+      else if crash then begin
+        let base =
+          { (Chaos.default_crash_base ~seed) with Config.rate_mbps = rate; check }
+        in
+        let results = Chaos.run_crash ~modes ~downs ~jobs ~base () in
+        Chaos.print_crash_report results;
+        results
+      end
+      else if outage then begin
+        let base =
+          { (Chaos.default_outage_base ~seed) with Config.rate_mbps = rate; check }
+        in
+        let results = Chaos.run_outage ~durations ~jobs ~base () in
+        Chaos.print_outage_report results;
+        results
+      end
+      else begin
+        let base =
+          {
+            (Chaos.default_base ~seed) with
+            Config.rate_mbps = rate;
+            faults;
+            check;
+          }
+        in
+        let results = Chaos.run ~loss_rates ~jobs ~base () in
+        Chaos.print_report results;
+        results
+      end
+    in
+    check_exit results
   in
   let term =
     Term.(
@@ -681,9 +605,18 @@ let massive_cmd =
           wall-clock event rate prints on stderr.")
     term
 
+let ablations_cmd =
+  Cmd.v
+    (Cmd.info "ablations"
+       ~doc:
+         "Run the ablation studies of the design choices: buffer sizing, \
+          PACKET_IN truncation length, release strategy, re-request timeout \
+          under loss, rule-programming latency and proactive provisioning.")
+    Term.(const Ablations.run_all $ const ())
+
 let calibration_cmd =
-  let run jobs =
-    let checks = Calibration.sanity ~jobs () in
+  let run () =
+    let checks = Calibration.sanity () in
     List.iter
       (fun (what, ok) ->
         Printf.printf "[%s] %s\n" (if ok then "ok" else "FAIL") what)
@@ -693,7 +626,7 @@ let calibration_cmd =
   in
   Cmd.v
     (Cmd.info "calibration" ~doc:"Check the calibration sanity conditions.")
-    Term.(const run $ jobs_arg)
+    Term.(const run $ const ())
 
 let default_info =
   Cmd.info "sdn_buffer_cli" ~version:"1.0.0"
@@ -707,5 +640,5 @@ let () =
        (Cmd.group default_info
           [
             run_cmd; chaos_cmd; figure_cmd; all_cmd; export_cmd; validate_cmd;
-            massive_cmd; calibration_cmd;
+            massive_cmd; ablations_cmd; calibration_cmd;
           ]))

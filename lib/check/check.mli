@@ -185,7 +185,6 @@ val violations : t -> violation list
 val violation_count : t -> int
 val events_seen : t -> int
 
-val pp_violation : Format.formatter -> violation -> unit
 val report : t -> string
 (** Human-readable multi-line report of every violation with its event
     trace tail; [""] when clean. *)

@@ -50,6 +50,4 @@ let qos_forwarding ~hosts ~classify ?(idle_timeout = 5) () =
   in
   { App.name = "qos-forwarding"; decide }
 
-let hub () = { App.name = "hub"; decide = (fun _ -> App.Flood) }
-
 let dropper () = { App.name = "dropper"; decide = (fun _ -> App.Drop) }

@@ -28,9 +28,5 @@ val qos_forwarding :
     scheduler (the paper's future-work extension) can differentiate
     classes. *)
 
-val hub : unit -> App.t
-(** Floods everything; never installs rules. The worst-case baseline:
-    every packet of every flow is a miss forever. *)
-
 val dropper : unit -> App.t
 (** Drops everything (a "deny" policy); useful in tests. *)

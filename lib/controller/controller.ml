@@ -634,12 +634,7 @@ let install_proactive t ?(switch = 0) flow_mods =
 
 let set_switch_link t link = add_switch t ~switch:0 link
 
-let switch_count t = Hashtbl.length t.links
 let cpu t = t.cpu
-let app_name t = t.app.App.name
-
-let switch_session t ~switch =
-  Option.map (fun s -> s.tracker) (Hashtbl.find_opt t.sessions switch)
 
 let switch_downs t =
   (* Commutative sum: iteration order cannot change the total.

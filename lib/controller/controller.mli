@@ -70,8 +70,6 @@ val add_switch : t -> switch:int -> Bytes.t Link.t -> unit
 (** Register another switch session — one controller can manage a
     whole topology (e.g. the chain scenario). *)
 
-val switch_count : t -> int
-
 val handle_message : t -> Bytes.t -> unit
 (** Deliver a switch-to-controller message (wired as the receiver of
     the control link); single-switch shorthand for
@@ -107,10 +105,6 @@ val install_proactive :
 (** Push a batch of FLOW_MODs to a switch outside any request/response
     cycle — the proactive provisioning baseline against which the
     paper's reactive flow setup (and all its overhead) is compared. *)
-
-val switch_session : t -> switch:int -> Sdn_switch.Session.t option
-(** The liveness tracker of one switch session (created at
-    [start_switch] or on the switch's first message). *)
 
 val switch_downs : t -> int
 (** Total Down declarations across all switch sessions. *)
@@ -155,4 +149,3 @@ val reconcile_events : t -> (float * string) list
 
 val cpu : t -> Cpu.t
 val counters : t -> counters
-val app_name : t -> string

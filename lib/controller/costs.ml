@@ -101,12 +101,6 @@ let profile_to_string = function
   | Floodlight -> "floodlight"
   | Opendaylight -> "opendaylight"
 
-let profile_of_string = function
-  | "pox" -> Some Pox
-  | "floodlight" -> Some Floodlight
-  | "opendaylight" -> Some Opendaylight
-  | _ -> None
-
 let profiles = [ Pox; Floodlight; Opendaylight ]
 
 let noise t rng =

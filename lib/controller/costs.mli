@@ -70,22 +70,19 @@ val default : t
     congestion/GC shape is shared. [Floodlight] is the paper's testbed
     controller and equals {!default}. *)
 
-type profile = Pox | Floodlight | Opendaylight
+type profile =
+  | Pox
+  | Floodlight  (** the calibrated defaults (the paper's testbed controller) *)
+  | Opendaylight
+      (** wider thread pool ([cores = 4]), heavier framework per
+          message than Floodlight *)
 
 val pox : t
 (** Single-threaded Python controller: [cores = 1], roughly an order
     of magnitude more per-message work. *)
 
-val floodlight : t
-(** The calibrated defaults (the paper's testbed controller). *)
-
-val opendaylight : t
-(** Wider thread pool ([cores = 4]), heavier framework per message
-    than Floodlight. *)
-
 val of_profile : profile -> t
 val profile_to_string : profile -> string
-val profile_of_string : string -> profile option
 val profiles : profile list
 (** All presets, in CLI/report order. *)
 

@@ -10,50 +10,53 @@ let buffer_sizing ?(rates = [ 25.0; 50.0; 75.0; 100.0 ])
     "\n== Ablation: buffer sizing (Exp-A, packet granularity) ==\n\
      Units in use and full-packet fallbacks per (rate, pool size); the\n\
      paper concludes ~80 units suffice for a 100 Mbps interface.\n\n";
+  let by_rate =
+    List.map
+      (fun rate ->
+        ( rate,
+          List.map
+            (fun size ->
+              ( size,
+                run_config
+                  (Config.exp_a ~mechanism:Config.Packet_granularity
+                     ~buffer_capacity:size ~rate_mbps:rate ~seed) ))
+            sizes ))
+      rates
+  in
+  let sufficient (r : Experiment.result) = r.Experiment.full_packet_fallbacks = 0 in
   let rows =
     List.concat_map
-      (fun rate ->
+      (fun (rate, by_size) ->
         List.map
-          (fun size ->
-            let r =
-              run_config
-                (Config.exp_a ~mechanism:Config.Packet_granularity
-                   ~buffer_capacity:size ~rate_mbps:rate ~seed)
-            in
+          (fun (size, r) ->
             [
               Printf.sprintf "%.0f" rate;
               string_of_int size;
               Printf.sprintf "%.1f" r.Experiment.buffer_mean_in_use;
               string_of_int r.Experiment.buffer_max_in_use;
               string_of_int r.Experiment.full_packet_fallbacks;
-              (if r.Experiment.full_packet_fallbacks = 0 then "yes" else "no");
+              (if sufficient r then "yes" else "no");
             ])
-          sizes)
-      rates
+          by_size)
+      by_rate
   in
   Report.print_table
     ~header:
       [ "rate(Mbps)"; "pool size"; "mean in use"; "max in use"; "fallbacks";
         "sufficient" ]
     ~rows;
-  (* Minimum sufficient size per rate. *)
+  (* Minimum sufficient size per rate, from the runs above. *)
   Printf.printf "\nMinimum sufficient pool size per rate:\n";
   List.iter
-    (fun rate ->
+    (fun (rate, by_size) ->
       let min_sufficient =
-        List.find_opt
-          (fun size ->
-            let r =
-              run_config
-                (Config.exp_a ~mechanism:Config.Packet_granularity
-                   ~buffer_capacity:size ~rate_mbps:rate ~seed)
-            in
-            r.Experiment.full_packet_fallbacks = 0)
-          sizes
+        List.find_map
+          (fun (size, r) -> if sufficient r then Some size else None)
+          by_size
       in
       Printf.printf "  %3.0f Mbps: %s units\n" rate
         (match min_sufficient with Some s -> string_of_int s | None -> ">max"))
-    rates
+    by_rate
 
 (* ---- miss_send_len sweep ---- *)
 

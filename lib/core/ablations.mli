@@ -1,7 +1,8 @@
 (** Ablation studies of the design choices DESIGN.md calls out.
 
-    Each study prints a self-contained table. [run_all] is wired into
-    the benchmark harness ([dune exec bench/main.exe -- ablations]).
+    Each study prints a self-contained table. [run_all] runs every
+    study in the order below; the CLI's [ablations] subcommand calls
+    it.
 
     - {!buffer_sizing}: how many buffer units a given line rate needs —
       the paper's closing observation of Section IV.G ("no more than 80
@@ -19,7 +20,11 @@
       and duplicate requests across timeout settings.
     - {!rule_install_latency}: how datapath rule-programming latency
       reshapes the Exp-B comparison (the regime discussed as deviation
-      D4 in EXPERIMENTS.md). *)
+      D4 in EXPERIMENTS.md).
+    - A proactive-provisioning baseline: pre-installing every rule
+      removes the request traffic entirely, at the cost of knowing and
+      holding all flows up front — the trade-off that motivates
+      reducing the reactive path's cost rather than abandoning it. *)
 
 val buffer_sizing : ?rates:float list -> ?sizes:int list -> ?seed:int -> unit -> unit
 
@@ -32,12 +37,5 @@ val resend_timeout_under_loss :
 
 val rule_install_latency :
   ?latencies:float list -> ?rate:float -> ?seed:int -> unit -> unit
-
-val proactive_baseline : ?rate:float -> ?seed:int -> unit -> unit
-(** Reactive flow setup (the paper's subject) against proactive rule
-    provisioning: pre-installing every rule removes the request traffic
-    entirely, at the cost of knowing and holding all flows up front —
-    the trade-off that motivates reducing the reactive path's cost
-    rather than abandoning it. *)
 
 val run_all : unit -> unit

@@ -58,10 +58,7 @@ let switch_costs = Sdn_switch.Costs.default
 
 let controller_costs = Sdn_controller.Costs.default
 
-(* Each sanity condition is an independent pure thunk over the cost
-   models, so the set evaluates through the same Task_pool funnel as
-   the sweeps ([jobs] never changes the verdicts or their order). *)
-let sanity_checks () =
+let sanity () =
   let c = switch_costs in
   let k = controller_costs in
   let frame = 1000 in
@@ -85,32 +82,19 @@ let sanity_checks () =
   let unloaded_controller_delay =
     (2.0 *. control_link_latency) +. controller_work_buffered
   in
-  [|
-    ( "buffered PACKET_IN is >5x smaller than the no-buffer one",
-      fun () -> pkt_in_no_buffer > 5 * pkt_in_buffered );
-    ( "buffered PACKET_OUT is >10x smaller than the no-buffer one",
-      fun () -> pkt_out_no_buffer > 10 * pkt_out_buffered );
-    ( "bus saturates for no-buffer misses between 60 and 85 Mbps",
-      fun () -> bus_saturation_mbps > 60.0 && bus_saturation_mbps < 85.0 );
-    ( "unloaded controller delay is 0.4-1.0 ms",
-      fun () ->
-        unloaded_controller_delay > 0.4e-3 && unloaded_controller_delay < 1.0e-3
-    );
-    ( "buffer-16 residence pushes exhaustion into the 25-45 Mbps band",
-      fun () ->
-        let residence =
-          unloaded_controller_delay +. 3.2e-3
-          +. k.Sdn_controller.Costs.encode_base_cost
-        in
-        let exhaust_pps = 16.0 /. residence in
-        let exhaust_mbps = exhaust_pps *. float_of_int frame *. 8.0 /. 1e6 in
-        exhaust_mbps > 25.0 && exhaust_mbps < 45.0 );
-  |]
-
-let sanity ?(jobs = 1) () =
-  let checks = sanity_checks () in
-  let verdicts =
-    Sdn_sim.Task_pool.run ~jobs ~tasks:(Array.length checks) (fun i ->
-        (snd checks.(i)) ())
+  let residence =
+    unloaded_controller_delay +. 3.2e-3 +. k.Sdn_controller.Costs.encode_base_cost
   in
-  Array.to_list (Array.mapi (fun i ok -> (fst checks.(i), ok)) verdicts)
+  let exhaust_mbps = 16.0 /. residence *. float_of_int frame *. 8.0 /. 1e6 in
+  [
+    ( "buffered PACKET_IN is >5x smaller than the no-buffer one",
+      pkt_in_no_buffer > 5 * pkt_in_buffered );
+    ( "buffered PACKET_OUT is >10x smaller than the no-buffer one",
+      pkt_out_no_buffer > 10 * pkt_out_buffered );
+    ( "bus saturates for no-buffer misses between 60 and 85 Mbps",
+      bus_saturation_mbps > 60.0 && bus_saturation_mbps < 85.0 );
+    ( "unloaded controller delay is 0.4-1.0 ms",
+      unloaded_controller_delay > 0.4e-3 && unloaded_controller_delay < 1.0e-3 );
+    ( "buffer-16 residence pushes exhaustion into the 25-45 Mbps band",
+      exhaust_mbps > 25.0 && exhaust_mbps < 45.0 );
+  ]

@@ -31,11 +31,8 @@ val switch_costs : Sdn_switch.Costs.t
 
 val controller_costs : Sdn_controller.Costs.t
 
-val sanity : ?jobs:int -> unit -> (string * bool) list
+val sanity : unit -> (string * bool) list
 (** Self-checks tying constants to the paper's headline observations
     (e.g. a buffered PACKET_IN must be several times smaller than the
-    no-buffer one). Each entry is a description and whether it holds;
-    tests assert they all do. The checks are independent pure
-    conditions, so [jobs] (default 1) evaluates them through the same
-    {!Sdn_sim.Task_pool} funnel as the sweeps — the verdict list is
-    identical for every value. *)
+    no-buffer one). Each entry is a description and whether it holds,
+    in a fixed order; tests assert they all do. *)

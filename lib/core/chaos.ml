@@ -8,12 +8,6 @@
 open Sdn_sim
 open Sdn_measure
 
-type point = {
-  config : Config.t;
-  loss_rate : float;
-  result : Experiment.result;
-}
-
 let default_loss_rates = [ 0.0; 0.05; 0.1; 0.2 ]
 
 let default_mechanisms =
@@ -35,34 +29,28 @@ let point_config ~base ~mechanism ~loss_rate =
     faults;
   }
 
-let run ?(mechanisms = default_mechanisms) ?(loss_rates = default_loss_rates)
-    ?jobs ~base () =
-  let jobs = match jobs with Some j -> j | None -> base.Config.jobs in
-  let specs =
-    List.concat_map
-      (fun mechanism ->
-        List.map
-          (fun loss_rate ->
-            (loss_rate, point_config ~base ~mechanism ~loss_rate))
-          loss_rates)
-      mechanisms
-  in
-  let configs = Array.of_list (List.map snd specs) in
-  let results =
-    Exec.run_experiments ~jobs
-      ~label:(fun i ->
-        let loss_rate, config = List.nth specs i in
-        Printf.sprintf "chaos/%s/loss=%g" (Config.label config) loss_rate)
-      configs
-  in
-  List.mapi
-    (fun i (loss_rate, config) -> { config; loss_rate; result = results.(i) })
-    specs
+(* Every sweep hands its grid, in report order, to the one funnel and
+   keeps the results in that order. *)
+let run_grid ~jobs configs =
+  Array.to_list (Exec.run_experiments ~jobs (Array.of_list configs))
 
-let mechanism_name = function
-  | Config.No_buffer -> "no-buffer"
-  | Config.Packet_granularity -> "packet-granularity"
-  | Config.Flow_granularity -> "flow-granularity"
+let run ?(mechanisms = default_mechanisms) ?(loss_rates = default_loss_rates)
+    ?(jobs = 1) ~base () =
+  run_grid ~jobs
+    (List.concat_map
+       (fun mechanism ->
+         List.map
+           (fun loss_rate -> point_config ~base ~mechanism ~loss_rate)
+           loss_rates)
+       mechanisms)
+
+(* Report rows read each point's axes back from the configuration it
+   ran: only the [*_point_config] functions of this module write them. *)
+let mechanism_name (r : Experiment.result) =
+  Sdn_switch.Switch.mechanism_to_string r.Experiment.config.Config.mechanism
+
+let fail_mode_name (r : Experiment.result) =
+  Sdn_switch.Session.fail_mode_to_string r.Experiment.config.Config.fail_mode
 
 let completion_ratio (r : Experiment.result) =
   if r.Experiment.flows_started = 0 then 1.0
@@ -70,11 +58,11 @@ let completion_ratio (r : Experiment.result) =
     float_of_int r.Experiment.flows_completed
     /. float_of_int r.Experiment.flows_started
 
-let row p =
-  let r = p.result in
+let row (r : Experiment.result) =
   [
-    mechanism_name p.config.Config.mechanism;
-    Printf.sprintf "%.0f%%" (p.loss_rate *. 100.0);
+    mechanism_name r;
+    Printf.sprintf "%.0f%%"
+      (r.Experiment.config.Config.faults.Faults.loss_rate *. 100.0);
     Printf.sprintf "%d/%d" r.Experiment.flows_completed
       r.Experiment.flows_started;
     Printf.sprintf "%.1f%%" (completion_ratio r *. 100.0);
@@ -102,12 +90,11 @@ let header =
     "t_rec max (ms)";
   ]
 
-let recovery_histogram points =
+let recovery_histogram results =
   let stats = Stats.create () in
   List.iter
-    (fun p ->
-      Array.iter (Stats.add stats) p.result.Experiment.recovery_delay_samples)
-    points;
+    (fun r -> Array.iter (Stats.add stats) r.Experiment.recovery_delay_samples)
+    results;
   if Stats.count stats = 0 then None
   else
     Some
@@ -115,13 +102,13 @@ let recovery_histogram points =
          ~fmt:(fun s -> Printf.sprintf "%.1fms" (s *. 1e3))
          stats)
 
-let report points =
+let report results =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     "chaos: control-channel loss sweep (deterministic fault plans)\n\n";
-  Buffer.add_string buf (Report.table ~header ~rows:(List.map row points));
+  Buffer.add_string buf (Report.table ~header ~rows:(List.map row results));
   Buffer.add_char buf '\n';
-  (match recovery_histogram points with
+  (match recovery_histogram results with
   | None -> ()
   | Some h ->
       Buffer.add_string buf "\ntime-to-recovery histogram (all points)\n";
@@ -129,7 +116,7 @@ let report points =
       Buffer.add_char buf '\n');
   Buffer.contents buf
 
-let print_report points = print_string (report points)
+let print_report results = print_string (report results)
 
 (* ------------------------------------------------------------------ *)
 (* Outage sweep: a scheduled control-channel blackout against the
@@ -137,13 +124,6 @@ let print_report points = print_string (report points)
    machinery with i.i.d. drops, the outage sweep kills the channel
    outright for a window and measures what the echo keepalive detects,
    how each fail mode degrades, and what the reconnect resyncs. *)
-
-type outage_point = {
-  config : Config.t;
-  fail_mode : Config.fail_mode;
-  duration : float;
-  result : Experiment.result;
-}
 
 let default_outage_durations = [ 0.05; 0.1 ]
 let default_fail_modes = [ Config.Fail_secure; Config.Fail_standalone ]
@@ -177,59 +157,45 @@ let outage_point_config ~base ~mechanism ~fail_mode ~duration =
 
 let run_outage ?(mechanisms = default_mechanisms)
     ?(fail_modes = default_fail_modes)
-    ?(durations = default_outage_durations) ?jobs ~base () =
-  let jobs = match jobs with Some j -> j | None -> base.Config.jobs in
-  let specs =
-    List.concat_map
-      (fun mechanism ->
-        List.concat_map
-          (fun fail_mode ->
-            List.map
-              (fun duration ->
-                ( (fail_mode, duration),
-                  outage_point_config ~base ~mechanism ~fail_mode ~duration ))
-              durations)
-          fail_modes)
-      mechanisms
-  in
-  let configs = Array.of_list (List.map snd specs) in
-  let results =
-    Exec.run_experiments ~jobs
-      ~label:(fun i ->
-        let (fail_mode, duration), config = List.nth specs i in
-        Printf.sprintf "outage/%s/%s/%.0fms" (Config.label config)
-          (Sdn_switch.Session.fail_mode_to_string fail_mode)
-          (duration *. 1e3))
-      configs
-  in
-  List.mapi
-    (fun i ((fail_mode, duration), config) ->
-      { config; fail_mode; duration; result = results.(i) })
-    specs
+    ?(durations = default_outage_durations) ?(jobs = 1) ~base () =
+  run_grid ~jobs
+    (List.concat_map
+       (fun mechanism ->
+         List.concat_map
+           (fun fail_mode ->
+             List.map
+               (fun duration ->
+                 outage_point_config ~base ~mechanism ~fail_mode ~duration)
+               durations)
+           fail_modes)
+       mechanisms)
 
-let fail_mode_name = function
-  | Config.Fail_secure -> "fail-secure"
-  | Config.Fail_standalone -> "fail-standalone"
+(* The swept duration, read back as [stop - start] of the single
+   window: not always bit-equal to the swept value, so every use
+   prints it rounded to whole milliseconds. *)
+let outage_ms (r : Experiment.result) =
+  match r.Experiment.config.Config.faults.Faults.outages with
+  | [ o ] -> (o.Faults.stop_s -. o.Faults.start_s) *. 1e3
+  | _ -> invalid_arg "Chaos: an outage point runs exactly one outage window"
 
 (* Time from the outage opening to the switch declaring Down; "-" when
    the keepalive never noticed (outage shorter than the miss budget). *)
-let detect_latency p =
+let detect_latency (r : Experiment.result) =
   let rec first_down = function
     | [] -> None
     | (time, state) :: rest ->
         if state = "down" && time >= outage_start then Some (time -. outage_start)
         else first_down rest
   in
-  first_down p.result.Experiment.session_transitions
+  first_down r.Experiment.session_transitions
 
-let outage_row p =
-  let r = p.result in
+let outage_row (r : Experiment.result) =
   [
-    mechanism_name p.config.Config.mechanism;
-    fail_mode_name p.fail_mode;
-    Printf.sprintf "%.0fms" (p.duration *. 1e3);
+    mechanism_name r;
+    fail_mode_name r;
+    Printf.sprintf "%.0fms" (outage_ms r);
     string_of_int r.Experiment.outage_detections;
-    (match detect_latency p with
+    (match detect_latency r with
     | None -> "-"
     | Some d -> Report.fmt_ms d);
     Report.fmt_ms r.Experiment.session_downtime;
@@ -260,7 +226,7 @@ let outage_header =
     "false+";
   ]
 
-let outage_report points =
+let outage_report results =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf
@@ -268,20 +234,19 @@ let outage_report points =
         keepalive driven)\n\n"
        outage_start);
   Buffer.add_string buf
-    (Report.table ~header:outage_header ~rows:(List.map outage_row points));
+    (Report.table ~header:outage_header ~rows:(List.map outage_row results));
   Buffer.add_char buf '\n';
   Buffer.add_string buf "\nsession timelines\n";
   List.iter
-    (fun p ->
+    (fun r ->
       Buffer.add_string buf
-        (Printf.sprintf "%-18s %-15s %5.0fms  %s\n"
-           (mechanism_name p.config.Config.mechanism)
-           (fail_mode_name p.fail_mode) (p.duration *. 1e3)
-           (Report.timeline p.result.Experiment.session_transitions)))
-    points;
+        (Printf.sprintf "%-18s %-15s %5.0fms  %s\n" (mechanism_name r)
+           (fail_mode_name r) (outage_ms r)
+           (Report.timeline r.Experiment.session_transitions)))
+    results;
   Buffer.contents buf
 
-let print_outage_report points = print_string (outage_report points)
+let print_outage_report results = print_string (outage_report results)
 
 (* ------------------------------------------------------------------ *)
 (* Crash sweep: a scheduled node crash (switch or controller, warm or
@@ -290,14 +255,6 @@ let print_outage_report points = print_string (outage_report points)
    dropped or salvaged, tables survive or are wiped — and the report
    compares packets lost, recovery time to steady state and the
    reconciliation effort spent re-converging the flow state. *)
-
-type crash_point = {
-  config : Config.t;
-  node : Sdn_sim.Faults.crash_node;
-  mode : Sdn_sim.Faults.restart_mode;
-  down : float;
-  result : Experiment.result;
-}
 
 let default_crash_nodes = [ Faults.Switch_node; Faults.Controller_node ]
 let default_crash_modes = [ Faults.Warm; Faults.Cold ]
@@ -329,47 +286,34 @@ let crash_point_config ~base ~mechanism ~node ~mode ~down =
 
 let run_crash ?(mechanisms = default_mechanisms)
     ?(nodes = default_crash_nodes) ?(modes = default_crash_modes)
-    ?(downs = default_crash_downs) ?jobs ~base () =
-  let jobs = match jobs with Some j -> j | None -> base.Config.jobs in
-  let specs =
-    List.concat_map
-      (fun mechanism ->
-        List.concat_map
-          (fun node ->
-            List.concat_map
-              (fun mode ->
-                List.map
-                  (fun down ->
-                    ( (node, mode, down),
-                      crash_point_config ~base ~mechanism ~node ~mode ~down ))
-                  downs)
-              modes)
-          nodes)
-      mechanisms
-  in
-  let configs = Array.of_list (List.map snd specs) in
-  let results =
-    Exec.run_experiments ~jobs
-      ~label:(fun i ->
-        let (node, mode, down), config = List.nth specs i in
-        Printf.sprintf "crash/%s/%s/%s/%.0fms" (Config.label config)
-          (Faults.crash_node_to_string node)
-          (Faults.restart_mode_to_string mode)
-          (down *. 1e3))
-      configs
-  in
-  List.mapi
-    (fun i ((node, mode, down), config) ->
-      { config; node; mode; down; result = results.(i) })
-    specs
+    ?(downs = default_crash_downs) ?(jobs = 1) ~base () =
+  run_grid ~jobs
+    (List.concat_map
+       (fun mechanism ->
+         List.concat_map
+           (fun node ->
+             List.concat_map
+               (fun mode ->
+                 List.map
+                   (fun down ->
+                     crash_point_config ~base ~mechanism ~node ~mode ~down)
+                   downs)
+               modes)
+           nodes)
+       mechanisms)
 
-let crash_row p =
-  let r = p.result in
+let the_crash (r : Experiment.result) =
+  match r.Experiment.config.Config.faults.Faults.crashes with
+  | [ c ] -> c
+  | _ -> invalid_arg "Chaos: a crash point runs exactly one crash"
+
+let crash_row (r : Experiment.result) =
+  let c = the_crash r in
   [
-    mechanism_name p.config.Config.mechanism;
-    Faults.crash_node_to_string p.node;
-    Faults.restart_mode_to_string p.mode;
-    Printf.sprintf "%.0fms" (p.down *. 1e3);
+    mechanism_name r;
+    Faults.crash_node_to_string c.Faults.node;
+    Faults.restart_mode_to_string c.Faults.mode;
+    Printf.sprintf "%.0fms" (c.Faults.down_s *. 1e3);
     string_of_int r.Experiment.packets_lost_to_crash;
     string_of_int r.Experiment.crash_msgs_lost;
     (if r.Experiment.crash_recovery.Experiment.count = 0 then "-"
@@ -399,7 +343,7 @@ let crash_header =
     "froz/res/exp";
   ]
 
-let crash_report points =
+let crash_report results =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf
@@ -407,23 +351,23 @@ let crash_report points =
         recovery)\n\n"
        crash_start);
   Buffer.add_string buf
-    (Report.table ~header:crash_header ~rows:(List.map crash_row points));
+    (Report.table ~header:crash_header ~rows:(List.map crash_row results));
   Buffer.add_char buf '\n';
   Buffer.add_string buf "\ncrash timelines\n";
   List.iter
-    (fun p ->
+    (fun r ->
+      let c = the_crash r in
       Buffer.add_string buf
-        (Printf.sprintf "%-18s %-10s %-4s %5.0fms  %s\n"
-           (mechanism_name p.config.Config.mechanism)
-           (Faults.crash_node_to_string p.node)
-           (Faults.restart_mode_to_string p.mode)
-           (p.down *. 1e3)
-           (Report.timeline ~events:p.result.Experiment.crash_events
-              p.result.Experiment.session_transitions)))
-    points;
+        (Printf.sprintf "%-18s %-10s %-4s %5.0fms  %s\n" (mechanism_name r)
+           (Faults.crash_node_to_string c.Faults.node)
+           (Faults.restart_mode_to_string c.Faults.mode)
+           (c.Faults.down_s *. 1e3)
+           (Report.timeline ~events:r.Experiment.crash_events
+              r.Experiment.session_transitions)))
+    results;
   Buffer.contents buf
 
-let print_crash_report points = print_string (crash_report points)
+let print_crash_report results = print_string (crash_report results)
 
 (* ------------------------------------------------------------------ *)
 (* Buffer-policy sweep: the shared-buffer sharing disciplines of
@@ -433,13 +377,6 @@ let print_crash_report points = print_string (crash_report points)
    egress classes (backlog behind the slow wire) fight over the shared
    pool; the report compares delivery, drops and per-class occupancy /
    threshold behaviour across policies and pool sizes. *)
-
-type policy_point = {
-  config : Config.t;
-  policy : Sdn_switch.Buf_policy.kind;
-  buffer : int;
-  result : Experiment.result;
-}
 
 let default_policies =
   [
@@ -488,29 +425,17 @@ let policy_point_config ~base ~policy ~buffer =
   { base with Config.buf_policy = Some policy; buffer_capacity = buffer }
 
 let run_policy ?(policies = default_policies)
-    ?(buffers = default_policy_buffers) ?jobs ~base () =
-  let jobs = match jobs with Some j -> j | None -> base.Config.jobs in
-  let specs =
-    List.concat_map
-      (fun policy ->
-        List.map
-          (fun buffer ->
-            ((policy, buffer), policy_point_config ~base ~policy ~buffer))
-          buffers)
-      policies
-  in
-  let configs = Array.of_list (List.map snd specs) in
-  let results =
-    Exec.run_experiments ~jobs
-      ~label:(fun i ->
-        let _, config = List.nth specs i in
-        Printf.sprintf "policy/%s" (Config.label config))
-      configs
-  in
-  List.mapi
-    (fun i ((policy, buffer), config) ->
-      { config; policy; buffer; result = results.(i) })
-    specs
+    ?(buffers = default_policy_buffers) ?(jobs = 1) ~base () =
+  run_grid ~jobs
+    (List.concat_map
+       (fun policy ->
+         List.map (fun buffer -> policy_point_config ~base ~policy ~buffer) buffers)
+       policies)
+
+let policy_name (r : Experiment.result) =
+  match r.Experiment.config.Config.buf_policy with
+  | Some kind -> Sdn_switch.Buf_policy.kind_to_string kind
+  | None -> invalid_arg "Chaos: a policy point runs with a sharing policy"
 
 let pool_rejected (r : Experiment.result) =
   List.fold_left
@@ -518,11 +443,10 @@ let pool_rejected (r : Experiment.result) =
       acc + s.Sdn_switch.Buf_policy.rejected)
     0 r.Experiment.pool_classes
 
-let policy_row p =
-  let r = p.result in
+let policy_row (r : Experiment.result) =
   [
-    Sdn_switch.Buf_policy.kind_to_string p.policy;
-    string_of_int p.buffer;
+    policy_name r;
+    string_of_int r.Experiment.config.Config.buffer_capacity;
     Printf.sprintf "%d/%d" r.Experiment.packets_out r.Experiment.packets_in;
     string_of_int r.Experiment.packets_dropped;
     string_of_int r.Experiment.full_packet_fallbacks;
@@ -545,26 +469,25 @@ let policy_header =
     "fwd mean (ms)";
   ]
 
-let policy_report points =
+let policy_report results =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     "chaos: shared-buffer policy sweep (incast burst, policy x pool size)\n\n";
   Buffer.add_string buf
-    (Report.table ~header:policy_header ~rows:(List.map policy_row points));
+    (Report.table ~header:policy_header ~rows:(List.map policy_row results));
   Buffer.add_char buf '\n';
   Buffer.add_string buf "\npool classes\n";
   List.iter
-    (fun p ->
+    (fun r ->
       Buffer.add_string buf
-        (Printf.sprintf "%s (buffer %d)\n"
-           (Sdn_switch.Buf_policy.kind_to_string p.policy)
-           p.buffer);
+        (Printf.sprintf "%s (buffer %d)\n" (policy_name r)
+           r.Experiment.config.Config.buffer_capacity);
       List.iter
         (fun s ->
           Buffer.add_string buf
             (Format.asprintf "  %a\n" Sdn_switch.Buf_policy.pp_class_stat s))
-        p.result.Experiment.pool_classes)
-    points;
+        r.Experiment.pool_classes)
+    results;
   Buffer.contents buf
 
-let print_policy_report points = print_string (policy_report points)
+let print_policy_report results = print_string (policy_report results)

@@ -5,13 +5,15 @@
     delivery, re-request effort and time-to-recovery across
     mechanisms. All randomness comes from the seed in the base
     configuration, so two runs with the same seed produce
-    byte-identical reports. *)
+    byte-identical reports.
 
-type point = {
-  config : Config.t;  (** the exact configuration the point ran *)
-  loss_rate : float;  (** independent loss applied to both control legs *)
-  result : Experiment.result;
-}
+    Every sweep returns the {!Experiment.result}s it ran, in grid
+    order; each result's [config] is the exact configuration its point
+    ran, and the reports read each point's axes (mechanism, loss rate,
+    fail mode, outage length, crash, policy, pool size) back from it.
+    [jobs] (default 1) fans the independent points out over worker
+    domains via {!Exec.run_experiments}; results are merged by grid
+    index, so every [jobs] value yields an identical list. *)
 
 val default_loss_rates : float list
 (** [0; 0.05; 0.1; 0.2] *)
@@ -23,70 +25,41 @@ val default_base : seed:int -> Config.t
 (** Exp-B (50 flows x 20 packets) at 20 Mbps: multi-packet flows whose
     buffered tails make control-channel loss visible. *)
 
-val point_config :
-  base:Config.t -> mechanism:Config.mechanism -> loss_rate:float -> Config.t
-(** The configuration a sweep point runs: [base] with the mechanism
-    substituted and the fault plan's independent loss set to
-    [loss_rate] (any burst/jitter/outage in [base.faults] is kept). *)
-
 val run :
   ?mechanisms:Config.mechanism list ->
   ?loss_rates:float list ->
   ?jobs:int ->
   base:Config.t ->
   unit ->
-  point list
+  Experiment.result list
 (** Run the sweep: one experiment per mechanism x loss rate, in
-    deterministic order (mechanisms outer, loss rates inner). [jobs]
-    (default [base.jobs]) fans the independent points out over worker
-    domains via {!Exec.run_experiments}; results are merged by point
-    index, so every [jobs] value yields an identical point list. *)
+    deterministic order (mechanisms outer, loss rates inner). Each
+    point runs [base] with the mechanism substituted and the fault
+    plan's independent loss set to the rate (any burst/jitter/outage
+    in [base.faults] is kept). *)
 
-val report : point list -> string
-(** Deterministic plain-text report: one table row per point plus a
-    time-to-recovery histogram aggregated over every point that
-    recovered at least one flow. *)
+val report : Experiment.result list -> string
+(** Deterministic plain-text report of {!run}'s results: one table row
+    per point plus a time-to-recovery histogram aggregated over every
+    point that recovered at least one flow. *)
 
-val print_report : point list -> unit
+val print_report : Experiment.result list -> unit
 
 (** {2 Outage sweep}
 
     A scheduled control-channel blackout swept against buffer mechanism
     and fail mode. Each point runs with the echo keepalive on, a single
-    outage window opening at {!outage_start}, and the report compares
-    detection latency, downtime, degraded-mode behaviour and recovery
-    across points. Deterministic like the loss sweep. *)
-
-type outage_point = {
-  config : Config.t;  (** the exact configuration the point ran *)
-  fail_mode : Config.fail_mode;
-  duration : float;  (** outage length, seconds *)
-  result : Experiment.result;
-}
+    outage window opening at 0.15 s (mid-run for the default Exp-B
+    workload), and the report compares detection latency, downtime,
+    degraded-mode behaviour and recovery across points. Deterministic
+    like the loss sweep. *)
 
 val default_outage_durations : float list
 (** [0.05; 0.1] seconds. *)
 
-val default_fail_modes : Config.fail_mode list
-(** fail-secure then fail-standalone. *)
-
-val outage_start : float
-(** When every sweep point's blackout opens (0.15 s — mid-run for the
-    default Exp-B workload). *)
-
 val default_outage_base : seed:int -> Config.t
 (** {!default_base} with the keepalive armed: [echo_interval = 10 ms],
     [echo_misses = 2], so a blackout is declared Down within ~30 ms. *)
-
-val outage_point_config :
-  base:Config.t ->
-  mechanism:Config.mechanism ->
-  fail_mode:Config.fail_mode ->
-  duration:float ->
-  Config.t
-(** The configuration an outage point runs: [base] with the mechanism
-    and fail mode substituted and the fault plan's outage list replaced
-    by a single [\[outage_start, outage_start + duration)] window. *)
 
 val run_outage :
   ?mechanisms:Config.mechanism list ->
@@ -95,35 +68,34 @@ val run_outage :
   ?jobs:int ->
   base:Config.t ->
   unit ->
-  outage_point list
+  Experiment.result list
 (** Run the sweep: one experiment per mechanism x fail mode x duration,
-    in deterministic order (mechanisms outer, durations inner). [jobs]
-    (default [base.jobs]) parallelizes exactly as in {!run}. *)
+    in deterministic order (mechanisms outer, durations inner; fail
+    modes default to fail-secure then fail-standalone). Each point runs
+    [base] with the mechanism and fail mode substituted and the fault
+    plan's outage list replaced by the single window
+    [\[0.15, 0.15 + duration)]. *)
 
-val outage_report : outage_point list -> string
-(** Deterministic plain-text report: one table row per point (downs,
-    detection latency, downtime, completion, standalone frames,
-    fail-secure drops, frozen/resumed/expired chains, resyncs, false
-    positives) plus each point's session-state timeline. *)
+val outage_report : Experiment.result list -> string
+(** Deterministic plain-text report of {!run_outage}'s results: one
+    table row per point (downs, detection latency, downtime,
+    completion, standalone frames, fail-secure drops,
+    frozen/resumed/expired chains, resyncs, false positives) plus each
+    point's session-state timeline. The outage length is read back as
+    the window's [stop - start], which is not always bit-equal to the
+    swept duration, so it is printed in whole milliseconds. *)
 
-val print_outage_report : outage_point list -> unit
+val print_outage_report : Experiment.result list -> unit
 
 (** {2 Crash sweep}
 
     A scheduled node crash–restart swept against buffer mechanism,
     crashed node and restart mode. Each point runs with the echo
-    keepalive armed and a single crash landing at {!crash_start}
-    mid-incast; the report compares packets lost to the crash,
-    recovery time to steady state, reconciliation effort and
-    admission-guard sheds. Deterministic like the other sweeps. *)
-
-type crash_point = {
-  config : Config.t;  (** the exact configuration the point ran *)
-  node : Sdn_sim.Faults.crash_node;
-  mode : Sdn_sim.Faults.restart_mode;
-  down : float;  (** downtime before the restart, seconds *)
-  result : Experiment.result;
-}
+    keepalive armed and a single crash landing at 0.15 s, mid-incast
+    for the default Exp-B workload, so misses are in flight; the
+    report compares packets lost to the crash, recovery time to steady
+    state, reconciliation effort and admission-guard sheds.
+    Deterministic like the other sweeps. *)
 
 val default_crash_nodes : Sdn_sim.Faults.crash_node list
 (** switch then controller. *)
@@ -133,10 +105,6 @@ val default_crash_modes : Sdn_sim.Faults.restart_mode list
 
 val default_crash_downs : float list
 (** [0.05] seconds. *)
-
-val crash_start : float
-(** When every sweep point's crash lands ({!outage_start} — mid-run for
-    the default Exp-B workload, so misses are in flight). *)
 
 val default_crash_base : seed:int -> Config.t
 (** {!default_outage_base}: the keepalive is what notices a dead peer
@@ -151,8 +119,8 @@ val crash_point_config :
   Config.t
 (** The configuration a crash point runs: [base] with the mechanism
     substituted and the fault plan's crash list replaced by a single
-    crash of [node] at {!crash_start}, down for [down] seconds,
-    restarting in [mode]. *)
+    crash of [node] at 0.15 s, down for [down] seconds, restarting in
+    [mode]. *)
 
 val run_crash :
   ?mechanisms:Config.mechanism list ->
@@ -162,20 +130,20 @@ val run_crash :
   ?jobs:int ->
   base:Config.t ->
   unit ->
-  crash_point list
-(** Run the sweep: one experiment per mechanism x node x mode x
-    downtime, in deterministic order (mechanisms outer, downtimes
-    inner). [jobs] (default [base.jobs]) parallelizes exactly as in
-    {!run}. *)
+  Experiment.result list
+(** Run the sweep: one {!crash_point_config} experiment per mechanism x
+    node x mode x downtime, in deterministic order (mechanisms outer,
+    downtimes inner). *)
 
-val crash_report : crash_point list -> string
-(** Deterministic plain-text report: one table row per point (packets
-    and messages lost to the crash, recovery time, reconciliation
-    audit/re-install counts, admission-guard sheds, completion,
-    frozen/resumed/expired chains) plus each point's session timeline
-    with crash/restart/reconciliation events marked. *)
+val crash_report : Experiment.result list -> string
+(** Deterministic plain-text report of {!run_crash}'s results: one
+    table row per point (packets and messages lost to the crash,
+    recovery time, reconciliation audit/re-install counts,
+    admission-guard sheds, completion, frozen/resumed/expired chains)
+    plus each point's session timeline with crash/restart/reconciliation
+    events marked. *)
 
-val print_crash_report : crash_point list -> unit
+val print_crash_report : Experiment.result list -> unit
 
 (** {2 Buffer-policy sweep}
 
@@ -186,13 +154,6 @@ val print_crash_report : crash_point list -> unit
     the egress backlog draw on the shared pool; the report compares
     delivery, drops and per-class occupancy / threshold behaviour.
     Deterministic like the other sweeps. *)
-
-type policy_point = {
-  config : Config.t;  (** the exact configuration the point ran *)
-  policy : Sdn_switch.Buf_policy.kind;
-  buffer : int;  (** packet-pool capacity (the pool-size axis) *)
-  result : Experiment.result;
-}
 
 val default_policies : Sdn_switch.Buf_policy.kind list
 (** static, complete sharing, DT (alpha 2), adaptive TDT. *)
@@ -216,15 +177,15 @@ val run_policy :
   ?jobs:int ->
   base:Config.t ->
   unit ->
-  policy_point list
-(** Run the sweep: one experiment per policy x pool size, in
-    deterministic order (policies outer, sizes inner). [jobs] (default
-    [base.jobs]) parallelizes exactly as in {!run}. *)
+  Experiment.result list
+(** Run the sweep: one {!policy_point_config} experiment per policy x
+    pool size, in deterministic order (policies outer, sizes inner). *)
 
-val policy_report : policy_point list -> string
-(** Deterministic plain-text report: one table row per point (delivery,
-    drops, buffered-packet fallbacks, pool high-water mark, pool
-    rejections, misroutes, forwarding delay) plus each point's
-    per-class occupancy / threshold / admission lines. *)
+val policy_report : Experiment.result list -> string
+(** Deterministic plain-text report of {!run_policy}'s results: one
+    table row per point (delivery, drops, buffered-packet fallbacks,
+    pool high-water mark, pool rejections, misroutes, forwarding delay)
+    plus each point's per-class occupancy / threshold / admission
+    lines. *)
 
-val print_policy_report : policy_point list -> unit
+val print_policy_report : Experiment.result list -> unit

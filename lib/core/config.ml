@@ -45,7 +45,6 @@ type t = {
   qos : qos option;
   egress_bandwidth_bps : float option;
   check : bool;
-  jobs : int;
   switch_costs : Sdn_switch.Costs.t;
   controller_costs : Sdn_controller.Costs.t;
 }
@@ -76,7 +75,6 @@ let default =
     qos = None;
     egress_bandwidth_bps = None;
     check = false;
-    jobs = 1;
     switch_costs = Calibration.switch_costs;
     controller_costs = Calibration.controller_costs;
   }

@@ -92,13 +92,6 @@ type t = {
       (** arm the runtime protocol-invariant checker ({!Sdn_check})
           across the switch and controller; off by default (the [--check]
           CLI flag, always on in the invariant test suites) *)
-  jobs : int;
-      (** worker-domain budget for the sweeps built from this
-          configuration (the [--jobs] CLI flag / [SDN_BUFFER_JOBS]).
-          Purely an execution-width knob: by the {!Sdn_sim.Task_pool}
-          contract every [jobs] value produces byte-identical results.
-          A single {!Experiment.run} is always one domain; [jobs] only
-          fans out independent replications. *)
   switch_costs : Sdn_switch.Costs.t;
   controller_costs : Sdn_controller.Costs.t;
 }

@@ -1,8 +1,14 @@
 (* The one funnel every sweep's replications run through. Parallelism
    lives here and in Sdn_sim.Task_pool; the sweeps themselves only
-   build configuration arrays and zip results back. *)
+   build configuration arrays and read each result's [config] back. *)
 
 open Sdn_sim
+
+let describe i (c : Config.t) =
+  Printf.sprintf "task %d (%s, rate %g Mbps, seed %d, %s, faults %s)" i
+    (Config.label c) c.Config.rate_mbps c.Config.seed
+    (Sdn_switch.Session.fail_mode_to_string c.Config.fail_mode)
+    (Faults.spec_to_string c.Config.faults)
 
 (* Deterministic sample for the sequential replay: spread by the seed
    so different sweeps probe different grid positions, identical across
@@ -16,14 +22,15 @@ let replay_index configs =
    result so it reaches the CLI's --check epilogue; on agreement leave
    the array untouched (clean parallel output must stay byte-identical
    to sequential output). *)
-let cross_check ~label configs (results : Experiment.result array) =
+let cross_check configs (results : Experiment.result array) =
   let idx = replay_index configs in
   let replay = Experiment.run configs.(idx) in
   match Experiment.diff_result results.(idx) replay with
   | [] -> ()
   | mismatched_fields ->
       let ledger = Sdn_check.Check.create () in
-      Sdn_check.Check.note_parallel_replay ledger ~time:0.0 ~task:(label idx)
+      Sdn_check.Check.note_parallel_replay ledger ~time:0.0
+        ~task:(describe idx configs.(idx))
         ~equal:false
         ~detail:(String.concat ", " mismatched_fields);
       let r = results.(idx) in
@@ -39,11 +46,11 @@ let cross_check ~label configs (results : Experiment.result array) =
               | Some existing -> existing ^ report);
         }
 
-let run_experiments ?(label = Printf.sprintf "task-%d") ~jobs configs =
+let run_experiments ~jobs configs =
   let tasks = Array.length configs in
   let results =
     Task_pool.run ~jobs ~tasks (fun i -> Experiment.run configs.(i))
   in
   if jobs > 1 && tasks > 0 && Array.exists (fun c -> c.Config.check) configs
-  then cross_check ~label configs results;
+  then cross_check configs results;
   results

@@ -27,36 +27,6 @@ let run_exp_b ?rates ?reps ?jobs () =
     flow_gran = sweep Config.Flow_granularity "flow-granularity";
   }
 
-let print_figure ~id ~title ~unit_label ~series metric =
-  Printf.printf "\n%s: %s [%s]\n" id title unit_label;
-  let header =
-    "rate(Mbps)"
-    :: List.concat_map
-         (fun (s : Sweep.series) ->
-           [ s.Sweep.label ^ " mean"; s.Sweep.label ^ " sd" ])
-         series
-  in
-  let rates =
-    match series with
-    | [] -> []
-    | s :: _ -> List.map (fun (p : Sweep.point) -> p.Sweep.rate_mbps) s.Sweep.points
-  in
-  let rows =
-    List.mapi
-      (fun i rate ->
-        Printf.sprintf "%.0f" rate
-        :: List.concat_map
-             (fun (s : Sweep.series) ->
-               let p = List.nth s.Sweep.points i in
-               [
-                 Printf.sprintf "%.3f" (Sweep.point_mean p metric);
-                 Printf.sprintf "%.3f" (Sweep.point_sd p metric);
-               ])
-             series)
-      rates
-  in
-  Sdn_measure.Report.print_table ~header ~rows
-
 (* Metric extractors (delays in milliseconds for readability). *)
 let load_up (r : Experiment.result) = r.Experiment.ctrl_load_up_mbps
 let load_down (r : Experiment.result) = r.Experiment.ctrl_load_down_mbps
@@ -71,146 +41,107 @@ let forwarding_ms (r : Experiment.result) =
 let buffer_mean (r : Experiment.result) = r.Experiment.buffer_mean_in_use
 let buffer_max (r : Experiment.result) = float_of_int r.Experiment.buffer_max_in_use
 
-let fig2a d =
-  print_figure ~id:"Fig 2(a)" ~title:"control path load, switch -> controller"
-    ~unit_label:"Mbps"
-    ~series:[ d.no_buffer; d.buffer_16; d.buffer_256 ]
-    load_up
+(* One declaration per figure: [id] is the CLI's figure id and the CSV
+   file name, [caption] the paper's figure number. *)
+type 'd figure = {
+  id : string;
+  caption : string;
+  title : string;
+  unit_label : string;
+  series : 'd -> Sweep.series list;
+  metric : Experiment.result -> float;
+}
 
-let fig2b d =
-  print_figure ~id:"Fig 2(b)" ~title:"control path load, controller -> switch"
-    ~unit_label:"Mbps"
-    ~series:[ d.no_buffer; d.buffer_16; d.buffer_256 ]
-    load_down
+let exp_a_all d = [ d.no_buffer; d.buffer_16; d.buffer_256 ]
+let exp_a_buffered d = [ d.buffer_16; d.buffer_256 ]
+let exp_b_both d = [ d.packet_gran; d.flow_gran ]
+let load_up_title = "control path load, switch -> controller"
+let load_down_title = "control path load, controller -> switch"
 
-let fig3 d =
-  print_figure ~id:"Fig 3" ~title:"controller usages" ~unit_label:"% CPU"
-    ~series:[ d.no_buffer; d.buffer_16; d.buffer_256 ]
-    controller_cpu
+let exp_a_table =
+  [
+    { id = "fig2a"; caption = "Fig 2(a)"; title = load_up_title;
+      unit_label = "Mbps"; series = exp_a_all; metric = load_up };
+    { id = "fig2b"; caption = "Fig 2(b)"; title = load_down_title;
+      unit_label = "Mbps"; series = exp_a_all; metric = load_down };
+    { id = "fig3"; caption = "Fig 3"; title = "controller usages";
+      unit_label = "% CPU"; series = exp_a_all; metric = controller_cpu };
+    { id = "fig4"; caption = "Fig 4"; title = "switch usages";
+      unit_label = "% CPU"; series = exp_a_all; metric = switch_cpu };
+    { id = "fig5"; caption = "Fig 5"; title = "flow setup delay";
+      unit_label = "ms"; series = exp_a_all; metric = setup_ms };
+    { id = "fig6"; caption = "Fig 6"; title = "controller delay";
+      unit_label = "ms"; series = exp_a_all; metric = controller_ms };
+    { id = "fig7"; caption = "Fig 7"; title = "switch delay";
+      unit_label = "ms"; series = exp_a_all; metric = switch_ms };
+    { id = "fig8"; caption = "Fig 8"; title = "buffer utilization (units in use)";
+      unit_label = "units"; series = exp_a_buffered; metric = buffer_mean };
+  ]
 
-let fig4 d =
-  print_figure ~id:"Fig 4" ~title:"switch usages" ~unit_label:"% CPU"
-    ~series:[ d.no_buffer; d.buffer_16; d.buffer_256 ]
-    switch_cpu
+let exp_b_table =
+  [
+    { id = "fig9a"; caption = "Fig 9(a)"; title = load_up_title;
+      unit_label = "Mbps"; series = exp_b_both; metric = load_up };
+    { id = "fig9b"; caption = "Fig 9(b)"; title = load_down_title;
+      unit_label = "Mbps"; series = exp_b_both; metric = load_down };
+    { id = "fig10"; caption = "Fig 10"; title = "controller usages";
+      unit_label = "% CPU"; series = exp_b_both; metric = controller_cpu };
+    { id = "fig11"; caption = "Fig 11"; title = "switch usages";
+      unit_label = "% CPU"; series = exp_b_both; metric = switch_cpu };
+    { id = "fig12a"; caption = "Fig 12(a)"; title = "flow setup delay";
+      unit_label = "ms"; series = exp_b_both; metric = setup_ms };
+    { id = "fig12b"; caption = "Fig 12(b)"; title = "flow forwarding delay";
+      unit_label = "ms"; series = exp_b_both; metric = forwarding_ms };
+    { id = "fig13a"; caption = "Fig 13(a)"; title = "average buffer units used";
+      unit_label = "units"; series = exp_b_both; metric = buffer_mean };
+    { id = "fig13b"; caption = "Fig 13(b)"; title = "maximum buffer units used";
+      unit_label = "units"; series = exp_b_both; metric = buffer_max };
+  ]
 
-let fig5 d =
-  print_figure ~id:"Fig 5" ~title:"flow setup delay" ~unit_label:"ms"
-    ~series:[ d.no_buffer; d.buffer_16; d.buffer_256 ]
-    setup_ms
+(* Column names: [rate] heads the rate column, [sep] joins a series
+   label to "mean" / "sd". *)
+let header ~rate ~sep series =
+  rate
+  :: List.concat_map
+       (fun (s : Sweep.series) ->
+         [ s.Sweep.label ^ sep ^ "mean"; s.Sweep.label ^ sep ^ "sd" ])
+       series
 
-let fig6 d =
-  print_figure ~id:"Fig 6" ~title:"controller delay" ~unit_label:"ms"
-    ~series:[ d.no_buffer; d.buffer_16; d.buffer_256 ]
-    controller_ms
-
-let fig7 d =
-  print_figure ~id:"Fig 7" ~title:"switch delay" ~unit_label:"ms"
-    ~series:[ d.no_buffer; d.buffer_16; d.buffer_256 ]
-    switch_ms
-
-let fig8 d =
-  print_figure ~id:"Fig 8" ~title:"buffer utilization (units in use)"
-    ~unit_label:"units"
-    ~series:[ d.buffer_16; d.buffer_256 ]
-    buffer_mean
-
-let fig9a d =
-  print_figure ~id:"Fig 9(a)" ~title:"control path load, switch -> controller"
-    ~unit_label:"Mbps"
-    ~series:[ d.packet_gran; d.flow_gran ]
-    load_up
-
-let fig9b d =
-  print_figure ~id:"Fig 9(b)" ~title:"control path load, controller -> switch"
-    ~unit_label:"Mbps"
-    ~series:[ d.packet_gran; d.flow_gran ]
-    load_down
-
-let fig10 d =
-  print_figure ~id:"Fig 10" ~title:"controller usages" ~unit_label:"% CPU"
-    ~series:[ d.packet_gran; d.flow_gran ]
-    controller_cpu
-
-let fig11 d =
-  print_figure ~id:"Fig 11" ~title:"switch usages" ~unit_label:"% CPU"
-    ~series:[ d.packet_gran; d.flow_gran ]
-    switch_cpu
-
-let fig12a d =
-  print_figure ~id:"Fig 12(a)" ~title:"flow setup delay" ~unit_label:"ms"
-    ~series:[ d.packet_gran; d.flow_gran ]
-    setup_ms
-
-let fig12b d =
-  print_figure ~id:"Fig 12(b)" ~title:"flow forwarding delay" ~unit_label:"ms"
-    ~series:[ d.packet_gran; d.flow_gran ]
-    forwarding_ms
-
-let fig13a d =
-  print_figure ~id:"Fig 13(a)" ~title:"average buffer units used"
-    ~unit_label:"units"
-    ~series:[ d.packet_gran; d.flow_gran ]
-    buffer_mean
-
-let fig13b d =
-  print_figure ~id:"Fig 13(b)" ~title:"maximum buffer units used"
-    ~unit_label:"units"
-    ~series:[ d.packet_gran; d.flow_gran ]
-    buffer_max
-
-(* CSV export: one file per figure. *)
-let figure_csv ~dir ~id ~series metric =
-  let header =
-    "rate_mbps"
-    :: List.concat_map
-         (fun (s : Sweep.series) ->
-           [ s.Sweep.label ^ "_mean"; s.Sweep.label ^ "_sd" ])
-         series
-  in
+(* One row per rate: the rate, then each series' mean and sd. *)
+let rows ~fmt series metric =
   let rates =
     match series with
     | [] -> []
     | s :: _ -> List.map (fun (p : Sweep.point) -> p.Sweep.rate_mbps) s.Sweep.points
   in
-  let rows =
-    List.mapi
-      (fun i rate ->
-        Printf.sprintf "%.0f" rate
-        :: List.concat_map
-             (fun (s : Sweep.series) ->
-               let p = List.nth s.Sweep.points i in
-               [
-                 Printf.sprintf "%.6f" (Sweep.point_mean p metric);
-                 Printf.sprintf "%.6f" (Sweep.point_sd p metric);
-               ])
-             series)
-      rates
-  in
+  List.mapi
+    (fun i rate ->
+      Printf.sprintf "%.0f" rate
+      :: List.concat_map
+           (fun (s : Sweep.series) ->
+             let p = List.nth s.Sweep.points i in
+             [ fmt (Sweep.point_mean p metric); fmt (Sweep.point_sd p metric) ])
+           series)
+    rates
+
+let print_figure fig d =
+  Printf.printf "\n%s: %s [%s]\n" fig.caption fig.title fig.unit_label;
+  let series = fig.series d in
+  Sdn_measure.Report.print_table
+    ~header:(header ~rate:"rate(Mbps)" ~sep:" " series)
+    ~rows:(rows ~fmt:(Printf.sprintf "%.3f") series fig.metric)
+
+let figure_csv ~dir fig d =
+  let series = fig.series d in
   Sdn_measure.Report.write_csv
-    ~path:(Filename.concat dir (id ^ ".csv"))
-    ~header ~rows
+    ~path:(Filename.concat dir (fig.id ^ ".csv"))
+    ~header:(header ~rate:"rate_mbps" ~sep:"_" series)
+    ~rows:(rows ~fmt:(Printf.sprintf "%.6f") series fig.metric)
 
 let export_csv ~dir a b =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let a3 = [ a.no_buffer; a.buffer_16; a.buffer_256 ] in
-  let a2 = [ a.buffer_16; a.buffer_256 ] in
-  let b2 = [ b.packet_gran; b.flow_gran ] in
-  figure_csv ~dir ~id:"fig2a" ~series:a3 load_up;
-  figure_csv ~dir ~id:"fig2b" ~series:a3 load_down;
-  figure_csv ~dir ~id:"fig3" ~series:a3 controller_cpu;
-  figure_csv ~dir ~id:"fig4" ~series:a3 switch_cpu;
-  figure_csv ~dir ~id:"fig5" ~series:a3 setup_ms;
-  figure_csv ~dir ~id:"fig6" ~series:a3 controller_ms;
-  figure_csv ~dir ~id:"fig7" ~series:a3 switch_ms;
-  figure_csv ~dir ~id:"fig8" ~series:a2 buffer_mean;
-  figure_csv ~dir ~id:"fig9a" ~series:b2 load_up;
-  figure_csv ~dir ~id:"fig9b" ~series:b2 load_down;
-  figure_csv ~dir ~id:"fig10" ~series:b2 controller_cpu;
-  figure_csv ~dir ~id:"fig11" ~series:b2 switch_cpu;
-  figure_csv ~dir ~id:"fig12a" ~series:b2 setup_ms;
-  figure_csv ~dir ~id:"fig12b" ~series:b2 forwarding_ms;
-  figure_csv ~dir ~id:"fig13a" ~series:b2 buffer_mean;
-  figure_csv ~dir ~id:"fig13b" ~series:b2 buffer_max
+  List.iter (fun fig -> figure_csv ~dir fig a) exp_a_table;
+  List.iter (fun fig -> figure_csv ~dir fig b) exp_b_table
 
 let claim ~what ~paper ~ours =
   Printf.printf "  %-46s paper: %6s   measured: %6s\n" what paper ours
@@ -263,28 +194,19 @@ let summary_exp_b d =
   claim ~what:"flow forwarding delay reduction" ~paper:"18%"
     ~ours:(pct (reduction forwarding_ms))
 
-let exp_a_figures =
-  [
-    ("fig2a", fig2a); ("fig2b", fig2b); ("fig3", fig3); ("fig4", fig4);
-    ("fig5", fig5); ("fig6", fig6); ("fig7", fig7); ("fig8", fig8);
-  ]
-
-let exp_b_figures =
-  [
-    ("fig9a", fig9a); ("fig9b", fig9b); ("fig10", fig10); ("fig11", fig11);
-    ("fig12a", fig12a); ("fig12b", fig12b); ("fig13a", fig13a);
-    ("fig13b", fig13b);
-  ]
+let figures table = List.map (fun fig -> (fig.id, print_figure fig)) table
+let exp_a_figures = figures exp_a_table
+let exp_b_figures = figures exp_b_table
 
 let run_all ?rates ?reps ?jobs () =
   Printf.printf "== Section IV: benefits of the default switch buffer ==\n";
   Printf.printf "workload: 1000 single-packet UDP flows, 1000 B frames\n";
   let a = run_exp_a ?rates ?reps ?jobs () in
-  List.iter (fun (_, f) -> f a) exp_a_figures;
+  List.iter (fun fig -> print_figure fig a) exp_a_table;
   summary_exp_a a;
   Printf.printf "\n== Section V: flow-granularity buffer mechanism ==\n";
   Printf.printf
     "workload: 50 flows x 20 packets, cross-sequence batches of 5, buffer 256\n";
   let b = run_exp_b ?rates ?reps ?jobs () in
-  List.iter (fun (_, f) -> f b) exp_b_figures;
+  List.iter (fun fig -> print_figure fig b) exp_b_table;
   summary_exp_b b

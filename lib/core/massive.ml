@@ -35,11 +35,7 @@ let run_pipeline ?(flows = 1_000_000) ?(shards = 20) ?(check = false)
         let n_flows = base + if i < extra then 1 else 0 in
         shard_config ~check ~seed:(seed + i) ~n_flows)
   in
-  let results =
-    Exec.run_experiments
-      ~label:(Printf.sprintf "massive/shard-%d")
-      ~jobs configs
-  in
+  let results = Exec.run_experiments ~jobs configs in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
   let reports =
     List.filter_map

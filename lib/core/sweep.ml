@@ -16,33 +16,23 @@ let run ~label ?(rates = default_rates) ?(reps = 20) ?(jobs = 1) make_config =
   (* Configurations are built sequentially in the calling domain, rates
      outer and repetitions inner — [make_config] is caller code and may
      observe call order. Only the pure [Experiment.run] calls fan out. *)
-  let configs_by_rate =
-    List.map
-      (fun rate_mbps ->
-        ( rate_mbps,
-          List.init reps (fun rep ->
-              make_config ~rate_mbps ~seed:(seed_for ~rate_mbps ~rep)) ))
-      rates
-  in
   let configs =
-    Array.of_list (List.concat_map snd configs_by_rate)
+    Array.of_list
+      (List.concat_map
+         (fun rate_mbps ->
+           List.init reps (fun rep ->
+               make_config ~rate_mbps ~seed:(seed_for ~rate_mbps ~rep)))
+         rates)
   in
-  let results =
-    Exec.run_experiments ~jobs
-      ~label:(fun i ->
-        Printf.sprintf "%s/rate=%g/rep=%d" label
-          (fst (List.nth configs_by_rate (i / reps)))
-          (i mod reps))
-      configs
-  in
+  let results = Exec.run_experiments ~jobs configs in
   let points =
     List.mapi
-      (fun rate_idx (rate_mbps, _) ->
+      (fun rate_idx rate_mbps ->
         {
           rate_mbps;
           results = List.init reps (fun rep -> results.((rate_idx * reps) + rep));
         })
-      configs_by_rate
+      rates
   in
   { label; points }
 

@@ -24,7 +24,9 @@ val run :
   series
 (** [run ~label make_config] executes [reps] (default 20) runs per
     rate, seeding each repetition with {!seed_for} (distinct across
-    repetitions and across rates).
+    repetitions and across rates). [label] names the series (the
+    column prefix of a printed figure); a run is named by
+    {!Exec.describe}.
 
     [jobs] (default 1) fans the independent replications out over that
     many worker domains via {!Exec.run_experiments}; results are merged

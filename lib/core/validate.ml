@@ -191,6 +191,22 @@ let validation_controller_costs profile =
    reach util_cap exactly there. *)
 let lambda_top cc = 0.9 *. float_of_int cc.Ctl.cores /. controller_service cc ~data_out:0
 
+(* Per-visit service time that puts a switch station at util_cap when
+   [lambda] packets/s each visit it [visits] times. *)
+let station ~visits lambda = util_cap /. (visits *. lambda)
+
+(* The jackson and blocking regimes' kernel and userspace stations,
+   sized off the top of the rho sweep. *)
+let jackson_stations cc =
+  let lt = lambda_top cc in
+  (station ~visits:kernel_visits lt, station ~visits:userspace_visits lt)
+
+(* The feedback sweep's top rate is higher (the controller serves only
+   the miss fraction), so its single switch station, visited (1+q)
+   times per packet, is sized off its own top. *)
+let feedback_station cc =
+  station ~visits:(1.0 +. q_mix) (lambda_top cc /. q_mix)
+
 let jackson_switch_costs ~s_k ~s_u =
   {
     Sw.default with
@@ -268,25 +284,27 @@ type observed = {
   o_blocking : float;
 }
 
+(* Count-weighted mean of one summary over a spec's runs; nan when no
+   run measured a sample. *)
+let pooled f (results : Experiment.result list) =
+  let num, den =
+    List.fold_left
+      (fun (num, den) r ->
+        let s : Experiment.summary = f r in
+        (num +. (s.Experiment.mean *. float_of_int s.Experiment.count),
+         den + s.Experiment.count))
+      (0.0, 0) results
+  in
+  if den = 0 then nan else num /. float_of_int den
+
 let observe (results : Experiment.result list) =
   let len = float_of_int (List.length results) in
   let mean f = List.fold_left (fun a r -> a +. f r) 0.0 results /. len in
-  let pooled f =
-    let num, den =
-      List.fold_left
-        (fun (num, den) r ->
-          let s : Experiment.summary = f r in
-          (num +. (s.Experiment.mean *. float_of_int s.Experiment.count),
-           den + s.Experiment.count))
-        (0.0, 0) results
-    in
-    if den = 0 then nan else num /. float_of_int den
-  in
   let isum f = List.fold_left (fun a r -> a + f r) 0 results in
   let fsum f = List.fold_left (fun a r -> a +. f r) 0.0 results in
   {
-    o_controller_delay = pooled (fun r -> r.Experiment.controller_delay);
-    o_setup_delay = pooled (fun r -> r.Experiment.setup_delay);
+    o_controller_delay = pooled (fun r -> r.Experiment.controller_delay) results;
+    o_setup_delay = pooled (fun r -> r.Experiment.setup_delay) results;
     o_controller_cpu = mean (fun r -> r.Experiment.controller_cpu_pct);
     o_switch_cpu = mean (fun r -> r.Experiment.switch_cpu_pct);
     o_buffer_mean = mean (fun r -> r.Experiment.buffer_mean_in_use);
@@ -587,9 +605,7 @@ let specs_of grid =
   let blocking =
     with_profiles (fun profile ->
         let cc = validation_controller_costs profile in
-        let lt = lambda_top cc in
-        let s_k = util_cap /. (kernel_visits *. lt) in
-        let s_u = util_cap /. (userspace_visits *. lt) in
+        let s_k, s_u = jackson_stations cc in
         List.map
           (fun a ->
             {
@@ -605,21 +621,15 @@ let specs_of grid =
 
 let spec_switch_costs spec =
   let cc = validation_controller_costs spec.sp_profile in
-  let lt = lambda_top cc in
   match spec.sp_regime with
   | Jackson_r | Blocking_r ->
-      jackson_switch_costs
-        ~s_k:(util_cap /. (kernel_visits *. lt))
-        ~s_u:(util_cap /. (userspace_visits *. lt))
-  | Feedback_r ->
-      (* The feedback sweep's top rate is higher (controller serves
-         only the miss fraction), so the single switch station is
-         sized off its own top. *)
-      feedback_switch_costs ~s_s:(util_cap /. ((1.0 +. q_mix) *. (lt /. q_mix)))
+      let s_k, s_u = jackson_stations cc in
+      jackson_switch_costs ~s_k ~s_u
+  | Feedback_r -> feedback_switch_costs ~s_s:(feedback_station cc)
 
 let rate_mbps_of lambda = lambda *. float_of_int frame_size *. 8.0 /. 1e6
 
-let config_of spec ~spec_idx ~rep ~check =
+let config_of ~check spec ~spec_idx ~rep =
   let n = spec.sp_n in
   {
     Config.default with
@@ -642,27 +652,17 @@ let config_of spec ~spec_idx ~rep ~check =
     controller_costs = validation_controller_costs spec.sp_profile;
   }
 
-let label_of spec ~rep =
-  Printf.sprintf "validate/%s/%s/%s=%g/rep=%d"
-    (regime_name spec.sp_regime)
-    (Ctl.profile_to_string spec.sp_profile)
-    (match spec.sp_regime with Blocking_r -> "offered" | _ -> "rho")
-    spec.sp_target rep
-
 let point_of spec results =
   let obs = observe results in
   let cc = validation_controller_costs spec.sp_profile in
-  let lt = lambda_top cc in
-  let s_k = util_cap /. (kernel_visits *. lt) in
-  let s_u = util_cap /. (userspace_visits *. lt) in
+  let s_k, s_u = jackson_stations cc in
   let metrics =
     match spec.sp_regime with
     | Jackson_r ->
         jackson_metrics ~lambda:spec.sp_lambda ~cc ~s_k ~s_u ~n:spec.sp_n obs
           ~target:spec.sp_target
     | Feedback_r ->
-        feedback_metrics ~lambda:spec.sp_lambda ~cc
-          ~s_s:(util_cap /. ((1.0 +. q_mix) *. (lt /. q_mix)))
+        feedback_metrics ~lambda:spec.sp_lambda ~cc ~s_s:(feedback_station cc)
           ~n:spec.sp_n obs ~target:spec.sp_target
     | Blocking_r ->
         blocking_metrics ~lambda:spec.sp_lambda ~cc ~s_k ~s_u ~capacity:16
@@ -678,34 +678,23 @@ let point_of spec results =
     p_ok = List.for_all (fun m -> m.m_ok) metrics;
   }
 
-let run ?(check = false) ~jobs grid =
-  let specs = specs_of grid in
+(* The one runner behind both gates: [reps] configurations per spec,
+   run as a single grid, each spec scored on its slice of the results. *)
+let run_specs ~jobs ~reps specs ~config_of ~point_of =
   let configs =
     Array.of_list
       (List.concat
          (List.mapi
             (fun spec_idx spec ->
-              List.init grid.reps (fun rep ->
-                  config_of spec ~spec_idx ~rep ~check))
+              List.init reps (fun rep -> config_of spec ~spec_idx ~rep))
             specs))
   in
-  let labels =
-    Array.of_list
-      (List.concat
-         (List.map
-            (fun spec -> List.init grid.reps (fun rep -> label_of spec ~rep))
-            specs))
-  in
-  let results =
-    Exec.run_experiments ~label:(fun i -> labels.(i)) ~jobs configs
-  in
+  let results = Exec.run_experiments ~jobs configs in
   let points =
     List.mapi
       (fun spec_idx spec ->
-        let slice =
-          List.init grid.reps (fun rep -> results.((spec_idx * grid.reps) + rep))
-        in
-        point_of spec slice)
+        point_of spec
+          (List.init reps (fun rep -> results.((spec_idx * reps) + rep))))
       specs
   in
   {
@@ -716,6 +705,10 @@ let run ?(check = false) ~jobs grid =
         (fun acc (r : Experiment.result) -> acc + r.Experiment.check_violations)
         0 results;
   }
+
+let run ?(check = false) ~jobs grid =
+  run_specs ~jobs ~reps:grid.reps (specs_of grid) ~config_of:(config_of ~check)
+    ~point_of
 
 (* ---- Crash reconvergence gate ---- *)
 
@@ -755,8 +748,8 @@ let reconvergence_crash spec =
     mode = Sdn_sim.Faults.Warm;
   }
 
-let reconvergence_config_of spec ~spec_idx ~rep ~check =
-  let base = config_of spec ~spec_idx ~rep ~check in
+let reconvergence_config_of ~check spec ~spec_idx ~rep =
+  let base = config_of ~check spec ~spec_idx ~rep in
   {
     base with
     Config.echo_interval = 0.01;
@@ -788,9 +781,7 @@ let tol_exact = { rel = 0.0; abs = 1e-6 }
 let reconvergence_point_of spec results =
   let obs = observe results in
   let cc = validation_controller_costs spec.sp_profile in
-  let lt = lambda_top cc in
-  let s_k = util_cap /. (kernel_visits *. lt) in
-  let s_u = util_cap /. (userspace_visits *. lt) in
+  let s_k, s_u = jackson_stations cc in
   let steady =
     jackson_metrics ~lambda:spec.sp_lambda ~cc ~s_k ~s_u ~n:spec.sp_n obs
       ~target:spec.sp_target
@@ -801,17 +792,7 @@ let reconvergence_point_of spec results =
   let crashes =
     List.fold_left (fun a r -> a + r.Experiment.node_crashes) 0 results
   in
-  let recovery_mean =
-    let num, den =
-      List.fold_left
-        (fun (num, den) r ->
-          let s = r.Experiment.crash_recovery in
-          (num +. (s.Experiment.mean *. float_of_int s.Experiment.count),
-           den + s.Experiment.count))
-        (0.0, 0) results
-    in
-    if den = 0 then nan else num /. float_of_int den
-  in
+  let recovery_mean = pooled (fun r -> r.Experiment.crash_recovery) results in
   let reconciled =
     List.fold_left
       (fun a r ->
@@ -851,51 +832,12 @@ let reconvergence_point_of spec results =
 
 let reconvergence ?(check = false) ~jobs () =
   let grid = reconvergence_grid in
-  let specs =
-    List.filter
-      (fun s -> match s.sp_regime with Jackson_r -> true | _ -> false)
-      (specs_of grid)
-  in
-  let configs =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun spec_idx spec ->
-              List.init grid.reps (fun rep ->
-                  reconvergence_config_of spec ~spec_idx ~rep ~check))
-            specs))
-  in
-  let labels =
-    Array.of_list
-      (List.concat
-         (List.map
-            (fun spec ->
-              List.init grid.reps (fun rep ->
-                  Printf.sprintf "reconverge/%s/rho=%g/rep=%d"
-                    (Ctl.profile_to_string spec.sp_profile)
-                    spec.sp_target rep))
-            specs))
-  in
-  let results =
-    Exec.run_experiments ~label:(fun i -> labels.(i)) ~jobs configs
-  in
-  let points =
-    List.mapi
-      (fun spec_idx spec ->
-        let slice =
-          List.init grid.reps (fun rep -> results.((spec_idx * grid.reps) + rep))
-        in
-        reconvergence_point_of spec slice)
-      specs
-  in
-  {
-    points;
-    ok = List.for_all (fun p -> p.p_ok) points;
-    violations =
-      Array.fold_left
-        (fun acc (r : Experiment.result) -> acc + r.Experiment.check_violations)
-        0 results;
-  }
+  run_specs ~jobs ~reps:grid.reps
+    (List.filter
+       (fun s -> match s.sp_regime with Jackson_r -> true | _ -> false)
+       (specs_of grid))
+    ~config_of:(reconvergence_config_of ~check)
+    ~point_of:reconvergence_point_of
 
 (* ---- Rendering ---- *)
 

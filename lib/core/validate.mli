@@ -91,9 +91,10 @@ val golden_grid : grid
     well-conditioned). *)
 
 val run : ?check:bool -> jobs:int -> grid -> report
-(** Generate the grid's configurations, execute them on [jobs] worker
-    domains ({!Exec.run_experiments}: byte-identical for every [jobs]
-    value), pool replications and compare against the models.
+(** Generate the grid's configurations ([reps] per model spec), execute
+    them as one grid on [jobs] worker domains ({!Exec.run_experiments}:
+    byte-identical for every [jobs] value), pool each spec's
+    replications and compare against the models.
     [check] arms the runtime protocol-invariant checker in every
     run. *)
 

@@ -10,7 +10,6 @@ type side = {
   mutable first_time : float option;
   mutable last_time : float option;
   per_type_messages : (int, int) Hashtbl.t;
-  per_type_bytes : (int, int) Hashtbl.t;
 }
 
 type t = { encap_overhead : int; up : side; down : side }
@@ -23,16 +22,12 @@ let make_side () =
     first_time = None;
     last_time = None;
     per_type_messages = Hashtbl.create 8;
-    per_type_bytes = Hashtbl.create 8;
   }
 
 let create ?(encap_overhead = 66) () =
   { encap_overhead; up = make_side (); down = make_side () }
 
 let side t = function To_controller -> t.up | To_switch -> t.down
-
-let bump tbl key v =
-  Hashtbl.replace tbl key (v + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
 let observe t direction ~time buf =
   let s = side t direction in
@@ -45,8 +40,8 @@ let observe t direction ~time buf =
   match Of_codec.peek_type buf with
   | Ok msg_type ->
       let key = Of_wire.Msg_type.to_int msg_type in
-      bump s.per_type_messages key 1;
-      bump s.per_type_bytes key (payload + t.encap_overhead)
+      Hashtbl.replace s.per_type_messages key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt s.per_type_messages key))
   | Error _ -> ()
 
 let messages t d = (side t d).messages
@@ -57,21 +52,9 @@ let messages_of_type t d msg_type =
   Option.value ~default:0
     (Hashtbl.find_opt (side t d).per_type_messages (Of_wire.Msg_type.to_int msg_type))
 
-let bytes_of_type t d msg_type =
-  Option.value ~default:0
-    (Hashtbl.find_opt (side t d).per_type_bytes (Of_wire.Msg_type.to_int msg_type))
-
 let first_time t d = (side t d).first_time
 let last_time t d = (side t d).last_time
 
 let load_mbps t d ~window =
   if window <= 0.0 then 0.0
   else Units.bps_to_mbps (Units.bytes_to_bits (side t d).bytes /. window)
-
-let pp_side fmt s =
-  Format.fprintf fmt "%d msgs, %d B (payload %d B)" s.messages s.bytes
-    s.payload_bytes
-
-let pp_summary fmt t =
-  Format.fprintf fmt "to-controller: %a; to-switch: %a" pp_side t.up pp_side
-    t.down

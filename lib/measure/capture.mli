@@ -1,7 +1,8 @@
 (** Control-channel sniffer (the tcpdump of the reproduction).
 
     Observes every OpenFlow message on the control path, in both
-    directions, counting messages and bytes per message type. The
+    directions, counting messages and bytes, and messages per message
+    type. The
     control-path-load metric of the paper's Figs. 2 and 9 is
     [bytes * 8 / observation window] per direction.
 
@@ -30,12 +31,9 @@ val payload_bytes : t -> direction -> int
 (** OpenFlow bytes only. *)
 
 val messages_of_type : t -> direction -> Of_wire.Msg_type.t -> int
-val bytes_of_type : t -> direction -> Of_wire.Msg_type.t -> int
 
 val first_time : t -> direction -> float option
 val last_time : t -> direction -> float option
 
 val load_mbps : t -> direction -> window:float -> float
 (** Average control load over an observation window (seconds). *)
-
-val pp_summary : Format.formatter -> t -> unit

@@ -123,13 +123,6 @@ let flow_forwarding_delays t = t.forwarding
 
 let flows_started t = Hashtbl.length t.flows
 
-let flows_set_up t =
-  (* Commutative count: iteration order cannot change the sum.
-     lint: allow hashtbl-order *)
-  Hashtbl.fold
-    (fun _ f acc -> if f.first_egress <> None then acc + 1 else acc)
-    t.flows 0
-
 let flows_completed t =
   (* Commutative count: iteration order cannot change the sum.
      lint: allow hashtbl-order *)

@@ -45,8 +45,6 @@ val flow_forwarding_delays : t -> Stats.t
     delay. *)
 
 val flows_started : t -> int
-val flows_set_up : t -> int
-(** Flows whose first packet made it out. *)
 
 val flows_completed : t -> int
 val packets_in : t -> int

@@ -116,4 +116,3 @@ let timeline ?(events = []) transitions =
 let fmt_ms seconds = Printf.sprintf "%.3f" (seconds *. 1000.0)
 let fmt_mbps v = Printf.sprintf "%.2f" v
 let fmt_pct v = Printf.sprintf "%.1f" v
-let fmt_f ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v

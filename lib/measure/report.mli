@@ -34,4 +34,3 @@ val fmt_ms : float -> string
 
 val fmt_mbps : float -> string
 val fmt_pct : float -> string
-val fmt_f : ?decimals:int -> float -> string

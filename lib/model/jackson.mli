@@ -60,9 +60,6 @@ val station : t -> string -> station
 val sojourn : t -> string -> float
 (** Mean per-visit sojourn [w] of the named station. *)
 
-val queue_wait : t -> string -> float
-(** Mean per-visit wait [wq] of the named station. *)
-
 val utilization : t -> string -> float
 (** Per-server utilization [rho] of the named station. *)
 

@@ -10,7 +10,6 @@ type t = {
 
 let size = 20
 
-let proto_icmp = 1
 let proto_tcp = 6
 let proto_udp = 17
 

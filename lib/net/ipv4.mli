@@ -14,9 +14,6 @@ type t = {
 val size : int
 (** 20 bytes. *)
 
-val proto_icmp : int
-(** 1 *)
-
 val proto_tcp : int
 (** 6 *)
 

@@ -13,7 +13,6 @@ let no_flags =
 let flags_syn = { no_flags with syn = true }
 let flags_syn_ack = { no_flags with syn = true; ack = true }
 let flags_ack = { no_flags with ack = true }
-let flags_fin_ack = { no_flags with fin = true; ack = true }
 let flags_psh_ack = { no_flags with psh = true; ack = true }
 
 type t = {

@@ -17,7 +17,6 @@ val no_flags : flags
 val flags_syn : flags
 val flags_syn_ack : flags
 val flags_ack : flags
-val flags_fin_ack : flags
 val flags_psh_ack : flags
 
 type t = {

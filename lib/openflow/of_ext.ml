@@ -22,6 +22,7 @@ type t =
   | Flow_buffer_stats_request
   | Flow_buffer_stats_reply of stats
 
+(* The experimenter id this reproduction registers for itself. *)
 let vendor_id = 0x00FB_BF01l
 
 let subtype_enable = 0

@@ -42,9 +42,6 @@ type t =
   | Flow_buffer_stats_request
   | Flow_buffer_stats_reply of stats
 
-val vendor_id : int32
-(** The experimenter id this reproduction registers for itself. *)
-
 val body_size : t -> int
 val write_body : t -> Bytes.t -> int -> unit
 val read_body : Bytes.t -> int -> len:int -> (t, string) result

@@ -237,7 +237,6 @@ type t = {
   mutable dropped_burst : int;
   mutable dropped_outage : int;
   mutable delayed : int;
-  mutable total_jitter_s : float;
 }
 
 let create ?(spec = none) ~rng () =
@@ -253,7 +252,6 @@ let create ?(spec = none) ~rng () =
     dropped_burst = 0;
     dropped_outage = 0;
     delayed = 0;
-    total_jitter_s = 0.0;
   }
 
 let in_outage t ~now =
@@ -291,16 +289,12 @@ let judge t ~now =
       let jitter_s =
         if t.spec.jitter_s > 0.0 then Rng.float t.rng t.spec.jitter_s else 0.0
       in
-      if jitter_s > 0.0 then begin
-        t.delayed <- t.delayed + 1;
-        t.total_jitter_s <- t.total_jitter_s +. jitter_s
-      end;
+      if jitter_s > 0.0 then t.delayed <- t.delayed + 1;
       Deliver { jitter_s }
     end
   end
 
 let spec t = t.spec
-let in_bad_state t = t.bad
 let judged t = t.judged
 
 let dropped t = t.dropped_independent + t.dropped_burst + t.dropped_outage
@@ -311,4 +305,3 @@ let dropped_by t = function
   | Outage -> t.dropped_outage
 
 let delayed t = t.delayed
-let total_jitter_s t = t.total_jitter_s

@@ -44,7 +44,6 @@ val restart_mode_of_string : string -> (restart_mode, string) result
 type crash_node = Switch_node | Controller_node
 
 val crash_node_to_string : crash_node -> string
-val crash_node_of_string : string -> (crash_node, string) result
 
 type crash = {
   node : crash_node;  (** which process dies *)
@@ -115,10 +114,6 @@ val judge : t -> now:float -> verdict
     independent loss, jitter), so schedules are reproducible. *)
 
 val spec : t -> spec
-val in_bad_state : t -> bool
-(** Current Gilbert–Elliott chain state ([false] when no burst model). *)
-
-val in_outage : t -> now:float -> bool
 
 (** {2 Counters} *)
 
@@ -129,5 +124,3 @@ val dropped : t -> int
 val dropped_by : t -> reason -> int
 val delayed : t -> int
 (** Messages delivered with non-zero extra delay. *)
-
-val total_jitter_s : t -> float

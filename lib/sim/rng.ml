@@ -22,6 +22,7 @@ let split t =
   let seed = next_int64 t in
   create (mix seed)
 
+(* 30 uniform random bits as a non-negative [int]. *)
 let bits30 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 34)
 
 let int t bound =

@@ -26,9 +26,6 @@ val split : t -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val bits30 : t -> int
-(** 30 uniform random bits as a non-negative [int]. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 

@@ -12,16 +12,6 @@ let ms x = x *. 1e-3
 
 let us x = x *. 1e-6
 
-let to_ms x = x *. 1e3
-
-let to_us x = x *. 1e6
-
 let packets_per_second ~rate_mbps ~frame_bytes =
   if frame_bytes <= 0 then invalid_arg "Units.packets_per_second: frame_bytes";
   mbps_to_bps rate_mbps /. bytes_to_bits frame_bytes
-
-let pp_rate fmt bps =
-  if bps >= 1e9 then Format.fprintf fmt "%.2f Gbps" (bps /. 1e9)
-  else if bps >= 1e6 then Format.fprintf fmt "%.2f Mbps" (bps /. 1e6)
-  else if bps >= 1e3 then Format.fprintf fmt "%.2f Kbps" (bps /. 1e3)
-  else Format.fprintf fmt "%.0f bps" bps

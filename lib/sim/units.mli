@@ -20,14 +20,5 @@ val ms : float -> float
 val us : float -> float
 (** [us x] is [x] microseconds expressed in seconds. *)
 
-val to_ms : float -> float
-(** Seconds to milliseconds. *)
-
-val to_us : float -> float
-(** Seconds to microseconds. *)
-
 val packets_per_second : rate_mbps:float -> frame_bytes:int -> float
 (** Packet rate achieved by sending fixed-size frames at [rate_mbps]. *)
-
-val pp_rate : Format.formatter -> float -> unit
-(** Print a bit rate (bps) with an adaptive Kbps/Mbps/Gbps unit. *)

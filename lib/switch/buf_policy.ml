@@ -97,7 +97,6 @@ let create ?check ?(headroom = 0) ~kind ~name engine =
     classes = [];
   }
 
-let kind_of t = t.kind
 let capacity t = t.capacity
 let used t = t.used
 let free t = t.capacity - t.used

@@ -94,7 +94,6 @@ val note_delay : cls -> float -> unit
     Under [Tdt] this re-derives the class's alpha; under the other
     policies it only updates the statistic. *)
 
-val kind_of : t -> kind
 val capacity : t -> int
 val used : t -> int
 val free : t -> int

@@ -38,15 +38,6 @@ let is_expired t ~now =
   (t.idle_timeout > 0.0 && now -. t.last_used >= t.idle_timeout)
   || (t.hard_timeout > 0.0 && now -. t.installed_at >= t.hard_timeout)
 
-let expires_at t =
-  let idle =
-    if t.idle_timeout > 0.0 then t.last_used +. t.idle_timeout else infinity
-  in
-  let hard =
-    if t.hard_timeout > 0.0 then t.installed_at +. t.hard_timeout else infinity
-  in
-  Float.min idle hard
-
 let to_stats t ~now =
   let duration = Float.max 0.0 (now -. t.installed_at) in
   let sec = int_of_float duration in

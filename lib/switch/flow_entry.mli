@@ -26,10 +26,6 @@ val touch : t -> now:float -> bytes:int -> unit
 val is_expired : t -> now:float -> bool
 (** True once the idle or hard timeout has elapsed. *)
 
-val expires_at : t -> float
-(** Earliest instant the entry can expire, given current [last_used];
-    [infinity] if it never expires. *)
-
 val to_stats : t -> now:float -> Of_stats.flow_stats
 (** Render as an OpenFlow flow-stats record. *)
 

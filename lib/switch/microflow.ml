@@ -41,10 +41,6 @@ let key_hash k =
   mix (Flow_key.hash k.flow);
   !h land max_int
 
-let pp_key fmt k =
-  Format.fprintf fmt "port=%d %a->%a tos=%d %a" k.in_port Mac.pp k.dl_src
-    Mac.pp k.dl_dst k.nw_tos Flow_key.pp k.flow
-
 module Key_tbl = Hashtbl.Make (struct
   type t = key
 

@@ -25,10 +25,6 @@ val key_of_packet : in_port:int -> Packet.t -> key option
 (** [None] for packets that cannot be cached (no IPv4 TCP/UDP
     5-tuple). *)
 
-val key_equal : key -> key -> bool
-val key_hash : key -> int
-val pp_key : Format.formatter -> key -> unit
-
 type 'v t
 (** A cache mapping keys to ['v] (the flow table stores the full
     lookup result, [Flow_entry.t option] — negative results are cached

@@ -146,5 +146,4 @@ val total_downtime : t -> float
 val transitions : t -> (float * state) list
 (** The state timeseries, chronological: (time, entered state). *)
 
-val pp_state : Format.formatter -> state -> unit
 val pp : Format.formatter -> t -> unit

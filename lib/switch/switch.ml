@@ -501,17 +501,11 @@ let send_error ?xid t ~error_type ~code ~offending =
   send_to_controller ?xid t
     (Of_codec.Error_msg (Of_error.make ~error_type ~code ~data ()))
 
-(* Release one buffered frame to the datapath: descriptor-sized bus
-   crossing, buffer bookkeeping, then kernel forwarding. *)
-let release_buffered t ~actions frame =
-  bus_transfer t ~bytes:0 (fun () ->
-      Cpu.submit t.kernel ~work_s:t.costs.Costs.release_per_packet_cost
-        (fun () ->
-          match Packet.decode frame with
-          | Error _ -> ()
-          | Ok pkt -> egress t ~in_port:0 ~actions pkt frame))
-
-(* Release a whole flow-granularity chain (Algorithm 2 lines 4-10). *)
+(* Release buffered frames to the datapath: one descriptor-sized bus
+   crossing, then one kernel job per frame, in order, each decoding and
+   forwarding its frame. A packet-granularity unit is a one-frame
+   chain; a flow-granularity unit releases its whole chain (Algorithm 2
+   lines 4-10). *)
 let release_chain t ~actions frames =
   bus_transfer t ~bytes:0 (fun () ->
       let rec forward_next = function
@@ -537,7 +531,7 @@ let apply_buffer_release t ~buffer_id ~actions ~offending =
               ~code:Of_error.Bad_request_code.buffer_empty ~offending
         | Some pool -> (
             match Packet_buffer.take pool buffer_id with
-            | Packet_buffer.Taken frame -> release_buffered t ~actions frame
+            | Packet_buffer.Taken frame -> release_chain t ~actions [ frame ]
             | Packet_buffer.Unknown_id ->
                 send_error t ~error_type:Of_error.Bad_request
                   ~code:Of_error.Bad_request_code.buffer_unknown ~offending))

@@ -1,7 +1,7 @@
 (* Crash–restart fault injection: state-loss semantics, recovery to
    steady state, flow-state reconciliation and the admission-control
-   overload guard — plus the backward-compat goldens pinning the
-   crash-free sweeps to their PR 6 output byte for byte. *)
+   overload guard — plus the goldens pinning every chaos sweep's report
+   byte for byte, and the run names those sweeps' results get. *)
 
 open Sdn_sim
 open Sdn_core
@@ -152,39 +152,84 @@ let read_golden path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The four default sweeps at seed 7, as [chaos -s 7] runs them (the
+   CLI's default 30 Mbps; the policy base fixes its own rate). Each runs
+   once, shared by its golden and by the run-name test. *)
+let loss_sweep =
+  lazy
+    (Chaos.run
+       ~base:{ (Chaos.default_base ~seed:7) with Config.rate_mbps = 30.0 }
+       ())
+
+let outage_sweep =
+  lazy
+    (Chaos.run_outage
+       ~base:{ (Chaos.default_outage_base ~seed:7) with Config.rate_mbps = 30.0 }
+       ())
+
+let crash_sweep =
+  lazy
+    (Chaos.run_crash
+       ~base:{ (Chaos.default_crash_base ~seed:7) with Config.rate_mbps = 30.0 }
+       ())
+
+let policy_sweep =
+  lazy (Chaos.run_policy ~base:(Chaos.default_policy_base ~seed:7) ())
+
 let test_chaos_sweep_bytes () =
-  let base =
-    { (Chaos.default_base ~seed:7) with Config.rate_mbps = 30.0 }
-  in
-  let report = Chaos.report (Chaos.run ~base ()) in
   Alcotest.(check string)
     "chaos sweep matches PR 6 output"
     (read_golden "golden/chaos_sweep_pr6.txt")
-    report
+    (Chaos.report (Lazy.force loss_sweep))
 
 let test_outage_sweep_bytes () =
-  let base =
-    { (Chaos.default_outage_base ~seed:7) with Config.rate_mbps = 30.0 }
-  in
-  let report = Chaos.outage_report (Chaos.run_outage ~base ()) in
   Alcotest.(check string)
     "outage sweep matches PR 6 output"
     (read_golden "golden/outage_sweep_pr6.txt")
-    report
+    (Chaos.outage_report (Lazy.force outage_sweep))
 
 (* The crash sweep is the one report that runs reconciliation, so it
    pins how the controller keys its flow view and orders re-installs.
    The fixture is the CLI's [chaos --crash -s 7] (default 30 Mbps);
    regenerate deliberately after an intentional output change. *)
 let test_crash_sweep_bytes () =
-  let base =
-    { (Chaos.default_crash_base ~seed:7) with Config.rate_mbps = 30.0 }
-  in
-  let report = Chaos.crash_report (Chaos.run_crash ~base ()) in
   Alcotest.(check string)
     "crash sweep matches golden"
     (read_golden "golden/crash_sweep_pr13.txt")
-    report
+    (Chaos.crash_report (Lazy.force crash_sweep))
+
+(* The policy report reads its policy and pool-size columns back from
+   each point's configuration. The fixture is the CLI's
+   [chaos --policy -s 7]; regenerate deliberately after an intentional
+   output change. *)
+let test_policy_sweep_bytes () =
+  Alcotest.(check string)
+    "policy sweep matches golden"
+    (read_golden "golden/policy_sweep.txt")
+    (Chaos.policy_report (Lazy.force policy_sweep))
+
+(* [Exec.describe] names a run in --check reports and
+   parallel-equivalence violations, so within one sweep it must tell
+   every point apart: the mechanism label alone does not, the fault
+   plan and the fail mode do. *)
+let test_describe_names_every_point () =
+  List.iter
+    (fun (sweep, results) ->
+      let names =
+        List.map
+          (fun (r : Experiment.result) -> Exec.describe 0 r.Experiment.config)
+          (Lazy.force results)
+      in
+      Alcotest.(check int)
+        (sweep ^ ": one name per point")
+        (List.length names)
+        (List.length (List.sort_uniq String.compare names)))
+    [
+      ("loss", loss_sweep);
+      ("outage", outage_sweep);
+      ("crash", crash_sweep);
+      ("policy", policy_sweep);
+    ]
 
 let suite =
   [
@@ -204,4 +249,8 @@ let suite =
       test_outage_sweep_bytes;
     Alcotest.test_case "crash sweep bytes match golden" `Quick
       test_crash_sweep_bytes;
+    Alcotest.test_case "policy sweep bytes match golden" `Quick
+      test_policy_sweep_bytes;
+    Alcotest.test_case "run names tell every chaos point apart" `Quick
+      test_describe_names_every_point;
   ]

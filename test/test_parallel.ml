@@ -137,43 +137,29 @@ let test_sweep_jobs_equivalence () =
         reference (run_tiny_sweep ~jobs))
     [ 2; 4 ]
 
-let test_chaos_loss_jobs_equivalence () =
-  let base seed = { (Chaos.default_base ~seed) with Config.rate_mbps = 20.0 } in
-  let run ~jobs = Chaos.run ~loss_rates:[ 0.0; 0.1 ] ~jobs ~base:(base 7) () in
-  let reference = run ~jobs:1 and parallel = run ~jobs:4 in
+(* A chaos sweep's result list, point for point: the configuration
+   each point ran (its axes live there) and every measured field. *)
+let check_results_equal reference parallel =
   Alcotest.(check int) "same point count" (List.length reference)
     (List.length parallel);
   List.iter2
-    (fun (a : Chaos.point) (b : Chaos.point) ->
-      Alcotest.(check (float 0.0)) "loss rate" a.Chaos.loss_rate
-        b.Chaos.loss_rate;
-      Alcotest.(check string) "mechanism label"
-        (Config.label a.Chaos.config)
-        (Config.label b.Chaos.config);
+    (fun (a : Experiment.result) (b : Experiment.result) ->
+      Alcotest.(check string) "point configuration"
+        (Exec.describe 0 a.Experiment.config)
+        (Exec.describe 0 b.Experiment.config);
       Alcotest.(check (list string)) "result fields" []
-        (Experiment.diff_result a.Chaos.result b.Chaos.result))
+        (Experiment.diff_result a b))
     reference parallel
+
+let test_chaos_loss_jobs_equivalence () =
+  let base seed = { (Chaos.default_base ~seed) with Config.rate_mbps = 20.0 } in
+  let run ~jobs = Chaos.run ~loss_rates:[ 0.0; 0.1 ] ~jobs ~base:(base 7) () in
+  check_results_equal (run ~jobs:1) (run ~jobs:4)
 
 let test_chaos_outage_jobs_equivalence () =
   let base seed = Chaos.default_outage_base ~seed in
   let run ~jobs = Chaos.run_outage ~durations:[ 0.05 ] ~jobs ~base:(base 7) () in
-  let reference = run ~jobs:1 and parallel = run ~jobs:4 in
-  Alcotest.(check int) "same point count" (List.length reference)
-    (List.length parallel);
-  List.iter2
-    (fun (a : Chaos.outage_point) (b : Chaos.outage_point) ->
-      Alcotest.(check (float 0.0)) "duration" a.Chaos.duration b.Chaos.duration;
-      Alcotest.(check bool) "fail mode" true
-        (a.Chaos.fail_mode = b.Chaos.fail_mode);
-      Alcotest.(check (list string)) "result fields" []
-        (Experiment.diff_result a.Chaos.result b.Chaos.result))
-    reference parallel
-
-let test_calibration_jobs_equivalence () =
-  let reference = Calibration.sanity ~jobs:1 () in
-  let parallel = Calibration.sanity ~jobs:4 () in
-  Alcotest.(check (list (pair string bool)))
-    "verdict list identical" reference parallel
+  check_results_equal (run ~jobs:1) (run ~jobs:4)
 
 (* ---- The parallel-equivalence replay check ---- *)
 
@@ -243,8 +229,6 @@ let suite =
       test_chaos_loss_jobs_equivalence;
     Alcotest.test_case "chaos outage sweep: jobs 4 = jobs 1" `Slow
       test_chaos_outage_jobs_equivalence;
-    Alcotest.test_case "calibration: jobs 4 = jobs 1" `Slow
-      test_calibration_jobs_equivalence;
     Alcotest.test_case "checked parallel run stays clean" `Slow
       test_clean_parallel_run_has_no_violations;
     Alcotest.test_case "replay disagreement is a violation" `Quick
