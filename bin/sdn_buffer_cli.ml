@@ -5,10 +5,10 @@
 open Cmdliner
 open Sdn_core
 
-(* Numeric convs that reject non-positive values at parse time, so a
+(* Numeric convs that reject out-of-range values at parse time, so a
    bad value exits with cmdliner's usage message instead of reaching an
    [invalid_arg] deep in the simulator. *)
-let positive_conv base ~valid ~what =
+let checked_conv base ~valid ~what =
   let parse s =
     match Arg.conv_parser base s with
     | Ok v when valid v -> Ok v
@@ -17,12 +17,24 @@ let positive_conv base ~valid ~what =
   in
   Arg.conv (parse, Arg.conv_printer base)
 
-let positive_int = positive_conv Arg.int ~valid:(fun n -> n > 0) ~what:"> 0"
+let positive_int = checked_conv Arg.int ~valid:(fun n -> n > 0) ~what:"> 0"
 
 let positive_float =
-  positive_conv Arg.float
+  checked_conv Arg.float
     ~valid:(fun x -> Float.is_finite x && x > 0.0)
     ~what:"a finite number > 0"
+
+(* A packet-buffer pool's size: buffer ids are 16 bits wide, and 0
+   means the no-buffer configuration. *)
+let buffer_units =
+  checked_conv Arg.int
+    ~valid:(fun n -> n >= 0 && n <= 0xFFFF)
+    ~what:"in 0..65535"
+
+let probability =
+  checked_conv Arg.float
+    ~valid:(fun p -> p >= 0.0 && p <= 1.0)
+    ~what:"in [0, 1]"
 
 (* A conv from a parser and printer pair, such as the library's own
    [*_of_string] / [*_to_string] converters. *)
@@ -50,7 +62,7 @@ let mechanism_arg =
 
 let buffer_arg =
   Arg.(
-    value & opt int 256
+    value & opt buffer_units 256
     & info [ "b"; "buffer" ] ~docv:"UNITS" ~doc:"Buffer capacity in units.")
 
 let rate_arg =
@@ -63,13 +75,13 @@ let seed_arg =
 
 let reps_arg =
   Arg.(
-    value & opt int 20
+    value & opt positive_int 20
     & info [ "n"; "reps" ] ~docv:"N" ~doc:"Repetitions per rate point.")
 
 let rates_arg =
   Arg.(
     value
-    & opt (list float) Sweep.default_rates
+    & opt (list positive_float) Sweep.default_rates
     & info [ "rates" ] ~docv:"R1,R2,..." ~doc:"Sending rates to sweep (Mbps).")
 
 let faults_conv =
@@ -292,7 +304,7 @@ let chaos_cmd =
   let loss_rates_arg =
     Arg.(
       value
-      & opt (list float) Chaos.default_loss_rates
+      & opt (list probability) Chaos.default_loss_rates
       & info [ "loss-rates" ] ~docv:"P1,P2,..."
           ~doc:"Control-channel loss rates to sweep.")
   in
@@ -371,7 +383,7 @@ let chaos_cmd =
   let buffers_arg =
     Arg.(
       value
-      & opt (list int) Chaos.default_policy_buffers
+      & opt (list buffer_units) Chaos.default_policy_buffers
       & info [ "buffers" ] ~docv:"N1,N2,..."
           ~doc:"Packet-pool capacities to sweep (with $(b,--policy)).")
   in

@@ -39,7 +39,7 @@ module View_key = struct
   end)
 end
 
-(* Per-switch session state: the liveness tracker plus the handshake
+(* The switch session's state: the liveness tracker plus the handshake
    parameters remembered so they can be re-pushed verbatim on resync,
    and the controller's view of the entries it has installed — the
    basis of the post-rejoin flow-state reconciliation pass. The view is
@@ -65,10 +65,9 @@ type t = {
   check : Sdn_check.Check.t option;
   release_strategy : release_strategy;
   cpu : Cpu.t;
-  links : (int, Bytes.t Link.t) Hashtbl.t;  (** switch id -> downlink *)
-  echo_interval : float;
-  echo_misses : int;
-  sessions : (int, session) Hashtbl.t;
+  mutable link : Bytes.t Link.t option;  (** the downlink to the switch *)
+  mutable session : session option;
+      (* set once, at the end of [create]: its callbacks need [t] *)
   mutable next_xid : int32;
   (* Sliding window of recently-arrived message bytes, for the GC
      pressure factor. *)
@@ -92,41 +91,6 @@ type t = {
   mutable reconcile_events_rev : (float * string) list;
 }
 
-let create engine ~app ~costs ~rng ?check ?(release_strategy = `Pair)
-    ?(echo_interval = 0.0) ?(echo_misses = 3) () =
-  let noise = Costs.noise costs rng in
-  let scale ~queue_len = Costs.penalty costs ~queue_len in
-  {
-    engine;
-    app;
-    costs;
-    check;
-    release_strategy;
-    cpu =
-      Cpu.create engine ~name:"controller" ~cores:costs.Costs.cores
-        ~service_scale:scale ~noise ();
-    links = Hashtbl.create 4;
-    echo_interval;
-    echo_misses;
-    sessions = Hashtbl.create 4;
-    next_xid = 0x4000_0000l;
-    recent = Queue.create ();
-    recent_bytes = 0;
-    last_gc_pause = neg_infinity;
-    pkt_ins_received = 0;
-    flow_mods_sent = 0;
-    pkt_outs_sent = 0;
-    drops_decided = 0;
-    port_changes = 0;
-    resyncs = 0;
-    dead = false;
-    crashes = 0;
-    crash_lost_messages = 0;
-    reconcile_audits = 0;
-    reconcile_installs = 0;
-    reconcile_events_rev = [];
-  }
-
 let fresh_xid t =
   let xid = t.next_xid in
   t.next_xid <-
@@ -134,8 +98,13 @@ let fresh_xid t =
      else Int32.add t.next_xid 1l);
   xid
 
-(* The checker's xid namespace for one controller->switch channel. *)
-let channel_name switch = Printf.sprintf "ctl/sw-%d" switch
+let the_session t =
+  match t.session with
+  | Some s -> s
+  | None -> invalid_arg "Controller: session not initialised"
+
+(* The checker's xid namespace for the controller->switch channel. *)
+let channel_name = "ctl/sw-0"
 
 let flow_mod_outputs_to (fm : Of_flow_mod.t) port =
   List.exists
@@ -145,45 +114,42 @@ let flow_mod_outputs_to (fm : Of_flow_mod.t) port =
       | _ -> false)
     fm.Of_flow_mod.actions
 
-(* Mirror every FLOW_MOD this controller sends into its per-switch view
-   of the installed entries — the ground truth the post-crash
+(* Mirror every FLOW_MOD this controller sends into its view of the
+   switch's installed entries — the ground truth the post-crash
    reconciliation pass audits the switch against. Deletes prune the
    view with OpenFlow's own semantics (strict = exact match+priority,
    non-strict = subsumption, plus the out_port action filter). *)
-let note_flow_mod_view t ~switch (fm : Of_flow_mod.t) =
-  match Hashtbl.find_opt t.sessions switch with
-  | None -> ()
-  | Some s -> (
-      let key = (fm.Of_flow_mod.match_, fm.Of_flow_mod.priority) in
-      let port_ok old =
-        fm.Of_flow_mod.out_port = Of_wire.Port.none
-        || flow_mod_outputs_to old fm.Of_flow_mod.out_port
+let note_flow_mod_view t (fm : Of_flow_mod.t) =
+  let s = the_session t in
+  let key = (fm.Of_flow_mod.match_, fm.Of_flow_mod.priority) in
+  let port_ok old =
+    fm.Of_flow_mod.out_port = Of_wire.Port.none
+    || flow_mod_outputs_to old fm.Of_flow_mod.out_port
+  in
+  match fm.Of_flow_mod.command with
+  | Of_flow_mod.Add | Of_flow_mod.Modify | Of_flow_mod.Modify_strict ->
+      View_key.Table.replace s.flow_view key
+        (* Re-installs must not reference a buffer that is long gone. *)
+        { fm with Of_flow_mod.buffer_id = Of_wire.no_buffer }
+  | Of_flow_mod.Delete_strict -> (
+      match View_key.Table.find_opt s.flow_view key with
+      | Some old when port_ok old -> View_key.Table.remove s.flow_view key
+      | Some _ | None -> ())
+  | Of_flow_mod.Delete ->
+      let doomed =
+        (* A removal set: the verdict is independent of table order.
+           lint: allow hashtbl-order *)
+        View_key.Table.fold
+          (fun key (old : Of_flow_mod.t) acc ->
+            if
+              Of_match.subsumes ~general:fm.Of_flow_mod.match_
+                ~specific:old.Of_flow_mod.match_
+              && port_ok old
+            then key :: acc
+            else acc)
+          s.flow_view []
       in
-      match fm.Of_flow_mod.command with
-      | Of_flow_mod.Add | Of_flow_mod.Modify | Of_flow_mod.Modify_strict ->
-          View_key.Table.replace s.flow_view key
-            (* Re-installs must not reference a buffer that is long
-               gone. *)
-            { fm with Of_flow_mod.buffer_id = Of_wire.no_buffer }
-      | Of_flow_mod.Delete_strict -> (
-          match View_key.Table.find_opt s.flow_view key with
-          | Some old when port_ok old -> View_key.Table.remove s.flow_view key
-          | Some _ | None -> ())
-      | Of_flow_mod.Delete ->
-          let doomed =
-            (* A removal set: the verdict is independent of table order.
-               lint: allow hashtbl-order *)
-            View_key.Table.fold
-              (fun key (old : Of_flow_mod.t) acc ->
-                if
-                  Of_match.subsumes ~general:fm.Of_flow_mod.match_
-                    ~specific:old.Of_flow_mod.match_
-                  && port_ok old
-                then key :: acc
-                else acc)
-              s.flow_view []
-          in
-          List.iter (View_key.Table.remove s.flow_view) doomed)
+      List.iter (View_key.Table.remove s.flow_view) doomed
 
 (* [fresh] marks xids this controller allocated itself; replies that
    echo a request's xid (including the flow_mod + packet_out pair
@@ -191,22 +157,22 @@ let note_flow_mod_view t ~switch (fm : Of_flow_mod.t) =
    the uniqueness invariant. A dead (crashed) controller emits
    nothing: whatever in-flight work completes while it is down is
    silently discarded. *)
-let send ?(fresh = false) t ~switch ~xid msg =
+let send ?(fresh = false) t ~xid msg =
   if t.dead then ()
   else
-    match Hashtbl.find_opt t.links switch with
+    match t.link with
   | Some link ->
       let encoded = Of_codec.encode ~xid msg in
       (match t.check with
       | Some check ->
           Sdn_check.Check.note_emit check ~time:(Engine.now t.engine)
-            ~session:(channel_name switch) ~fresh ~xid ~msg ~encoded
+            ~session:channel_name ~fresh ~xid ~msg ~encoded
       | None -> ());
       Link.send link ~size:(Bytes.length encoded) encoded;
       (match msg with
       | Of_codec.Flow_mod fm ->
           t.flow_mods_sent <- t.flow_mods_sent + 1;
-          note_flow_mod_view t ~switch fm
+          note_flow_mod_view t fm
       | Of_codec.Packet_out _ -> t.pkt_outs_sent <- t.pkt_outs_sent + 1
       | Of_codec.Hello | Of_codec.Error_msg _ | Of_codec.Echo_request _
       | Of_codec.Echo_reply _ | Of_codec.Vendor _ | Of_codec.Features_request
@@ -218,24 +184,23 @@ let send ?(fresh = false) t ~switch ~xid msg =
       | Of_codec.Barrier_request | Of_codec.Barrier_reply -> ())
   | None -> ()
 
-let send_error t ~switch ~xid ~error_type ~code ~offending =
+let send_error t ~xid ~error_type ~code ~offending =
   let data = Bytes.sub offending 0 (min 64 (Bytes.length offending)) in
   let work = t.costs.Costs.parse_base_cost +. t.costs.Costs.encode_base_cost in
   Cpu.submit t.cpu ~work_s:work (fun () ->
-      send t ~switch ~xid
-        (Of_codec.Error_msg (Of_error.make ~error_type ~code ~data ())))
+      send t ~xid (Of_codec.Error_msg (Of_error.make ~error_type ~code ~data ())))
 
-let do_handshake t ~switch ?enable_flow_buffer ?miss_send_len () =
-  send ~fresh:true t ~switch ~xid:(fresh_xid t) Of_codec.Hello;
-  send ~fresh:true t ~switch ~xid:(fresh_xid t) Of_codec.Features_request;
+let do_handshake t ?enable_flow_buffer ?miss_send_len () =
+  send ~fresh:true t ~xid:(fresh_xid t) Of_codec.Hello;
+  send ~fresh:true t ~xid:(fresh_xid t) Of_codec.Features_request;
   (match miss_send_len with
   | Some n ->
-      send ~fresh:true t ~switch ~xid:(fresh_xid t)
+      send ~fresh:true t ~xid:(fresh_xid t)
         (Of_codec.Set_config { Of_config.flags = 0; miss_send_len = n })
   | None -> ());
   match enable_flow_buffer with
   | Some backoff ->
-      send ~fresh:true t ~switch ~xid:(fresh_xid t)
+      send ~fresh:true t ~xid:(fresh_xid t)
         (Of_codec.Vendor (Of_ext.Flow_buffer_enable backoff))
   | None -> ()
 
@@ -248,9 +213,9 @@ let do_handshake t ~switch ?enable_flow_buffer ?miss_send_len () =
 let max_reconcile_rounds = 8
 let reconcile_recheck_delay = 5e-3
 
-let send_audit t ~switch =
+let send_audit t =
   t.reconcile_audits <- t.reconcile_audits + 1;
-  send ~fresh:true t ~switch ~xid:(fresh_xid t)
+  send ~fresh:true t ~xid:(fresh_xid t)
     (Of_codec.Stats_request
        (Of_stats.Flow_request
           {
@@ -260,56 +225,78 @@ let send_audit t ~switch =
           }))
 
 (* State resync after an outage: replay the whole handshake with the
-   parameters remembered from [start_switch], so the switch gets its
+   parameters remembered from [start], so the switch gets its
    configuration — including the flow-buffer backoff policy — pushed
    again even if it rebooted into defaults. When the disconnect was a
    node crash, follow with the flow-state reconciliation audit. *)
-let resync t ~switch =
-  match Hashtbl.find_opt t.sessions switch with
-  | None -> ()
-  | Some s ->
-      t.resyncs <- t.resyncs + 1;
-      do_handshake t ~switch ?enable_flow_buffer:s.enable_flow_buffer
-        ?miss_send_len:s.miss_send_len ();
-      if s.needs_reconcile then begin
-        s.needs_reconcile <- false;
-        s.reconciling <- true;
-        s.reconcile_rounds <- 0;
-        send_audit t ~switch
-      end
+let resync t =
+  let s = the_session t in
+  t.resyncs <- t.resyncs + 1;
+  do_handshake t ?enable_flow_buffer:s.enable_flow_buffer
+    ?miss_send_len:s.miss_send_len ();
+  if s.needs_reconcile then begin
+    s.needs_reconcile <- false;
+    s.reconciling <- true;
+    s.reconcile_rounds <- 0;
+    send_audit t
+  end
 
-let ensure_session t ~switch =
-  match Hashtbl.find_opt t.sessions switch with
-  | Some s -> s
-  | None ->
-      let tracker =
-        Session.create t.engine ?check:t.check ~name:(channel_name switch)
-          ~config:
-            {
-              Session.default_config with
-              Session.echo_interval = t.echo_interval;
-              echo_misses = t.echo_misses;
-            }
-          ~fresh_xid:(fun () -> fresh_xid t)
-          ~send_echo:(fun ~xid ->
-            send ~fresh:true t ~switch ~xid (Of_codec.Echo_request Bytes.empty))
-          ~on_down:(fun () -> ())
-          ~on_restore:(fun ~downtime:_ -> resync t ~switch)
-          ()
-      in
-      let s =
-        {
-          tracker;
-          enable_flow_buffer = None;
-          miss_send_len = None;
-          flow_view = View_key.Table.create 64;
-          reconciling = false;
-          reconcile_rounds = 0;
-          needs_reconcile = false;
-        }
-      in
-      Hashtbl.add t.sessions switch s;
-      s
+let create engine ~app ~costs ~rng ?check ?(release_strategy = `Pair)
+    ?(echo_interval = 0.0) ?(echo_misses = 3) () =
+  let noise = Costs.noise costs rng in
+  let scale ~queue_len = Costs.penalty costs ~queue_len in
+  let t =
+    {
+      engine;
+      app;
+      costs;
+      check;
+      release_strategy;
+      cpu =
+        Cpu.create engine ~name:"controller" ~cores:costs.Costs.cores
+          ~service_scale:scale ~noise ();
+      link = None;
+      session = None;
+      next_xid = 0x4000_0000l;
+      recent = Queue.create ();
+      recent_bytes = 0;
+      last_gc_pause = neg_infinity;
+      pkt_ins_received = 0;
+      flow_mods_sent = 0;
+      pkt_outs_sent = 0;
+      drops_decided = 0;
+      port_changes = 0;
+      resyncs = 0;
+      dead = false;
+      crashes = 0;
+      crash_lost_messages = 0;
+      reconcile_audits = 0;
+      reconcile_installs = 0;
+      reconcile_events_rev = [];
+    }
+  in
+  let tracker =
+    Session.create engine ?check ~name:channel_name
+      ~config:{ Session.default_config with Session.echo_interval; echo_misses }
+      ~fresh_xid:(fun () -> fresh_xid t)
+      ~send_echo:(fun ~xid ->
+        send ~fresh:true t ~xid (Of_codec.Echo_request Bytes.empty))
+      ~on_down:(fun () -> ())
+      ~on_restore:(fun ~downtime:_ -> resync t)
+      ()
+  in
+  t.session <-
+    Some
+      {
+        tracker;
+        enable_flow_buffer = None;
+        miss_send_len = None;
+        flow_view = View_key.Table.create 64;
+        reconciling = false;
+        reconcile_rounds = 0;
+        needs_reconcile = false;
+      };
+  t
 
 (* The match installed for a flow: the 5-tuple when the headers give
    one (hash-indexable at the switch), the exact L2 match otherwise. *)
@@ -324,7 +311,7 @@ let match_for (ctx : App.context) =
         dl_type = Some ctx.App.headers.Packet.h_eth.Ethernet.ethertype;
       }
 
-let respond t ~switch ~xid ~(pkt_in : Of_packet_in.t) (ctx : App.context)
+let respond t ~xid ~(pkt_in : Of_packet_in.t) (ctx : App.context)
     decision =
   let buffered = not (Int32.equal ctx.App.buffer_id Of_wire.no_buffer) in
   let pkt_out_for ~out_port =
@@ -346,16 +333,16 @@ let respond t ~switch ~xid ~(pkt_in : Of_packet_in.t) (ctx : App.context)
             (if release_in_flow_mod then ctx.App.buffer_id else Of_wire.no_buffer)
           ~match_:(match_for ctx) ~actions:[ action ] ()
       in
-      send t ~switch ~xid (Of_codec.Flow_mod flow_mod);
+      send t ~xid (Of_codec.Flow_mod flow_mod);
       if not release_in_flow_mod then begin
         let po = pkt_out_for ~out_port in
-        send t ~switch ~xid
+        send t ~xid
           (Of_codec.Packet_out { po with Of_packet_out.actions = [ action ] })
       end
     end
     else begin
       let po = pkt_out_for ~out_port in
-      send t ~switch ~xid
+      send t ~xid
         (Of_codec.Packet_out { po with Of_packet_out.actions = [ action ] })
     end
   in
@@ -365,7 +352,7 @@ let respond t ~switch ~xid ~(pkt_in : Of_packet_in.t) (ctx : App.context)
       if buffered then
         (* Release the buffer with no output action: the switch frees
            the unit and discards the packet. *)
-        send t ~switch ~xid
+        send t ~xid
           (Of_codec.Packet_out
              {
                Of_packet_out.buffer_id = ctx.App.buffer_id;
@@ -374,7 +361,7 @@ let respond t ~switch ~xid ~(pkt_in : Of_packet_in.t) (ctx : App.context)
                data = Bytes.empty;
              })
   | App.Flood ->
-      send t ~switch ~xid
+      send t ~xid
         (Of_codec.Packet_out (pkt_out_for ~out_port:Of_wire.Port.flood))
   | App.Forward f ->
       forward ~action:(Of_action.output f.App.out_port) ~out_port:f.App.out_port f
@@ -424,7 +411,7 @@ let note_arrival t ~bytes =
   end;
   Costs.gc_factor t.costs ~window_bytes:t.recent_bytes
 
-let handle_packet_in t ~switch ~xid (pkt_in : Of_packet_in.t) ~msg_bytes =
+let handle_packet_in t ~xid (pkt_in : Of_packet_in.t) ~msg_bytes =
   t.pkt_ins_received <- t.pkt_ins_received + 1;
   let gc = note_arrival t ~bytes:msg_bytes in
   match Packet.peek_headers pkt_in.Of_packet_in.data with
@@ -454,12 +441,12 @@ let handle_packet_in t ~switch ~xid (pkt_in : Of_packet_in.t) ~msg_bytes =
            +. (t.costs.Costs.encode_per_byte *. float_of_int data_out))
       in
       Cpu.submit t.cpu ~work_s:work (fun () ->
-          respond t ~switch ~xid ~pkt_in ctx decision)
+          respond t ~xid ~pkt_in ctx decision)
 
 (* One reconciliation round, run after the CPU paid for comparing the
    two tables. [stats] is what the switch reports; the view is what
    this controller believes it installed. *)
-let reconcile_step t ~switch s stats =
+let reconcile_step t s stats =
   let now = Engine.now t.engine in
   let reported = View_key.Table.create ((2 * List.length stats) + 1) in
   List.iter
@@ -496,22 +483,20 @@ let reconcile_step t ~switch s stats =
   | [] ->
       s.reconciling <- false;
       t.reconcile_events_rev <-
-        (now, Printf.sprintf "reconciliation done (sw-%d)" switch)
-        :: t.reconcile_events_rev;
+        (now, "reconciliation done (sw-0)") :: t.reconcile_events_rev;
       (match t.check with
       | Some check ->
           Sdn_check.Check.note_reconciliation check ~time:now
-            ~session:(channel_name switch) ~agree:true ~detail:""
+            ~session:channel_name ~agree:true ~detail:""
       | None -> ())
   | _ :: _ when s.reconcile_rounds >= max_reconcile_rounds ->
       s.reconciling <- false;
       t.reconcile_events_rev <-
-        (now, Printf.sprintf "reconciliation gave up (sw-%d)" switch)
-        :: t.reconcile_events_rev;
+        (now, "reconciliation gave up (sw-0)") :: t.reconcile_events_rev;
       (match t.check with
       | Some check ->
           Sdn_check.Check.note_reconciliation check ~time:now
-            ~session:(channel_name switch) ~agree:false
+            ~session:channel_name ~agree:false
             ~detail:
               (Printf.sprintf "%d entr%s still missing after %d audit round(s)"
                  (List.length missing)
@@ -523,28 +508,26 @@ let reconcile_step t ~switch s stats =
       List.iter
         (fun (_, fm) ->
           t.reconcile_installs <- t.reconcile_installs + 1;
-          send ~fresh:true t ~switch ~xid:(fresh_xid t) (Of_codec.Flow_mod fm))
+          send ~fresh:true t ~xid:(fresh_xid t) (Of_codec.Flow_mod fm))
         missing;
       (* Let the switch's flow_mod apply latency land, then audit
          again. *)
       ignore
         (Engine.schedule t.engine ~delay:reconcile_recheck_delay (fun () ->
-             if s.reconciling && not t.dead then send_audit t ~switch))
+             if s.reconciling && not t.dead then send_audit t))
 
-let handle_flow_stats t ~switch stats =
-  match Hashtbl.find_opt t.sessions switch with
-  | None -> ()
-  | Some s ->
-      if s.reconciling then begin
-        let work =
-          t.costs.Costs.reconcile_per_entry_cost
-          *. float_of_int (View_key.Table.length s.flow_view + List.length stats)
-        in
-        Cpu.submit t.cpu ~work_s:work (fun () ->
-            if s.reconciling then reconcile_step t ~switch s stats)
-      end
+let handle_flow_stats t stats =
+  let s = the_session t in
+  if s.reconciling then begin
+    let work =
+      t.costs.Costs.reconcile_per_entry_cost
+      *. float_of_int (View_key.Table.length s.flow_view + List.length stats)
+    in
+    Cpu.submit t.cpu ~work_s:work (fun () ->
+        if s.reconciling then reconcile_step t s stats)
+  end
 
-let handle_message_from t ~switch buf =
+let handle_message t buf =
   if t.dead then
     (* The process is down: the frame is lost on the floor. *)
     t.crash_lost_messages <- t.crash_lost_messages + 1
@@ -554,28 +537,24 @@ let handle_message_from t ~switch buf =
       (* A buggy switch must learn its frame was rejected: answer with
          the OFPT_ERROR matching what was wrong with it. *)
       let error_type, code = Of_codec.error_reply buf in
-      send_error t ~switch ~xid:(Of_codec.peek_xid buf) ~error_type ~code
-        ~offending:buf
+      send_error t ~xid:(Of_codec.peek_xid buf) ~error_type ~code ~offending:buf
   | Ok (xid, msg) -> (
-      (let s = ensure_session t ~switch in
-       match msg with
-       | Of_codec.Echo_reply _ -> Session.note_echo_reply s.tracker ~xid
-       | _ -> Session.note_activity s.tracker);
+      let s = the_session t in
+      (match msg with
+      | Of_codec.Echo_reply _ -> Session.note_echo_reply s.tracker ~xid
+      | _ -> Session.note_activity s.tracker);
       match msg with
       | Of_codec.Packet_in pkt_in ->
-          handle_packet_in t ~switch ~xid pkt_in ~msg_bytes:(Bytes.length buf)
+          handle_packet_in t ~xid pkt_in ~msg_bytes:(Bytes.length buf)
       | Of_codec.Echo_request payload ->
           let work = t.costs.Costs.parse_base_cost +. t.costs.Costs.encode_base_cost in
           Cpu.submit t.cpu ~work_s:work (fun () ->
-              send t ~switch ~xid (Of_codec.Echo_reply payload))
+              send t ~xid (Of_codec.Echo_reply payload))
       | Of_codec.Flow_removed fr ->
           (* The entry timed out at the switch; forget it so the
              reconciliation pass does not resurrect it. *)
-          (match Hashtbl.find_opt t.sessions switch with
-          | Some s ->
-              View_key.Table.remove s.flow_view
-                (fr.Of_flow_removed.match_, fr.Of_flow_removed.priority)
-          | None -> ())
+          View_key.Table.remove s.flow_view
+            (fr.Of_flow_removed.match_, fr.Of_flow_removed.priority)
       | Of_codec.Port_status ps ->
           t.port_changes <- t.port_changes + 1;
           (* A failed link strands every rule forwarding into it; flush
@@ -583,7 +562,7 @@ let handle_message_from t ~switch buf =
           if ps.Of_port_status.link_down then begin
             let work = t.costs.Costs.parse_base_cost +. t.costs.Costs.decision_cost in
             Cpu.submit t.cpu ~work_s:work (fun () ->
-                send t ~switch ~xid
+                send t ~xid
                   (Of_codec.Flow_mod
                      {
                        (Of_flow_mod.add ~match_:Of_match.wildcard_all ~actions:[] ()) with
@@ -592,7 +571,7 @@ let handle_message_from t ~switch buf =
                      }))
           end
       | Of_codec.Stats_reply (Of_stats.Flow_reply stats) ->
-          handle_flow_stats t ~switch stats
+          handle_flow_stats t stats
       | Of_codec.Hello | Of_codec.Error_msg _ | Of_codec.Echo_reply _
       | Of_codec.Features_reply _ | Of_codec.Get_config_reply _
       | Of_codec.Stats_reply _ | Of_codec.Barrier_reply | Of_codec.Vendor _ ->
@@ -604,24 +583,17 @@ let handle_message_from t ~switch buf =
       | Of_codec.Stats_request _ | Of_codec.Barrier_request ->
           (* Switch-bound messages should not arrive at the controller;
              reject them explicitly. *)
-          send_error t ~switch ~xid ~error_type:Of_error.Bad_request
+          send_error t ~xid ~error_type:Of_error.Bad_request
             ~code:Of_error.Bad_request_code.bad_type ~offending:buf)
 
-let handle_message t buf = handle_message_from t ~switch:0 buf
-
-let start_switch t ~switch ?enable_flow_buffer ?miss_send_len () =
-  let s = ensure_session t ~switch in
+let start t ?enable_flow_buffer ?miss_send_len () =
+  let s = the_session t in
   s.enable_flow_buffer <- enable_flow_buffer;
   s.miss_send_len <- miss_send_len;
-  do_handshake t ~switch ?enable_flow_buffer ?miss_send_len ();
+  do_handshake t ?enable_flow_buffer ?miss_send_len ();
   Session.start s.tracker
 
-let start t ?enable_flow_buffer ?miss_send_len () =
-  start_switch t ~switch:0 ?enable_flow_buffer ?miss_send_len ()
-
-let add_switch t ~switch link = Hashtbl.replace t.links switch link
-
-let install_proactive t ?(switch = 0) flow_mods =
+let install_proactive t flow_mods =
   List.iter
     (fun fm ->
       let work =
@@ -629,42 +601,29 @@ let install_proactive t ?(switch = 0) flow_mods =
         +. (t.costs.Costs.parse_base_cost /. 2.0)
       in
       Cpu.submit t.cpu ~work_s:work (fun () ->
-          send ~fresh:true t ~switch ~xid:(fresh_xid t) (Of_codec.Flow_mod fm)))
+          send ~fresh:true t ~xid:(fresh_xid t) (Of_codec.Flow_mod fm)))
     flow_mods
 
-let set_switch_link t link = add_switch t ~switch:0 link
-
+let set_switch_link t link = t.link <- Some link
 let cpu t = t.cpu
-
-let switch_downs t =
-  (* Commutative sum: iteration order cannot change the total.
-     lint: allow hashtbl-order *)
-  Hashtbl.fold (fun _ s acc -> acc + Session.downs s.tracker) t.sessions 0
+let switch_downs t = Session.downs (the_session t).tracker
 
 (* ---- Crash–restart fault injection ---- *)
-
-let sorted_sessions t =
-  (* Sorted by switch id so crash/restart side effects fire in a
-     deterministic order (the sort discharges the hashtbl-order rule). *)
-  Hashtbl.fold (fun id s acc -> (id, s) :: acc) t.sessions []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let crash t ~mode =
   if not t.dead then begin
     t.dead <- true;
     t.crashes <- t.crashes + 1;
-    List.iter
-      (fun (_, s) ->
-        s.reconciling <- false;
-        s.needs_reconcile <- true;
-        (match mode with
-        | Faults.Cold ->
-            (* Full state loss: the installed-entry view must be
-               relearnt from the switches after boot. *)
-            View_key.Table.reset s.flow_view
-        | Faults.Warm -> ());
-        Session.force_down s.tracker)
-      (sorted_sessions t)
+    let s = the_session t in
+    s.reconciling <- false;
+    s.needs_reconcile <- true;
+    (match mode with
+    | Faults.Cold ->
+        (* Full state loss: the installed-entry view must be relearnt
+           from the switch after boot. *)
+        View_key.Table.reset s.flow_view
+    | Faults.Warm -> ());
+    Session.force_down s.tracker
   end
 
 let restart t ~mode =
@@ -681,21 +640,17 @@ let restart t ~mode =
       for _core = 1 to Cpu.cores t.cpu do
         Cpu.submit t.cpu ~work_s:boot (fun () -> ())
       done;
-    List.iter (fun (_, s) -> Session.revive s.tracker) (sorted_sessions t)
+    Session.revive (the_session t).tracker
   end
 
 (* The peer's TCP connection died under it (the switch process
    crashed): take the tracker down immediately instead of waiting for
    echo misses, and mark the session for reconciliation on rejoin. *)
-let note_switch_disconnect t ~switch =
-  match Hashtbl.find_opt t.sessions switch with
-  | None -> ()
-  | Some s ->
-      s.reconciling <- false;
-      s.needs_reconcile <- true;
-      Session.note_disconnect s.tracker
-
-let is_dead t = t.dead
+let note_switch_disconnect t =
+  let s = the_session t in
+  s.reconciling <- false;
+  s.needs_reconcile <- true;
+  Session.note_disconnect s.tracker
 let reconcile_events t = List.rev t.reconcile_events_rev
 
 let counters t =

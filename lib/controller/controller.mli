@@ -23,7 +23,7 @@ type counters = {
   drops_decided : int;
   port_changes : int;
   switch_downs : int;
-      (** switch sessions declared Down by the echo keepalive *)
+      (** times the echo keepalive declared the switch session Down *)
   resyncs : int;
       (** handshake replays pushed after a session recovered *)
   crashes : int;  (** injected controller crashes *)
@@ -52,41 +52,25 @@ val create :
   ?echo_misses:int ->
   unit ->
   t
-(** [release_strategy] defaults to [`Pair]. [echo_interval] (default 0:
-    disabled) enables a per-switch echo keepalive; after [echo_misses]
-    (default 3) unanswered echoes the switch's session is declared Down
-    and, on recovery, the handshake recorded by {!start_switch} is
-    replayed to resync the switch's configuration.
+(** The controller manages exactly one switch over one control
+    session, which [create] builds. [release_strategy] defaults to
+    [`Pair]. [echo_interval] (default 0: disabled) enables the
+    session's echo keepalive; after [echo_misses] (default 3)
+    unanswered echoes the session is declared Down and, on recovery,
+    the handshake recorded by {!start} is replayed to resync the
+    switch's configuration.
 
-    With [check] armed, every emitted message and every per-switch
-    session transition reports to the invariant checker under channel
-    names ["ctl/sw-<id>"]. *)
+    With [check] armed, every emitted message and every session
+    transition reports to the invariant checker under the channel name
+    ["ctl/sw-0"]. *)
 
 val set_switch_link : t -> Bytes.t Link.t -> unit
-(** Attach the controller-to-switch half of the control channel
-    (single-switch shorthand for [add_switch ~switch:0]). *)
-
-val add_switch : t -> switch:int -> Bytes.t Link.t -> unit
-(** Register another switch session — one controller can manage a
-    whole topology (e.g. the chain scenario). *)
+(** Attach the controller-to-switch half of the control channel. *)
 
 val handle_message : t -> Bytes.t -> unit
 (** Deliver a switch-to-controller message (wired as the receiver of
-    the control link); single-switch shorthand for
-    [handle_message_from ~switch:0]. *)
-
-val handle_message_from : t -> switch:int -> Bytes.t -> unit
-(** Deliver a message from a specific switch session; responses return
-    on that session's link. *)
-
-val start_switch :
-  t ->
-  switch:int ->
-  ?enable_flow_buffer:Sdn_openflow.Of_ext.backoff ->
-  ?miss_send_len:int ->
-  unit ->
-  unit
-(** Hand-shake one switch session. *)
+    the control link). Works without {!start}: the session exists from
+    {!create} on, and the first decoded message brings it up. *)
 
 val start :
   t ->
@@ -100,14 +84,13 @@ val start :
     send the vendor message turning on flow-granularity buffering with
     that re-request backoff policy. *)
 
-val install_proactive :
-  t -> ?switch:int -> Sdn_openflow.Of_flow_mod.t list -> unit
-(** Push a batch of FLOW_MODs to a switch outside any request/response
+val install_proactive : t -> Sdn_openflow.Of_flow_mod.t list -> unit
+(** Push a batch of FLOW_MODs to the switch outside any request/response
     cycle — the proactive provisioning baseline against which the
     paper's reactive flow setup (and all its overhead) is compared. *)
 
 val switch_downs : t -> int
-(** Total Down declarations across all switch sessions. *)
+(** Down declarations of the switch session. *)
 
 (** {1 Crash–restart fault injection}
 
@@ -117,29 +100,28 @@ val switch_downs : t -> int
     during the downtime is discarded at the send boundary. On
     {!restart} the boot cost ({!Costs.t.restart_warm_s} /
     [restart_cold_s]) stalls every core before queued work resumes,
-    every session re-enters the reconnect machinery, and the next
-    resync of each session runs a flow-state reconciliation pass:
-    audit the switch's flow table with a wildcard FLOW stats request,
-    re-install view entries the switch lost, re-audit (bounded
-    rounds). A {e cold} crash additionally wipes the controller's
-    installed-entry views, which are then relearnt from the switches'
-    stats replies rather than flushed. *)
+    the session re-enters the reconnect machinery, and its next resync
+    runs a flow-state reconciliation pass: audit the switch's flow
+    table with a wildcard FLOW stats request, re-install view entries
+    the switch lost, re-audit, and give up after 8 audit rounds (a
+    [flow-reconciliation] violation under [check]). A {e cold} crash
+    additionally wipes the controller's installed-entry view, which is
+    then relearnt from the switch's stats replies rather than
+    flushed. *)
 
 val crash : t -> mode:Faults.restart_mode -> unit
-(** Kill the process. Every switch session is forced Down (timers
-    cancelled, no probes — a dead process cannot probe) and marked for
+(** Kill the process. The session is forced Down (timers cancelled, no
+    probes — a dead process cannot probe) and marked for
     reconciliation at the next resync. No-op while already dead. *)
 
 val restart : t -> mode:Faults.restart_mode -> unit
 (** Reboot after {!crash}. No-op unless dead. *)
 
-val note_switch_disconnect : t -> switch:int -> unit
+val note_switch_disconnect : t -> unit
 (** The {e switch's} process crashed: its TCP connection reset. The
     controller-side tracker goes Down immediately (probing for the
     switch's return) and the session is marked for reconciliation when
     it rejoins. *)
-
-val is_dead : t -> bool
 
 val reconcile_events : t -> (float * string) list
 (** Reconciliation outcomes, oldest first — one entry per finished

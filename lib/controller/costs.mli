@@ -72,14 +72,12 @@ val default : t
 
 type profile =
   | Pox
+      (** single-threaded Python controller: [cores = 1], roughly an
+          order of magnitude more per-message work *)
   | Floodlight  (** the calibrated defaults (the paper's testbed controller) *)
   | Opendaylight
       (** wider thread pool ([cores = 4]), heavier framework per
           message than Floodlight *)
-
-val pox : t
-(** Single-threaded Python controller: [cores = 1], roughly an order
-    of magnitude more per-message work. *)
 
 val of_profile : profile -> t
 val profile_to_string : profile -> string

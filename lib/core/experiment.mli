@@ -11,8 +11,6 @@ type summary = {
   max : float;
 }
 
-val summary_of_stats : Stats.t -> summary
-
 val traffic_start : float
 (** Injection lead-in: traffic begins this many seconds into the run,
     after the control-session handshake has settled. The analytical

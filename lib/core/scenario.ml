@@ -28,6 +28,8 @@ type t = {
 let host1_ip = Ip.make 10 0 0 1
 let host2_ip = Ip.make 10 0 0 2
 
+(* The switch configuration a run's config asks for: every switch knob
+   the config carries, on top of the switch's defaults. *)
 let switch_config (config : Config.t) =
   {
     Sdn_switch.Switch.default_config with
@@ -63,6 +65,9 @@ let switch_config (config : Config.t) =
       | _, _ -> 0);
   }
 
+(* The re-request policy the controller pushes over the vendor
+   extension to enable flow granularity; [None] for the other
+   mechanisms. *)
 let flow_buffer_backoff (config : Config.t) =
   match config.Config.mechanism with
   | Config.Flow_granularity ->
@@ -224,8 +229,7 @@ let build (config : Config.t) =
              note_crash_event (Engine.now engine)
                (Printf.sprintf "switch crash (%s)" mode_s);
              Sdn_switch.Switch.crash switch ~mode:c.Faults.mode;
-             Sdn_controller.Controller.note_switch_disconnect controller
-               ~switch:0));
+             Sdn_controller.Controller.note_switch_disconnect controller));
       ignore
         (Engine.schedule_at engine
            (c.Faults.at_s +. c.Faults.down_s)

@@ -40,17 +40,6 @@ type t = {
           {!crash_events} *)
 }
 
-val switch_config : Config.t -> Sdn_switch.Switch.config
-(** The switch configuration a run's {!Config.t} asks for: every
-    switch knob the config carries, on top of
-    {!Sdn_switch.Switch.default_config}, with the no-buffer mechanism
-    when [buffer_capacity] is 0. *)
-
-val flow_buffer_backoff : Config.t -> Sdn_openflow.Of_ext.backoff option
-(** The re-request policy the controller pushes over the vendor
-    extension to enable flow granularity; [None] for the other
-    mechanisms. *)
-
 val build : Config.t -> t
 (** Construct and hand-shake the whole platform (switch housekeeping
     started, controller HELLO / FEATURES exchanged at time zero, flow

@@ -100,7 +100,6 @@ let station t name =
   List.find (fun s -> String.equal s.node.name name) t.stations
 
 let sojourn t name = (station t name).queue.Mm1.w
-let utilization t name = (station t name).queue.Mm1.rho
 
 let mean_jobs t =
   List.fold_left (fun acc s -> acc +. s.queue.Mm1.l) 0.0 t.stations

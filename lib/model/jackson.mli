@@ -60,9 +60,6 @@ val station : t -> string -> station
 val sojourn : t -> string -> float
 (** Mean per-visit sojourn [w] of the named station. *)
 
-val utilization : t -> string -> float
-(** Per-server utilization [rho] of the named station. *)
-
 val mean_jobs : t -> float
 (** Mean total number of jobs in the network: [sum l_i]. *)
 

@@ -62,7 +62,3 @@ let equal a b =
   && Ip.equal a.sender_ip b.sender_ip
   && Mac.equal a.target_mac b.target_mac
   && Ip.equal a.target_ip b.target_ip
-
-let pp fmt t =
-  let op = match t.oper with Request -> "who-has" | Reply -> "is-at" in
-  Format.fprintf fmt "arp{%s %a tell %a}" op Ip.pp t.target_ip Ip.pp t.sender_ip

@@ -23,4 +23,3 @@ val write : t -> Bytes.t -> int -> unit
 val read : Bytes.t -> int -> (t, string) result
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

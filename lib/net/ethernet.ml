@@ -22,7 +22,3 @@ let read buf off =
 
 let equal a b =
   Mac.equal a.dst b.dst && Mac.equal a.src b.src && a.ethertype = b.ethertype
-
-let pp fmt t =
-  Format.fprintf fmt "eth{%a -> %a, type=0x%04x}" Mac.pp t.src Mac.pp t.dst
-    t.ethertype

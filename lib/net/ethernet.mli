@@ -18,4 +18,3 @@ val read : Bytes.t -> int -> (t, string) result
 (** Parse at the given offset. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -31,10 +31,6 @@ let hash t =
   let h = Hashtbl.hash in
   h (t.proto, Ip.hash t.src_ip, Ip.hash t.dst_ip, t.src_port, t.dst_port)
 
-let pp fmt t =
-  Format.fprintf fmt "%a:%d -> %a:%d proto=%d" Ip.pp t.src_ip t.src_port Ip.pp
-    t.dst_ip t.dst_port t.proto
-
 module Table = Hashtbl.Make (struct
   type nonrec t = t
 

@@ -18,7 +18,6 @@ val make :
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
-val pp : Format.formatter -> t -> unit
 
 (** Hash tables keyed by flow. *)
 module Table : Hashtbl.S with type key = t

@@ -41,7 +41,6 @@ let of_string_exn s =
   match of_string s with Ok t -> t | Error msg -> invalid_arg msg
 
 let any = 0l
-let broadcast = 0xFFFF_FFFFl
 
 (* Unsigned 32-bit comparison. *)
 let compare a b =

@@ -19,9 +19,6 @@ val to_string : t -> string
 val any : t
 (** [0.0.0.0]. *)
 
-val broadcast : t
-(** [255.255.255.255]. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int

@@ -61,7 +61,3 @@ let equal a b =
   a.tos = b.tos && a.ident = b.ident && a.dont_fragment = b.dont_fragment
   && a.ttl = b.ttl && a.proto = b.proto && Ip.equal a.src b.src
   && Ip.equal a.dst b.dst
-
-let pp fmt t =
-  Format.fprintf fmt "ipv4{%a -> %a, proto=%d, ttl=%d}" Ip.pp t.src Ip.pp t.dst
-    t.proto t.ttl

@@ -29,4 +29,3 @@ val read : Bytes.t -> int -> (t * int, string) result
     [(header, payload_len)]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

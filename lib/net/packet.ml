@@ -219,17 +219,3 @@ let equal_l3 a b =
 
 let equal a b = Ethernet.equal a.eth b.eth && equal_l3 a.l3 b.l3
 
-let pp fmt t =
-  match t.l3 with
-  | Ipv4 (ip, Udp (udp, payload)) ->
-      Format.fprintf fmt "%a %a %a len=%d" Ethernet.pp t.eth Ipv4.pp ip Udp.pp
-        udp (Bytes.length payload)
-  | Ipv4 (ip, Tcp (tcp, payload)) ->
-      Format.fprintf fmt "%a %a %a len=%d" Ethernet.pp t.eth Ipv4.pp ip Tcp.pp
-        tcp (Bytes.length payload)
-  | Ipv4 (ip, Raw_l4 (proto, payload)) ->
-      Format.fprintf fmt "%a %a l4proto=%d len=%d" Ethernet.pp t.eth Ipv4.pp ip
-        proto (Bytes.length payload)
-  | Arp arp -> Format.fprintf fmt "%a %a" Ethernet.pp t.eth Arp.pp arp
-  | Raw_l3 payload ->
-      Format.fprintf fmt "%a raw len=%d" Ethernet.pp t.eth (Bytes.length payload)

@@ -88,7 +88,6 @@ val tcp :
 val arp : src_mac:Mac.t -> dst_mac:Mac.t -> Arp.t -> t
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val min_udp_frame : int
 (** Header overhead of a UDP frame: Ethernet + IPv4 + UDP = 42 bytes. *)

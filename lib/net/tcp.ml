@@ -95,18 +95,3 @@ let equal a b =
   && Int32.equal a.seq b.seq
   && Int32.equal a.ack_seq b.ack_seq
   && a.flags = b.flags && a.window = b.window
-
-let pp_flags fmt f =
-  let names =
-    List.filter_map
-      (fun (b, n) -> if b then Some n else None)
-      [
-        (f.syn, "SYN"); (f.ack, "ACK"); (f.fin, "FIN"); (f.rst, "RST");
-        (f.psh, "PSH"); (f.urg, "URG");
-      ]
-  in
-  Format.pp_print_string fmt (String.concat "," names)
-
-let pp fmt t =
-  Format.fprintf fmt "tcp{%d -> %d, seq=%ld, ack=%ld, [%a]}" t.src_port
-    t.dst_port t.seq t.ack_seq pp_flags t.flags

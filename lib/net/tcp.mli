@@ -43,4 +43,3 @@ val read :
     [(header, payload_len)]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -60,5 +60,3 @@ let read buf off ~len ~src_ip ~dst_ip =
   end
 
 let equal a b = a.src_port = b.src_port && a.dst_port = b.dst_port
-
-let pp fmt t = Format.fprintf fmt "udp{%d -> %d}" t.src_port t.dst_port

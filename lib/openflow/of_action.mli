@@ -21,9 +21,6 @@ type t =
 val output : ?max_len:int -> int -> t
 (** [output port] with [max_len] defaulting to 0xFFFF. *)
 
-val size : t -> int
-(** Encoded size (8 or 16 bytes; always a multiple of 8). *)
-
 val list_size : t list -> int
 
 val write_list : t list -> Bytes.t -> int -> int
@@ -42,5 +39,4 @@ val apply : t list -> Packet.t -> Packet.t * output_spec list
     assignment, for switches with QoS egress scheduling. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit

@@ -1,7 +1,5 @@
 type t = { flags : int; miss_send_len : int }
 
-let default = { flags = 0; miss_send_len = Of_packet_in.default_miss_send_len }
-
 let body_size = 4
 
 let write_body t buf off =

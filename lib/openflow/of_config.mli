@@ -12,9 +12,6 @@ type t = {
   miss_send_len : int;
 }
 
-val default : t
-(** Flags 0, miss_send_len 128 (the OpenFlow 1.0 default). *)
-
 val body_size : int
 (** 4 bytes. *)
 

@@ -83,8 +83,3 @@ let utilization_percent t ~integral_at_start ~start =
 
 let max_queue_length t = t.max_queue
 
-let reset_counters t =
-  account t;
-  t.integral <- 0.0;
-  t.jobs_done <- 0;
-  t.max_queue <- 0

@@ -65,7 +65,3 @@ val utilization_percent : t -> integral_at_start:float -> start:float -> float
 
 val max_queue_length : t -> int
 (** High-watermark of the waiting queue. *)
-
-val reset_counters : t -> unit
-(** Zeroes the busy integral, job counter and queue high-watermark
-    (does not affect jobs in flight). *)

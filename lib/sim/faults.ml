@@ -59,16 +59,17 @@ let is_none spec =
 
 let prob_ok p = p >= 0.0 && p <= 1.0
 
+(* Every range check is written so that NaN fails it. *)
 let validate spec =
   if not (prob_ok spec.loss_rate) then Error "loss rate out of [0, 1]"
-  else if spec.jitter_s < 0.0 then Error "negative jitter"
+  else if not (spec.jitter_s >= 0.0) then Error "jitter must be >= 0"
   else if
     List.exists
-      (fun o -> o.start_s < 0.0 || o.stop_s < o.start_s)
+      (fun o -> not (o.start_s >= 0.0 && o.stop_s >= o.start_s))
       spec.outages
   then Error "malformed outage window (want 0 <= start <= stop)"
   else if
-    List.exists (fun c -> c.at_s < 0.0 || c.down_s < 0.0) spec.crashes
+    List.exists (fun c -> not (c.at_s >= 0.0 && c.down_s >= 0.0)) spec.crashes
   then Error "malformed crash (want crash time >= 0 and down duration >= 0)"
   else begin
     match spec.burst with
@@ -232,7 +233,6 @@ type t = {
   spec : spec;
   rng : Rng.t;
   mutable bad : bool;
-  mutable judged : int;
   mutable dropped_independent : int;
   mutable dropped_burst : int;
   mutable dropped_outage : int;
@@ -247,7 +247,6 @@ let create ?(spec = none) ~rng () =
     spec;
     rng;
     bad = false;
-    judged = 0;
     dropped_independent = 0;
     dropped_burst = 0;
     dropped_outage = 0;
@@ -267,7 +266,6 @@ let burst_step t (b : burst) =
   lost
 
 let judge t ~now =
-  t.judged <- t.judged + 1;
   if in_outage t ~now then begin
     t.dropped_outage <- t.dropped_outage + 1;
     Drop Outage
@@ -295,7 +293,6 @@ let judge t ~now =
   end
 
 let spec t = t.spec
-let judged t = t.judged
 
 let dropped t = t.dropped_independent + t.dropped_burst + t.dropped_outage
 

@@ -72,10 +72,6 @@ val none : spec
 
 val is_none : spec -> bool
 
-val validate : spec -> (spec, string) result
-(** Check every probability is in [\[0, 1\]], jitter is non-negative and
-    outage windows are well-formed ([start_s <= stop_s]). *)
-
 val spec_to_string : spec -> string
 (** Canonical textual form, re-parsable by {!spec_of_string}. *)
 
@@ -117,7 +113,6 @@ val spec : t -> spec
 
 (** {2 Counters} *)
 
-val judged : t -> int
 val dropped : t -> int
 (** Total drops, all classes. *)
 

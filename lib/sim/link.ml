@@ -60,7 +60,6 @@ let send t ~size payload =
          else t.receiver payload))
 
 let name t = t.name
-let bandwidth_bps t = t.bandwidth_bps
 let bytes_sent t = t.bytes_sent
 let messages_sent t = t.messages_sent
 let messages_lost t = t.messages_lost

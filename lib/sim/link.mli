@@ -50,8 +50,6 @@ val send : 'a t -> size:int -> 'a -> unit
 
 val name : _ t -> string
 
-val bandwidth_bps : _ t -> float
-
 val bytes_sent : _ t -> int
 (** Total bytes accepted for transmission since the last
     {!reset_counters}. *)

@@ -43,8 +43,6 @@ let float t bound =
 
 let uniform t ~lo ~hi = lo +. float t (hi -. lo)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let exponential t ~mean =
   let u = float t 1.0 in
   (* Guard against log 0. *)

@@ -38,9 +38,6 @@ val float : t -> float -> float
 val uniform : t -> lo:float -> hi:float -> float
 (** Uniform float in [\[lo, hi)]. *)
 
-val bool : t -> bool
-(** Fair coin flip. *)
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean. *)
 

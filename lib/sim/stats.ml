@@ -117,7 +117,3 @@ let clear t =
   t.min_v <- nan;
   t.max_v <- nan;
   t.sample_count <- 0
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g" t.count
-    (mean t) (stddev t) t.min_v t.max_v

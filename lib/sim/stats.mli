@@ -56,6 +56,3 @@ val samples : t -> float array
 
 val clear : t -> unit
 (** Reset to the empty state. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable one-line summary: count/mean/stddev/min/max. *)

@@ -46,13 +46,6 @@ let max_value t =
     !m
   end
 
-let stats t =
-  let s = Stats.create () in
-  for i = 0 to t.n - 1 do
-    Stats.add s t.vals.(i)
-  done;
-  s
-
 module Weighted = struct
   type w = {
     start : float;

@@ -31,9 +31,6 @@ val mean : t -> float
 val max_value : t -> float
 (** Largest value (correct for all-negative series); [0.] if empty. *)
 
-val stats : t -> Stats.t
-(** All values loaded into a fresh {!Stats.t}. *)
-
 (** Time-weighted accumulator for a piecewise-constant signal. *)
 module Weighted : sig
   type w

@@ -98,7 +98,6 @@ let create ?check ?(headroom = 0) ~kind ~name engine =
   }
 
 let capacity t = t.capacity
-let used t = t.used
 let free t = t.capacity - t.used
 
 let initial_alpha kind ~priority =
@@ -206,8 +205,6 @@ let note_delay c d =
       c.alpha_v <-
         Float.min alpha_max (Float.max alpha_min (alpha0 *. boost *. pressure))
   | Static | Sharing | Dt _ -> ()
-
-let len c = c.len
 
 let threshold c =
   let p = c.pool in

@@ -95,11 +95,7 @@ val note_delay : cls -> float -> unit
     policies it only updates the statistic. *)
 
 val capacity : t -> int
-val used : t -> int
 val free : t -> int
-
-val len : cls -> int
-(** Units the class currently holds. *)
 
 val threshold : cls -> int
 (** The class's current admission limit in units: its quota under

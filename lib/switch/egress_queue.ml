@@ -241,7 +241,6 @@ let send t ~queue_id frame =
         pump t
       end
 
-let queued t ~queue_id = Queue.length (class_for t queue_id).frames
 let sent t ~queue_id = (class_for t queue_id).sent
 let dropped t ~queue_id = (class_for t queue_id).dropped
 let misrouted t = t.misrouted

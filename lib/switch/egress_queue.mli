@@ -64,7 +64,6 @@ val backlog : t -> int
 (** Frames waiting across all queues (not counting the one on the
     wire). *)
 
-val queued : t -> queue_id:int32 -> int
 val sent : t -> queue_id:int32 -> int
 val dropped : t -> queue_id:int32 -> int
 val total_dropped : t -> int

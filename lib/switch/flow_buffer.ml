@@ -35,14 +35,12 @@ type t = {
   mutable in_use : int;
   mutable packets : int;
   occupancy : Timeseries.Weighted.w;
-  mutable allocations : int;
   mutable alloc_failures : int;
   mutable resends : int;
   mutable drops : int;
   mutable abandoned_flows : int;
   mutable recovered_flows : int;
   recovery_delays : Stats.t;
-  mutable stale_takes : int;
   mutable frozen : bool;
   mutable freezes : int;
   mutable chains_frozen : int;
@@ -93,14 +91,12 @@ let create engine ?check ?(pool_name = "flow_pool") ~capacity ~reclaim_lag
     packets = 0;
     occupancy =
       Timeseries.Weighted.create ~start:(Engine.now engine) ~initial:0.0 ();
-    allocations = 0;
     alloc_failures = 0;
     resends = 0;
     drops = 0;
     abandoned_flows = 0;
     recovered_flows = 0;
     recovery_delays = Stats.create ();
-    stale_takes = 0;
     frozen = false;
     freezes = 0;
     chains_frozen = 0;
@@ -217,7 +213,6 @@ let add t ~key ~frame =
           Flow_key.Table.add t.by_key key i;
           t.in_use <- t.in_use + 1;
           t.packets <- t.packets + 1;
-          t.allocations <- t.allocations + 1;
           note_occupancy t;
           (* While frozen (controller session down, fail-secure mode)
              chains are absorbed silently: no re-request timer burns
@@ -256,9 +251,7 @@ let take_all t id =
                  | Reclaiming _ -> release_slot t i
                  | Free | Held _ -> ()));
         Taken frames
-    | Held _ | Free | Reclaiming _ ->
-        t.stale_takes <- t.stale_takes + 1;
-        Unknown_id
+    | Held _ | Free | Reclaiming _ -> Unknown_id
   end
 
 let freeze t =
@@ -344,11 +337,9 @@ let packets_buffered t = t.packets
 let flows_buffered t = Flow_key.Table.length t.by_key
 let mean_units_in_use t ~until = Timeseries.Weighted.mean t.occupancy ~until
 let max_units_in_use t = int_of_float (Timeseries.Weighted.max_value t.occupancy)
-let allocations t = t.allocations
 let alloc_failures t = t.alloc_failures
 let resends t = t.resends
 let drops t = t.drops
 let abandoned_flows t = t.abandoned_flows
 let recovered_flows t = t.recovered_flows
 let recovery_delays t = t.recovery_delays
-let stale_takes t = t.stale_takes

@@ -136,7 +136,6 @@ val flows_buffered : t -> int
 val mean_units_in_use : t -> until:float -> float
 val max_units_in_use : t -> int
 
-val allocations : t -> int
 val alloc_failures : t -> int
 val resends : t -> int
 val drops : t -> int
@@ -153,5 +152,3 @@ val recovered_flows : t -> int
 val recovery_delays : t -> Sdn_sim.Stats.t
 (** Time from a recovered flow's first miss to its release; feeds the
     chaos report's time-to-recovery histogram. *)
-
-val stale_takes : t -> int

@@ -56,10 +56,6 @@ let to_stats t ~now =
     actions = t.actions;
   }
 
-let pp fmt t =
-  Format.fprintf fmt "entry{%a prio=%d pkts=%Ld bytes=%Ld}" Of_match.pp
-    t.match_ t.priority t.packets t.bytes
-
 let expiry_reason t ~now =
   if t.hard_timeout > 0.0 && now -. t.installed_at >= t.hard_timeout then
     Some Of_flow_removed.Hard_timeout

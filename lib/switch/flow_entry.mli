@@ -36,5 +36,3 @@ val expiry_reason : t -> now:float -> Of_flow_removed.reason option
 val to_flow_removed :
   t -> now:float -> reason:Of_flow_removed.reason -> Of_flow_removed.t
 (** Render as the FLOW_REMOVED notification body. *)
-
-val pp : Format.formatter -> t -> unit

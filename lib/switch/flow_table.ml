@@ -53,7 +53,6 @@ let invalidate_cache t =
   match t.cache with Some cache -> Microflow.flush cache | None -> ()
 
 let length t = Hashtbl.length t.by_uid
-let capacity t = t.capacity
 
 (* A match is hash-indexable when it pins the whole IPv4 5-tuple; other
    fields (in_port, MACs) only narrow it further and are re-verified at
@@ -316,7 +315,6 @@ let entries t =
 let to_stats t ~now = List.map (Flow_entry.to_stats ~now) (entries t)
 
 let lookups t = t.lookups
-let hits t = t.hits
 let misses t = t.lookups - t.hits
 let evictions t = t.evictions
 let expirations t = t.expirations

@@ -52,8 +52,6 @@ val create :
     [clock ()] (default constantly [0.]) under table [name]. *)
 
 val length : t -> int
-val capacity : t -> int
-
 val insert : t -> Flow_entry.t -> insert_result
 
 val lookup : t -> in_port:int -> Packet.t -> Flow_entry.t option
@@ -91,7 +89,6 @@ val to_stats : t -> now:float -> Of_stats.flow_stats list
 (** Lifetime counters. *)
 
 val lookups : t -> int
-val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
 val expirations : t -> int

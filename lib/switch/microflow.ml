@@ -82,7 +82,6 @@ let add t key v =
   Key_tbl.replace t.table key v
 
 let length t = Key_tbl.length t.table
-let capacity t = t.capacity
 let hits t = t.hits
 let misses t = t.misses
 let flushes t = t.flushes

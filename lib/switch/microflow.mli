@@ -46,8 +46,6 @@ val flush : 'v t -> unit
 (** {2 Introspection} *)
 
 val length : 'v t -> int
-val capacity : 'v t -> int
-
 val hits : 'v t -> int
 (** Lookups answered from the cache. *)
 

@@ -22,7 +22,6 @@ type t = {
   mutable free : int list;
   mutable in_use : int;
   occupancy : Timeseries.Weighted.w;
-  mutable allocations : int;
   mutable alloc_failures : int;
   mutable expired : int;
   mutable stale_takes : int;
@@ -57,7 +56,6 @@ let create engine ?check ?policy ?(pool_name = "pkt_pool") ~capacity ~expiry
     in_use = 0;
     occupancy =
       Timeseries.Weighted.create ~start:(Engine.now engine) ~initial:0.0 ();
-    allocations = 0;
     alloc_failures = 0;
     expired = 0;
     stale_takes = 0;
@@ -121,7 +119,6 @@ let alloc t ~frame =
         slot.state <-
           Held { frame; expiry_handle; held_at = Engine.now t.engine };
         t.in_use <- t.in_use + 1;
-        t.allocations <- t.allocations + 1;
         note_occupancy t;
         let id = id_of ~generation ~slot:i in
         checked t (Sdn_check.Check.note_buffer_alloc ~id);
@@ -181,7 +178,6 @@ let capacity t = t.capacity
 let in_use t = t.in_use
 let mean_in_use t ~until = Timeseries.Weighted.mean t.occupancy ~until
 let max_in_use t = int_of_float (Timeseries.Weighted.max_value t.occupancy)
-let allocations t = t.allocations
 let alloc_failures t = t.alloc_failures
 let expired t = t.expired
 let stale_takes t = t.stale_takes

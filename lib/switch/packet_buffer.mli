@@ -68,7 +68,6 @@ val mean_in_use : t -> until:float -> float
 
 val max_in_use : t -> int
 
-val allocations : t -> int
 val alloc_failures : t -> int
 val expired : t -> int
 val stale_takes : t -> int

@@ -300,11 +300,3 @@ let total_downtime t =
   else t.downtime_closed
 
 let transitions t = List.rev t.transitions_rev
-
-let pp_state fmt s = Format.pp_print_string fmt (state_to_string s)
-
-let pp fmt t =
-  Format.fprintf fmt
-    "session{%a downs=%d false+=%d echoes=%d/%d probes=%d downtime=%.3fs}"
-    pp_state t.state t.downs t.false_positives t.replies_matched t.echoes_sent
-    t.probes_sent (total_downtime t)

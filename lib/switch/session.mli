@@ -145,5 +145,3 @@ val total_downtime : t -> float
 
 val transitions : t -> (float * state) list
 (** The state timeseries, chronological: (time, entered state). *)
-
-val pp : Format.formatter -> t -> unit

@@ -10,7 +10,6 @@ let mechanism_to_string = function
   | Flow_granularity -> "flow-granularity"
 
 type config = {
-  datapath_id : int64;
   mechanism : mechanism;
   buffer_capacity : int;
   miss_send_len : int;
@@ -34,7 +33,6 @@ type config = {
 
 let default_config =
   {
-    datapath_id = 0x00_00_00_00_00_00_00_01L;
     mechanism = Packet_granularity;
     buffer_capacity = 256;
     miss_send_len = Of_packet_in.default_miss_send_len;
@@ -65,6 +63,15 @@ let default_config =
     shared_headroom = 0;
   }
 
+(* The datapath id the features reply carries. It also prefixes the
+   checker's ledger names ("sw-1/...") and sets the base of the xids
+   this switch allocates. *)
+let datapath_id = 1L
+let name = Printf.sprintf "sw-%Lx" datapath_id
+let pkt_pool_name = name ^ "/pkt_pool"
+let flow_pool_name = name ^ "/flow_pool"
+let shared_pool_name = name ^ "/shared"
+
 type counters = {
   frames_forwarded : int;
   frames_dropped : int;
@@ -85,15 +92,12 @@ type t = {
   config : config;
   costs : Costs.t;
   check : Sdn_check.Check.t option;
-  (* Per-switch prefix for checker pool / session names, so ledgers of
-     different datapaths never collide in multi-switch topologies. *)
-  name : string;
   resend_rng : Rng.t;
   mutable mechanism : mechanism;
   mutable miss_send_len : int;
   kernel : Cpu.t;
   userspace : Cpu.t;
-  bus : (unit -> unit) Link.t option ref;
+  bus : (unit -> unit) Link.t;  (** delivers transfer-completion thunks *)
   table : Flow_table.t;
   mutable pkt_pool : Packet_buffer.t option;
   mutable flow_pool : Flow_buffer.t option;
@@ -136,10 +140,6 @@ let fresh_xid t =
     (if Int32.equal t.next_xid Int32.max_int then 1l else Int32.add t.next_xid 1l);
   xid
 
-let pkt_pool_name t = t.name ^ "/pkt_pool"
-let flow_pool_name t = t.name ^ "/flow_pool"
-let shared_pool_name t = t.name ^ "/shared"
-
 (* The switch-wide shared buffer pool, created on first demand when a
    sharing policy is configured. The packet-buffer pool and every
    port scheduler's classes all draw on it. *)
@@ -153,7 +153,7 @@ let ensure_shared_pool t =
           let pool =
             Buf_policy.create ?check:t.check
               ~headroom:t.config.shared_headroom ~kind
-              ~name:(shared_pool_name t) t.engine
+              ~name:shared_pool_name t.engine
           in
           t.shared_pool <- Some pool;
           Some pool)
@@ -189,7 +189,7 @@ let make_pkt_pool t =
         Int.min 0xFFFF (t.config.buffer_capacity + t.config.shared_headroom)
   in
   Packet_buffer.create t.engine ?check:t.check ?policy
-    ~pool_name:(pkt_pool_name t) ~capacity ~expiry:t.config.buffer_expiry
+    ~pool_name:pkt_pool_name ~capacity ~expiry:t.config.buffer_expiry
     ~reclaim_lag:t.config.reclaim_lag ()
 
 (* The flow pool's resend callback needs the switch, so it is created
@@ -200,7 +200,7 @@ let rec ensure_flow_pool t =
   | None ->
       let pool =
         Flow_buffer.create t.engine ?check:t.check
-          ~pool_name:(flow_pool_name t) ~capacity:t.config.buffer_capacity
+          ~pool_name:flow_pool_name ~capacity:t.config.buffer_capacity
           ~reclaim_lag:t.config.reclaim_lag
           ~resend_timeout:t.config.resend_timeout
           ~resend_multiplier:t.config.resend_multiplier
@@ -209,7 +209,7 @@ let rec ensure_flow_pool t =
           ~max_resends:t.config.max_resends
           ~on_resend:(fun ~buffer_id ~key:_ ~first_frame ->
             t.pkt_in_resends <- t.pkt_in_resends + 1;
-            note_pkt_in t ~pool:(flow_pool_name t) ~id:buffer_id ~resend:true;
+            note_pkt_in t ~pool:flow_pool_name ~id:buffer_id ~resend:true;
             (* The repeated request retraces the miss path: bus, then
                userspace, then the control link (Algorithm 1 line 13). *)
             send_pkt_in t ~buffer_id ~frame:first_frame ~in_port:1
@@ -230,9 +230,7 @@ and ensure_pkt_pool t =
 (* Transfer [bytes] across the half-duplex ASIC<->CPU bus, then run
    [k]. The bus is the contended resource behind the paper's Fig. 7. *)
 and bus_transfer t ~bytes k =
-  match !(t.bus) with
-  | Some bus -> Link.send bus ~size:(bytes + t.costs.Costs.bus_descriptor_bytes) k
-  | None -> k ()
+  Link.send t.bus ~size:(bytes + t.costs.Costs.bus_descriptor_bytes) k
 
 and send_to_controller ?xid ?fresh t msg =
   if t.dead then ()
@@ -251,7 +249,7 @@ and send_to_controller ?xid ?fresh t msg =
       (match t.check with
       | Some check ->
           Sdn_check.Check.note_emit check ~time:(Engine.now t.engine)
-            ~session:t.name ~fresh ~xid ~msg ~encoded
+            ~session:name ~fresh ~xid ~msg ~encoded
       | None -> ());
       Link.send link ~size:(Bytes.length encoded) encoded
   | None -> ()
@@ -371,7 +369,7 @@ let miss_packet_granularity t ~in_port frame =
   match Packet_buffer.alloc pool ~frame with
   | None -> miss_no_buffer t ~in_port frame
   | Some buffer_id ->
-      note_pkt_in t ~pool:(pkt_pool_name t) ~id:buffer_id ~resend:false;
+      note_pkt_in t ~pool:pkt_pool_name ~id:buffer_id ~resend:false;
       send_pkt_in t ~buffer_id ~frame ~in_port
         ~truncate:(Some t.miss_send_len)
         ~extra_cost:t.costs.Costs.buffer_alloc_cost
@@ -395,7 +393,7 @@ let miss_flow_granularity t ~in_port pkt frame =
       match Flow_buffer.add pool ~key ~frame with
       | Flow_buffer.No_space -> miss_no_buffer t ~in_port frame
       | Flow_buffer.First buffer_id ->
-          note_pkt_in t ~pool:(flow_pool_name t) ~id:buffer_id ~resend:false;
+          note_pkt_in t ~pool:flow_pool_name ~id:buffer_id ~resend:false;
           send_pkt_in t ~buffer_id ~frame ~in_port
             ~truncate:(Some t.miss_send_len)
             ~extra_cost:t.costs.Costs.flow_buffer_first_cost
@@ -669,7 +667,7 @@ let features_reply t =
     |> List.sort (fun (a : Of_features.phy_port) b ->
            Int.compare a.Of_features.port_no b.Of_features.port_no)
   in
-  Of_features.make ~datapath_id:t.config.datapath_id
+  Of_features.make ~datapath_id
     ~n_buffers:
       (match t.mechanism with No_buffer -> 0 | _ -> t.config.buffer_capacity)
     ~n_tables:1 ~ports
@@ -849,12 +847,12 @@ let crash t ~mode =
             (match t.pkt_pool with
             | Some _ ->
                 Sdn_check.Check.note_crash_wipe check ~time:now
-                  ~pool:(pkt_pool_name t)
+                  ~pool:pkt_pool_name
             | None -> ());
             (match t.flow_pool with
             | Some _ ->
                 Sdn_check.Check.note_crash_wipe check ~time:now
-                  ~pool:(flow_pool_name t)
+                  ~pool:flow_pool_name
             | None -> ())
         | None -> ())
   end
@@ -869,22 +867,18 @@ let restart t =
     Session.revive (the_session t)
   end
 
-let is_dead t = t.dead
-
 let create engine ?check ~config ~costs ~rng () =
   let noise = Costs.noise costs rng in
   let amortize ~queue_len = Costs.amortization costs ~queue_len in
   let mechanism =
     if config.buffer_capacity = 0 then No_buffer else config.mechanism
   in
-  let name = Printf.sprintf "sw-%Lx" config.datapath_id in
   let t =
     {
       engine;
       config;
       costs;
       check;
-      name;
       (* A dedicated stream for re-request jitter, so backoff draws do
          not perturb the service-noise sequence. *)
       resend_rng = Rng.split rng;
@@ -896,7 +890,11 @@ let create engine ?check ~config ~costs ~rng () =
       userspace =
         Cpu.create engine ~name:"switch-userspace"
           ~cores:costs.Costs.userspace_cores ~service_scale:amortize ~noise ();
-      bus = ref None;
+      bus =
+        Link.create engine ~name:"asic-cpu-bus"
+          ~bandwidth_bps:costs.Costs.bus_bandwidth_bps ~propagation_s:0.0
+          ~receiver:(fun k -> k ())
+          ();
       table =
         Flow_table.create ~eviction:config.flow_table_eviction ?check
           ~name:(name ^ "/table")
@@ -909,14 +907,7 @@ let create engine ?check ~config ~costs ~rng () =
       port_schedulers = Hashtbl.create 8;
       down_ports = Hashtbl.create 4;
       controller_link = None;
-      (* Each datapath gets its own xid block so transaction ids stay
-         unique controller-wide in multi-switch topologies (the delay
-         tracker pairs responses by xid). *)
-      next_xid =
-        Int32.add 1l
-          (Int32.shift_left
-             (Int32.of_int (Int64.to_int (Int64.rem config.datapath_id 1024L)))
-             20);
+      next_xid = Int32.add 1l (Int32.shift_left (Int64.to_int32 datapath_id) 20);
       frames_forwarded = 0;
       frames_dropped = 0;
       pkt_ins_sent = 0;
@@ -938,7 +929,7 @@ let create engine ?check ~config ~costs ~rng () =
      both are "retry into a possibly-dead control channel" timers. *)
   t.session <-
     Some
-      (Session.create engine ?check ~name:t.name
+      (Session.create engine ?check ~name
          ~config:
            {
              Session.echo_interval = config.echo_interval;
@@ -955,13 +946,6 @@ let create engine ?check ~config ~costs ~rng () =
              (Of_codec.Echo_request Bytes.empty))
          ~on_down:(fun () -> on_session_down t)
          ~on_restore:(fun ~downtime:_ -> on_session_restore t)
-         ());
-  (* The internal bus delivers transfer-completion thunks. *)
-  t.bus :=
-    Some
-      (Link.create engine ~name:"asic-cpu-bus"
-         ~bandwidth_bps:costs.Costs.bus_bandwidth_bps ~propagation_s:0.0
-         ~receiver:(fun k -> k ())
          ());
   (* Pre-create the pool matching the configured mechanism so occupancy
      statistics start at time zero. *)
@@ -994,7 +978,6 @@ let start t =
   ignore (Engine.schedule t.engine ~delay:t.config.table_sweep_interval sweep);
   Session.start (the_session t)
 
-let config t = t.config
 let mechanism t = t.mechanism
 let miss_send_len t = t.miss_send_len
 let set_port t ~port link = Hashtbl.replace t.ports port link

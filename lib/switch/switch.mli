@@ -31,7 +31,6 @@ type mechanism = No_buffer | Packet_granularity | Flow_granularity
 val mechanism_to_string : mechanism -> string
 
 type config = {
-  datapath_id : int64;
   mechanism : mechanism;
   buffer_capacity : int;  (** units (0 forces [No_buffer]) *)
   miss_send_len : int;  (** PACKET_IN data bytes when buffered *)
@@ -101,7 +100,7 @@ type counters = {
       (** new miss chains refused by the admission guard at the
           {!config.overload_watermark} *)
 }
-(** Cumulative per-switch counters, each read by an experiment result,
+(** Cumulative switch counters, each read by an experiment result,
     a report or a test. Malformed controller frames are answered with
     an OFPT_ERROR ({!Sdn_openflow.Of_codec.error_reply}), not
     counted. *)
@@ -119,11 +118,10 @@ val create :
 (** The switch starts unwired; attach ports and the controller link
     before injecting traffic.
 
-    With [check] armed, the buffer pools, the control session and every
-    emitted OpenFlow message report to the invariant checker under
-    names prefixed ["sw-<datapath_id>"]. *)
+    The switch is datapath 1. With [check] armed, the buffer pools,
+    the control session and every emitted OpenFlow message report to
+    the invariant checker under names prefixed ["sw-1"]. *)
 
-val config : t -> config
 val mechanism : t -> mechanism
 
 val miss_send_len : t -> int
@@ -199,8 +197,6 @@ val restart : t -> unit
     answered probe restores the session, resumes frozen chains and
     triggers the controller's resync/reconciliation. No-op unless
     dead. *)
-
-val is_dead : t -> bool
 
 (** {2 Introspection for measurement} *)
 

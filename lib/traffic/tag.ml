@@ -26,6 +26,3 @@ let read_at buf off =
       }
 
 let read_frame frame = read_at frame Packet.min_udp_frame
-
-let pp fmt t =
-  Format.fprintf fmt "tag{flow=%d seq=%d/%d}" t.flow_id t.seq t.flow_packets

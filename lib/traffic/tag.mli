@@ -28,5 +28,3 @@ val read_at : Bytes.t -> int -> t option
 val read_frame : Bytes.t -> t option
 (** Parse from an encoded UDP frame or a prefix of one (payload at
     offset 42): [read_at frame 42]. *)
-
-val pp : Format.formatter -> t -> unit

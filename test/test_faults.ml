@@ -232,6 +232,22 @@ let test_crash_grammar () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "negative crash time must be rejected"
 
+(* NaN compares false with everything, so a range check written as
+   [x < 0.0] would let it through: each of these must be rejected. *)
+let test_nan_rejected () =
+  List.iter
+    (fun s ->
+      match Faults.spec_of_string s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s must be rejected" s)
+    [
+      "jitter=nan";
+      "outage=nan-0.2";
+      "outage=0.1-nan";
+      "crash=switch:nan:0.05:cold";
+      "crash=switch:0.1:nan:cold";
+    ]
+
 (* Re-request backoff: with jitter off, resend number n fires after
    min(cap, timeout * multiplier^n). timeout=10ms, x2, cap=40ms,
    max_resends=4 gives resends at 10, 30, 70, 110 ms and abandonment at
@@ -335,6 +351,7 @@ let suite =
     Alcotest.test_case "--faults grammar" `Quick test_spec_grammar;
     Alcotest.test_case "crash grammar and schedule-only contract" `Quick
       test_crash_grammar;
+    Alcotest.test_case "NaN fails every range check" `Quick test_nan_rejected;
     Alcotest.test_case "backoff follows multiplier and cap" `Quick
       test_backoff_schedule;
     Alcotest.test_case "jittered backoff envelope" `Quick

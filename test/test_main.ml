@@ -29,7 +29,6 @@ let () =
       ("extensions", Test_extensions.suite);
       ("switch.egress_queue", Test_egress_queue.suite);
       ("switch.buf_policy", Test_buf_policy.suite);
-      ("chain", Test_chain.suite);
       ("harness", Test_harness.suite);
       ("properties", Test_properties.suite);
       ("failures", Test_failures.suite);
