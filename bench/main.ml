@@ -8,7 +8,7 @@
      dune exec bench/main.exe                 # micro-benchmarks
      dune exec bench/main.exe -- micro        # the same
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
-                                              # (default BENCH_pr19.json)
+                                              # (default BENCH_pr22.json)
 
    The json snapshot also times a small end-to-end sweep at
    --jobs 1/2/4 and records the parallel speedups, so the regression
@@ -348,6 +348,37 @@ let micro_tests () =
             fire ()
           done;
           fun () -> ignore (Sdn_sim.Engine.step_batch engine)));
+    (* ---- Event streams: what one message on a jitter-free link, one
+       job on a 2-core CPU with lognormal service noise and one noise
+       draw allocate. Each run sends or submits one and dispatches the
+       engine's next event, which delivers or completes it. ---- *)
+    Test.make ~name:"link/send-deliver-64B"
+      (Staged.stage
+         (let engine = Sdn_sim.Engine.create () in
+          let frame = Bytes.make 64 '\000' in
+          let link =
+            Sdn_sim.Link.create engine ~name:"bench" ~bandwidth_bps:1e9
+              ~propagation_s:1e-6 ~receiver:ignore ()
+          in
+          fun () ->
+            Sdn_sim.Link.send link ~size:64 frame;
+            ignore (Sdn_sim.Engine.step engine)));
+    Test.make ~name:"cpu/submit-complete"
+      (Staged.stage
+         (let engine = Sdn_sim.Engine.create () in
+          let rng = Sdn_sim.Rng.of_int 7 in
+          let cpu =
+            Sdn_sim.Cpu.create engine ~name:"bench" ~cores:2
+              ~noise:(fun () -> Sdn_sim.Rng.lognormal_factor rng ~sigma:0.08)
+              ()
+          in
+          fun () ->
+            Sdn_sim.Cpu.submit cpu ~work_s:1e-5 ignore;
+            ignore (Sdn_sim.Engine.step engine)));
+    Test.make ~name:"rng/lognormal-factor"
+      (Staged.stage
+         (let rng = Sdn_sim.Rng.of_int 7 in
+          fun () -> ignore (Sdn_sim.Rng.lognormal_factor rng ~sigma:0.08)));
     (* A traffic plan streamed through the queue, next injection only,
        against the same plan queued whole at set-up. *)
     Test.make ~name:"engine/plan-2k-stream"
@@ -705,7 +736,7 @@ let run_json path =
 let () =
   match Array.to_list Sys.argv with
   | [ _ ] | [ _; "micro" ] -> run_micro ()
-  | [ _; "json" ] -> run_json "BENCH_pr19.json"
+  | [ _; "json" ] -> run_json "BENCH_pr22.json"
   | [ _; "json"; path ] -> run_json path
   | _ ->
       prerr_endline "usage: main.exe [micro|json [path]]";

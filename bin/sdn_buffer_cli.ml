@@ -36,6 +36,13 @@ let probability =
     ~valid:(fun p -> p >= 0.0 && p <= 1.0)
     ~what:"in [0, 1]"
 
+(* Durations and periods in seconds: NaN or a negative value would
+   reach [Faults.create] or silently switch a mechanism off. *)
+let non_negative_float =
+  checked_conv Arg.float
+    ~valid:(fun x -> Float.is_finite x && x >= 0.0)
+    ~what:"a finite number >= 0"
+
 (* A conv from a parser and printer pair, such as the library's own
    [*_of_string] / [*_to_string] converters. *)
 let conv_of ~parse ~print =
@@ -135,7 +142,7 @@ let crash_arg =
 
 let watermark_arg =
   Arg.(
-    value & opt float 1.0
+    value & opt probability 1.0
     & info [ "watermark" ] ~docv:"FRACTION"
         ~doc:
           "Overload-guard high watermark: once the buffer pool is this \
@@ -178,7 +185,7 @@ let fail_mode_arg =
 
 let echo_interval_arg =
   Arg.(
-    value & opt float 0.0
+    value & opt non_negative_float 0.0
     & info [ "echo-interval" ] ~docv:"SECONDS"
         ~doc:
           "Control-session keepalive period on both endpoints. 0 (the \
@@ -320,7 +327,7 @@ let chaos_cmd =
   let durations_arg =
     Arg.(
       value
-      & opt (list float) Chaos.default_outage_durations
+      & opt (list non_negative_float) Chaos.default_outage_durations
       & info [ "durations" ] ~docv:"S1,S2,..."
           ~doc:"Outage durations to sweep (seconds, with $(b,--outage)).")
   in
@@ -357,7 +364,7 @@ let chaos_cmd =
   let downs_arg =
     Arg.(
       value
-      & opt (list float) Chaos.default_crash_downs
+      & opt (list non_negative_float) Chaos.default_crash_downs
       & info [ "downs" ] ~docv:"S1,S2,..."
           ~doc:"Crash downtimes to sweep (seconds, with $(b,--crash)).")
   in

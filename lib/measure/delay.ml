@@ -6,7 +6,6 @@ type flow_state = {
   first_ingress : float;
   expected_packets : int;
   mutable first_egress : float option;
-  mutable last_egress : float option;
   mutable egressed : int;
   mutable controller_delay : float option;
 }
@@ -50,16 +49,17 @@ let on_switch_ingress t ~time frame =
             first_ingress = time;
             expected_packets = tag.Tag.flow_packets;
             first_egress = None;
-            last_egress = None;
             egressed = 0;
             controller_delay = None;
           }
 
-let finish_flow t flow =
-  (* All packets out: the flow contributes its setup, switch and
-     forwarding delays exactly once. *)
-  match (flow.first_egress, flow.last_egress) with
-  | Some first, Some last ->
+(* All packets out: the flow contributes its setup, switch and
+   forwarding delays exactly once. [last] is the time its last packet
+   left, so no per-packet time is stored in the long-lived flow
+   record. *)
+let finish_flow t flow ~last =
+  match flow.first_egress with
+  | Some first ->
       let setup = first -. flow.first_ingress in
       Stats.add t.setup setup;
       (match flow.controller_delay with
@@ -67,7 +67,7 @@ let finish_flow t flow =
       | None -> ());
       if flow.expected_packets > 1 then
         Stats.add t.forwarding (last -. flow.first_ingress)
-  | None, _ | _, None -> ()
+  | None -> ()
 
 let on_switch_egress t ~time frame =
   t.packets_out <- t.packets_out + 1;
@@ -78,10 +78,11 @@ let on_switch_egress t ~time frame =
       match Hashtbl.find_opt t.flows tag.Tag.flow_id with
       | None -> ()
       | Some flow ->
-          if flow.first_egress = None then flow.first_egress <- Some time;
-          flow.last_egress <- Some time;
+          if Option.is_none flow.first_egress then
+            flow.first_egress <- Some time;
           flow.egressed <- flow.egressed + 1;
-          if flow.egressed = flow.expected_packets then finish_flow t flow)
+          if flow.egressed = flow.expected_packets then
+            finish_flow t flow ~last:time)
 
 let flow_id_of_pkt_in (pkt_in : Of_packet_in.t) =
   Option.map

@@ -165,29 +165,29 @@ let rewrite_l4 f (pkt : Packet.t) =
   | Packet.Ipv4 (ip, l4) -> { pkt with Packet.l3 = Packet.Ipv4 (ip, f l4) }
   | Packet.Arp _ | Packet.Raw_l3 _ -> pkt
 
-type output_spec = { out_port : int; queue_id : int32 option }
-
-let apply actions pkt =
-  let step (pkt, outputs) action =
-    match action with
-    | Output { port; _ } -> (pkt, { out_port = port; queue_id = None } :: outputs)
-    | Enqueue { port; queue_id } ->
-        (pkt, { out_port = port; queue_id = Some queue_id } :: outputs)
-    | Set_dl_src mac ->
-        ({ pkt with Packet.eth = { pkt.Packet.eth with Ethernet.src = mac } }, outputs)
-    | Set_dl_dst mac ->
-        ({ pkt with Packet.eth = { pkt.Packet.eth with Ethernet.dst = mac } }, outputs)
-    | Set_nw_src ip -> (rewrite_ip (fun h -> { h with Ipv4.src = ip }) pkt, outputs)
-    | Set_nw_dst ip -> (rewrite_ip (fun h -> { h with Ipv4.dst = ip }) pkt, outputs)
-    | Set_nw_tos tos -> (rewrite_ip (fun h -> { h with Ipv4.tos = tos }) pkt, outputs)
-    | Set_tp_src port -> (rewrite_l4 (rewrite_l4_src port) pkt, outputs)
-    | Set_tp_dst port -> (rewrite_l4 (rewrite_l4_dst port) pkt, outputs)
-    | Set_vlan_vid _ | Set_vlan_pcp _ | Strip_vlan ->
-        (* VLAN tagging is not modelled on the data plane. *)
-        (pkt, outputs)
-  in
-  let pkt, outputs = List.fold_left step (pkt, []) actions in
-  (pkt, List.rev outputs)
+(* A walk without an accumulator pair: an action list with no header
+   rewrite returns [pkt] itself and allocates nothing. *)
+let rec rewrite actions pkt =
+  match actions with
+  | [] -> pkt
+  | action :: rest ->
+      let pkt =
+        match action with
+        | Set_dl_src mac ->
+            { pkt with Packet.eth = { pkt.Packet.eth with Ethernet.src = mac } }
+        | Set_dl_dst mac ->
+            { pkt with Packet.eth = { pkt.Packet.eth with Ethernet.dst = mac } }
+        | Set_nw_src ip -> rewrite_ip (fun h -> { h with Ipv4.src = ip }) pkt
+        | Set_nw_dst ip -> rewrite_ip (fun h -> { h with Ipv4.dst = ip }) pkt
+        | Set_nw_tos tos -> rewrite_ip (fun h -> { h with Ipv4.tos = tos }) pkt
+        | Set_tp_src port -> rewrite_l4 (rewrite_l4_src port) pkt
+        | Set_tp_dst port -> rewrite_l4 (rewrite_l4_dst port) pkt
+        | Output _ | Enqueue _ | Set_vlan_vid _ | Set_vlan_pcp _ | Strip_vlan ->
+            (* Forwarding is the switch's walk; VLAN tagging is not
+               modelled on the data plane. *)
+            pkt
+      in
+      rewrite rest pkt
 
 let equal a b =
   match (a, b) with

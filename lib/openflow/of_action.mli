@@ -29,14 +29,10 @@ val write_list : t list -> Bytes.t -> int -> int
 val read_list : Bytes.t -> int -> len:int -> (t list, string) result
 (** Parse exactly [len] bytes of actions starting at the offset. *)
 
-type output_spec = { out_port : int; queue_id : int32 option }
-(** One forwarding decision: a port, and the egress queue when the
-    action was [Enqueue]. *)
-
-val apply : t list -> Packet.t -> Packet.t * output_spec list
-(** Apply header rewrites in order and collect the forwarding
-    decisions, in action order. [Enqueue] actions keep their queue
-    assignment, for switches with QoS egress scheduling. *)
+val rewrite : t list -> Packet.t -> Packet.t
+(** Apply the header rewrites in order. A list without any returns the
+    packet itself (physically equal), so a caller re-encodes only what
+    was rewritten. [Output] and [Enqueue] are the caller's to walk. *)
 
 val equal : t -> t -> bool
 val pp_list : Format.formatter -> t list -> unit

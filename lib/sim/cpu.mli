@@ -21,7 +21,15 @@
 
     Busy time is accounted as a time integral of the number of busy
     cores, so utilization over a window can exceed 100% exactly as the
-    paper's multi-core [top] measurements do. *)
+    paper's multi-core [top] measurements do.
+
+    Each core serves at most one job and owns one re-armable completion
+    event ({!Engine.event}), armed with a fresh insertion order when a
+    job starts on it, as scheduling the completion then would. The
+    cores of one CPU can complete out of order (service noise), so each
+    has its own event. Only a job that finds every core busy is
+    recorded in the waiting queue; [service_scale] and [noise] are
+    drawn in that order as each job starts. *)
 
 type t
 
@@ -40,7 +48,8 @@ val create :
 val submit : t -> work_s:float -> (unit -> unit) -> unit
 (** [submit t ~work_s k] enqueues a job whose nominal service time is
     [work_s] seconds; [k] runs when the job completes. Jobs start in
-    FIFO order as cores free up. *)
+    FIFO order as cores free up. A negative or NaN [work_s] raises
+    [Invalid_argument] and queues nothing. *)
 
 val name : t -> string
 val cores : t -> int

@@ -1,36 +1,38 @@
 type handle = {
-  time : float;
-  seq : int;
   action : unit -> unit;
   mutable cancelled : bool;
-  (* Current slot in the owning engine's heap; [-1] once popped,
-     removed or never queued. *)
+  (* Current slot in the owning engine's heap; [-1] while not queued. *)
   mutable heap_index : int;
   engine : t;
 }
 
-(* The queue is a binary min-heap on (time, seq) laid out in [heap]:
-   slots [0, size) hold the queued events, every other slot holds
-   [sentinel]. *)
+(* The queue is a binary min-heap on (time, seq). Slot [i] below [size]
+   holds event [evs.(i)] with key [(times.(i), seqs.(i))]; every [evs]
+   slot at or past [size] holds [sentinel]. The keys live in unboxed
+   arrays beside the events, so an event keeps no key of its own and
+   can be queued again with a new one. *)
 and t = {
   mutable clock : float;
   mutable next_seq : int;
   mutable processed : int;
-  mutable heap : handle array;
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable evs : handle array;
   mutable size : int;
-  (* Planned events not yet in the heap: every plan keeps only its
-     next event queued (see [schedule_plan]). *)
+  (* Seqs taken by [reserve] whose events are not queued yet: a plan's
+     later injections, the messages behind a link's head. *)
   mutable backlog : int;
 }
 
-(* Fills every slot at or past [size], so a slot write stores a handle
-   and never allocates an option cell. Shared by every engine, in every
-   domain, and never written: sifts write only slots below [size], and
-   it is never handed out, so nothing can cancel or reindex it. *)
+type event = handle
+
+(* Fills every [evs] slot at or past [size], so a slot write stores a
+   handle and never allocates an option cell. Shared by every engine,
+   in every domain, and never written: sifts write only slots below
+   [size], and it is never handed out, so nothing can cancel, arm or
+   reindex it. *)
 let sentinel =
   {
-    time = infinity;
-    seq = max_int;
     action = ignore;
     cancelled = true;
     heap_index = -1;
@@ -39,102 +41,176 @@ let sentinel =
         clock = 0.0;
         next_seq = 0;
         processed = 0;
-        heap = [||];
+        times = Float.Array.create 0;
+        seqs = [||];
+        evs = [||];
         size = 0;
         backlog = 0;
       };
   }
 
-(* Initial capacity and shrink floor of the heap array. *)
-let min_capacity = 1024
-
-(* Strict dispatch order. Times are never NaN (schedule_at rejects
-   it), so this is exactly the order [Float.compare] then
-   [Int.compare] on (time, seq) gives. *)
-let[@inline] before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let[@inline] place heap i ev =
-  heap.(i) <- ev;
-  ev.heap_index <- i
+(* Initial capacity and shrink floor of the heap arrays. *)
+let min_capacity = 256
 
 (* Both sifts move a hole instead of swapping pairs: each displaced
-   event is written once, and [ev] only where the hole comes to rest. *)
-let rec sift_up heap i ev =
-  if i = 0 then place heap 0 ev
-  else
-    let parent = (i - 1) / 2 in
-    let p = heap.(parent) in
-    if before ev p then begin
-      place heap i p;
-      sift_up heap parent ev
-    end
-    else place heap i ev
+   event is written once, and the moving one only where the hole comes
+   to rest. The moving key is read from slot [src] before the hole
+   moves, so it never crosses a call boxed. Times are never NaN
+   (arming refuses it), so the inline [<]/[=] give exactly the order
+   [Float.compare] then [Int.compare] give on (time, seq). *)
 
-let rec sift_down heap size i ev =
-  let l = (2 * i) + 1 in
-  if l >= size then place heap i ev
-  else
-    let r = l + 1 in
-    let c = if r < size && before heap.(r) heap.(l) then r else l in
-    let child = heap.(c) in
-    if before child ev then begin
-      place heap i child;
-      sift_down heap size c ev
+let[@inline] move t ~from ~into =
+  Float.Array.set t.times into (Float.Array.get t.times from);
+  t.seqs.(into) <- t.seqs.(from);
+  let ev = t.evs.(from) in
+  t.evs.(into) <- ev;
+  ev.heap_index <- into
+
+let sift_up t ~hole ~src ev =
+  let time = Float.Array.get t.times src and seq = t.seqs.(src) in
+  let i = ref hole in
+  let rising = ref true in
+  while !rising && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pt = Float.Array.get t.times parent in
+    if time < pt || (time = pt && seq < t.seqs.(parent)) then begin
+      move t ~from:parent ~into:!i;
+      i := parent
     end
-    else place heap i ev
+    else rising := false
+  done;
+  Float.Array.set t.times !i time;
+  t.seqs.(!i) <- seq;
+  t.evs.(!i) <- ev;
+  ev.heap_index <- !i
+
+let sift_down t ~hole ~src ev =
+  let time = Float.Array.get t.times src and seq = t.seqs.(src) in
+  let size = t.size in
+  let i = ref hole in
+  let sinking = ref true in
+  while !sinking && (2 * !i) + 1 < size do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let c =
+      if r < size then begin
+        let rt = Float.Array.get t.times r and lt = Float.Array.get t.times l in
+        if rt < lt || (rt = lt && t.seqs.(r) < t.seqs.(l)) then r else l
+      end
+      else l
+    in
+    let ct = Float.Array.get t.times c in
+    if ct < time || (ct = time && t.seqs.(c) < seq) then begin
+      move t ~from:c ~into:!i;
+      i := c
+    end
+    else sinking := false
+  done;
+  Float.Array.set t.times !i time;
+  t.seqs.(!i) <- seq;
+  t.evs.(!i) <- ev;
+  ev.heap_index <- !i
 
 let resize t capacity =
-  let heap = Array.make capacity sentinel in
-  Array.blit t.heap 0 heap 0 t.size;
-  t.heap <- heap
+  let n = t.size in
+  let times = Float.Array.create capacity in
+  Float.Array.blit t.times 0 times 0 n;
+  let seqs = Array.make capacity 0 in
+  Array.blit t.seqs 0 seqs 0 n;
+  let evs = Array.make capacity sentinel in
+  Array.blit t.evs 0 evs 0 n;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.evs <- evs
 
-(* Shrink the heap array once occupancy falls to a quarter, so a burst
+(* Shrink the heap arrays once occupancy falls to a quarter, so a burst
    (an outage scenario queueing tens of thousands of timers) does not
    pin its high-water memory forever. Halving at one-quarter leaves a
    factor-two hysteresis band, so push/pop around the boundary cannot
    thrash between grow and shrink. *)
 let maybe_shrink t =
-  let cap = Array.length t.heap in
+  let cap = Array.length t.evs in
   if cap > min_capacity && t.size * 4 <= cap then
     resize t (max min_capacity (cap / 2))
 
 (* Remove the event in slot [i] (below [size]): the last event fills
    the hole and sifts whichever way restores the order. *)
 let remove_at t i =
-  let heap = t.heap in
   let last = t.size - 1 in
-  let ev = heap.(last) in
-  heap.(last) <- sentinel;
+  let ev = t.evs.(last) in
+  t.evs.(last) <- sentinel;
   t.size <- last;
   if i < last then begin
-    if i > 0 && before ev heap.((i - 1) / 2) then sift_up heap i ev
-    else sift_down heap last i ev
+    let time = Float.Array.get t.times last and seq = t.seqs.(last) in
+    let p = (i - 1) / 2 in
+    if
+      i > 0
+      &&
+      let pt = Float.Array.get t.times p in
+      time < pt || (time = pt && seq < t.seqs.(p))
+    then sift_up t ~hole:i ~src:last ev
+    else sift_down t ~hole:i ~src:last ev
   end;
   maybe_shrink t
-
-let pop_min t =
-  let top = t.heap.(0) in
-  top.heap_index <- -1;
-  remove_at t 0;
-  top
 
 let create ?(now = 0.0) () =
   {
     clock = now;
     next_seq = 0;
     processed = 0;
-    heap = Array.make min_capacity sentinel;
+    times = Float.Array.create min_capacity;
+    seqs = Array.make min_capacity 0;
+    evs = Array.make min_capacity sentinel;
     size = 0;
     backlog = 0;
   }
 
 let now t = t.clock
 
-let push t ev =
-  if t.size = Array.length t.heap then resize t (2 * t.size);
+(* Queue [ev] with key [(time, seq)]. The key is written to the first
+   free slot, where the sift reads it back unboxed. *)
+let[@inline] push t time seq ev =
+  if t.size = Array.length t.evs then resize t (2 * t.size);
   let i = t.size in
   t.size <- i + 1;
-  sift_up t.heap i ev
+  Float.Array.set t.times i time;
+  t.seqs.(i) <- seq;
+  sift_up t ~hole:i ~src:i ev
+
+let event t action = { action; cancelled = false; heap_index = -1; engine = t }
+
+let[@inline] fresh_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let reserve t =
+  t.backlog <- t.backlog + 1;
+  fresh_seq t
+
+(* Shared by [arm] and [arm_after]: [time] has passed the caller's
+   check. *)
+let[@inline] arm_checked ev time seq =
+  if ev.heap_index >= 0 then invalid_arg "Engine.arm: event already queued";
+  push ev.engine time seq ev
+
+let arm ev time ~seq =
+  let t = ev.engine in
+  (* Negated so that a NaN time, which compares false both ways, is
+     refused too. *)
+  if not (time >= t.clock) then
+    invalid_arg
+      (Printf.sprintf "Engine.arm: time %g is not at or after now %g" time
+         t.clock);
+  arm_checked ev time seq;
+  t.backlog <- t.backlog - 1
+
+let arm_after ev ~delay =
+  let t = ev.engine in
+  if not (delay >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Engine.arm_after: delay %g is negative or NaN" delay);
+  arm_checked ev (t.clock +. delay) (fresh_seq t)
 
 let schedule_at t time action =
   (* Negated so that a NaN time, which compares false both ways, is
@@ -143,12 +219,8 @@ let schedule_at t time action =
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is not at or after now %g"
          time t.clock);
-  let ev =
-    { time; seq = t.next_seq; action; cancelled = false; heap_index = -1;
-      engine = t }
-  in
-  t.next_seq <- t.next_seq + 1;
-  push t ev;
+  let ev = event t action in
+  push t time (fresh_seq t) ev;
   ev
 
 (* A plan of [n] events takes the [n] sequence numbers that [n] calls
@@ -156,10 +228,11 @@ let schedule_at t time action =
    keeps the (time, seq) key it would have had in the heap. Times are
    nondecreasing and seqs increase, so the plan's next event is the
    least of its remaining ones and the only one that can be the queue
-   minimum: queueing it alone changes no dispatch. It pushes its
-   successor before its action runs, so an action that raises still
-   leaves the rest of the plan queued. Events run in index order, so
-   one shared action reads its index from a cursor. *)
+   minimum: queueing it alone changes no dispatch. One event serves the
+   whole plan: each time it runs it queues itself again with its
+   successor's key before the action runs, so an action that raises
+   still leaves the rest of the plan queued. Events run in index
+   order, so the action reads its index from a cursor. *)
 let schedule_plan t times f =
   let n = Array.length times in
   if n > 0 then begin
@@ -168,32 +241,37 @@ let schedule_plan t times f =
       invalid_arg
         (Printf.sprintf
            "Engine.schedule_plan: time %g is not at or after now %g"
-           times.(0) t.clock);
+           (times.(0)) t.clock);
     for i = 1 to n - 1 do
       if not (times.(i) >= times.(i - 1)) then
         invalid_arg
           (Printf.sprintf
              "Engine.schedule_plan: time %g at index %d is not at or after \
               time %g"
-             times.(i) i times.(i - 1))
+             (times.(i)) i
+             (times.(i - 1)))
     done;
     let base = t.next_seq in
     t.next_seq <- base + n;
     t.backlog <- t.backlog + n - 1;
     let next = ref 0 in
-    let rec fire () =
-      let i = !next in
-      next := i + 1;
-      if i + 1 < n then begin
-        t.backlog <- t.backlog - 1;
-        push t (planned (i + 1))
-      end;
-      f i
-    and planned i =
-      { time = times.(i); seq = base + i; action = fire; cancelled = false;
-        heap_index = -1; engine = t }
+    let rec ev =
+      {
+        action =
+          (fun () ->
+            let i = !next in
+            next := i + 1;
+            if i + 1 < n then begin
+              t.backlog <- t.backlog - 1;
+              push t (times.(i + 1)) (base + i + 1) ev
+            end;
+            f i);
+        cancelled = false;
+        heap_index = -1;
+        engine = t;
+      }
     in
-    push t (planned 0)
+    push t (times.(0)) base ev
   end
 
 let schedule t ~delay action =
@@ -219,16 +297,20 @@ let cancel handle =
 
 let is_cancelled handle = handle.cancelled
 
-let exec t ev =
+(* Take the queue minimum out and run it. The caller has set the clock
+   to its time. *)
+let exec_min t =
+  let ev = t.evs.(0) in
+  ev.heap_index <- -1;
+  remove_at t 0;
   t.processed <- t.processed + 1;
   ev.action ()
 
 let step t =
   if t.size = 0 then false
   else begin
-    let ev = pop_min t in
-    t.clock <- ev.time;
-    exec t ev;
+    t.clock <- Float.Array.get t.times 0;
+    exec_min t;
     true
   end
 
@@ -239,31 +321,33 @@ let step t =
 let step_batch t =
   if t.size = 0 then 0
   else begin
-    let ev = pop_min t in
-    let time = ev.time in
+    let time = Float.Array.get t.times 0 in
     t.clock <- time;
-    exec t ev;
+    exec_min t;
     let count = ref 1 in
-    while t.size > 0 && t.heap.(0).time = time do
-      exec t (pop_min t);
+    while t.size > 0 && Float.Array.get t.times 0 = time do
+      exec_min t;
       incr count
     done;
     !count
   end
 
 (* The clock never moves backwards: a limit below [now] dispatches
-   nothing and leaves the clock where it is. *)
-let rec run ?until t =
+   nothing and leaves the clock where it is. Loops rather than
+   recursion, so the optional limit is not wrapped again per batch. *)
+let run ?until t =
   match until with
-  | None -> if step_batch t > 0 then run t
+  | None ->
+      while step_batch t > 0 do
+        ()
+      done
   | Some limit ->
-      if t.size > 0 && t.heap.(0).time <= limit then begin
-        (* The whole batch shares one timestamp <= limit, so no
-           per-event limit check is needed. *)
-        ignore (step_batch t);
-        run ~until:limit t
-      end
-      else if t.clock < limit then t.clock <- limit
+      (* A whole batch shares one timestamp <= limit, so no per-event
+         limit check is needed. *)
+      while t.size > 0 && Float.Array.get t.times 0 <= limit do
+        ignore (step_batch t)
+      done;
+      if t.clock < limit then t.clock <- limit
 
 let pending t = t.size + t.backlog
 

@@ -13,6 +13,20 @@
     encoded messages, so a receiver never reassembles a byte stream,
     and a sender cannot reuse a buffer it has sent.
 
+    A link without jitter (no fault plan, or one whose [jitter_s] is 0)
+    delivers in send order: the wire frees up at a time that never
+    decreases and the propagation delay is fixed. It keeps its
+    messages in flight in a ring, lost ones included, and only the
+    oldest is queued in the engine, as one re-armable
+    {!Engine.event}. Each message takes its insertion order when it is
+    sent ({!Engine.reserve}), and each arrival queues its successor
+    before the receiver runs, so delivery is exactly as if every
+    message had been scheduled on its own. A delivered slot is
+    overwritten with the link's first payload, so the ring keeps no
+    delivered payload reachable. {!Engine.pending} counts every
+    message in the ring. A link with jitter schedules each message on
+    its own, since jitter reorders them.
+
     Links keep byte and message counters; the control-path-load metric
     (paper Figs. 2 and 9) is computed from these, and an optional
     capture hook plays the role of [tcpdump] on the interface. *)
@@ -31,9 +45,11 @@ val create :
   unit ->
   'a t
 (** [create engine ~name ~bandwidth_bps ~propagation_s ~receiver ()] is
-    an idle link. [capture], if given, observes every message at the
-    instant its transmission begins (what a sniffer on the sending
-    interface sees). [receiver] is invoked at delivery time.
+    an idle link. [bandwidth_bps] must be positive and [propagation_s]
+    at least 0; otherwise, NaN included, [Invalid_argument] is raised.
+    [capture], if given, observes every message at the instant its
+    transmission begins (what a sniffer on the sending interface
+    sees). [receiver] is invoked at delivery time.
 
     [faults], if given, is the link's loss model: a fault plan
     ({!Faults}) judged once per message at the instant {!send} is

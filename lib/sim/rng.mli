@@ -7,7 +7,8 @@
     independent stream. *)
 
 type t
-(** A mutable generator state. *)
+(** A mutable generator state, held in 8 bytes so that a draw stores
+    the new state in place instead of boxing it. *)
 
 val create : int64 -> t
 (** [create seed] is a fresh generator. Distinct seeds give independent

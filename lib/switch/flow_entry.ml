@@ -1,5 +1,9 @@
 open Sdn_openflow
 
+(* A float-only record: [touch] stores the time unboxed, so a long-lived
+   entry neither allocates nor keeps a young box alive per packet. *)
+type used = { mutable last_used : float }
+
 type t = {
   match_ : Of_match.t;
   priority : int;
@@ -9,10 +13,12 @@ type t = {
   hard_timeout : float;
   send_flow_rem : bool;
   installed_at : float;
-  mutable last_used : float;
-  mutable packets : int64;
-  mutable bytes : int64;
+  used : used;
+  mutable packets : int;
+  mutable bytes : int;
 }
+
+let last_used t = t.used.last_used
 
 let of_flow_mod (fm : Of_flow_mod.t) ~now =
   {
@@ -24,18 +30,18 @@ let of_flow_mod (fm : Of_flow_mod.t) ~now =
     hard_timeout = float_of_int fm.Of_flow_mod.hard_timeout;
     send_flow_rem = fm.Of_flow_mod.send_flow_rem;
     installed_at = now;
-    last_used = now;
-    packets = 0L;
-    bytes = 0L;
+    used = { last_used = now };
+    packets = 0;
+    bytes = 0;
   }
 
 let touch t ~now ~bytes =
-  t.last_used <- now;
-  t.packets <- Int64.add t.packets 1L;
-  t.bytes <- Int64.add t.bytes (Int64.of_int bytes)
+  t.used.last_used <- now;
+  t.packets <- t.packets + 1;
+  t.bytes <- t.bytes + bytes
 
 let is_expired t ~now =
-  (t.idle_timeout > 0.0 && now -. t.last_used >= t.idle_timeout)
+  (t.idle_timeout > 0.0 && now -. t.used.last_used >= t.idle_timeout)
   || (t.hard_timeout > 0.0 && now -. t.installed_at >= t.hard_timeout)
 
 let to_stats t ~now =
@@ -51,15 +57,15 @@ let to_stats t ~now =
     idle_timeout = int_of_float t.idle_timeout;
     hard_timeout = int_of_float t.hard_timeout;
     cookie = t.cookie;
-    packet_count = t.packets;
-    byte_count = t.bytes;
+    packet_count = Int64.of_int t.packets;
+    byte_count = Int64.of_int t.bytes;
     actions = t.actions;
   }
 
 let expiry_reason t ~now =
   if t.hard_timeout > 0.0 && now -. t.installed_at >= t.hard_timeout then
     Some Of_flow_removed.Hard_timeout
-  else if t.idle_timeout > 0.0 && now -. t.last_used >= t.idle_timeout then
+  else if t.idle_timeout > 0.0 && now -. t.used.last_used >= t.idle_timeout then
     Some Of_flow_removed.Idle_timeout
   else None
 
@@ -75,6 +81,6 @@ let to_flow_removed t ~now ~reason =
     duration_sec = Int32.of_int sec;
     duration_nsec = Int32.of_int nsec;
     idle_timeout = int_of_float t.idle_timeout;
-    packet_count = t.packets;
-    byte_count = t.bytes;
+    packet_count = Int64.of_int t.packets;
+    byte_count = Int64.of_int t.bytes;
   }

@@ -2,6 +2,11 @@
 
 open Sdn_openflow
 
+type used
+(** When the entry last matched a packet. {!touch} writes it for every
+    packet, so it is held unboxed apart from the entry; read it with
+    {!last_used}. *)
+
 type t = {
   match_ : Of_match.t;
   priority : int;
@@ -11,10 +16,14 @@ type t = {
   hard_timeout : float;  (** seconds; 0 = no hard expiry *)
   send_flow_rem : bool;  (** notify the controller on removal *)
   installed_at : float;
-  mutable last_used : float;
-  mutable packets : int64;
-  mutable bytes : int64;
+  used : used;
+  mutable packets : int;
+  mutable bytes : int;
 }
+
+val last_used : t -> float
+(** When the entry last matched a packet (its install time until
+    then). *)
 
 val of_flow_mod : Of_flow_mod.t -> now:float -> t
 (** Build an entry from an [Add]/[Modify] message at installation

@@ -136,8 +136,8 @@ let eviction_victim t =
           if
             e.Flow_entry.priority < best.Flow_entry.priority
             || (e.Flow_entry.priority = best.Flow_entry.priority
-               && (e.Flow_entry.last_used < best.Flow_entry.last_used
-                  || (e.Flow_entry.last_used = best.Flow_entry.last_used
+               && (Flow_entry.last_used e < Flow_entry.last_used best
+                  || (Flow_entry.last_used e = Flow_entry.last_used best
                      && uid < best_uid)))
           then Some (uid, e)
           else acc)

@@ -278,15 +278,24 @@ and send_pkt_in t ~buffer_id ~frame ~in_port ~truncate ~extra_cost =
           t.pkt_ins_sent <- t.pkt_ins_sent + 1;
           send_to_controller t (Of_codec.Packet_in pkt_in)))
 
+(* A probe hashes its key even when the table is empty, and both
+   tables stay empty unless a scenario takes a port down or gives it a
+   scheduler: test the size first, since every forwarded frame asks. *)
+let port_down t port =
+  Hashtbl.length t.down_ports > 0 && Hashtbl.mem t.down_ports port
+
+let scheduler_of t port =
+  if Hashtbl.length t.port_schedulers = 0 then None
+  else Hashtbl.find_opt t.port_schedulers port
+
 let forward_frame t ~port ~queue_id frame =
   if t.dead then begin
     t.frames_dropped <- t.frames_dropped + 1;
     t.crash_lost_frames <- t.crash_lost_frames + 1
   end
-  else if Hashtbl.mem t.down_ports port then
-    t.frames_dropped <- t.frames_dropped + 1
+  else if port_down t port then t.frames_dropped <- t.frames_dropped + 1
   else
-  match Hashtbl.find_opt t.port_schedulers port with
+  match scheduler_of t port with
   | Some scheduler ->
       t.frames_forwarded <- t.frames_forwarded + 1;
       Egress_queue.send scheduler ~queue_id frame
@@ -297,46 +306,69 @@ let forward_frame t ~port ~queue_id frame =
           Link.send link ~size:(Bytes.length frame) frame
       | None -> t.frames_dropped <- t.frames_dropped + 1)
 
-let resolve_outputs t ~in_port outputs =
-  let all_but_ingress queue_id =
-    (* Flood replication order must not depend on hash-table iteration:
-       ascending port number. *)
-    Hashtbl.fold
-      (fun p _ acc ->
-        if p = in_port || Hashtbl.mem t.down_ports p then acc
-        else { Of_action.out_port = p; queue_id } :: acc)
-      t.ports []
-    |> List.sort (fun (a : Of_action.output_spec) b ->
-           Int.compare a.Of_action.out_port b.Of_action.out_port)
-  in
-  List.concat_map
-    (fun (o : Of_action.output_spec) ->
-      let p = o.Of_action.out_port in
-      if p = Of_wire.Port.flood || p = Of_wire.Port.all then
-        all_but_ingress o.Of_action.queue_id
-      else if p = Of_wire.Port.in_port then
-        [ { o with Of_action.out_port = in_port } ]
-      else if p = Of_wire.Port.controller || p = Of_wire.Port.none then []
-      else [ o ])
-    outputs
+(* The special ports an output action can name: FLOOD and ALL mean
+   every up port but the ingress one, IN_PORT the ingress port, and
+   CONTROLLER and NONE no data-plane port. *)
+let floods port = port = Of_wire.Port.flood || port = Of_wire.Port.all
+let off_datapath port = port = Of_wire.Port.controller || port = Of_wire.Port.none
+
+(* Flood replication order must not depend on hash-table iteration:
+   ascending port number. *)
+let flood_ports t ~in_port =
+  Hashtbl.fold
+    (fun p _ acc ->
+      if p = in_port || port_down t p then acc else p :: acc)
+    t.ports []
+  |> List.sort Int.compare
+
+let rec forwards t ~in_port = function
+  | [] -> false
+  | action :: rest -> (
+      match action with
+      | Of_action.Output { port; _ } | Of_action.Enqueue { port; _ } ->
+          (if floods port then flood_ports t ~in_port <> []
+           else not (off_datapath port))
+          || forwards t ~in_port rest
+      | _ -> forwards t ~in_port rest)
+
+let forward_to t ~in_port ~queue_id port frame =
+  if floods port then
+    List.iter
+      (fun p -> forward_frame t ~port:p ~queue_id frame)
+      (flood_ports t ~in_port)
+  else if not (off_datapath port) then
+    forward_frame t
+      ~port:(if port = Of_wire.Port.in_port then in_port else port)
+      ~queue_id frame
+
+(* Forward [frame] out of every port the output actions name, in
+   action order. *)
+let rec forward_all t ~in_port actions frame =
+  match actions with
+  | [] -> ()
+  | action :: rest ->
+      (match action with
+      | Of_action.Output { port; _ } ->
+          forward_to t ~in_port ~queue_id:None port frame
+      | Of_action.Enqueue { port; queue_id } ->
+          forward_to t ~in_port ~queue_id:(Some queue_id) port frame
+      | _ -> ());
+      forward_all t ~in_port rest frame
 
 (* Egress of a data-plane frame: one kernel forwarding job, then the
-   port link. *)
+   port links. The job walks the action list itself: it applies the
+   header rewrites (re-encoding the frame only if one applied) and
+   forwards the result out of each port named, so no list of outputs
+   is built. A list that forwards nowhere is dropped at once, with no
+   job. Ports are resolved when the job runs. *)
 let egress t ~in_port ~actions pkt frame =
-  let rewritten, outputs = Of_action.apply actions pkt in
-  let frame =
-    (* Re-encode only if an action rewrote a header. *)
-    if rewritten == pkt then frame else Packet.encode rewritten
-  in
-  let outputs = resolve_outputs t ~in_port outputs in
-  if outputs = [] then t.frames_dropped <- t.frames_dropped + 1
+  if not (forwards t ~in_port actions) then
+    t.frames_dropped <- t.frames_dropped + 1
   else
     Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_fwd_cost (fun () ->
-        List.iter
-          (fun (o : Of_action.output_spec) ->
-            forward_frame t ~port:o.Of_action.out_port
-              ~queue_id:o.Of_action.queue_id frame)
-          outputs)
+        let rewritten = Of_action.rewrite actions pkt in
+        let frame = if rewritten == pkt then frame else Packet.encode rewritten in
+        forward_all t ~in_port actions frame)
 
 (* ---- Miss handling, per mechanism ---- *)
 
@@ -414,26 +446,17 @@ let miss_standalone t ~in_port pkt frame =
   t.standalone_frames <- t.standalone_frames + 1;
   let eth = pkt.Packet.eth in
   Hashtbl.replace t.standalone_table eth.Ethernet.src in_port;
-  let outputs =
+  let actions =
     if Mac.is_broadcast eth.Ethernet.dst then
-      [ { Of_action.out_port = Of_wire.Port.flood; queue_id = None } ]
+      [ Of_action.output Of_wire.Port.flood ]
     else begin
       match Hashtbl.find_opt t.standalone_table eth.Ethernet.dst with
-      | Some p when p <> in_port ->
-          [ { Of_action.out_port = p; queue_id = None } ]
+      | Some p when p <> in_port -> [ Of_action.output p ]
       | Some _ -> []
-      | None -> [ { Of_action.out_port = Of_wire.Port.flood; queue_id = None } ]
+      | None -> [ Of_action.output Of_wire.Port.flood ]
     end
   in
-  let outputs = resolve_outputs t ~in_port outputs in
-  if outputs = [] then t.frames_dropped <- t.frames_dropped + 1
-  else
-    Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_fwd_cost (fun () ->
-        List.iter
-          (fun (o : Of_action.output_spec) ->
-            forward_frame t ~port:o.Of_action.out_port
-              ~queue_id:o.Of_action.queue_id frame)
-          outputs)
+  egress t ~in_port ~actions pkt frame
 
 (* Fail-secure (OpenFlow 1.0 §6.4): never forward without controller
    authorization. Flow-granularity chains keep absorbing miss-match
@@ -696,7 +719,8 @@ let handle_stats_request t ~xid (req : Of_stats.request) =
         let packets, bytes =
           List.fold_left
             (fun (p, b) (e : Flow_entry.t) ->
-              (Int64.add p e.Flow_entry.packets, Int64.add b e.Flow_entry.bytes))
+              ( Int64.add p (Int64.of_int e.Flow_entry.packets),
+                Int64.add b (Int64.of_int e.Flow_entry.bytes) ))
             (0L, 0L) entries
         in
         Of_stats.Aggregate_reply
@@ -1004,7 +1028,7 @@ let set_port_state t ~port ~up =
          })
   end
 
-let port_is_up t ~port = not (Hashtbl.mem t.down_ports port)
+let port_is_up t ~port = not (port_down t port)
 
 let set_port_scheduler t ~port ~policy ~queues =
   match Hashtbl.find_opt t.ports port with
@@ -1018,7 +1042,7 @@ let set_port_scheduler t ~port ~policy ~queues =
       Hashtbl.replace t.port_schedulers port
         (Egress_queue.create ?shared t.engine ~link ~policy ~queues)
 
-let port_scheduler t ~port = Hashtbl.find_opt t.port_schedulers port
+let port_scheduler t ~port = scheduler_of t port
 let shared_pool t = t.shared_pool
 
 let egress_misrouted t =

@@ -120,6 +120,21 @@ let test_rejects_bad_args () =
        false
      with Invalid_argument _ -> true)
 
+(* A NaN work value used to pass the negative-work check and surface
+   later, as an [Engine] exception inside whichever event started the
+   job. It is refused at the call, and nothing is queued. *)
+let test_rejects_nan_work () =
+  let engine = Engine.create () in
+  let cpu = Cpu.create engine ~name:"c" ~cores:1 () in
+  Cpu.submit cpu ~work_s:1e-3 (fun () -> ());
+  Alcotest.(check bool) "NaN work" true
+    (match Cpu.submit cpu ~work_s:Float.nan (fun () -> ()) with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check int) "nothing queued" 0 (Cpu.queue_length cpu);
+  Engine.run engine;
+  Alcotest.(check int) "the valid job ran" 1 (Cpu.jobs_completed cpu)
+
 let suite =
   [
     Alcotest.test_case "single job service time" `Quick test_single_job;
@@ -133,4 +148,5 @@ let suite =
     Alcotest.test_case "finish continuation resubmits" `Quick
       test_finish_can_resubmit;
     Alcotest.test_case "argument validation" `Quick test_rejects_bad_args;
+    Alcotest.test_case "NaN work refused" `Quick test_rejects_nan_work;
   ]

@@ -396,8 +396,8 @@ let model_insert m (e : Flow_entry.t) =
     let older (ua, (a : Flow_entry.t)) (ub, (b : Flow_entry.t)) =
       a.Flow_entry.priority < b.Flow_entry.priority
       || a.Flow_entry.priority = b.Flow_entry.priority
-         && (a.Flow_entry.last_used < b.Flow_entry.last_used
-            || (Float.equal a.Flow_entry.last_used b.Flow_entry.last_used
+         && (Flow_entry.last_used a < Flow_entry.last_used b
+            || (Float.equal (Flow_entry.last_used a) (Flow_entry.last_used b)
                && ua < ub))
     in
     match m.m_rules with

@@ -121,6 +121,88 @@ let test_rejects_bad_args () =
        false
      with Invalid_argument _ -> true)
 
+(* The ring needs nondecreasing delivery times, and NaN compares false
+   both ways, so it must be refused where it enters. *)
+let test_rejects_nan_bandwidth () =
+  let engine = Engine.create () in
+  Alcotest.(check bool) "NaN bandwidth" true
+    (match
+       Link.create engine ~name:"bad" ~bandwidth_bps:Float.nan
+         ~propagation_s:0.0
+         ~receiver:(fun (_ : unit) -> ())
+         ()
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let test_rejects_nan_propagation () =
+  let engine = Engine.create () in
+  Alcotest.(check bool) "NaN propagation" true
+    (match
+       Link.create engine ~name:"bad" ~bandwidth_bps:100e6
+         ~propagation_s:Float.nan
+         ~receiver:(fun (_ : unit) -> ())
+         ()
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* A jitter-free link queues only its oldest message, but [pending]
+   still counts every message in flight, lost ones included. *)
+let test_pending_counts_ring () =
+  let engine = Engine.create () in
+  let faults =
+    Faults.create
+      ~spec:{ Faults.none with Faults.loss_rate = 0.5 }
+      ~rng:(Rng.of_int 3) ()
+  in
+  let received = ref 0 in
+  let link =
+    Link.create engine ~name:"lossy" ~bandwidth_bps:100e6 ~propagation_s:1e-3
+      ~faults
+      ~receiver:(fun () -> incr received)
+      ()
+  in
+  for _ = 1 to 10 do
+    Link.send link ~size:100 ()
+  done;
+  Alcotest.(check int) "every message pending" 10 (Engine.pending engine);
+  let after_each = ref [] in
+  while Engine.step engine do
+    after_each := Engine.pending engine :: !after_each
+  done;
+  Alcotest.(check (list int)) "one fewer per delivery"
+    [ 9; 8; 7; 6; 5; 4; 3; 2; 1; 0 ]
+    (List.rev !after_each);
+  Alcotest.(check int) "lost ones counted at delivery" 10
+    (!received + Link.messages_lost link);
+  Alcotest.(check bool) "some lost" true (Link.messages_lost link > 0)
+
+(* Once delivered, a payload must not stay reachable from the link's
+   ring: a slot that kept it would pin every payload the link carried
+   until the slot is reused, and each would be promoted. *)
+let test_delivered_payload_collectable () =
+  let engine = Engine.create () in
+  let link =
+    Link.create engine ~name:"weak" ~bandwidth_bps:100e6 ~propagation_s:0.0
+      ~receiver:(fun (_ : Bytes.t) -> ())
+      ()
+  in
+  (* The first payload stays reachable by design: it fills the slots. *)
+  Link.send link ~size:1 (Bytes.make 1 'f');
+  let watched = Weak.create 1 in
+  let send_watched () =
+    let payload = Bytes.make 64 'p' in
+    Weak.set watched 0 (Some payload);
+    Link.send link ~size:64 payload
+  in
+  send_watched ();
+  Engine.run engine;
+  Gc.full_major ();
+  Alcotest.(check bool) "delivered payload collected" false (Weak.check watched 0);
+  (* The link itself is still live here: only its payload went. *)
+  Alcotest.(check int) "link still in use" 2 (Link.messages_sent link)
+
 let suite =
   [
     Alcotest.test_case "serialization delay" `Quick test_serialization_delay;
@@ -132,4 +214,10 @@ let suite =
     Alcotest.test_case "backlog tracking" `Quick test_backlog_tracking;
     Alcotest.test_case "utilization" `Quick test_utilization;
     Alcotest.test_case "argument validation" `Quick test_rejects_bad_args;
+    Alcotest.test_case "NaN bandwidth refused" `Quick test_rejects_nan_bandwidth;
+    Alcotest.test_case "NaN propagation refused" `Quick
+      test_rejects_nan_propagation;
+    Alcotest.test_case "pending counts the ring" `Quick test_pending_counts_ring;
+    Alcotest.test_case "delivered payload collectable" `Quick
+      test_delivered_payload_collectable;
   ]

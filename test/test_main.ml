@@ -11,6 +11,7 @@ let () =
       ("sim.link", Test_link.suite);
       ("sim.faults", Test_faults.suite);
       ("sim.cpu", Test_cpu.suite);
+      ("sim.streams", Test_streams.suite);
       ("net.addresses", Test_addr.suite);
       ("net.checksum", Test_checksum.suite);
       ("net.packet", Test_packet.suite);
