@@ -8,7 +8,7 @@
      dune exec bench/main.exe                 # micro-benchmarks
      dune exec bench/main.exe -- micro        # the same
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
-                                              # (default BENCH_pr22.json)
+                                              # (default BENCH_pr23.json)
 
    The json snapshot also times a small end-to-end sweep at
    --jobs 1/2/4 and records the parallel speedups, so the regression
@@ -379,6 +379,31 @@ let micro_tests () =
       (Staged.stage
          (let rng = Sdn_sim.Rng.of_int 7 in
           fun () -> ignore (Sdn_sim.Rng.lognormal_factor rng ~sigma:0.08)));
+    (* Both delay taps on one tagged 64-B frame, of a flow too long
+       to finish: a known flow's ingress and a mid-flow egress, what
+       every data frame costs the measurement layer. *)
+    Test.make ~name:"measure/delay-taps-64B"
+      (Staged.stage
+         (let a = Sdn_traffic.Addressing.default in
+          let frame =
+            Packet.encode
+              (Packet.udp_frame_of_size ~src_mac:a.src_mac ~dst_mac:a.dst_mac
+                 ~src_ip:(Sdn_traffic.Addressing.src_ip a ~flow_id:0)
+                 ~dst_ip:a.dst_ip
+                 ~src_port:(Sdn_traffic.Addressing.src_port a ~flow_id:0)
+                 ~dst_port:a.dst_port ~frame_size:64
+                 ~payload_fill:
+                   (Sdn_traffic.Tag.write
+                      {
+                        Sdn_traffic.Tag.flow_id = 0;
+                        seq = 0;
+                        flow_packets = Int32.(to_int max_int);
+                      }))
+          in
+          let delay = Sdn_measure.Delay.create () in
+          fun () ->
+            Sdn_measure.Delay.on_switch_ingress delay ~time:0.0 frame;
+            Sdn_measure.Delay.on_switch_egress delay ~time:1e-6 frame));
     (* A traffic plan streamed through the queue, next injection only,
        against the same plan queued whole at set-up. *)
     Test.make ~name:"engine/plan-2k-stream"
@@ -736,7 +761,7 @@ let run_json path =
 let () =
   match Array.to_list Sys.argv with
   | [ _ ] | [ _; "micro" ] -> run_micro ()
-  | [ _; "json" ] -> run_json "BENCH_pr22.json"
+  | [ _; "json" ] -> run_json "BENCH_pr23.json"
   | [ _; "json"; path ] -> run_json path
   | _ ->
       prerr_endline "usage: main.exe [micro|json [path]]";

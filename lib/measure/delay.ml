@@ -12,8 +12,9 @@ type flow_state = {
 
 type t = {
   flows : (int, flow_state) Hashtbl.t;
-  pending_requests : (int32, float * int option) Hashtbl.t;
-      (** xid -> (send time, flow id when the tag was visible) *)
+  pending_requests : (int32, float * int) Hashtbl.t;
+      (** xid -> (send time, flow id when the tag was visible, else
+          [Tag.no_flow]) *)
   setup : Stats.t;
   controller : Stats.t;
   switch : Stats.t;
@@ -38,20 +39,22 @@ let create () =
     last_egress_time = 0.0;
   }
 
+(* The data taps see every frame, so they read the tag in place and
+   allocate only when a flow starts or first egresses. *)
+let flow_id_of frame = Tag.frame_flow_id frame ~off:0 ~len:(Bytes.length frame)
+
 let on_switch_ingress t ~time frame =
   t.packets_in <- t.packets_in + 1;
-  match Tag.read_frame frame with
-  | None -> ()
-  | Some tag ->
-      if not (Hashtbl.mem t.flows tag.Tag.flow_id) then
-        Hashtbl.add t.flows tag.Tag.flow_id
-          {
-            first_ingress = time;
-            expected_packets = tag.Tag.flow_packets;
-            first_egress = None;
-            egressed = 0;
-            controller_delay = None;
-          }
+  let flow_id = flow_id_of frame in
+  if flow_id <> Tag.no_flow && not (Hashtbl.mem t.flows flow_id) then
+    Hashtbl.add t.flows flow_id
+      {
+        first_ingress = time;
+        expected_packets = Tag.frame_flow_packets frame ~off:0;
+        first_egress = None;
+        egressed = 0;
+        controller_delay = None;
+      }
 
 (* All packets out: the flow contributes its setup, switch and
    forwarding delays exactly once. [last] is the time its last packet
@@ -72,50 +75,47 @@ let finish_flow t flow ~last =
 let on_switch_egress t ~time frame =
   t.packets_out <- t.packets_out + 1;
   t.last_egress_time <- time;
-  match Tag.read_frame frame with
-  | None -> ()
-  | Some tag -> (
-      match Hashtbl.find_opt t.flows tag.Tag.flow_id with
-      | None -> ()
-      | Some flow ->
-          if Option.is_none flow.first_egress then
-            flow.first_egress <- Some time;
-          flow.egressed <- flow.egressed + 1;
-          if flow.egressed = flow.expected_packets then
-            finish_flow t flow ~last:time)
+  let flow_id = flow_id_of frame in
+  if flow_id <> Tag.no_flow then
+    match Hashtbl.find t.flows flow_id with
+    | exception Not_found -> ()
+    | flow ->
+        if Option.is_none flow.first_egress then
+          flow.first_egress <- Some time;
+        flow.egressed <- flow.egressed + 1;
+        if flow.egressed = flow.expected_packets then
+          finish_flow t flow ~last:time
 
-let flow_id_of_pkt_in (pkt_in : Of_packet_in.t) =
-  Option.map
-    (fun tag -> tag.Tag.flow_id)
-    (Tag.read_frame pkt_in.Of_packet_in.data)
+(* Where a PACKET_IN's data starts. [Of_codec.packet_in_data_length]
+   accepts the PACKET_INs [Of_codec.decode] accepts, and ends their
+   data, so the tag too, at the header's length field. *)
+let pkt_in_data = Of_wire.header_size + Of_packet_in.fixed_body
 
 let on_to_controller t ~time buf =
-  match Of_codec.decode buf with
-  | Ok (xid, Of_codec.Packet_in pkt_in) ->
-      Hashtbl.replace t.pending_requests xid (time, flow_id_of_pkt_in pkt_in)
-  | Ok _ | Error _ -> ()
+  let len = Of_codec.packet_in_data_length buf in
+  if len >= 0 then
+    Hashtbl.replace t.pending_requests (Of_codec.peek_xid buf)
+      (time, Tag.frame_flow_id buf ~off:pkt_in_data ~len)
+
+let flow_mod = Of_wire.Msg_type.to_int Of_wire.Msg_type.Flow_mod
+let packet_out = Of_wire.Msg_type.to_int Of_wire.Msg_type.Packet_out
 
 let on_to_switch t ~time buf =
-  match Of_wire.read_header buf with
-  | Error _ -> ()
-  | Ok header -> (
-      match header.Of_wire.msg_type with
-      | Of_wire.Msg_type.Flow_mod | Of_wire.Msg_type.Packet_out -> (
-          match Hashtbl.find_opt t.pending_requests header.Of_wire.xid with
-          | None -> t.unmatched <- t.unmatched + 1
-          | Some (sent_at, flow_id) ->
-              (* Pair with the first response only. *)
-              Hashtbl.remove t.pending_requests header.Of_wire.xid;
-              let delay = time -. sent_at in
-              Stats.add t.controller delay;
-              (match flow_id with
-              | Some id -> (
-                  match Hashtbl.find_opt t.flows id with
-                  | Some flow when flow.controller_delay = None ->
-                      flow.controller_delay <- Some delay
-                  | Some _ | None -> ())
-              | None -> ()))
-      | _ -> ())
+  let ty = Of_wire.type_byte buf in
+  if ty = flow_mod || ty = packet_out then begin
+    let xid = Of_codec.peek_xid buf in
+    match Hashtbl.find t.pending_requests xid with
+    | exception Not_found -> t.unmatched <- t.unmatched + 1
+    | sent_at, flow_id -> (
+        (* Pair with the first response only. *)
+        Hashtbl.remove t.pending_requests xid;
+        let delay = time -. sent_at in
+        Stats.add t.controller delay;
+        match Hashtbl.find t.flows flow_id with
+        | flow when flow.controller_delay = None ->
+            flow.controller_delay <- Some delay
+        | _ | (exception Not_found) -> ())
+  end
 
 let flow_setup_delays t = t.setup
 let controller_delays t = t.controller

@@ -165,10 +165,12 @@ let peek_xid buf =
   if Bytes.length buf >= Of_wire.header_size then Bytes.get_int32_be buf 4
   else 0l
 
-let peek_type buf =
-  match Of_wire.read_header buf with
-  | Ok h -> Ok h.Of_wire.msg_type
-  | Error _ as e -> e
+let packet_in_data_length buf =
+  if Of_wire.type_byte buf <> Of_wire.Msg_type.to_int Of_wire.Msg_type.Packet_in
+  then -1
+  else
+    Of_packet_in.data_length buf Of_wire.header_size
+      ~len:(Bytes.get_uint16_be buf 2 - Of_wire.header_size)
 
 let equal a b =
   match (a, b) with

@@ -43,10 +43,6 @@ val decode : Bytes.t -> (int32 * msg, string) result
 (** Parse one message from the start of the buffer; the buffer must be
     exactly one message long (as delivered by the simulated channel). *)
 
-val peek_type : Bytes.t -> (Of_wire.Msg_type.t, string) result
-(** Cheap classification of an encoded message without a full parse —
-    what the capture/metrics layer uses per sniffed message. *)
-
 val error_reply : Bytes.t -> Of_error.error_type * int
 (** The OFPT_ERROR type and code an endpoint answers a buffer with when
     [decode] rejected it, as the 1.0 spec mandates: a version mismatch
@@ -54,6 +50,14 @@ val error_reply : Bytes.t -> Of_error.error_type * int
     type byte [Bad_request]/[bad_type], and a short buffer, a lying
     length field or a body that fails to parse [Bad_request]/[bad_len].
     Only meaningful when [decode] returned [Error _]. *)
+
+val packet_in_data_length : Bytes.t -> int
+(** The length of the data of the PACKET_IN [decode buf] returns, found
+    in place without decoding or copying: [decode buf] is [Ok (_,
+    Packet_in p)] exactly when this is [>= 0], and then it is
+    [Bytes.length p.data]. The data starts at byte [Of_wire.header_size
+    + Of_packet_in.fixed_body] (18). [-1] for anything else [decode]
+    returns. *)
 
 val peek_xid : Bytes.t -> int32
 (** Best-effort xid extraction from a (possibly malformed) buffer: the

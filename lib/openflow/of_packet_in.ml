@@ -57,6 +57,13 @@ let read_body buf off ~len =
           }
   end
 
+let data_length buf off ~len =
+  if len < fixed_body then -1
+  else
+    match Bytes.get_uint8 buf (off + 8) with
+    | 0 | 1 -> len - fixed_body
+    | _ -> -1
+
 let equal a b =
   Int32.equal a.buffer_id b.buffer_id
   && a.total_len = b.total_len && a.in_port = b.in_port && a.reason = b.reason

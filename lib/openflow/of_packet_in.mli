@@ -27,11 +27,19 @@ val make :
     means the whole frame is included (the no-buffer case); [Some n]
     truncates the data to [n] bytes (the buffered case). *)
 
+val fixed_body : int
+(** 10: the body bytes before [data]. *)
+
 val body_size : t -> int
-(** 10 + data bytes. *)
+(** {!fixed_body} + data bytes. *)
 
 val write_body : t -> Bytes.t -> int -> unit
 val read_body : Bytes.t -> int -> len:int -> (t, string) result
+
+val data_length : Bytes.t -> int -> len:int -> int
+(** [data_length buf off ~len] is [Bytes.length p.data] when [read_body
+    buf off ~len] is [Ok p], and [-1] when it is [Error _]: the same
+    checks, read in place without copying the data. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

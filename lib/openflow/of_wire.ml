@@ -153,3 +153,16 @@ let read_header buf =
           else Ok { msg_type; length; xid = Bytes.get_int32_be buf 4 }
     end
   end
+
+(* [read_header]'s checks, read in place: [Msg_type.of_int] accepts
+   the bytes up to Barrier_reply's. *)
+let type_byte buf =
+  let n = Bytes.length buf in
+  if n < header_size || Bytes.get_uint8 buf 0 <> version then -1
+  else begin
+    let ty = Bytes.get_uint8 buf 1 and length = Bytes.get_uint16_be buf 2 in
+    if ty > Msg_type.to_int Msg_type.Barrier_reply || length < header_size
+       || length > n
+    then -1
+    else ty
+  end

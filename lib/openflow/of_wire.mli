@@ -78,3 +78,8 @@ val read_header : Bytes.t -> (header, string) result
 (** Parse the header at offset 0; checks version, type and that
     [length] is at least {!header_size} and does not exceed the
     buffer. *)
+
+val type_byte : Bytes.t -> int
+(** [type_byte buf] is [Msg_type.to_int h.msg_type] when [read_header
+    buf] is [Ok h], and [-1] when it is [Error _]: the same checks,
+    read in place without allocating. *)

@@ -14,15 +14,30 @@ let write_at t buf off =
 
 let write t buf = write_at t buf 0
 
+(* Whether a tag sits at [off], wholly inside the first [stop] bytes
+   of [buf]. *)
+let present buf off ~stop =
+  off >= 0 && stop - off >= size && stop <= Bytes.length buf
+  && Int32.equal (Bytes.get_int32_be buf off) magic
+
+let field buf off i = Int32.to_int (Bytes.get_int32_be buf (off + (4 * i)))
+
 let read_at buf off =
-  if off < 0 || Bytes.length buf - off < size then None
-  else if not (Int32.equal (Bytes.get_int32_be buf off) magic) then None
+  if not (present buf off ~stop:(Bytes.length buf)) then None
   else
     Some
       {
-        flow_id = Int32.to_int (Bytes.get_int32_be buf (off + 4));
-        seq = Int32.to_int (Bytes.get_int32_be buf (off + 8));
-        flow_packets = Int32.to_int (Bytes.get_int32_be buf (off + 12));
+        flow_id = field buf off 1;
+        seq = field buf off 2;
+        flow_packets = field buf off 3;
       }
 
 let read_frame frame = read_at frame Packet.min_udp_frame
+
+let no_flow = min_int
+
+let frame_flow_id buf ~off ~len =
+  let at = off + Packet.min_udp_frame in
+  if present buf at ~stop:(off + len) then field buf at 1 else no_flow
+
+let frame_flow_packets buf ~off = field buf (off + Packet.min_udp_frame) 3

@@ -28,3 +28,22 @@ val read_at : Bytes.t -> int -> t option
 val read_frame : Bytes.t -> t option
 (** Parse from an encoded UDP frame or a prefix of one (payload at
     offset 42): [read_at frame 42]. *)
+
+(** {2 In-place readers}
+
+    The delay taps read every frame; these read the two fields they
+    need without allocating. *)
+
+val no_flow : int
+(** [min_int], which no 32-bit flow id equals: what {!frame_flow_id}
+    reads where there is no tag. *)
+
+val frame_flow_id : Bytes.t -> off:int -> len:int -> int
+(** [frame_flow_id buf ~off ~len] is the flow id of the tag in the UDP
+    frame, or prefix of one, held in the [len] bytes of [buf] from
+    [off]: [(read_frame f).flow_id] for [f] those bytes, or {!no_flow}
+    where that is [None]. *)
+
+val frame_flow_packets : Bytes.t -> off:int -> int
+(** The flow's packet count from the same tag; meaningful only where
+    {!frame_flow_id} found one. *)

@@ -116,6 +116,90 @@ let test_unmatched_response_counted () =
   Delay.on_to_switch d ~time:0.0 (flow_mod_bytes ~xid:555l);
   Alcotest.(check int) "unmatched" 1 (Delay.unmatched_responses d)
 
+(* The controller tap reads PACKET_INs in place, so each malformed one
+   must pair exactly as a full decode has it: not at all, or without a
+   flow where the length field stops short of the tag. The reference
+   below pairs by [Of_codec.decode]. *)
+let test_to_controller_tap_matches_decode () =
+  let frame id = tagged_frame ~flow_id:id ~seq:0 ~flow_packets:1 in
+  let pkt_in xid id = pkt_in_bytes ~xid ~buffer_id:1l (frame id) in
+  let set buf ~at v =
+    Bytes.set_uint8 buf at v;
+    buf
+  in
+  let sent =
+    [
+      pkt_in 1l 0;
+      (* reason byte 2 *)
+      set (pkt_in 2l 1) ~at:16 2;
+      (* a 9-byte body whose reason byte would read 0 *)
+      (let b = Bytes.sub (pkt_in 3l 2) 0 17 in
+       Bytes.set_uint16_be b 2 17;
+       b);
+      (* the data ends one byte inside the tag (bytes 60-75), although
+         the whole tag is still in the buffer *)
+      (let b = pkt_in 4l 3 in
+       Bytes.set_uint16_be b 2 75;
+       b);
+      (* a foreign type: the same bytes labelled ECHO_REQUEST *)
+      set (pkt_in 5l 4) ~at:1
+        (Of_wire.Msg_type.to_int Of_wire.Msg_type.Echo_request);
+      pkt_in 6l 5;
+    ]
+  in
+  let sent_at i = 0.001 *. float_of_int (i + 1) in
+  let answered_at xid = 0.01 *. Int32.to_float xid in
+  let d = Delay.create () in
+  List.iter (fun id -> Delay.on_switch_ingress d ~time:0.0 (frame id)) [ 0; 1; 2; 3; 4; 5 ];
+  List.iteri (fun i buf -> Delay.on_to_controller d ~time:(sent_at i) buf) sent;
+  (* Every xid is answered, and xid 1 twice. *)
+  let answers = [ 1l; 2l; 3l; 4l; 5l; 6l; 1l ] in
+  List.iter
+    (fun xid -> Delay.on_to_switch d ~time:(answered_at xid) (flow_mod_bytes ~xid))
+    answers;
+  List.iter (fun id -> Delay.on_switch_egress d ~time:0.1 (frame id)) [ 0; 1; 2; 3; 4; 5 ];
+  (* The reference: xid -> (sent at, flow id if the decoded data shows
+     a tag). *)
+  let pending = Hashtbl.create 8 in
+  List.iteri
+    (fun i buf ->
+      match Of_codec.decode buf with
+      | Ok (xid, Of_codec.Packet_in p) ->
+          Hashtbl.replace pending xid
+            ( sent_at i,
+              Option.map (fun tag -> tag.Tag.flow_id) (Tag.read_frame p.Of_packet_in.data) )
+      | Ok _ | Error _ -> ())
+    sent;
+  let controller = ref [] and flow_delays = ref [] and unmatched = ref 0 in
+  List.iter
+    (fun xid ->
+      match Hashtbl.find_opt pending xid with
+      | None -> incr unmatched
+      | Some (at, flow) ->
+          Hashtbl.remove pending xid;
+          let delay = answered_at xid -. at in
+          controller := delay :: !controller;
+          Option.iter (fun id -> flow_delays := (id, delay) :: !flow_delays) flow)
+    answers;
+  (* Switch delay = setup (0.1 for every flow) minus controller delay,
+     recorded at egress in flow-id order. *)
+  let switch =
+    List.filter_map
+      (fun id -> Option.map (fun cd -> 0.1 -. cd) (List.assoc_opt id !flow_delays))
+      [ 0; 1; 2; 3; 4; 5 ]
+  in
+  let samples stats = Array.to_list (Stats.samples stats) in
+  Alcotest.(check (list (float 1e-12)))
+    "paired as decode pairs" (List.rev !controller)
+    (samples (Delay.controller_delays d));
+  Alcotest.(check int) "unmatched as decode" !unmatched (Delay.unmatched_responses d);
+  Alcotest.(check (list (float 1e-12)))
+    "tag seen as decode sees it" switch
+    (samples (Delay.switch_delays d));
+  (* Not vacuous: three requests pair, one of them without its flow. *)
+  Alcotest.(check int) "pairs" 3 (List.length !controller);
+  Alcotest.(check int) "flows" 2 (List.length switch)
+
 let test_sampler_gauge () =
   let engine = Engine.create () in
   let v = ref 0.0 in
@@ -248,6 +332,8 @@ let suite =
       test_controller_delay_pairing;
     Alcotest.test_case "unmatched responses counted" `Quick
       test_unmatched_response_counted;
+    Alcotest.test_case "controller tap pairs malformed PACKET_INs as decode"
+      `Quick test_to_controller_tap_matches_decode;
     Alcotest.test_case "gauge sampler" `Quick test_sampler_gauge;
     Alcotest.test_case "cpu utilization sampler" `Quick test_sampler_cpu_utilization;
     Alcotest.test_case "report table and csv" `Quick test_report_table_and_csv;

@@ -276,9 +276,11 @@ let test_decode_garbage () =
 
 let test_peek_type () =
   let encoded = Of_codec.encode ~xid:9l (Of_codec.Flow_mod sample_flow_mod) in
-  match Of_codec.peek_type encoded with
-  | Ok t -> Alcotest.(check bool) "flow_mod" true (t = Of_wire.Msg_type.Flow_mod)
-  | Error e -> Alcotest.fail e
+  Alcotest.(check int) "flow_mod"
+    (Of_wire.Msg_type.to_int Of_wire.Msg_type.Flow_mod)
+    (Of_wire.type_byte encoded);
+  Bytes.set_uint8 encoded 0 4 (* a foreign version *);
+  Alcotest.(check int) "rejected header" (-1) (Of_wire.type_byte encoded)
 
 let prop_actions_roundtrip =
   let arbitrary_action =

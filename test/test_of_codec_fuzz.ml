@@ -390,6 +390,38 @@ let prop_corruption_no_raise =
       ignore (decode_no_raise buf);
       true)
 
+(* The in-place readers the capture and delay taps use agree with
+   [read_header] and [decode] on mutilated buffers, mostly PACKET_INs
+   with bytes flipped in the header and fixed body. *)
+let prop_in_place_readers_agree =
+  QCheck.Test.make ~name:"in-place readers agree with decode" ~count:1000
+    QCheck.(
+      triple
+        (make
+           Gen.(
+             frequency
+               [ (3, map (fun p -> Of_codec.Packet_in p) gen_packet_in); (1, gen_msg) ]))
+        (small_list (pair (int_bound 19) small_nat))
+        small_nat)
+    (fun (msg, flips, cut) ->
+      let buf = Of_codec.encode ~xid:9l msg in
+      List.iter
+        (fun (pos, value) ->
+          if pos < Bytes.length buf then Bytes.set_uint8 buf pos (value land 0xFF))
+        flips;
+      let buf = Bytes.sub buf 0 (max 0 (Bytes.length buf - (cut mod 4))) in
+      let ty =
+        match Of_wire.read_header buf with
+        | Ok h -> Of_wire.Msg_type.to_int h.Of_wire.msg_type
+        | Error _ -> -1
+      in
+      let data =
+        match Of_codec.decode buf with
+        | Ok (_, Of_codec.Packet_in p) -> Bytes.length p.Of_packet_in.data
+        | Ok _ | Error _ -> -1
+      in
+      Of_wire.type_byte buf = ty && Of_codec.packet_in_data_length buf = data)
+
 (* Deterministic single-example roundtrip over each of the 19
    constructors, so a codec regression names the constructor instead of
    a shrunk counterexample. *)
@@ -449,6 +481,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_truncation;
     QCheck_alcotest.to_alcotest prop_corruption_no_raise;
+    QCheck_alcotest.to_alcotest prop_in_place_readers_agree;
     Alcotest.test_case "short 16-byte action is an error" `Quick
       test_short_wide_action;
   ]

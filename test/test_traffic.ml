@@ -33,7 +33,11 @@ let test_tag_in_frame () =
       let tag = tag_of frame in
       Alcotest.(check int) "flow id" i tag.Tag.flow_id;
       Alcotest.(check int) "seq" 0 tag.Tag.seq;
-      Alcotest.(check int) "flow packets" 1 tag.Tag.flow_packets)
+      Alcotest.(check int) "flow packets" 1 tag.Tag.flow_packets;
+      Alcotest.(check int) "flow id in place" i
+        (Tag.frame_flow_id frame ~off:0 ~len:(Bytes.length frame));
+      Alcotest.(check int) "flow packets in place" 1
+        (Tag.frame_flow_packets frame ~off:0))
     (frames plan)
 
 let test_tag_rejects_untagged () =
@@ -46,7 +50,16 @@ let test_tag_rejects_untagged () =
   let cut = Bytes.make (4 + Tag.size - 1) '\000' in
   Bytes.blit tag 0 cut 4 (Tag.size - 1);
   Alcotest.(check bool) "cut short" true (Tag.read_at cut 4 = None);
-  Alcotest.(check bool) "negative offset" true (Tag.read_at tag (-1) = None)
+  Alcotest.(check bool) "negative offset" true (Tag.read_at tag (-1) = None);
+  (* In place, [len] bounds the frame, whatever the buffer holds. *)
+  let frame = Bytes.make (Packet.min_udp_frame + Tag.size) '\000' in
+  Tag.write_at { Tag.flow_id = 1; seq = 2; flow_packets = 3 } frame Packet.min_udp_frame;
+  let n = Bytes.length frame in
+  Alcotest.(check int) "whole tag" 1 (Tag.frame_flow_id frame ~off:0 ~len:n);
+  Alcotest.(check int) "len ends inside the tag" Tag.no_flow
+    (Tag.frame_flow_id frame ~off:0 ~len:(n - 1));
+  Alcotest.(check int) "too short in place" Tag.no_flow
+    (Tag.frame_flow_id (Bytes.make 10 'x') ~off:0 ~len:10)
 
 let test_addressing_unique_flows () =
   let a = Addressing.default in
