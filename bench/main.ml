@@ -8,7 +8,7 @@
      dune exec bench/main.exe                 # micro-benchmarks
      dune exec bench/main.exe -- micro        # the same
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
-                                              # (default BENCH_pr23.json)
+                                              # (default BENCH_pr24.json)
 
    The json snapshot also times a small end-to-end sweep at
    --jobs 1/2/4 and records the parallel speedups, so the regression
@@ -238,6 +238,24 @@ let micro_tests () =
           in
           fun () ->
             ignore (Sdn_switch.Flow_table.lookup table1000 ~in_port:1 miss_packet)));
+    (* What every data frame costs the switch on a microflow hit: the
+       validity check, the key read in place and a probe of the warm
+       cache, for one valid 64-B frame that matches rule 0. *)
+    Test.make ~name:"flow-table/lookup-frame-hit-64B"
+      (Staged.stage
+         (let frame =
+            Packet.encode
+              (Packet.udp_frame_of_size ~src_mac:mac1 ~dst_mac:mac2
+                 ~src_ip:(Ip.of_int32 0x0A010000l) ~dst_ip:ip2 ~src_port:1000
+                 ~dst_port:9 ~frame_size:64 ~payload_fill:ignore)
+          in
+          ignore (Sdn_switch.Flow_table.lookup_frame table1000 ~in_port:1 frame);
+          fun () ->
+            match Packet.validate frame with
+            | Ok () ->
+                ignore
+                  (Sdn_switch.Flow_table.lookup_frame table1000 ~in_port:1 frame)
+            | Error _ -> ()));
     Test.make ~name:"flow-table/insert-replace-100-rules" (insert_replace 100);
     Test.make ~name:"flow-table/insert-replace-2000-rules" (insert_replace 2000);
     Test.make ~name:"buffer/packet-granularity-alloc-take"
@@ -761,7 +779,7 @@ let run_json path =
 let () =
   match Array.to_list Sys.argv with
   | [ _ ] | [ _; "micro" ] -> run_micro ()
-  | [ _; "json" ] -> run_json "BENCH_pr23.json"
+  | [ _; "json" ] -> run_json "BENCH_pr24.json"
   | [ _; "json"; path ] -> run_json path
   | _ ->
       prerr_endline "usage: main.exe [micro|json [path]]";

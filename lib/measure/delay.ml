@@ -11,7 +11,7 @@ type flow_state = {
 }
 
 type t = {
-  flows : (int, flow_state) Hashtbl.t;
+  flows : flow_state Tag.Table.t;
   pending_requests : (int32, float * int) Hashtbl.t;
       (** xid -> (send time, flow id when the tag was visible, else
           [Tag.no_flow]) *)
@@ -27,7 +27,7 @@ type t = {
 
 let create () =
   {
-    flows = Hashtbl.create 64;
+    flows = Tag.Table.create 64;
     pending_requests = Hashtbl.create 64;
     setup = Stats.create ();
     controller = Stats.create ();
@@ -46,8 +46,8 @@ let flow_id_of frame = Tag.frame_flow_id frame ~off:0 ~len:(Bytes.length frame)
 let on_switch_ingress t ~time frame =
   t.packets_in <- t.packets_in + 1;
   let flow_id = flow_id_of frame in
-  if flow_id <> Tag.no_flow && not (Hashtbl.mem t.flows flow_id) then
-    Hashtbl.add t.flows flow_id
+  if flow_id <> Tag.no_flow && not (Tag.Table.mem t.flows flow_id) then
+    Tag.Table.add t.flows flow_id
       {
         first_ingress = time;
         expected_packets = Tag.frame_flow_packets frame ~off:0;
@@ -77,7 +77,7 @@ let on_switch_egress t ~time frame =
   t.last_egress_time <- time;
   let flow_id = flow_id_of frame in
   if flow_id <> Tag.no_flow then
-    match Hashtbl.find t.flows flow_id with
+    match Tag.Table.find t.flows flow_id with
     | exception Not_found -> ()
     | flow ->
         if Option.is_none flow.first_egress then
@@ -111,7 +111,7 @@ let on_to_switch t ~time buf =
         Hashtbl.remove t.pending_requests xid;
         let delay = time -. sent_at in
         Stats.add t.controller delay;
-        match Hashtbl.find t.flows flow_id with
+        match Tag.Table.find t.flows flow_id with
         | flow when flow.controller_delay = None ->
             flow.controller_delay <- Some delay
         | _ | (exception Not_found) -> ())
@@ -122,12 +122,12 @@ let controller_delays t = t.controller
 let switch_delays t = t.switch
 let flow_forwarding_delays t = t.forwarding
 
-let flows_started t = Hashtbl.length t.flows
+let flows_started t = Tag.Table.length t.flows
 
 let flows_completed t =
   (* Commutative count: iteration order cannot change the sum.
      lint: allow hashtbl-order *)
-  Hashtbl.fold
+  Tag.Table.fold
     (fun _ f acc -> if f.egressed >= f.expected_packets then acc + 1 else acc)
     t.flows 0
 

@@ -35,26 +35,27 @@ let write t buf off =
   Mac.write t.target_mac buf (off + 18);
   Ip.write t.target_ip buf (off + 24)
 
-let read buf off =
-  if off + size > Bytes.length buf then Error "Arp.read: truncated packet"
-  else if Bytes.get_uint16_be buf off <> 1 then Error "Arp.read: not Ethernet"
+let check buf off =
+  if off + size > Bytes.length buf then Error "Arp.check: truncated packet"
+  else if Bytes.get_uint16_be buf off <> 1 then Error "Arp.check: not Ethernet"
   else if Bytes.get_uint16_be buf (off + 2) <> Ethernet.ethertype_ipv4 then
-    Error "Arp.read: not IPv4"
+    Error "Arp.check: not IPv4"
   else if Bytes.get_uint8 buf (off + 4) <> 6 || Bytes.get_uint8 buf (off + 5) <> 4
-  then Error "Arp.read: bad address lengths"
+  then Error "Arp.check: bad address lengths"
   else begin
     match Bytes.get_uint16_be buf (off + 6) with
-    | 1 | 2 as op ->
-        Ok
-          {
-            oper = (if op = 1 then Request else Reply);
-            sender_mac = Mac.read buf (off + 8);
-            sender_ip = Ip.read buf (off + 14);
-            target_mac = Mac.read buf (off + 18);
-            target_ip = Ip.read buf (off + 24);
-          }
-    | op -> Error (Printf.sprintf "Arp.read: bad operation %d" op)
+    | 1 | 2 -> Ok ()
+    | op -> Error (Printf.sprintf "Arp.check: bad operation %d" op)
   end
+
+let read buf off =
+  {
+    oper = (if Bytes.get_uint16_be buf (off + 6) = 1 then Request else Reply);
+    sender_mac = Mac.read buf (off + 8);
+    sender_ip = Ip.read buf (off + 14);
+    target_mac = Mac.read buf (off + 18);
+    target_ip = Ip.read buf (off + 24);
+  }
 
 let equal a b =
   a.oper = b.oper

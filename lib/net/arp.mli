@@ -20,6 +20,13 @@ val reply : t -> responder_mac:Mac.t -> t
 (** Build the reply matching a request. *)
 
 val write : t -> Bytes.t -> int -> unit
-val read : Bytes.t -> int -> (t, string) result
+
+val check : Bytes.t -> int -> (unit, string) result
+(** Accepts a packet at the given offset that fits and carries
+    Ethernet/IPv4 address types and lengths and a request or reply
+    operation. Allocates nothing on success. *)
+
+val read : Bytes.t -> int -> t
+(** The fields of a packet {!check} accepted. *)
 
 val equal : t -> t -> bool

@@ -14,7 +14,13 @@ val ethertype_arp : int
 val write : t -> Bytes.t -> int -> unit
 (** Serialize at the given offset; needs {!size} bytes of room. *)
 
-val read : Bytes.t -> int -> (t, string) result
-(** Parse at the given offset. *)
+val check : Bytes.t -> int -> (unit, string) result
+(** Whether a header fits at the given offset. Allocates nothing. *)
+
+val ethertype : Bytes.t -> int -> int
+(** The EtherType of a header {!check} accepted, read in place. *)
+
+val read : Bytes.t -> int -> t
+(** The fields of a header {!check} accepted. *)
 
 val equal : t -> t -> bool

@@ -31,31 +31,32 @@ let write t ~payload_len buf off =
   let csum = Checksum.over buf off size in
   Bytes.set_uint16_be buf (off + 10) csum
 
-let read buf off =
-  if off + size > Bytes.length buf then Error "Ipv4.read: truncated header"
+let check buf off =
+  if off + size > Bytes.length buf then Error "Ipv4.check: truncated header"
   else begin
     let vihl = Bytes.get_uint8 buf off in
-    if vihl lsr 4 <> 4 then Error "Ipv4.read: not IPv4"
-    else if vihl land 0xF <> 5 then Error "Ipv4.read: options unsupported"
+    if vihl lsr 4 <> 4 then Error "Ipv4.check: not IPv4"
+    else if vihl land 0xF <> 5 then Error "Ipv4.check: options unsupported"
     else if not (Checksum.verify buf off size) then
-      Error "Ipv4.read: bad header checksum"
-    else begin
-      let total_len = Bytes.get_uint16_be buf (off + 2) in
-      if total_len < size then Error "Ipv4.read: bad total length"
-      else
-        Ok
-          ( {
-              tos = Bytes.get_uint8 buf (off + 1);
-              ident = Bytes.get_uint16_be buf (off + 4);
-              dont_fragment = Bytes.get_uint16_be buf (off + 6) land 0x4000 <> 0;
-              ttl = Bytes.get_uint8 buf (off + 8);
-              proto = Bytes.get_uint8 buf (off + 9);
-              src = Ip.read buf (off + 12);
-              dst = Ip.read buf (off + 16);
-            },
-            total_len - size )
-    end
+      Error "Ipv4.check: bad header checksum"
+    else if Bytes.get_uint16_be buf (off + 2) < size then
+      Error "Ipv4.check: bad total length"
+    else Ok ()
   end
+
+let payload_len buf off = Bytes.get_uint16_be buf (off + 2) - size
+let proto buf off = Bytes.get_uint8 buf (off + 9)
+
+let read buf off =
+  {
+    tos = Bytes.get_uint8 buf (off + 1);
+    ident = Bytes.get_uint16_be buf (off + 4);
+    dont_fragment = Bytes.get_uint16_be buf (off + 6) land 0x4000 <> 0;
+    ttl = Bytes.get_uint8 buf (off + 8);
+    proto = proto buf off;
+    src = Ip.read buf (off + 12);
+    dst = Ip.read buf (off + 16);
+  }
 
 let equal a b =
   a.tos = b.tos && a.ident = b.ident && a.dont_fragment = b.dont_fragment

@@ -24,8 +24,21 @@ val write : t -> payload_len:int -> Bytes.t -> int -> unit
 (** Serialize with [total_length = size + payload_len] and a freshly
     computed header checksum. *)
 
-val read : Bytes.t -> int -> (t * int, string) result
-(** [read buf off] parses the header, verifies the checksum and returns
-    [(header, payload_len)]. *)
+val check : Bytes.t -> int -> (unit, string) result
+(** [check buf off] accepts a header at [off] that fits, is version 4
+    with no options, carries a valid checksum and a total length of at
+    least {!size}. Allocates nothing. The payload it announces may
+    still overrun [buf]; {!Packet.validate} checks that. *)
+
+val payload_len : Bytes.t -> int -> int
+(** The payload length a header {!check} accepted announces: its total
+    length less {!size}. *)
+
+val proto : Bytes.t -> int -> int
+(** The protocol number of a header {!check} accepted, read in
+    place. *)
+
+val read : Bytes.t -> int -> t
+(** The fields of a header {!check} accepted. *)
 
 val equal : t -> t -> bool

@@ -5,6 +5,7 @@ let mask = 0xFFFF_FFFF_FFFF
 let of_int64 x = Int64.to_int x land mask
 
 let to_int64 t = Int64.of_int t
+let to_int t = t
 
 let of_octets a b c d e f =
   let check o =

@@ -18,6 +18,10 @@ val of_int64 : int64 -> t
 
 val to_int64 : t -> int64
 
+val to_int : t -> int
+(** The 48-bit value, in [\[0, 2^48)]: an immediate int, as {!hash}
+    is. *)
+
 val of_string : string -> (t, string) result
 (** Parse ["aa:bb:cc:dd:ee:ff"] (case-insensitive). *)
 

@@ -45,50 +45,58 @@ let encode t =
   | Raw_l3 payload -> Bytes.blit payload 0 buf Ethernet.size (Bytes.length payload));
   buf
 
-let decode_l4 ip buf off payload_len =
-  let sub () = Bytes.sub buf off payload_len in
-  if ip.Ipv4.proto = Ipv4.proto_udp then
-    match
-      Udp.read buf off ~len:payload_len ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst
-    with
-    | Ok (udp, data_len) -> Ok (Udp (udp, Bytes.sub buf (off + Udp.size) data_len))
-    | Error _ as e -> e
-  else if ip.Ipv4.proto = Ipv4.proto_tcp then
-    match
-      Tcp.read buf off ~len:payload_len ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst
-    with
-    | Ok (tcp, data_len) -> Ok (Tcp (tcp, Bytes.sub buf (off + Tcp.size) data_len))
-    | Error _ as e -> e
-  else Ok (Raw_l4 (ip.Ipv4.proto, sub ()))
+(* IPv4 carries no options here, so every header sits at a fixed
+   offset. *)
+let ip_off = Ethernet.size
+let l4_off = ip_off + Ipv4.size
 
-let decode buf =
-  match Ethernet.read buf 0 with
+let validate buf =
+  match Ethernet.check buf 0 with
   | Error _ as e -> e
-  | Ok eth ->
-      if eth.Ethernet.ethertype = Ethernet.ethertype_ipv4 then begin
-        match Ipv4.read buf Ethernet.size with
+  | Ok () ->
+      let ethertype = Ethernet.ethertype buf 0 in
+      if ethertype = Ethernet.ethertype_ipv4 then begin
+        match Ipv4.check buf ip_off with
         | Error _ as e -> e
-        | Ok (ip, payload_len) ->
-            let l4_off = Ethernet.size + Ipv4.size in
-            if l4_off + payload_len > Bytes.length buf then
-              Error "Packet.decode: truncated IPv4 payload"
+        | Ok () ->
+            let len = Ipv4.payload_len buf ip_off in
+            if l4_off + len > Bytes.length buf then
+              Error "Packet.validate: truncated IPv4 payload"
             else begin
-              match decode_l4 ip buf l4_off payload_len with
-              | Ok l4 -> Ok { eth; l3 = Ipv4 (ip, l4) }
-              | Error _ as e -> e
+              let proto = Ipv4.proto buf ip_off in
+              if proto = Ipv4.proto_udp then Udp.check buf l4_off ~len
+              else if proto = Ipv4.proto_tcp then Tcp.check buf l4_off ~len
+              else Ok ()
             end
       end
-      else if eth.Ethernet.ethertype = Ethernet.ethertype_arp then begin
-        match Arp.read buf Ethernet.size with
-        | Ok arp -> Ok { eth; l3 = Arp arp }
-        | Error _ as e -> e
-      end
-      else begin
-        let payload =
-          Bytes.sub buf Ethernet.size (Bytes.length buf - Ethernet.size)
-        in
-        Ok { eth; l3 = Raw_l3 payload }
-      end
+      else if ethertype = Ethernet.ethertype_arp then Arp.check buf ip_off
+      else Ok ()
+
+let build buf =
+  let eth = Ethernet.read buf 0 in
+  let l3 =
+    if eth.Ethernet.ethertype = Ethernet.ethertype_ipv4 then begin
+      let ip = Ipv4.read buf ip_off in
+      let len = Ipv4.payload_len buf ip_off in
+      let l4 =
+        if ip.Ipv4.proto = Ipv4.proto_udp then
+          let data = l4_off + Udp.size in
+          Udp (Udp.read buf l4_off, Bytes.sub buf data (len - Udp.size))
+        else if ip.Ipv4.proto = Ipv4.proto_tcp then
+          let data = l4_off + Tcp.size in
+          Tcp (Tcp.read buf l4_off, Bytes.sub buf data (len - Tcp.size))
+        else Raw_l4 (ip.Ipv4.proto, Bytes.sub buf l4_off len)
+      in
+      Ipv4 (ip, l4)
+    end
+    else if eth.Ethernet.ethertype = Ethernet.ethertype_arp then
+      Arp (Arp.read buf ip_off)
+    else Raw_l3 (Bytes.sub buf ip_off (Bytes.length buf - ip_off))
+  in
+  { eth; l3 }
+
+let decode buf =
+  match validate buf with Ok () -> Ok (build buf) | Error _ as e -> e
 
 let flow_key t =
   match t.l3 with
@@ -167,29 +175,43 @@ type headers = {
   h_l4_ports : (int * int) option;
 }
 
-let peek_headers buf =
-  match Ethernet.read buf 0 with
+(* Whether a frame prefix carries an IPv4 header, checked: [Ok false]
+   for another EtherType. *)
+let peek_ipv4 buf =
+  match Ethernet.check buf 0 with
   | Error _ as e -> e
-  | Ok eth ->
-      if eth.Ethernet.ethertype <> Ethernet.ethertype_ipv4 then
-        Ok { h_eth = eth; h_ipv4 = None; h_l4_ports = None }
+  | Ok () ->
+      if Ethernet.ethertype buf 0 <> Ethernet.ethertype_ipv4 then Ok false
       else begin
-        match Ipv4.read buf Ethernet.size with
+        match Ipv4.check buf ip_off with
         | Error _ as e -> e
-        | Ok (ip, _payload_len) ->
-            let l4_off = Ethernet.size + Ipv4.size in
-            let ports =
-              if
-                (ip.Ipv4.proto = Ipv4.proto_udp || ip.Ipv4.proto = Ipv4.proto_tcp)
-                && l4_off + 4 <= Bytes.length buf
-              then
-                Some
-                  ( Bytes.get_uint16_be buf l4_off,
-                    Bytes.get_uint16_be buf (l4_off + 2) )
-              else None
-            in
-            Ok { h_eth = eth; h_ipv4 = Some ip; h_l4_ports = ports }
+        | Ok () -> Ok true
       end
+
+(* Ports of a checked IPv4 header's UDP or TCP segment, if they fit. *)
+let has_ports buf =
+  let proto = Ipv4.proto buf ip_off in
+  (proto = Ipv4.proto_udp || proto = Ipv4.proto_tcp)
+  && l4_off + 4 <= Bytes.length buf
+
+let peek_headers buf =
+  match peek_ipv4 buf with
+  | Error _ as e -> e
+  | Ok ipv4 ->
+      let h_eth = Ethernet.read buf 0 in
+      if not ipv4 then Ok { h_eth; h_ipv4 = None; h_l4_ports = None }
+      else
+        Ok
+          {
+            h_eth;
+            h_ipv4 = Some (Ipv4.read buf ip_off);
+            h_l4_ports =
+              (if has_ports buf then
+                 Some
+                   ( Bytes.get_uint16_be buf l4_off,
+                     Bytes.get_uint16_be buf (l4_off + 2) )
+               else None);
+          }
 
 let flow_key_of_headers = function
   | { h_ipv4 = Some ip; h_l4_ports = Some (src_port, dst_port); _ } ->
@@ -199,9 +221,15 @@ let flow_key_of_headers = function
   | { h_ipv4 = None; _ } | { h_l4_ports = None; _ } -> None
 
 let peek_flow_key buf =
-  match peek_headers buf with
-  | Error _ -> None
-  | Ok headers -> flow_key_of_headers headers
+  match peek_ipv4 buf with
+  | Ok true when has_ports buf ->
+      let ip = Ipv4.read buf ip_off in
+      Some
+        (Flow_key.make ~proto:ip.Ipv4.proto ~src_ip:ip.Ipv4.src
+           ~dst_ip:ip.Ipv4.dst
+           ~src_port:(Bytes.get_uint16_be buf l4_off)
+           ~dst_port:(Bytes.get_uint16_be buf (l4_off + 2)))
+  | Ok _ | Error _ -> None
 
 let equal_l4 a b =
   match (a, b) with

@@ -3,8 +3,15 @@
     A [Packet.t] is a structured view of a frame. [encode] produces the
     exact on-wire bytes — the byte counts that drive every
     control-path-load number in the reproduction — and [decode] parses
-    them back (used when a [packet_out] carries a full packet that the
-    switch must re-forward). *)
+    them back.
+
+    Parsing is split in two. {!validate} is the one validity check: it
+    reads the frame in place and allocates nothing on success. {!build}
+    reads the fields of a frame [validate] accepted into a [Packet.t].
+    [decode] is the two in turn. The switch validates every frame it
+    receives but builds a [Packet.t] only where it needs one: for the
+    slow-path classification of a microflow miss, and for a header
+    rewrite. *)
 
 type l4 =
   | Udp of Udp.t * Bytes.t  (** header, application payload *)
@@ -30,9 +37,25 @@ val encode : t -> Bytes.t
     transport segment does, raises [Invalid_argument] instead of
     encoding a wrapped length. *)
 
+val validate : Bytes.t -> (unit, string) result
+(** Whether {!decode} accepts the frame, checked in place without
+    allocating on success: the Ethernet header fits; for IPv4, the
+    version, IHL 5, header checksum, a total length of at least 20
+    whose payload fits the frame, and for UDP the length field and the
+    checksum (0 meaning unused), for TCP a data offset of 5 and the
+    checksum; for ARP the address types and lengths and the operation.
+    Other EtherTypes and IPv4 protocols are accepted unparsed. Bytes
+    past the IPv4 total length (Ethernet padding) are ignored. *)
+
+val build : Bytes.t -> t
+(** The packet of a frame {!validate} accepted. Reads fields only: a
+    frame [validate] rejects may raise [Invalid_argument] or give a
+    packet that does not encode back to it. *)
+
 val decode : Bytes.t -> (t, string) result
-(** Parse a frame. Transport layers of IPv4 packets are parsed for UDP
-    and TCP; other protocols come back as [Raw_l4]. *)
+(** Parse a frame: {!validate}, then {!build}. Transport layers of
+    IPv4 packets are parsed for UDP and TCP; other protocols come back
+    as [Raw_l4]. *)
 
 val flow_key : t -> Flow_key.t option
 (** The 5-tuple, if the packet is IPv4 UDP or TCP. *)
@@ -115,5 +138,7 @@ val flow_key_of_headers : headers -> Flow_key.t option
     ports. *)
 
 val peek_flow_key : Bytes.t -> Flow_key.t option
-(** The 5-tuple from a possibly-truncated frame prefix:
-    {!peek_headers} followed by {!flow_key_of_headers}. *)
+(** The 5-tuple from a possibly-truncated frame prefix: what
+    {!peek_headers} followed by {!flow_key_of_headers} gives, read in
+    place. On a frame {!validate} accepted it equals
+    [flow_key (build frame)]. *)

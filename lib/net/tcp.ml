@@ -64,31 +64,24 @@ let write t ~src_ip ~dst_ip ~payload buf off =
   let body = Checksum.sum buf off len in
   Bytes.set_uint16_be buf (off + 16) (Checksum.finish (Checksum.add pseudo body))
 
-let read buf off ~len ~src_ip ~dst_ip =
+let check buf off ~len =
   if len < size || off + len > Bytes.length buf then
-    Error "Tcp.read: truncated segment"
-  else begin
-    let data_offset = Bytes.get_uint8 buf (off + 12) lsr 4 in
-    if data_offset <> 5 then Error "Tcp.read: options unsupported"
-    else begin
-      let pseudo =
-        Udp.pseudo_header_sum ~src_ip ~dst_ip ~proto:Ipv4.proto_tcp ~l4_len:len
-      in
-      let body = Checksum.sum buf off len in
-      if Checksum.add pseudo body <> 0xFFFF then Error "Tcp.read: bad checksum"
-      else
-        Ok
-          ( {
-              src_port = Bytes.get_uint16_be buf off;
-              dst_port = Bytes.get_uint16_be buf (off + 2);
-              seq = Bytes.get_int32_be buf (off + 4);
-              ack_seq = Bytes.get_int32_be buf (off + 8);
-              flags = flags_of_int (Bytes.get_uint8 buf (off + 13));
-              window = Bytes.get_uint16_be buf (off + 14);
-            },
-            len - size )
-    end
-  end
+    Error "Tcp.check: truncated segment"
+  else if Bytes.get_uint8 buf (off + 12) lsr 4 <> 5 then
+    Error "Tcp.check: options unsupported"
+  else if not (Udp.checksum_ok buf off ~len ~proto:Ipv4.proto_tcp) then
+    Error "Tcp.check: bad checksum"
+  else Ok ()
+
+let read buf off =
+  {
+    src_port = Bytes.get_uint16_be buf off;
+    dst_port = Bytes.get_uint16_be buf (off + 2);
+    seq = Bytes.get_int32_be buf (off + 4);
+    ack_seq = Bytes.get_int32_be buf (off + 8);
+    flags = flags_of_int (Bytes.get_uint8 buf (off + 13));
+    window = Bytes.get_uint16_be buf (off + 14);
+  }
 
 let equal a b =
   a.src_port = b.src_port && a.dst_port = b.dst_port

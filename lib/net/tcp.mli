@@ -36,10 +36,12 @@ val write :
 (** Serialize header plus checksum; [payload] must already be in place
     at [off + size]. *)
 
-val read :
-  Bytes.t -> int -> len:int -> src_ip:Ip.t -> dst_ip:Ip.t ->
-  (t * int, string) result
-(** Parse a segment occupying [len] bytes; returns
-    [(header, payload_len)]. *)
+val check : Bytes.t -> int -> len:int -> (unit, string) result
+(** [check buf off ~len] accepts a [len]-byte segment at [off],
+    following its IPv4 header, that fits [buf], carries no options and
+    whose checksum is valid. Allocates nothing. *)
+
+val read : Bytes.t -> int -> t
+(** The fields of a segment {!check} accepted. *)
 
 val equal : t -> t -> bool

@@ -15,11 +15,20 @@ val write :
     checksum; the caller must have already placed [payload] at
     [off + size] (the checksum covers it in place). *)
 
-val read :
-  Bytes.t -> int -> len:int -> src_ip:Ip.t -> dst_ip:Ip.t ->
-  (t * int, string) result
-(** [read buf off ~len ~src_ip ~dst_ip] parses a UDP datagram occupying
-    [len] bytes, verifies length and checksum, and returns
-    [(header, payload_len)]. *)
+val checksum_ok : Bytes.t -> int -> len:int -> proto:int -> bool
+(** [checksum_ok buf off ~len ~proto]: the [len]-byte transport segment
+    at [off] sums, with its pseudo-header, to a valid checksum. The
+    segment must follow its IPv4 header (no options), whose last 8
+    bytes are the two addresses; one pass from [off - 8] sums them and
+    the segment in place. Shared with {!Tcp}. *)
+
+val check : Bytes.t -> int -> len:int -> (unit, string) result
+(** [check buf off ~len] accepts a [len]-byte datagram at [off],
+    following its IPv4 header, that fits [buf], whose length field is
+    [len] and whose checksum is valid or 0 (unused). Allocates
+    nothing. *)
+
+val read : Bytes.t -> int -> t
+(** The ports of a datagram {!check} accepted. *)
 
 val equal : t -> t -> bool

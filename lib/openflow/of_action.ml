@@ -165,6 +165,16 @@ let rewrite_l4 f (pkt : Packet.t) =
   | Packet.Ipv4 (ip, l4) -> { pkt with Packet.l3 = Packet.Ipv4 (ip, f l4) }
   | Packet.Arp _ | Packet.Raw_l3 _ -> pkt
 
+let rec rewrites = function
+  | [] -> false
+  | ( Set_dl_src _ | Set_dl_dst _ | Set_nw_src _ | Set_nw_dst _ | Set_nw_tos _
+    | Set_tp_src _ | Set_tp_dst _ )
+    :: _ ->
+      true
+  | (Output _ | Enqueue _ | Set_vlan_vid _ | Set_vlan_pcp _ | Strip_vlan) :: rest
+    ->
+      rewrites rest
+
 (* A walk without an accumulator pair: an action list with no header
    rewrite returns [pkt] itself and allocates nothing. *)
 let rec rewrite actions pkt =

@@ -29,6 +29,11 @@ val write_list : t list -> Bytes.t -> int -> int
 val read_list : Bytes.t -> int -> len:int -> (t list, string) result
 (** Parse exactly [len] bytes of actions starting at the offset. *)
 
+val rewrites : t list -> bool
+(** Whether the list holds a header rewrite ([Set_dl_*], [Set_nw_*] or
+    [Set_tp_*]). Where it does not, {!rewrite} returns its packet
+    itself, so a caller holding only the frame need not parse it. *)
+
 val rewrite : t list -> Packet.t -> Packet.t
 (** Apply the header rewrites in order. A list without any returns the
     packet itself (physically equal), so a caller re-encodes only what

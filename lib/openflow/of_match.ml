@@ -47,6 +47,8 @@ let wildcard_all =
     tp_dst = None;
   }
 
+let arp_opcode arp = match arp.Arp.oper with Arp.Request -> 1 | Arp.Reply -> 2
+
 let exact_of_packet ?in_port (pkt : Packet.t) =
   let base =
     {
@@ -87,7 +89,7 @@ let exact_of_packet ?in_port (pkt : Packet.t) =
          opcode. *)
       {
         base with
-        nw_proto = Some (match arp.Arp.oper with Arp.Request -> 1 | Arp.Reply -> 2);
+        nw_proto = Some (arp_opcode arp);
         nw_src = Some (arp.Arp.sender_ip, 32);
         nw_dst = Some (arp.Arp.target_ip, 32);
       }
@@ -104,32 +106,51 @@ let of_flow_key (key : Flow_key.t) =
     tp_dst = Some key.Flow_key.dst_port;
   }
 
+(* Field by field, in [exact_of_packet]'s order, with what that match
+   would hold for each field read from the packet directly: a rule's
+   pinned field must equal the packet's, and a field the packet lacks
+   matches only a wildcard. Nothing is allocated. *)
+let int_field f (v : int) = match f with None -> true | Some e -> e = v
+let mac_field f v = match f with None -> true | Some e -> Mac.equal e v
+let absent = function None -> true | Some _ -> false
+
+let ip_field f addr =
+  match f with
+  | None -> true
+  | Some (prefix, bits) -> Ip.matches_prefix ~prefix ~bits addr
+
+let ports_field t ~src ~dst = int_field t.tp_src src && int_field t.tp_dst dst
+
 let matches t ~in_port (pkt : Packet.t) =
-  let pkt_as_match = exact_of_packet ~in_port pkt in
-  let opt_eq eq a b =
-    match (a, b) with
-    | None, _ -> true
-    | Some expected, Some actual -> eq expected actual
-    | Some _, None -> false
-  in
-  let ip_field a b =
-    match (a, b) with
-    | None, _ -> true
-    | Some (prefix, bits), Some (addr, _) -> Ip.matches_prefix ~prefix ~bits addr
-    | Some _, None -> false
-  in
-  opt_eq ( = ) t.in_port pkt_as_match.in_port
-  && opt_eq Mac.equal t.dl_src pkt_as_match.dl_src
-  && opt_eq Mac.equal t.dl_dst pkt_as_match.dl_dst
-  && opt_eq ( = ) t.dl_vlan pkt_as_match.dl_vlan
-  && opt_eq ( = ) t.dl_vlan_pcp pkt_as_match.dl_vlan_pcp
-  && opt_eq ( = ) t.dl_type pkt_as_match.dl_type
-  && opt_eq ( = ) t.nw_tos pkt_as_match.nw_tos
-  && opt_eq ( = ) t.nw_proto pkt_as_match.nw_proto
-  && ip_field t.nw_src pkt_as_match.nw_src
-  && ip_field t.nw_dst pkt_as_match.nw_dst
-  && opt_eq ( = ) t.tp_src pkt_as_match.tp_src
-  && opt_eq ( = ) t.tp_dst pkt_as_match.tp_dst
+  let eth = pkt.Packet.eth in
+  int_field t.in_port in_port
+  && mac_field t.dl_src eth.Ethernet.src
+  && mac_field t.dl_dst eth.Ethernet.dst
+  && absent t.dl_vlan && absent t.dl_vlan_pcp
+  && int_field t.dl_type eth.Ethernet.ethertype
+  &&
+  match pkt.Packet.l3 with
+  | Packet.Ipv4 (ip, l4) -> (
+      int_field t.nw_tos ip.Ipv4.tos
+      && int_field t.nw_proto ip.Ipv4.proto
+      && ip_field t.nw_src ip.Ipv4.src
+      && ip_field t.nw_dst ip.Ipv4.dst
+      &&
+      match l4 with
+      | Packet.Udp (udp, _) ->
+          ports_field t ~src:udp.Udp.src_port ~dst:udp.Udp.dst_port
+      | Packet.Tcp (tcp, _) ->
+          ports_field t ~src:tcp.Tcp.src_port ~dst:tcp.Tcp.dst_port
+      | Packet.Raw_l4 _ -> absent t.tp_src && absent t.tp_dst)
+  | Packet.Arp arp ->
+      absent t.nw_tos
+      && int_field t.nw_proto (arp_opcode arp)
+      && ip_field t.nw_src arp.Arp.sender_ip
+      && ip_field t.nw_dst arp.Arp.target_ip
+      && absent t.tp_src && absent t.tp_dst
+  | Packet.Raw_l3 _ ->
+      absent t.nw_tos && absent t.nw_proto && absent t.nw_src
+      && absent t.nw_dst && absent t.tp_src && absent t.tp_dst
 
 let subsumes ~general ~specific =
   let field g s eq =

@@ -36,7 +36,10 @@ val of_flow_key : Flow_key.t -> t
     OpenFlow requires before IP fields may be matched). *)
 
 val matches : t -> in_port:int -> Packet.t -> bool
-(** Does the packet, arriving on [in_port], satisfy the match? *)
+(** Does the packet, arriving on [in_port], satisfy the match? Each
+    pinned field must equal the field {!exact_of_packet} would pin (an
+    address within the prefix); one the packet lacks matches only a
+    wildcard. Compares field by field and allocates nothing. *)
 
 val subsumes : general:t -> specific:t -> bool
 (** [subsumes ~general ~specific]: every packet matched by [specific]

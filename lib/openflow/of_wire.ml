@@ -26,6 +26,13 @@ module Port = struct
       else string_of_int p
     in
     Format.pp_print_string fmt s
+
+  module Table = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash p = p
+  end)
 end
 
 module Msg_type = struct

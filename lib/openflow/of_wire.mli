@@ -32,6 +32,11 @@ module Port : sig
 
   val pp : Format.formatter -> int -> unit
   (** Prints reserved ports symbolically. *)
+
+  (** Hash tables keyed by port number. A probe hashes the number
+      itself and compares ints: no [caml_hash] and no polymorphic
+      compare, both C calls, on every forwarded frame. *)
+  module Table : Hashtbl.S with type key = int
 end
 
 (** The message-type byte of the common header. *)

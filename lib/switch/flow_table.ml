@@ -21,6 +21,7 @@ type t = {
   (* OVS-style fast path: exact-match cache over full lookup results,
      flushed on every table mutation. *)
   cache : Flow_entry.t option Microflow.t option;
+  key : Microflow.key;  (* scratch: the key of the lookup under way *)
   check : Sdn_check.Check.t option;
   name : string;
   clock : unit -> float;
@@ -44,6 +45,7 @@ let create ?(eviction = true) ?(microflow = true) ?microflow_capacity ?check
       (if microflow then
          Some (Microflow.create ?capacity:microflow_capacity ())
        else None);
+    key = Microflow.key ();
     check;
     name;
     clock;
@@ -228,26 +230,41 @@ let audit_hit t ~in_port pkt cached =
       Sdn_check.Check.note_microflow check ~time:(t.clock ()) ~table:t.name
         ~agree ~detail
 
-let lookup t ~in_port pkt =
+(* The slow path's answer, cached under the key loaded into [t.key]. *)
+let fill t cache ~in_port pkt =
+  let result = lookup_uncached t ~in_port pkt in
+  Microflow.add cache t.key result;
+  result
+
+let counted t best =
   t.lookups <- t.lookups + 1;
-  let best =
-    match t.cache with
-    | None -> lookup_uncached t ~in_port pkt
-    | Some cache -> (
-        match Microflow.key_of_packet ~in_port pkt with
-        | None -> lookup_uncached t ~in_port pkt
-        | Some key -> (
-            match Microflow.find cache key with
-            | Some cached ->
-                audit_hit t ~in_port pkt cached;
-                cached
-            | None ->
-                let result = lookup_uncached t ~in_port pkt in
-                Microflow.add cache key result;
-                result))
-  in
   (match best with Some _ -> t.hits <- t.hits + 1 | None -> ());
   best
+
+let lookup t ~in_port pkt =
+  counted t
+    (match t.cache with
+    | Some cache when Microflow.load_packet t.key ~in_port pkt -> (
+        match Microflow.find cache t.key with
+        | Some cached ->
+            audit_hit t ~in_port pkt cached;
+            cached
+        | None -> fill t cache ~in_port pkt)
+    | Some _ | None -> lookup_uncached t ~in_port pkt)
+
+(* The frame is built into a packet only where the slow path runs:
+   on a cache miss, for an uncacheable frame, or to audit a hit. *)
+let lookup_frame t ~in_port frame =
+  counted t
+    (match t.cache with
+    | Some cache when Microflow.load_frame t.key ~in_port frame -> (
+        match Microflow.find cache t.key with
+        | Some cached ->
+            if Option.is_some t.check then
+              audit_hit t ~in_port (Packet.build frame) cached;
+            cached
+        | None -> fill t cache ~in_port (Packet.build frame))
+    | Some _ | None -> lookup_uncached t ~in_port (Packet.build frame))
 
 let entry_outputs_to (e : Flow_entry.t) port =
   List.exists

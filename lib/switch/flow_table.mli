@@ -59,6 +59,14 @@ val lookup : t -> in_port:int -> Packet.t -> Flow_entry.t option
     microflow cache when possible. Does not touch flow-entry counters;
     callers decide when a lookup constitutes a forwarding use. *)
 
+val lookup_frame : t -> in_port:int -> Bytes.t -> Flow_entry.t option
+(** {!lookup} of a frame {!Sdn_net.Packet.validate} accepted, with the
+    same result and counters as [lookup] of [Packet.build frame], from
+    the same cache. The cache key is read from the frame in place; a
+    [Packet.t] is built only when the slow path runs (a cache miss, a
+    frame without a 5-tuple, or, with a checker armed, the audit of a
+    hit). A cache hit allocates nothing. *)
+
 val lookup_uncached : t -> in_port:int -> Packet.t -> Flow_entry.t option
 (** The pure slow path: a full priority scan that bypasses (and never
     populates) the microflow cache. Used by benchmarks, property tests

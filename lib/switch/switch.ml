@@ -102,9 +102,9 @@ type t = {
   mutable pkt_pool : Packet_buffer.t option;
   mutable flow_pool : Flow_buffer.t option;
   mutable shared_pool : Buf_policy.t option;
-  ports : (int, Bytes.t Link.t) Hashtbl.t;
-  port_schedulers : (int, Egress_queue.t) Hashtbl.t;
-  down_ports : (int, unit) Hashtbl.t;
+  ports : Bytes.t Link.t Of_wire.Port.Table.t;
+  port_schedulers : Egress_queue.t Of_wire.Port.Table.t;
+  down_ports : unit Of_wire.Port.Table.t;
   mutable controller_link : Bytes.t Link.t option;
   mutable next_xid : int32;
   mutable session : Session.t option;
@@ -278,15 +278,16 @@ and send_pkt_in t ~buffer_id ~frame ~in_port ~truncate ~extra_cost =
           t.pkt_ins_sent <- t.pkt_ins_sent + 1;
           send_to_controller t (Of_codec.Packet_in pkt_in)))
 
-(* A probe hashes its key even when the table is empty, and both
-   tables stay empty unless a scenario takes a port down or gives it a
-   scheduler: test the size first, since every forwarded frame asks. *)
+(* Both tables stay empty unless a scenario takes a port down or gives
+   it a scheduler: test the size first, since every forwarded frame
+   asks. *)
 let port_down t port =
-  Hashtbl.length t.down_ports > 0 && Hashtbl.mem t.down_ports port
+  Of_wire.Port.Table.length t.down_ports > 0
+  && Of_wire.Port.Table.mem t.down_ports port
 
 let scheduler_of t port =
-  if Hashtbl.length t.port_schedulers = 0 then None
-  else Hashtbl.find_opt t.port_schedulers port
+  if Of_wire.Port.Table.length t.port_schedulers = 0 then None
+  else Of_wire.Port.Table.find_opt t.port_schedulers port
 
 let forward_frame t ~port ~queue_id frame =
   if t.dead then begin
@@ -300,11 +301,11 @@ let forward_frame t ~port ~queue_id frame =
       t.frames_forwarded <- t.frames_forwarded + 1;
       Egress_queue.send scheduler ~queue_id frame
   | None -> (
-      match Hashtbl.find_opt t.ports port with
-      | Some link ->
+      match Of_wire.Port.Table.find t.ports port with
+      | link ->
           t.frames_forwarded <- t.frames_forwarded + 1;
           Link.send link ~size:(Bytes.length frame) frame
-      | None -> t.frames_dropped <- t.frames_dropped + 1)
+      | exception Not_found -> t.frames_dropped <- t.frames_dropped + 1)
 
 (* The special ports an output action can name: FLOOD and ALL mean
    every up port but the ingress one, IN_PORT the ingress port, and
@@ -315,7 +316,7 @@ let off_datapath port = port = Of_wire.Port.controller || port = Of_wire.Port.no
 (* Flood replication order must not depend on hash-table iteration:
    ascending port number. *)
 let flood_ports t ~in_port =
-  Hashtbl.fold
+  Of_wire.Port.Table.fold
     (fun p _ acc ->
       if p = in_port || port_down t p then acc else p :: acc)
     t.ports []
@@ -355,20 +356,29 @@ let rec forward_all t ~in_port actions frame =
       | _ -> ());
       forward_all t ~in_port rest frame
 
-(* Egress of a data-plane frame: one kernel forwarding job, then the
-   port links. The job walks the action list itself: it applies the
-   header rewrites (re-encoding the frame only if one applied) and
-   forwards the result out of each port named, so no list of outputs
-   is built. A list that forwards nowhere is dropped at once, with no
-   job. Ports are resolved when the job runs. *)
-let egress t ~in_port ~actions pkt frame =
+(* The frame [actions] send: [frame] itself unless a header rewrite
+   applies, which is the one place a forwarded frame is parsed. *)
+let rewritten_frame actions frame =
+  if not (Of_action.rewrites actions) then frame
+  else begin
+    let pkt = Packet.build frame in
+    let rewritten = Of_action.rewrite actions pkt in
+    if rewritten == pkt then frame else Packet.encode rewritten
+  end
+
+(* Egress of a data-plane frame that passed [Packet.validate]: one
+   kernel forwarding job, then the port links. The job walks the
+   action list itself: it applies the header rewrites (re-encoding the
+   frame only if one applied) and forwards the result out of each port
+   named, so no list of outputs is built. A list that forwards nowhere
+   is dropped at once, with no job. Ports are resolved when the job
+   runs. *)
+let egress t ~in_port ~actions frame =
   if not (forwards t ~in_port actions) then
     t.frames_dropped <- t.frames_dropped + 1
   else
     Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_fwd_cost (fun () ->
-        let rewritten = Of_action.rewrite actions pkt in
-        let frame = if rewritten == pkt then frame else Packet.encode rewritten in
-        forward_all t ~in_port actions frame)
+        forward_all t ~in_port actions (rewritten_frame actions frame))
 
 (* ---- Miss handling, per mechanism ---- *)
 
@@ -406,8 +416,8 @@ let miss_packet_granularity t ~in_port frame =
         ~truncate:(Some t.miss_send_len)
         ~extra_cost:t.costs.Costs.buffer_alloc_cost
 
-let miss_flow_granularity t ~in_port pkt frame =
-  match Packet.flow_key pkt with
+let miss_flow_granularity t ~in_port frame =
+  match Packet.peek_flow_key frame with
   | None ->
       (* Non-flow traffic (e.g. ARP) cannot share a buffer unit; it is
          handled like an unbuffered miss. *)
@@ -442,9 +452,9 @@ let miss_flow_granularity t ~in_port pkt frame =
    alive on its own with an internal L2 learning path — learn the source
    location, forward to the learned destination port or flood. Installed
    rules keep matching in the fast path; only misses come through here. *)
-let miss_standalone t ~in_port pkt frame =
+let miss_standalone t ~in_port frame =
   t.standalone_frames <- t.standalone_frames + 1;
-  let eth = pkt.Packet.eth in
+  let eth = Ethernet.read frame 0 in
   Hashtbl.replace t.standalone_table eth.Ethernet.src in_port;
   let actions =
     if Mac.is_broadcast eth.Ethernet.dst then
@@ -456,20 +466,20 @@ let miss_standalone t ~in_port pkt frame =
       | None -> [ Of_action.output Of_wire.Port.flood ]
     end
   in
-  egress t ~in_port ~actions pkt frame
+  egress t ~in_port ~actions frame
 
 (* Fail-secure (OpenFlow 1.0 §6.4): never forward without controller
    authorization. Flow-granularity chains keep absorbing miss-match
    packets into the (frozen) pool so nothing already accepted is lost;
    everything else is dropped until the session recovers. *)
-let miss_fail_secure t ~in_port:_ pkt frame =
+let miss_fail_secure t ~in_port:_ frame =
   let drop () =
     t.fail_secure_drops <- t.fail_secure_drops + 1;
     t.frames_dropped <- t.frames_dropped + 1
   in
   match t.mechanism with
   | Flow_granularity -> (
-      match Packet.flow_key pkt with
+      match Packet.peek_flow_key frame with
       | None -> drop ()
       | Some key -> (
           let pool = ensure_flow_pool t in
@@ -479,14 +489,16 @@ let miss_fail_secure t ~in_port:_ pkt frame =
           | Flow_buffer.First _ | Flow_buffer.Appended _ -> ()))
   | Packet_granularity | No_buffer -> drop ()
 
-let handle_miss t ~in_port pkt frame =
+(* The miss paths read the validated frame in place: the flow key, or
+   for standalone forwarding the Ethernet header. *)
+let handle_miss t ~in_port frame =
   if Session.is_down (the_session t) then
     (* Controller unreachable: degrade per the configured fail mode
        instead of emitting PACKET_INs into a dead channel. *)
     Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_upcall_cost (fun () ->
         match t.config.fail_mode with
-        | Session.Fail_standalone -> miss_standalone t ~in_port pkt frame
-        | Session.Fail_secure -> miss_fail_secure t ~in_port pkt frame)
+        | Session.Fail_standalone -> miss_standalone t ~in_port frame
+        | Session.Fail_secure -> miss_fail_secure t ~in_port frame)
   else
     (* The kernel side of the upcall (packet copy out of the datapath)
        runs before the transfer crosses the bus. *)
@@ -494,7 +506,7 @@ let handle_miss t ~in_port pkt frame =
         match t.mechanism with
         | No_buffer -> miss_no_buffer t ~in_port frame
         | Packet_granularity -> miss_packet_granularity t ~in_port frame
-        | Flow_granularity -> miss_flow_granularity t ~in_port pkt frame)
+        | Flow_granularity -> miss_flow_granularity t ~in_port frame)
 
 let handle_frame t ~in_port frame =
   if t.dead then begin
@@ -505,15 +517,15 @@ let handle_frame t ~in_port frame =
   end
   else
   Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_rx_cost (fun () ->
-      match Packet.decode frame with
+      match Packet.validate frame with
       | Error _ -> t.frames_dropped <- t.frames_dropped + 1
-      | Ok pkt -> (
-          match Flow_table.lookup t.table ~in_port pkt with
+      | Ok () -> (
+          match Flow_table.lookup_frame t.table ~in_port frame with
           | Some entry ->
               Flow_entry.touch entry ~now:(Engine.now t.engine)
                 ~bytes:(Bytes.length frame);
-              egress t ~in_port ~actions:entry.Flow_entry.actions pkt frame
-          | None -> handle_miss t ~in_port pkt frame))
+              egress t ~in_port ~actions:entry.Flow_entry.actions frame
+          | None -> handle_miss t ~in_port frame))
 
 (* ---- Controller-to-switch message handling ---- *)
 
@@ -523,10 +535,11 @@ let send_error ?xid t ~error_type ~code ~offending =
     (Of_codec.Error_msg (Of_error.make ~error_type ~code ~data ()))
 
 (* Release buffered frames to the datapath: one descriptor-sized bus
-   crossing, then one kernel job per frame, in order, each decoding and
-   forwarding its frame. A packet-granularity unit is a one-frame
-   chain; a flow-granularity unit releases its whole chain (Algorithm 2
-   lines 4-10). *)
+   crossing, then one kernel job per frame, in order, each forwarding
+   its frame. Only frames that passed [Packet.validate] at ingress are
+   buffered, so none is parsed again. A packet-granularity unit is a
+   one-frame chain; a flow-granularity unit releases its whole chain
+   (Algorithm 2 lines 4-10). *)
 let release_chain t ~actions frames =
   bus_transfer t ~bytes:0 (fun () ->
       let rec forward_next = function
@@ -534,9 +547,7 @@ let release_chain t ~actions frames =
         | frame :: rest ->
             Cpu.submit t.kernel
               ~work_s:t.costs.Costs.release_per_packet_cost (fun () ->
-                (match Packet.decode frame with
-                | Error _ -> ()
-                | Ok pkt -> egress t ~in_port:0 ~actions pkt frame);
+                egress t ~in_port:0 ~actions frame;
                 forward_next rest)
       in
       forward_next frames)
@@ -620,11 +631,11 @@ let handle_packet_out t (po : Of_packet_out.t) ~offending =
           (* The full frame must cross the bus back to the datapath. *)
           let frame = po.Of_packet_out.data in
           bus_transfer t ~bytes:data_len (fun () ->
-              match Packet.decode frame with
+              match Packet.validate frame with
               | Error _ -> ()
-              | Ok pkt ->
+              | Ok () ->
                   egress t ~in_port:po.Of_packet_out.in_port
-                    ~actions:po.Of_packet_out.actions pkt frame)
+                    ~actions:po.Of_packet_out.actions frame)
         end
       end
       else
@@ -674,19 +685,21 @@ let handle_vendor t ~xid (v : Of_ext.t) =
         (Of_codec.Vendor (Of_ext.Flow_buffer_stats_reply (buffer_stats t)))
   | Of_ext.Flow_buffer_stats_reply _ -> ()
 
+(* A port's description: a locally administered address from all 16
+   bits of the port number, so ports up to 255 keep the 02:00:00:00:00:nn
+   they always had. *)
+let phy_port port =
+  {
+    Of_features.port_no = port;
+    hw_addr = Mac.of_octets 0x02 0 0 0 ((port lsr 8) land 0xFF) (port land 0xFF);
+    name = Printf.sprintf "eth%d" port;
+  }
+
 let features_reply t =
   let ports =
     (* Port list goes on the wire: ascending port number, not
        hash-table iteration order. *)
-    Hashtbl.fold
-      (fun port _ acc ->
-        {
-          Of_features.port_no = port;
-          hw_addr = Mac.of_octets 0x02 0 0 0 0 port;
-          name = Printf.sprintf "eth%d" port;
-        }
-        :: acc)
-      t.ports []
+    Of_wire.Port.Table.fold (fun port _ acc -> phy_port port :: acc) t.ports []
     |> List.sort (fun (a : Of_features.phy_port) b ->
            Int.compare a.Of_features.port_no b.Of_features.port_no)
   in
@@ -746,11 +759,11 @@ let handle_stats_request t ~xid (req : Of_stats.request) =
         let entries =
           if port_no = Of_wire.Port.none || port_no = Of_wire.Port.all then
             (* Stats reply goes on the wire: ascending port number. *)
-            Hashtbl.fold (fun p l acc -> one p l :: acc) t.ports []
+            Of_wire.Port.Table.fold (fun p l acc -> one p l :: acc) t.ports []
             |> List.sort (fun (a : Of_stats.port_stats) b ->
                    Int.compare a.Of_stats.port_no b.Of_stats.port_no)
           else begin
-            match Hashtbl.find_opt t.ports port_no with
+            match Of_wire.Port.Table.find_opt t.ports port_no with
             | Some l -> [ one port_no l ]
             | None -> []
           end
@@ -927,9 +940,9 @@ let create engine ?check ~config ~costs ~rng () =
       pkt_pool = None;
       flow_pool = None;
       shared_pool = None;
-      ports = Hashtbl.create 8;
-      port_schedulers = Hashtbl.create 8;
-      down_ports = Hashtbl.create 4;
+      ports = Of_wire.Port.Table.create 8;
+      port_schedulers = Of_wire.Port.Table.create 8;
+      down_ports = Of_wire.Port.Table.create 4;
       controller_link = None;
       next_xid = Int32.add 1l (Int32.shift_left (Int64.to_int32 datapath_id) 20);
       frames_forwarded = 0;
@@ -1004,21 +1017,20 @@ let start t =
 
 let mechanism t = t.mechanism
 let miss_send_len t = t.miss_send_len
-let set_port t ~port link = Hashtbl.replace t.ports port link
+let set_port t ~port link =
+  if port < 1 || port > Of_wire.Port.max_physical then
+    invalid_arg
+      (Printf.sprintf "Switch.set_port: port %d outside 1..%d" port
+         Of_wire.Port.max_physical);
+  Of_wire.Port.Table.replace t.ports port link
 
 let set_port_state t ~port ~up =
-  let was_down = Hashtbl.mem t.down_ports port in
-  if up then Hashtbl.remove t.down_ports port
-  else Hashtbl.replace t.down_ports port ();
+  let was_down = Of_wire.Port.Table.mem t.down_ports port in
+  if up then Of_wire.Port.Table.remove t.down_ports port
+  else Of_wire.Port.Table.replace t.down_ports port ();
   if was_down <> not up then begin
     (* Notify the controller asynchronously, as a real switch does. *)
-    let port_desc =
-      {
-        Of_features.port_no = port;
-        hw_addr = Mac.of_octets 0x02 0 0 0 0 port;
-        name = Printf.sprintf "eth%d" port;
-      }
-    in
+    let port_desc = phy_port port in
     send_to_controller t
       (Of_codec.Port_status
          {
@@ -1031,7 +1043,7 @@ let set_port_state t ~port ~up =
 let port_is_up t ~port = not (port_down t port)
 
 let set_port_scheduler t ~port ~policy ~queues =
-  match Hashtbl.find_opt t.ports port with
+  match Of_wire.Port.Table.find_opt t.ports port with
   | None -> invalid_arg "Switch.set_port_scheduler: no such port"
   | Some link ->
       let shared =
@@ -1039,7 +1051,7 @@ let set_port_scheduler t ~port ~policy ~queues =
         | None -> None
         | Some pool -> Some (pool, Printf.sprintf "port%d" port)
       in
-      Hashtbl.replace t.port_schedulers port
+      Of_wire.Port.Table.replace t.port_schedulers port
         (Egress_queue.create ?shared t.engine ~link ~policy ~queues)
 
 let port_scheduler t ~port = scheduler_of t port
@@ -1049,7 +1061,7 @@ let egress_misrouted t =
   (* Sum is order-independent, but fold-to-list + sort keeps the
      traversal deterministic (the sort discharges the hashtbl-order
      rule). *)
-  Hashtbl.fold
+  Of_wire.Port.Table.fold
     (fun port q acc -> (port, Egress_queue.misrouted q) :: acc)
     t.port_schedulers []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)

@@ -129,8 +129,11 @@ val miss_send_len : t -> int
     and is updated by SET_CONFIG from the controller. *)
 
 val set_port : t -> port:int -> Bytes.t Link.t -> unit
-(** Attach the egress link of a data port (ports are 1-based, as in
-    OpenFlow). *)
+(** Attach the egress link of a data port. Ports are 1-based, as in
+    OpenFlow, and physical: a port outside [1..0xff00]
+    ({!Sdn_openflow.Of_wire.Port.max_physical}) raises
+    [Invalid_argument]. A port's hardware address in the FEATURES_REPLY
+    and PORT_STATUS is [02:00:00:00:hi:lo], its number's two bytes. *)
 
 val set_port_scheduler :
   t ->
@@ -164,7 +167,13 @@ val set_controller_link : t -> Bytes.t Link.t -> unit
 (** Attach the switch-to-controller half of the control channel. *)
 
 val handle_frame : t -> in_port:int -> Bytes.t -> unit
-(** Deliver an ingress frame (wired as the receiver of host links). *)
+(** Deliver an ingress frame (wired as the receiver of host links).
+    The frame is parsed once: {!Sdn_net.Packet.validate} checks it in
+    place (a rejected frame is dropped), the flow table is probed with
+    a key read from it ({!Flow_table.lookup_frame}), and a
+    [Packet.t] is built only for the slow path of a microflow miss or
+    to apply a header rewrite. Buffered frames are released without
+    being parsed again. *)
 
 val handle_of_message : t -> Bytes.t -> unit
 (** Deliver a controller-to-switch OpenFlow message (wired as the

@@ -41,3 +41,10 @@ let frame_flow_id buf ~off ~len =
   if present buf at ~stop:(off + len) then field buf at 1 else no_flow
 
 let frame_flow_packets buf ~off = field buf (off + Packet.min_udp_frame) 3
+
+module Table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id
+end)

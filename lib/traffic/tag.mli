@@ -47,3 +47,8 @@ val frame_flow_id : Bytes.t -> off:int -> len:int -> int
 val frame_flow_packets : Bytes.t -> off:int -> int
 (** The flow's packet count from the same tag; meaningful only where
     {!frame_flow_id} found one. *)
+
+(** Hash tables keyed by flow id. A probe hashes the id itself and
+    compares ints: no [caml_hash] and no polymorphic compare, both C
+    calls, at the per-frame delay taps. *)
+module Table : Hashtbl.S with type key = int

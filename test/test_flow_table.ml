@@ -551,6 +551,118 @@ let prop_model_equivalence =
           && same_entries (Flow_table.entries table) (List.map snd m.m_rules))
         ops)
 
+(* ---- Parse once: keys read from the frame ----
+
+   [Microflow.load_frame] reads a validated frame in place, and
+   [load_packet] the packet [Packet.build] makes of it: both must
+   accept the same frames (IPv4 UDP or TCP) and name the same cache
+   entry. A second packet, the first with one key field redrawn, must
+   meet the first's key exactly when the fields the key covers are
+   equal, so every bit the key packs counts. *)
+let projection ~in_port (pkt : Packet.t) =
+  match pkt.Packet.l3 with
+  | Packet.Ipv4 (ip, Packet.Udp ({ Udp.src_port; dst_port }, _))
+  | Packet.Ipv4 (ip, Packet.Tcp ({ Tcp.src_port; dst_port; _ }, _)) ->
+      let eth = pkt.Packet.eth in
+      Some
+        ( (in_port, eth.Ethernet.src, eth.Ethernet.dst, ip.Ipv4.tos),
+          (ip.Ipv4.proto, ip.Ipv4.src, ip.Ipv4.dst, src_port, dst_port) )
+  | Packet.Ipv4 (_, Packet.Raw_l4 _) | Packet.Arp _ | Packet.Raw_l3 _ -> None
+
+let gen_port = QCheck.Gen.oneofl [ 0; 1; 2; 0x0101; 0xFF00; 0xFFFF ]
+
+(* The same packet with UDP and TCP swapped, ports kept. *)
+let swap_proto (pkt : Packet.t) =
+  match pkt.Packet.l3 with
+  | Packet.Ipv4 (ip, Packet.Udp ({ Udp.src_port; dst_port }, p)) ->
+      let tcp = { Tcp.src_port; dst_port; seq = 0l; ack_seq = 0l; flags = Tcp.no_flags; window = 1 } in
+      { pkt with Packet.l3 = Packet.Ipv4 ({ ip with Ipv4.proto = 6 }, Packet.Tcp (tcp, p)) }
+  | Packet.Ipv4 (ip, Packet.Tcp ({ Tcp.src_port; dst_port; _ }, p)) ->
+      { pkt with Packet.l3 = Packet.Ipv4 ({ ip with Ipv4.proto = 17 }, Packet.Udp ({ Udp.src_port; dst_port }, p)) }
+  | Packet.Ipv4 (_, Packet.Raw_l4 _) | Packet.Arp _ | Packet.Raw_l3 _ -> pkt
+
+let redraw_one_field (in_port, pkt) =
+  let open QCheck.Gen in
+  let rewritten action = map (fun v -> (in_port, Of_action.rewrite [ action v ] pkt)) in
+  int_range 0 8 >>= function
+  | 0 -> map (fun p -> (p, pkt)) gen_port
+  | 1 -> rewritten (fun m -> Of_action.Set_dl_src m) Test_packet.gen_mac
+  | 2 -> rewritten (fun m -> Of_action.Set_dl_dst m) Test_packet.gen_mac
+  | 3 -> rewritten (fun v -> Of_action.Set_nw_tos v) Test_packet.gen_tos
+  | 4 -> rewritten (fun ip -> Of_action.Set_nw_src ip) Test_packet.gen_ip
+  | 5 -> rewritten (fun ip -> Of_action.Set_nw_dst ip) Test_packet.gen_ip
+  | 6 -> rewritten (fun p -> Of_action.Set_tp_src p) Test_packet.gen_l4_port
+  | 7 -> rewritten (fun p -> Of_action.Set_tp_dst p) Test_packet.gen_l4_port
+  | _ -> return (in_port, swap_proto pkt)
+
+let prop_frame_key_agrees =
+  QCheck.Test.make ~name:"frame and packet microflow keys agree" ~count:1500
+    (QCheck.make
+       QCheck.Gen.(
+         pair gen_port Test_packet.gen_packet >>= fun a ->
+         map (fun b -> (a, b)) (redraw_one_field a)))
+    (fun ((port_a, a), (port_b, b)) ->
+      let frame = Packet.encode a in
+      let from_frame = Microflow.key () and from_packet = Microflow.key () in
+      let cacheable = Microflow.load_frame from_frame ~in_port:port_a frame in
+      cacheable
+      = Microflow.load_packet from_packet ~in_port:port_a (Packet.build frame)
+      && cacheable = Option.is_some (projection ~in_port:port_a a)
+      && ((not cacheable)
+         ||
+         let cache = Microflow.create () in
+         Microflow.add cache from_frame "a";
+         Microflow.find cache from_packet = Some "a"
+         &&
+         let other = Microflow.key () in
+         (not (Microflow.load_packet other ~in_port:port_b b))
+         || Microflow.find cache other = Some "a"
+            = (projection ~in_port:port_a a = projection ~in_port:port_b b)))
+
+(* [lookup_frame] answers from the same cache as [lookup]: on one table
+   holding exact and wildcarded rules, a frame lookup and a packet
+   lookup of the same traffic return the entry the slow path picks,
+   whichever of the two filled the cache. *)
+let prop_lookup_frame_agrees =
+  let rule (priority, (in_port, pkt), wild) =
+    let m = Of_match.exact_of_packet ~in_port pkt in
+    let match_ =
+      match wild with
+      | 0 -> m
+      | 1 -> { m with Of_match.in_port = None; dl_src = None }
+      | _ -> { Of_match.wildcard_all with Of_match.dl_type = m.Of_match.dl_type }
+    in
+    Flow_entry.of_flow_mod
+      (Of_flow_mod.add ~priority ~match_ ~actions:[ Of_action.output 2 ] ())
+      ~now:0.0
+  in
+  let traffic = QCheck.Gen.pair gen_port Test_packet.gen_packet in
+  QCheck.Test.make ~name:"lookup_frame agrees with lookup" ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 8)
+              (triple (int_range 0 3) traffic (int_range 0 2)))
+           (list_size (int_range 1 30) (pair bool traffic))))
+    (fun (rules, lookups) ->
+      let table = Flow_table.create ~capacity:64 () in
+      List.iter (fun r -> ignore (Flow_table.insert table (rule r))) rules;
+      List.for_all
+        (fun (by_frame, (in_port, pkt)) ->
+          let frame = Packet.encode pkt in
+          let first, second =
+            if by_frame then
+              let f = Flow_table.lookup_frame table ~in_port frame in
+              (f, Flow_table.lookup table ~in_port pkt)
+            else
+              let p = Flow_table.lookup table ~in_port pkt in
+              (p, Flow_table.lookup_frame table ~in_port frame)
+          in
+          let slow = Flow_table.lookup_uncached table ~in_port pkt in
+          Option.equal ( == ) first slow && Option.equal ( == ) second slow)
+        lookups
+      && Flow_table.lookups table = 2 * List.length lookups)
+
 let suite =
   [
     Alcotest.test_case "miss on empty table" `Quick test_miss_on_empty;
@@ -581,4 +693,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_microflow_equivalence;
     QCheck_alcotest.to_alcotest prop_inserted_flow_is_found;
     QCheck_alcotest.to_alcotest prop_model_equivalence;
+    QCheck_alcotest.to_alcotest prop_frame_key_agrees;
+    QCheck_alcotest.to_alcotest prop_lookup_frame_agrees;
   ]

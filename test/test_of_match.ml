@@ -213,6 +213,75 @@ let prop_hash_agrees_with_equal =
       | Ok a' -> Of_match.equal a a' && Of_match.hash a = Of_match.hash a'
       | Error _ -> false)
 
+(* [matches] before it compared field by field: the packet as its
+   exact match, then field-wise agreement. Kept as the reference. *)
+let reference_matches (t : Of_match.t) ~in_port pkt =
+  let pkt_as_match = Of_match.exact_of_packet ~in_port pkt in
+  let opt_eq eq a b =
+    match (a, b) with
+    | None, _ -> true
+    | Some expected, Some actual -> eq expected actual
+    | Some _, None -> false
+  in
+  let ip_field a b =
+    match (a, b) with
+    | None, _ -> true
+    | Some (prefix, bits), Some (addr, _) -> Ip.matches_prefix ~prefix ~bits addr
+    | Some _, None -> false
+  in
+  opt_eq ( = ) t.Of_match.in_port pkt_as_match.Of_match.in_port
+  && opt_eq Mac.equal t.Of_match.dl_src pkt_as_match.Of_match.dl_src
+  && opt_eq Mac.equal t.Of_match.dl_dst pkt_as_match.Of_match.dl_dst
+  && opt_eq ( = ) t.Of_match.dl_vlan pkt_as_match.Of_match.dl_vlan
+  && opt_eq ( = ) t.Of_match.dl_vlan_pcp pkt_as_match.Of_match.dl_vlan_pcp
+  && opt_eq ( = ) t.Of_match.dl_type pkt_as_match.Of_match.dl_type
+  && opt_eq ( = ) t.Of_match.nw_tos pkt_as_match.Of_match.nw_tos
+  && opt_eq ( = ) t.Of_match.nw_proto pkt_as_match.Of_match.nw_proto
+  && ip_field t.Of_match.nw_src pkt_as_match.Of_match.nw_src
+  && ip_field t.Of_match.nw_dst pkt_as_match.Of_match.nw_dst
+  && opt_eq ( = ) t.Of_match.tp_src pkt_as_match.Of_match.tp_src
+  && opt_eq ( = ) t.Of_match.tp_dst pkt_as_match.Of_match.tp_dst
+
+(* Random matches against UDP, TCP, ARP and raw packets: each field of
+   the match is a wildcard, the packet's own value or another packet's
+   (prefixes cut to 0–32 bits), so matches and misses both occur on
+   every field. *)
+let prop_matches_agrees_with_reference =
+  let open QCheck.Gen in
+  let gen =
+    Test_packet.gen_packet >>= fun pkt ->
+    Test_packet.gen_packet >>= fun other ->
+    int_range 1 2 >>= fun in_port ->
+    int_range 1 2 >>= fun other_port ->
+    let own = Of_match.exact_of_packet ~in_port pkt
+    and alt = Of_match.exact_of_packet ~in_port:other_port other in
+    let pick f = oneofl [ None; f own; f alt ] in
+    let prefix f =
+      pick f >>= function
+      | None -> return None
+      | Some (ip, _) -> map (fun bits -> Some (ip, bits)) (int_range 0 32)
+    in
+    let vlan = frequency [ (4, return None); (1, return (Some 0)) ] in
+    map
+      (fun ((match_port, dl_src, dl_dst, dl_vlan), (dl_vlan_pcp, dl_type, nw_tos, nw_proto), (nw_src, nw_dst, tp_src, tp_dst)) ->
+        ( pkt,
+          in_port,
+          { Of_match.in_port = match_port; dl_src; dl_dst; dl_vlan; dl_vlan_pcp; dl_type;
+            nw_tos; nw_proto; nw_src; nw_dst; tp_src; tp_dst } ))
+      (triple
+         (quad (pick (fun m -> m.Of_match.in_port)) (pick (fun m -> m.Of_match.dl_src))
+            (pick (fun m -> m.Of_match.dl_dst)) vlan)
+         (quad vlan (pick (fun m -> m.Of_match.dl_type))
+            (pick (fun m -> m.Of_match.nw_tos)) (pick (fun m -> m.Of_match.nw_proto)))
+         (quad
+            (prefix (fun m -> m.Of_match.nw_src))
+            (prefix (fun m -> m.Of_match.nw_dst))
+            (pick (fun m -> m.Of_match.tp_src)) (pick (fun m -> m.Of_match.tp_dst))))
+  in
+  QCheck.Test.make ~name:"matches agrees with the exact-match reference"
+    ~count:2000 (QCheck.make gen) (fun (pkt, in_port, m) ->
+      Of_match.matches m ~in_port pkt = reference_matches m ~in_port pkt)
+
 let suite =
   [
     Alcotest.test_case "wildcard matches everything" `Quick
@@ -230,4 +299,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_match_roundtrip;
     QCheck_alcotest.to_alcotest prop_exact_always_matches_source;
     QCheck_alcotest.to_alcotest prop_hash_agrees_with_equal;
+    QCheck_alcotest.to_alcotest prop_matches_agrees_with_reference;
   ]

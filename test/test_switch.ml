@@ -290,6 +290,117 @@ let test_table_sweep_expires_rules () =
   Alcotest.(check int) "swept after idle timeout" 0
     (Flow_table.length (Switch.flow_table h.switch))
 
+(* Header rewrites through each way a frame reaches egress: a
+   microflow hit, a packet-granularity release, a flow-granularity
+   release and a full-data PACKET_OUT. Every egressed frame must be the
+   rewritten packet, encoded afresh. *)
+let rewrite_actions =
+  [
+    Of_action.Set_nw_tos 0x28;
+    Of_action.Set_dl_dst (Mac.of_octets 0x02 0 0 0 0 3);
+    Of_action.Set_tp_dst 4242;
+    Of_action.output 2;
+  ]
+
+let check_rewritten name f egressed ~count =
+  let expected =
+    match Packet.decode f with
+    | Ok pkt -> Packet.encode (Of_action.rewrite rewrite_actions pkt)
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) (name ^ ": headers changed") false (Bytes.equal f expected);
+  Alcotest.(check (list bytes)) name (List.init count (fun _ -> expected)) egressed
+
+let test_rewrites_on_every_egress_path () =
+  let f = frame ~src_port:77 () in
+  let key = Option.get (Packet.peek_flow_key f) in
+  (* A microflow hit: the second frame is answered from the cache. *)
+  let h = make_harness () in
+  send_of h
+    (Of_codec.Flow_mod
+       (Of_flow_mod.add ~match_:(Of_match.of_flow_key key) ~actions:rewrite_actions ()));
+  Engine.run h.engine;
+  Switch.handle_frame h.switch ~in_port:1 f;
+  Switch.handle_frame h.switch ~in_port:1 f;
+  Engine.run h.engine;
+  Alcotest.(check int) "one microflow hit" 1
+    (Flow_table.microflow_hits (Switch.flow_table h.switch));
+  check_rewritten "microflow hit" f !(h.egress2) ~count:2;
+  (* A packet-granularity release by PACKET_OUT. *)
+  let h = make_harness () in
+  Switch.handle_frame h.switch ~in_port:1 f;
+  Engine.run ~until:0.01 h.engine;
+  let p = List.hd (pkt_ins h) in
+  send_of h
+    (Of_codec.Packet_out
+       {
+         (Of_packet_out.release ~buffer_id:p.Of_packet_in.buffer_id ~out_port:2) with
+         Of_packet_out.actions = rewrite_actions;
+       });
+  Engine.run ~until:0.02 h.engine;
+  check_rewritten "packet-granularity release" f !(h.egress2) ~count:1;
+  (* A flow-granularity chain released by FLOW_MOD. *)
+  let config = { Switch.default_config with Switch.mechanism = Switch.Flow_granularity } in
+  let h = make_harness ~config () in
+  for _ = 1 to 3 do
+    Switch.handle_frame h.switch ~in_port:1 f
+  done;
+  Engine.run ~until:0.01 h.engine;
+  let p = List.hd (pkt_ins h) in
+  send_of h
+    (Of_codec.Flow_mod
+       (Of_flow_mod.add ~buffer_id:p.Of_packet_in.buffer_id
+          ~match_:(Of_match.of_flow_key key) ~actions:rewrite_actions ()));
+  Engine.run ~until:0.02 h.engine;
+  check_rewritten "flow-granularity release" f !(h.egress2) ~count:3;
+  (* A PACKET_OUT carrying the whole frame. *)
+  let h = make_harness () in
+  send_of h
+    (Of_codec.Packet_out
+       {
+         (Of_packet_out.full ~frame:f ~in_port:1 ~out_port:2) with
+         Of_packet_out.actions = rewrite_actions;
+       });
+  Engine.run h.engine;
+  check_rewritten "full-data PACKET_OUT" f !(h.egress2) ~count:1
+
+(* OpenFlow port numbers are 16-bit: a port above 255 must get a
+   hardware address from all of its bits, in the FEATURES_REPLY and
+   in PORT_STATUS, while ports up to 255 keep 02:00:00:00:00:nn. Ports
+   outside 1..0xff00 are refused when attached. *)
+let test_wide_port_numbers () =
+  let h = make_harness () in
+  let link =
+    Link.create h.engine ~name:"wide" ~bandwidth_bps:1e9 ~propagation_s:0.0
+      ~receiver:ignore ()
+  in
+  Switch.set_port h.switch ~port:300 link;
+  send_of h Of_codec.Features_request;
+  Switch.set_port_state h.switch ~port:300 ~up:false;
+  Engine.run h.engine;
+  let addr port ports =
+    Mac.to_string
+      (List.find (fun p -> p.Of_features.port_no = port) ports).Of_features.hw_addr
+  in
+  (match messages h with
+  | [ (_, Of_codec.Features_reply fr); (_, Of_codec.Port_status ps) ] ->
+      Alcotest.(check string) "port 1" "02:00:00:00:00:01" (addr 1 fr.Of_features.ports);
+      Alcotest.(check string) "port 300" "02:00:00:00:01:2c"
+        (addr 300 fr.Of_features.ports);
+      Alcotest.(check string) "port status" "02:00:00:00:01:2c"
+        (Mac.to_string ps.Of_port_status.port.Of_features.hw_addr)
+  | _ -> Alcotest.fail "expected a FEATURES_REPLY and a PORT_STATUS");
+  List.iter
+    (fun port ->
+      Alcotest.(check bool)
+        (Printf.sprintf "port %d refused" port)
+        true
+        (try
+           Switch.set_port h.switch ~port link;
+           false
+         with Invalid_argument _ -> true))
+    [ 0; -1; 0xFF01; Of_wire.Port.flood ]
+
 let suite =
   [
     Alcotest.test_case "no-buffer miss carries full packet" `Quick
@@ -318,4 +429,7 @@ let suite =
     Alcotest.test_case "stats replies" `Quick test_stats_replies;
     Alcotest.test_case "housekeeping sweep expires rules" `Quick
       test_table_sweep_expires_rules;
+    Alcotest.test_case "header rewrites on every egress path" `Quick
+      test_rewrites_on_every_egress_path;
+    Alcotest.test_case "ports above 255" `Quick test_wide_port_numbers;
   ]
