@@ -143,6 +143,14 @@ let run (config : Config.t) =
     Cpu.busy_core_seconds (Sdn_controller.Controller.cpu scenario.Scenario.controller)
   in
   let switch_cpu = Sdn_switch.Switch.cpu_busy_core_seconds switch in
+  let units = Sdn_switch.Switch.buffer_units switch in
+  let flow_pool = Sdn_switch.Switch.flow_pool switch in
+  let of_flow_pool f = match flow_pool with Some pool -> f pool | None -> 0 in
+  let recovery_delays =
+    match flow_pool with
+    | Some pool -> Sdn_switch.Flow_buffer.recovery_delays pool
+    | None -> Stats.create ()
+  in
   let session_transitions =
     List.map
       (fun (time, state) -> (time, Sdn_switch.Session.state_to_string state))
@@ -205,8 +213,14 @@ let run (config : Config.t) =
     controller_delay = summary_of_stats (Delay.controller_delays delay);
     switch_delay = summary_of_stats (Delay.switch_delays delay);
     forwarding_delay = summary_of_stats (Delay.flow_forwarding_delays delay);
-    buffer_mean_in_use = Sdn_switch.Switch.buffer_mean_in_use switch ~until:window_end;
-    buffer_max_in_use = Sdn_switch.Switch.buffer_max_in_use switch;
+    buffer_mean_in_use =
+      (match units with
+      | Some u -> Sdn_switch.Buffer_units.mean_in_use u ~until:window_end
+      | None -> 0.0);
+    buffer_max_in_use =
+      (match units with
+      | Some u -> Sdn_switch.Buffer_units.max_in_use u
+      | None -> 0);
     buf_policy =
       Option.map Sdn_switch.Buf_policy.kind_to_string
         config.Config.buf_policy;
@@ -217,12 +231,10 @@ let run (config : Config.t) =
     egress_misrouted = Sdn_switch.Switch.egress_misrouted switch;
     flows_started = Delay.flows_started delay;
     flows_completed = Delay.flows_completed delay;
-    flows_recovered = Sdn_switch.Switch.flows_recovered switch;
-    flows_abandoned = Sdn_switch.Switch.flows_abandoned switch;
-    recovery_delay =
-      summary_of_stats (Sdn_switch.Switch.recovery_delays switch);
-    recovery_delay_samples =
-      Stats.samples (Sdn_switch.Switch.recovery_delays switch);
+    flows_recovered = of_flow_pool Sdn_switch.Flow_buffer.recovered_flows;
+    flows_abandoned = of_flow_pool Sdn_switch.Flow_buffer.abandoned_flows;
+    recovery_delay = summary_of_stats recovery_delays;
+    recovery_delay_samples = Stats.samples recovery_delays;
     packets_in = Delay.packets_in delay;
     packets_out = Delay.packets_out delay;
     packets_dropped = counters.Sdn_switch.Switch.frames_dropped;
@@ -234,9 +246,9 @@ let run (config : Config.t) =
     session_transitions;
     standalone_frames = counters.Sdn_switch.Switch.standalone_frames;
     fail_secure_drops = counters.Sdn_switch.Switch.fail_secure_drops;
-    chains_frozen = Sdn_switch.Switch.chains_frozen switch;
-    chains_resumed = Sdn_switch.Switch.chains_resumed switch;
-    chains_expired = Sdn_switch.Switch.chains_expired_on_resume switch;
+    chains_frozen = of_flow_pool Sdn_switch.Flow_buffer.chains_frozen;
+    chains_resumed = of_flow_pool Sdn_switch.Flow_buffer.chains_resumed;
+    chains_expired = of_flow_pool Sdn_switch.Flow_buffer.expired_on_resume;
     controller_downs = controller_counters.Sdn_controller.Controller.switch_downs;
     controller_resyncs = controller_counters.Sdn_controller.Controller.resyncs;
     microflow_hits =

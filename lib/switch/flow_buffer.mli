@@ -1,14 +1,15 @@
 (** Flow-granularity buffer — the paper's proposed mechanism
     (Section V, Algorithms 1 and 2).
 
-    One buffer unit holds {e all} miss-match packets of one flow and
-    carries a single [buffer_id], derived from the flow's 5-tuple. The
-    first packet of a flow allocates the unit and triggers exactly one
-    [PACKET_IN]; subsequent miss-match packets of the same flow are
-    chained onto the unit silently. When the [PACKET_OUT] arrives, the
-    whole chain is released at once, so units recycle far faster than
-    in the packet-granularity scheme — the paper's 71.6% improvement in
-    buffer-utilization efficiency (Fig. 13).
+    One buffer unit ({!Buffer_units}) holds {e all} miss-match packets
+    of one flow, found by the flow's 5-tuple, under a single
+    [buffer_id]. The first packet of a flow allocates the unit and
+    triggers exactly one [PACKET_IN]; subsequent miss-match packets of
+    the same flow are chained onto the unit silently. When the
+    [PACKET_OUT] arrives, the whole chain is released at once, so units
+    recycle far faster than in the packet-granularity scheme — the
+    paper's 71.6% improvement in buffer-utilization efficiency
+    (Fig. 13).
 
     If the controller has not answered within [resend_timeout], the
     switch re-sends the request ("After a timeout period, if the switch
@@ -64,7 +65,14 @@ val create :
     unbounded) caps it; [resend_jitter] (default 0, must be in
     [\[0, 1)]) perturbs each delay by a uniform factor in
     [\[1 - j, 1 + j\]], drawn from [rng] — required when jitter is
-    non-zero so the schedule stays seed-deterministic. *)
+    non-zero so the schedule stays seed-deterministic. A backoff that
+    fails {!valid_backoff} raises [Invalid_argument]. *)
+
+val valid_backoff :
+  resend_timeout:float -> resend_multiplier:float -> resend_cap:float -> bool
+(** Whether every re-request timer the policy arms has a delay the
+    engine accepts: timeout and cap neither negative nor NaN, and a
+    multiplier of at least 1. *)
 
 val set_backoff :
   t ->
@@ -76,7 +84,8 @@ val set_backoff :
 (** Reconfigure the re-request policy (the vendor
     [Flow_buffer_enable] handler). Already-armed timers keep their old
     delay; the new policy applies from each unit's next arming. A
-    multiplier below 1 is ignored. *)
+    backoff that fails {!valid_backoff} raises [Invalid_argument] and
+    changes nothing. *)
 
 val add : t -> key:Flow_key.t -> frame:Bytes.t -> add_result
 (** Algorithm 1, lines 5-11. While frozen, a [First] allocation does
@@ -97,12 +106,10 @@ val resume : t -> unit
     number, in slot order, so the first re-request goes out one backoff
     delay after reconnect. Idempotent. *)
 
-val wipe : t -> int * int
-(** Cold-restart state loss: expire every held chain (reported to the
-    checker, counted into {!drops}), reclaim in-flight releases
-    immediately, unfreeze. Returns [(chains, packets)] wiped — the
-    caller attributes them to the crash. Walks slots in index order so
-    wiped runs stay byte-reproducible. *)
+val wipe : t -> int
+(** Cold-restart state loss ({!Buffer_units.wipe}): every held chain
+    expires (counted into {!drops}), and the pool unfreezes. Returns
+    how many buffered packets were lost. *)
 
 val has_chain : t -> key:Flow_key.t -> bool
 (** Whether a chain for [key] is currently held — the overload guard
@@ -128,13 +135,11 @@ val take_all : t -> int32 -> take_result
 (** Algorithm 2, lines 2-10: release every chained packet and free the
     unit (after the reclaim lag). *)
 
-val capacity : t -> int
+val units : t -> Buffer_units.t
+(** The pool's units: capacity and occupancy. *)
 
-val units_in_use : t -> int
 val packets_buffered : t -> int
 val flows_buffered : t -> int
-val mean_units_in_use : t -> until:float -> float
-val max_units_in_use : t -> int
 
 val alloc_failures : t -> int
 val resends : t -> int

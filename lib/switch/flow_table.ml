@@ -20,15 +20,15 @@ type t = {
   mutable expirations : int;
   (* OVS-style fast path: exact-match cache over full lookup results,
      flushed on every table mutation. *)
-  cache : Flow_entry.t option Microflow.t option;
+  cache : Flow_entry.t option Microflow.t;
   key : Microflow.key;  (* scratch: the key of the lookup under way *)
   check : Sdn_check.Check.t option;
   name : string;
   clock : unit -> float;
 }
 
-let create ?(eviction = true) ?(microflow = true) ?microflow_capacity ?check
-    ?(name = "flow-table") ?(clock = fun () -> 0.0) ~capacity () =
+let create ?(eviction = true) ?check ?(name = "flow-table")
+    ?(clock = fun () -> 0.0) ~capacity () =
   if capacity <= 0 then invalid_arg "Flow_table.create: capacity";
   {
     capacity;
@@ -41,18 +41,14 @@ let create ?(eviction = true) ?(microflow = true) ?microflow_capacity ?check
     hits = 0;
     evictions = 0;
     expirations = 0;
-    cache =
-      (if microflow then
-         Some (Microflow.create ?capacity:microflow_capacity ())
-       else None);
+    cache = Microflow.create ();
     key = Microflow.key ();
     check;
     name;
     clock;
   }
 
-let invalidate_cache t =
-  match t.cache with Some cache -> Microflow.flush cache | None -> ()
+let invalidate_cache t = Microflow.flush t.cache
 
 let length t = Hashtbl.length t.by_uid
 
@@ -231,9 +227,9 @@ let audit_hit t ~in_port pkt cached =
         ~agree ~detail
 
 (* The slow path's answer, cached under the key loaded into [t.key]. *)
-let fill t cache ~in_port pkt =
+let fill t ~in_port pkt =
   let result = lookup_uncached t ~in_port pkt in
-  Microflow.add cache t.key result;
+  Microflow.add t.cache t.key result;
   result
 
 let counted t best =
@@ -243,28 +239,26 @@ let counted t best =
 
 let lookup t ~in_port pkt =
   counted t
-    (match t.cache with
-    | Some cache when Microflow.load_packet t.key ~in_port pkt -> (
-        match Microflow.find cache t.key with
-        | Some cached ->
-            audit_hit t ~in_port pkt cached;
-            cached
-        | None -> fill t cache ~in_port pkt)
-    | Some _ | None -> lookup_uncached t ~in_port pkt)
+    (if Microflow.load_packet t.key ~in_port pkt then
+       match Microflow.find t.cache t.key with
+       | Some cached ->
+           audit_hit t ~in_port pkt cached;
+           cached
+       | None -> fill t ~in_port pkt
+     else lookup_uncached t ~in_port pkt)
 
 (* The frame is built into a packet only where the slow path runs:
    on a cache miss, for an uncacheable frame, or to audit a hit. *)
 let lookup_frame t ~in_port frame =
   counted t
-    (match t.cache with
-    | Some cache when Microflow.load_frame t.key ~in_port frame -> (
-        match Microflow.find cache t.key with
-        | Some cached ->
-            if Option.is_some t.check then
-              audit_hit t ~in_port (Packet.build frame) cached;
-            cached
-        | None -> fill t cache ~in_port (Packet.build frame))
-    | Some _ | None -> lookup_uncached t ~in_port (Packet.build frame))
+    (if Microflow.load_frame t.key ~in_port frame then
+       match Microflow.find t.cache t.key with
+       | Some cached ->
+           if Option.is_some t.check then
+             audit_hit t ~in_port (Packet.build frame) cached;
+           cached
+       | None -> fill t ~in_port (Packet.build frame)
+     else lookup_uncached t ~in_port (Packet.build frame))
 
 let entry_outputs_to (e : Flow_entry.t) port =
   List.exists
@@ -336,14 +330,7 @@ let misses t = t.lookups - t.hits
 let evictions t = t.evictions
 let expirations t = t.expirations
 
-let microflow_hits t =
-  match t.cache with Some c -> Microflow.hits c | None -> 0
-
-let microflow_misses t =
-  match t.cache with Some c -> Microflow.misses c | None -> 0
-
-let microflow_flushes t =
-  match t.cache with Some c -> Microflow.flushes c | None -> 0
-
-let microflow_length t =
-  match t.cache with Some c -> Microflow.length c | None -> 0
+let microflow_hits t = Microflow.hits t.cache
+let microflow_misses t = Microflow.misses t.cache
+let microflow_flushes t = Microflow.flushes t.cache
+let microflow_length t = Microflow.length t.cache

@@ -33,8 +33,6 @@ type insert_result =
 
 val create :
   ?eviction:bool ->
-  ?microflow:bool ->
-  ?microflow_capacity:int ->
   ?check:Sdn_check.Check.t ->
   ?name:string ->
   ?clock:(unit -> float) ->
@@ -45,11 +43,9 @@ val create :
     entry of minimal priority is displaced, as the paper's discussion
     of TCP rule-eviction assumes.
 
-    [microflow] (default [true]) enables the exact-match fast path;
-    [microflow_capacity] bounds its entry count (default 8192). With
-    [check] armed, every cache hit re-runs the slow path and reports a
-    [microflow-agreement] violation on divergence, stamped with
-    [clock ()] (default constantly [0.]) under table [name]. *)
+    With [check] armed, every cache hit re-runs the slow path and
+    reports a [microflow-agreement] violation on divergence, stamped
+    with [clock ()] (default constantly [0.]) under table [name]. *)
 
 val length : t -> int
 val insert : t -> Flow_entry.t -> insert_result
@@ -101,7 +97,7 @@ val misses : t -> int
 val evictions : t -> int
 val expirations : t -> int
 
-(** Microflow fast-path counters (all [0] when the cache is disabled). *)
+(** Microflow fast-path counters. *)
 
 val microflow_hits : t -> int
 val microflow_misses : t -> int

@@ -84,8 +84,10 @@ let load_packet k ~in_port (pkt : Packet.t) =
 let stride = 6
 let initial_slots = 16
 
+(* At most this many entries; on overflow the whole cache is reset. *)
+let capacity = 8192
+
 type 'v t = {
-  capacity : int;
   mutable slots : int array;  (* empty until the first [add] *)
   mutable values : 'v option array;
   mutable generation : int;
@@ -95,10 +97,8 @@ type 'v t = {
   mutable flushes : int;
 }
 
-let create ?(capacity = 8192) () =
-  if capacity <= 0 then invalid_arg "Microflow.create: capacity";
+let create () =
   {
-    capacity;
     slots = [||];
     values = [||];
     (* Fresh slots read generation 0: dead. *)
@@ -185,7 +185,7 @@ let grow t =
 let add t k v =
   (* Whole-cache reset on overflow: crude but deterministic, and the
      steady state (a working set far below capacity) never hits it. *)
-  if t.length >= t.capacity then flush t;
+  if t.length >= capacity then flush t;
   if 2 * (t.length + 1) > slot_count t then grow t;
   let i = locate t k in
   if not (live t i) then begin

@@ -46,12 +46,11 @@ type 'v t
     lookup result, [Flow_entry.t option] — negative results are cached
     too, since a miss is the expensive case the paper measures). *)
 
-val create : ?capacity:int -> unit -> 'v t
-(** [capacity] (default 8192) bounds the entry count; on overflow the
-    whole cache is reset (deterministic, and invisible in steady
-    state). Raises [Invalid_argument] if [capacity <= 0]. The slot
+val create : unit -> 'v t
+(** The cache holds at most 8192 entries; on overflow the whole cache
+    is reset (deterministic, and invisible in steady state). The slot
     arrays are allocated at the first {!add} and grow by doubling to
-    at most twice [capacity] slots. *)
+    at most 16384 slots. *)
 
 val find : 'v t -> key -> 'v option
 (** Cached result for the key, counting a hit or miss. Returns the

@@ -1,19 +1,14 @@
 (** Packet-granularity buffer pool — OpenFlow's default buffering, as
     implemented by Open vSwitch.
 
-    Each miss-match packet occupies one buffer unit and gets its own
-    [buffer_id]; the corresponding [PACKET_OUT] (or [FLOW_MOD] with
-    buffer id) releases exactly that packet. Two behaviours calibrated
-    from the paper are modelled explicitly:
-
-    - {b expiry}: a buffered packet nobody releases is dropped after
-      [expiry] seconds, freeing the unit (OVS ages its buffers);
-    - {b deferred reclamation}: after a release the unit stays
-      accounted as in-use for [reclaim_lag] seconds before returning to
-      the free list. This reproduces the occupancy levels of the
-      paper's Fig. 8 (buffer-16 exhausting near 30-35 Mbps, buffer-256
-      peaking near 80 units at full rate), which are much higher than
-      request round-trip times alone would give. *)
+    Each miss-match packet occupies one buffer unit ({!Buffer_units})
+    and gets its own [buffer_id]; the corresponding [PACKET_OUT] (or
+    [FLOW_MOD] with buffer id) releases exactly that packet. A buffered
+    packet nobody releases is dropped after [expiry] seconds, freeing
+    the unit (OVS ages its buffers). A released unit stays in use for
+    [reclaim_lag] seconds, which reproduces the occupancy levels of the
+    paper's Fig. 8 (buffer-16 exhausting near 30-35 Mbps, buffer-256
+    peaking near 80 units at full rate). *)
 
 open Sdn_sim
 
@@ -51,23 +46,15 @@ val take : t -> int32 -> take_result
     frees after the reclaim lag. *)
 
 val wipe : t -> int
-(** Cold-restart state loss: expire every held packet (reported to the
-    checker, counted into {!expired}) and reclaim in-flight releases
-    immediately, cancelling their deferred-reclaim timers so no stale
-    callback can touch a post-wipe re-allocation of the slot. Returns
-    how many buffered packets were lost. Walks slots in index order so
-    wiped runs stay byte-reproducible. *)
+(** Cold-restart state loss ({!Buffer_units.wipe}): every held packet
+    expires (counted into {!expired}). Returns how many buffered
+    packets were lost. *)
 
-val capacity : t -> int
-
-val in_use : t -> int
-(** Units currently held or awaiting reclamation. *)
-
-val mean_in_use : t -> until:float -> float
-(** Time-weighted average occupancy since creation. *)
-
-val max_in_use : t -> int
+val units : t -> Buffer_units.t
+(** The pool's units: capacity and occupancy. *)
 
 val alloc_failures : t -> int
 val expired : t -> int
+
 val stale_takes : t -> int
+(** Takes answered [Unknown_id]. *)

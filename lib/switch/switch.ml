@@ -169,28 +169,35 @@ let note_pkt_in t ~pool ~id ~resend =
         ~id ~resend
   | None -> ()
 
-let make_pkt_pool t =
-  let policy =
-    match ensure_shared_pool t with
-    | None -> None
-    | Some pool ->
-        Some
-          (Buf_policy.register pool ~name:"ingress"
-             ~quota:t.config.buffer_capacity ~priority:0)
-  in
-  (* Under a sharing policy the physical slot array carries headroom
-     beyond the static quota — the policy, not the array, is the
-     admission limit. Static (and no policy) keeps the exact legacy
-     geometry. *)
-  let capacity =
-    match t.config.buf_policy with
-    | None | Some Buf_policy.Static -> t.config.buffer_capacity
-    | Some _ ->
-        Int.min 0xFFFF (t.config.buffer_capacity + t.config.shared_headroom)
-  in
-  Packet_buffer.create t.engine ?check:t.check ?policy
-    ~pool_name:pkt_pool_name ~capacity ~expiry:t.config.buffer_expiry
-    ~reclaim_lag:t.config.reclaim_lag ()
+let ensure_pkt_pool t =
+  match t.pkt_pool with
+  | Some pool -> pool
+  | None ->
+      let policy =
+        Option.map
+          (fun pool ->
+            Buf_policy.register pool ~name:"ingress"
+              ~quota:t.config.buffer_capacity ~priority:0)
+          (ensure_shared_pool t)
+      in
+      (* Under a sharing policy the physical slot array carries headroom
+         beyond the static quota — the policy, not the array, is the
+         admission limit. Static (and no policy) keeps the exact legacy
+         geometry. *)
+      let capacity =
+        match t.config.buf_policy with
+        | None | Some Buf_policy.Static -> t.config.buffer_capacity
+        | Some _ ->
+            Int.min 0xFFFF
+              (t.config.buffer_capacity + t.config.shared_headroom)
+      in
+      let pool =
+        Packet_buffer.create t.engine ?check:t.check ?policy
+          ~pool_name:pkt_pool_name ~capacity ~expiry:t.config.buffer_expiry
+          ~reclaim_lag:t.config.reclaim_lag ()
+      in
+      t.pkt_pool <- Some pool;
+      pool
 
 (* The flow pool's resend callback needs the switch, so it is created
    lazily once [t] exists. *)
@@ -217,14 +224,6 @@ let rec ensure_flow_pool t =
           ()
       in
       t.flow_pool <- Some pool;
-      pool
-
-and ensure_pkt_pool t =
-  match t.pkt_pool with
-  | Some pool -> pool
-  | None ->
-      let pool = make_pkt_pool t in
-      t.pkt_pool <- Some pool;
       pool
 
 (* Transfer [bytes] across the half-duplex ASIC<->CPU bus, then run
@@ -277,6 +276,12 @@ and send_pkt_in t ~buffer_id ~frame ~in_port ~truncate ~extra_cost =
           in
           t.pkt_ins_sent <- t.pkt_ins_sent + 1;
           send_to_controller t (Of_codec.Packet_in pkt_in)))
+
+(* The unit pool of the active mechanism, once created. *)
+let buffer_units t =
+  match t.mechanism with
+  | Flow_granularity -> Option.map Flow_buffer.units t.flow_pool
+  | Packet_granularity | No_buffer -> Option.map Packet_buffer.units t.pkt_pool
 
 (* Both tables stay empty unless a scenario takes a port down or gives
    it a scheduler: test the size first, since every forwarded frame
@@ -392,10 +397,15 @@ let miss_no_buffer t ~in_port frame =
    their units and their controller round-trips; fresh arrivals are
    dropped with a typed reason. Watermark 1.0 (the default) disables
    the guard entirely. *)
-let overload_guard_active t ~in_use ~capacity =
+let overload_guard_active t =
   t.config.overload_watermark < 1.0
-  && float_of_int in_use
-     >= t.config.overload_watermark *. float_of_int capacity
+  &&
+  match buffer_units t with
+  | Some units ->
+      float_of_int (Buffer_units.in_use units)
+      >= t.config.overload_watermark
+         *. float_of_int (Buffer_units.capacity units)
+  | None -> false
 
 let shed_overload t =
   t.overload_sheds <- t.overload_sheds + 1;
@@ -403,10 +413,7 @@ let shed_overload t =
 
 let miss_packet_granularity t ~in_port frame =
   let pool = ensure_pkt_pool t in
-  if
-    overload_guard_active t ~in_use:(Packet_buffer.in_use pool)
-      ~capacity:(Packet_buffer.capacity pool)
-  then shed_overload t
+  if overload_guard_active t then shed_overload t
   else
   match Packet_buffer.alloc pool ~frame with
   | None -> miss_no_buffer t ~in_port frame
@@ -425,8 +432,7 @@ let miss_flow_granularity t ~in_port frame =
   | Some key -> (
       let pool = ensure_flow_pool t in
       if
-        overload_guard_active t ~in_use:(Flow_buffer.units_in_use pool)
-          ~capacity:(Flow_buffer.capacity pool)
+        overload_guard_active t
         (* Appends ride an existing unit: admitting them favours
            completing in-flight chains over starting new ones. *)
         && not (Flow_buffer.has_chain pool ~key)
@@ -483,7 +489,7 @@ let miss_fail_secure t ~in_port:_ frame =
       | None -> drop ()
       | Some key -> (
           let pool = ensure_flow_pool t in
-          if not (Flow_buffer.is_frozen pool) then Flow_buffer.freeze pool;
+          Flow_buffer.freeze pool;
           match Flow_buffer.add pool ~key ~frame with
           | Flow_buffer.No_space -> drop ()
           | Flow_buffer.First _ | Flow_buffer.Appended _ -> ()))
@@ -643,42 +649,50 @@ let handle_packet_out t (po : Of_packet_out.t) ~offending =
           ~actions:po.Of_packet_out.actions ~offending)
 
 let buffer_stats t =
-  match (t.mechanism, t.pkt_pool, t.flow_pool) with
-  | Flow_granularity, _, Some pool ->
+  let units_in_use, units_total =
+    match buffer_units t with
+    | Some units -> (Buffer_units.in_use units, Buffer_units.capacity units)
+    | None -> (0, t.config.buffer_capacity)
+  in
+  match (t.mechanism, t.flow_pool) with
+  | Flow_granularity, Some pool ->
       {
-        Of_ext.units_in_use = Flow_buffer.units_in_use pool;
-        units_total = Flow_buffer.capacity pool;
+        Of_ext.units_in_use;
+        units_total;
         flows_buffered = Flow_buffer.flows_buffered pool;
         packets_buffered = Flow_buffer.packets_buffered pool;
         resends = Flow_buffer.resends pool;
       }
-  | (Packet_granularity | No_buffer), Some pool, _ ->
+  | (Flow_granularity | Packet_granularity | No_buffer), _ ->
+      (* A packet-granularity unit holds one packet. *)
       {
-        Of_ext.units_in_use = Packet_buffer.in_use pool;
-        units_total = Packet_buffer.capacity pool;
+        Of_ext.units_in_use;
+        units_total;
         flows_buffered = 0;
-        packets_buffered = Packet_buffer.in_use pool;
-        resends = 0;
-      }
-  | Flow_granularity, _, None | (Packet_granularity | No_buffer), None, _ ->
-      {
-        Of_ext.units_in_use = 0;
-        units_total = t.config.buffer_capacity;
-        flows_buffered = 0;
-        packets_buffered = 0;
+        packets_buffered = units_in_use;
         resends = 0;
       }
 
-let handle_vendor t ~xid (v : Of_ext.t) =
+let handle_vendor t ~xid (v : Of_ext.t) ~offending =
   match v with
   | Of_ext.Flow_buffer_enable b ->
-      t.mechanism <- Flow_granularity;
       (* The controller dictates the re-request policy; it applies to
-         the live pool from the next timer arming. *)
-      Flow_buffer.set_backoff (ensure_flow_pool t)
-        ~resend_timeout:b.Of_ext.timeout
-        ~resend_multiplier:b.Of_ext.multiplier ~resend_cap:b.Of_ext.cap
-        ~max_resends:b.Of_ext.max_resends
+         the live pool from the next timer arming. A policy no timer
+         can arm (the wire carries signed milliseconds) is refused
+         whole, keeping the previous one. *)
+      if
+        Flow_buffer.valid_backoff ~resend_timeout:b.Of_ext.timeout
+          ~resend_multiplier:b.Of_ext.multiplier ~resend_cap:b.Of_ext.cap
+      then begin
+        t.mechanism <- Flow_granularity;
+        Flow_buffer.set_backoff (ensure_flow_pool t)
+          ~resend_timeout:b.Of_ext.timeout
+          ~resend_multiplier:b.Of_ext.multiplier ~resend_cap:b.Of_ext.cap
+          ~max_resends:b.Of_ext.max_resends
+      end
+      else
+        send_error ~xid t ~error_type:Of_error.Bad_request
+          ~code:Of_error.Bad_request_code.eperm ~offending
   | Of_ext.Flow_buffer_disable -> t.mechanism <- Packet_granularity
   | Of_ext.Flow_buffer_stats_request ->
       send_to_controller ~xid t
@@ -801,7 +815,7 @@ let handle_of_message t buf =
           send_to_controller ~xid t (Of_codec.Features_reply (features_reply t))
       | Of_codec.Barrier_request ->
           send_to_controller ~xid t Of_codec.Barrier_reply
-      | Of_codec.Vendor v -> handle_vendor t ~xid v
+      | Of_codec.Vendor v -> handle_vendor t ~xid v ~offending:buf
       | Of_codec.Stats_request req -> handle_stats_request t ~xid req
       | Of_codec.Get_config_request ->
           send_to_controller ~xid t
@@ -832,10 +846,7 @@ let on_session_down t =
 (* Session restored: thaw the pool — chains that still fit their resend
    budget re-enter the backoff machinery and re-request; the rest
    expire. *)
-let on_session_restore t =
-  match t.flow_pool with
-  | Some pool when Flow_buffer.is_frozen pool -> Flow_buffer.resume pool
-  | Some _ | None -> ()
+let on_session_restore t = Option.iter Flow_buffer.resume t.flow_pool
 
 (* ---- Crash–restart fault injection ---- *)
 
@@ -849,49 +860,29 @@ let crash t ~mode =
     Session.force_down (the_session t);
     Hashtbl.reset t.standalone_table;
     match mode with
-    | Faults.Warm -> (
+    | Faults.Warm ->
         (* Soft state survives the reboot: buffered chains freeze (if
            the session was already down they may not be yet) and replay
            through the normal resume path on reconnection. *)
-        match t.flow_pool with
-        | Some pool when not (Flow_buffer.is_frozen pool) ->
-            Flow_buffer.freeze pool
-        | Some _ | None -> ())
+        Option.iter Flow_buffer.freeze t.flow_pool
     | Faults.Cold ->
         (* Full state loss. The pools report every held chain as
            expired to the conservation ledger, then the wipe invariant
            confirms nothing survived. Flow table, learned MACs and the
            vendor-negotiated configuration all reset to power-on
            defaults; the controller's resync handshake re-pushes them. *)
-        let wiped = ref 0 in
-        (match t.pkt_pool with
-        | Some pool -> wiped := !wiped + Packet_buffer.wipe pool
-        | None -> ());
-        (match t.flow_pool with
-        | Some pool ->
-            let _chains, packets = Flow_buffer.wipe pool in
-            wiped := !wiped + packets
-        | None -> ());
-        t.crash_wiped_packets <- t.crash_wiped_packets + !wiped;
+        let pkt_wiped =
+          match t.pkt_pool with Some pool -> Packet_buffer.wipe pool | None -> 0
+        in
+        let flow_wiped =
+          match t.flow_pool with Some pool -> Flow_buffer.wipe pool | None -> 0
+        in
+        t.crash_wiped_packets <- t.crash_wiped_packets + pkt_wiped + flow_wiped;
         ignore (Flow_table.clear t.table);
         t.mechanism <-
           (if t.config.buffer_capacity = 0 then No_buffer
            else t.config.mechanism);
-        t.miss_send_len <- t.config.miss_send_len;
-        (match t.check with
-        | Some check ->
-            let now = Engine.now t.engine in
-            (match t.pkt_pool with
-            | Some _ ->
-                Sdn_check.Check.note_crash_wipe check ~time:now
-                  ~pool:pkt_pool_name
-            | None -> ());
-            (match t.flow_pool with
-            | Some _ ->
-                Sdn_check.Check.note_crash_wipe check ~time:now
-                  ~pool:flow_pool_name
-            | None -> ())
-        | None -> ())
+        t.miss_send_len <- t.config.miss_send_len
   end
 
 let restart t =
@@ -1056,6 +1047,7 @@ let set_port_scheduler t ~port ~policy ~queues =
 
 let port_scheduler t ~port = scheduler_of t port
 let shared_pool t = t.shared_pool
+let flow_pool t = t.flow_pool
 
 let egress_misrouted t =
   (* Sum is order-independent, but fold-to-list + sort keeps the
@@ -1088,55 +1080,6 @@ let counters t =
   }
 
 let session t = the_session t
-
-let buffer_units_in_use t =
-  match (t.mechanism, t.pkt_pool, t.flow_pool) with
-  | Flow_granularity, _, Some pool -> Flow_buffer.units_in_use pool
-  | (Packet_granularity | No_buffer), Some pool, _ -> Packet_buffer.in_use pool
-  | _, _, _ -> 0
-
-let buffer_mean_in_use t ~until =
-  match (t.mechanism, t.pkt_pool, t.flow_pool) with
-  | Flow_granularity, _, Some pool -> Flow_buffer.mean_units_in_use pool ~until
-  | (Packet_granularity | No_buffer), Some pool, _ ->
-      Packet_buffer.mean_in_use pool ~until
-  | _, _, _ -> 0.0
-
-let buffer_max_in_use t =
-  match (t.mechanism, t.pkt_pool, t.flow_pool) with
-  | Flow_granularity, _, Some pool -> Flow_buffer.max_units_in_use pool
-  | (Packet_granularity | No_buffer), Some pool, _ -> Packet_buffer.max_in_use pool
-  | _, _, _ -> 0
-
-let flows_abandoned t =
-  match t.flow_pool with
-  | Some pool -> Flow_buffer.abandoned_flows pool
-  | None -> 0
-
-let flows_recovered t =
-  match t.flow_pool with
-  | Some pool -> Flow_buffer.recovered_flows pool
-  | None -> 0
-
-let recovery_delays t =
-  match t.flow_pool with
-  | Some pool -> Flow_buffer.recovery_delays pool
-  | None -> Stats.create ()
-
-let chains_frozen t =
-  match t.flow_pool with
-  | Some pool -> Flow_buffer.chains_frozen pool
-  | None -> 0
-
-let chains_resumed t =
-  match t.flow_pool with
-  | Some pool -> Flow_buffer.chains_resumed pool
-  | None -> 0
-
-let chains_expired_on_resume t =
-  match t.flow_pool with
-  | Some pool -> Flow_buffer.expired_on_resume pool
-  | None -> 0
 
 let cpu_busy_core_seconds t =
   Cpu.busy_core_seconds t.kernel +. Cpu.busy_core_seconds t.userspace

@@ -21,7 +21,9 @@
     above ~30 Mbps.
 
     The mechanism can also be switched at runtime by the controller
-    through the {!Sdn_openflow.Of_ext} vendor messages. *)
+    through the {!Sdn_openflow.Of_ext} vendor messages. An enable whose
+    backoff fails {!Flow_buffer.valid_backoff} is refused with an
+    OFPT_ERROR (Bad_request, EPERM) and changes nothing. *)
 
 open Sdn_sim
 open Sdn_openflow
@@ -152,6 +154,11 @@ val shared_pool : t -> Buf_policy.t option
     {!config.buf_policy} is configured and the first consumer (packet
     pool or port scheduler) has been created. *)
 
+val flow_pool : t -> Flow_buffer.t option
+(** The flow-granularity pool, present once flow granularity has been
+    configured or enabled by the controller: its recovery and
+    freeze/resume counters. *)
+
 val egress_misrouted : t -> int
 (** Frames dropped across all port schedulers because they named a
     queue id no configured queue carries (summed in port order). *)
@@ -214,32 +221,13 @@ val userspace_cpu : t -> Cpu.t
 val flow_table : t -> Flow_table.t
 val counters : t -> counters
 
-val buffer_units_in_use : t -> int
-val buffer_mean_in_use : t -> until:float -> float
-val buffer_max_in_use : t -> int
+val buffer_units : t -> Buffer_units.t option
+(** The unit pool of the active mechanism, once created: the flow pool
+    under flow granularity, else the packet pool. Buffer statistics,
+    the overload guard and an experiment's occupancy read it. *)
+
 val buffer_stats : t -> Of_ext.stats
 (** Unified pool statistics for whichever mechanism is active. *)
-
-val flows_abandoned : t -> int
-(** Flow-granularity chains dropped after exhausting [max_resends]. *)
-
-val flows_recovered : t -> int
-(** Flow-granularity chains released after at least one re-request. *)
-
-val recovery_delays : t -> Stats.t
-(** Time-to-recovery samples of the recovered flows (empty when the
-    flow pool was never instantiated). *)
-
-val chains_frozen : t -> int
-(** Cumulative flow-granularity chains frozen at session-down
-    transitions. *)
-
-val chains_resumed : t -> int
-(** Cumulative chains re-armed (re-requested) after session restore. *)
-
-val chains_expired_on_resume : t -> int
-(** Chains whose resend budget was already spent before an outage and
-    which were expired at restore. *)
 
 val cpu_busy_core_seconds : t -> float
 (** Combined kernel + userspace busy integral — the quantity behind

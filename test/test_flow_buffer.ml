@@ -17,6 +17,8 @@ let make ?(capacity = 4) ?(reclaim = 0.001) ?(timeout = 0.05) ?(max_resends = 3)
   Flow_buffer.create engine ~capacity ~reclaim_lag:reclaim
     ~resend_timeout:timeout ~max_resends ~on_resend ()
 
+let units_in_use pool = Buffer_units.in_use (Flow_buffer.units pool)
+
 let test_first_then_appended () =
   let engine = Engine.create () in
   let pool = make engine in
@@ -31,7 +33,7 @@ let test_first_then_appended () =
   | Flow_buffer.Appended id' ->
       Alcotest.(check int32) "same buffer_id" id id'
   | _ -> Alcotest.fail "expected Appended");
-  Alcotest.(check int) "one unit" 1 (Flow_buffer.units_in_use pool);
+  Alcotest.(check int) "one unit" 1 (units_in_use pool);
   Alcotest.(check int) "two packets" 2 (Flow_buffer.packets_buffered pool);
   Alcotest.(check int) "one flow" 1 (Flow_buffer.flows_buffered pool)
 
@@ -49,7 +51,7 @@ let test_distinct_flows_distinct_units () =
     | _ -> Alcotest.fail "First expected"
   in
   Alcotest.(check bool) "different ids" true (not (Int32.equal id1 id2));
-  Alcotest.(check int) "two units" 2 (Flow_buffer.units_in_use pool)
+  Alcotest.(check int) "two units" 2 (units_in_use pool)
 
 let test_take_all_in_order () =
   let engine = Engine.create () in
@@ -129,7 +131,7 @@ let test_timeout_resend () =
   | l -> Alcotest.fail (Printf.sprintf "expected 2 resends, got %d" (List.length l)));
   Alcotest.(check int) "resends counted" 2 (Flow_buffer.resends pool);
   Alcotest.(check int) "chain dropped" 1 (Flow_buffer.drops pool);
-  Alcotest.(check int) "unit freed" 0 (Flow_buffer.units_in_use pool)
+  Alcotest.(check int) "unit freed" 0 (units_in_use pool)
 
 let test_release_cancels_timer () =
   let engine = Engine.create () in
@@ -158,10 +160,10 @@ let test_occupancy_tracking () =
         | _ -> Alcotest.fail "First expected")
       [ 1; 2; 3 ]
   in
-  Alcotest.(check int) "max units" 3 (Flow_buffer.max_units_in_use pool);
+  Alcotest.(check int) "max units" 3 (Buffer_units.max_in_use (Flow_buffer.units pool));
   List.iter (fun id -> ignore (Flow_buffer.take_all pool id)) ids;
   Engine.run ~until:0.1 engine;
-  Alcotest.(check int) "drained" 0 (Flow_buffer.units_in_use pool)
+  Alcotest.(check int) "drained" 0 (units_in_use pool)
 
 let test_expiry_mid_chain () =
   (* A chain that exhausts its resend budget while packets are still
@@ -190,7 +192,7 @@ let test_expiry_mid_chain () =
   Alcotest.(check int) "all four packets dropped together" 4
     (Flow_buffer.drops pool);
   Alcotest.(check int) "one flow abandoned" 1 (Flow_buffer.abandoned_flows pool);
-  Alcotest.(check int) "unit freed" 0 (Flow_buffer.units_in_use pool);
+  Alcotest.(check int) "unit freed" 0 (units_in_use pool);
   Alcotest.(check int) "no stranded packets" 0
     (Flow_buffer.packets_buffered pool);
   (* The expired id must not release anything. *)
@@ -244,13 +246,13 @@ let test_resume_expires_spent_chains () =
   ignore (Engine.schedule_at engine 0.12 (fun () -> Flow_buffer.freeze pool));
   Engine.run ~until:0.3 engine;
   Alcotest.(check int) "chain survived the outage frozen" 1
-    (Flow_buffer.units_in_use pool);
+    (units_in_use pool);
   Flow_buffer.resume pool;
   Alcotest.(check int) "expired at resume" 1
     (Flow_buffer.expired_on_resume pool);
   Alcotest.(check int) "counted as abandoned" 1
     (Flow_buffer.abandoned_flows pool);
-  Alcotest.(check int) "unit freed" 0 (Flow_buffer.units_in_use pool);
+  Alcotest.(check int) "unit freed" 0 (units_in_use pool);
   Alcotest.(check int) "nothing re-armed" 0 (Flow_buffer.chains_resumed pool)
 
 let test_freeze_resume_idempotent () =
@@ -286,14 +288,14 @@ let test_wipe_cancels_pending_reclaim () =
   add_and_take 1;
   ignore (Flow_buffer.wipe pool);
   Alcotest.(check int) "wipe reclaims the in-flight release" 0
-    (Flow_buffer.units_in_use pool);
+    (units_in_use pool);
   ignore (Engine.schedule_at engine 0.005 (fun () -> add_and_take 2));
   Engine.run ~until:0.012 engine;
   Alcotest.(check int) "second reclaim honours the full lag" 1
-    (Flow_buffer.units_in_use pool);
+    (units_in_use pool);
   Engine.run ~until:0.02 engine;
   Alcotest.(check int) "second reclaim completes on time" 0
-    (Flow_buffer.units_in_use pool)
+    (units_in_use pool)
 
 let prop_chain_preserves_frames =
   QCheck.Test.make ~name:"take_all returns exactly the added frames" ~count:100

@@ -240,17 +240,6 @@ let test_microflow_keyed_on_in_port () =
   Alcotest.(check bool) "misses on port 3" true
     (Flow_table.lookup table ~in_port:3 pkt = None)
 
-let test_microflow_disabled () =
-  let table = Flow_table.create ~microflow:false ~capacity:10 () in
-  let pkt = udp_pkt ~src_port:1 in
-  ignore (Flow_table.insert table (entry_for ~out_port:2 pkt ~now:0.0));
-  for _ = 1 to 3 do
-    Alcotest.(check bool) "still hits" true
-      (Flow_table.lookup table ~in_port:1 pkt <> None)
-  done;
-  Alcotest.(check int) "no cache hits" 0 (Flow_table.microflow_hits table);
-  Alcotest.(check int) "no cache misses" 0 (Flow_table.microflow_misses table)
-
 let test_microflow_audit_clean () =
   let check = Sdn_check.Check.create () in
   let table = Flow_table.create ~check ~capacity:10 () in
@@ -264,10 +253,9 @@ let test_microflow_audit_clean () =
   Alcotest.(check bool) "audits recorded" true
     (Sdn_check.Check.events_seen check > 0)
 
-(* The fast path must be semantically invisible: a cached table and an
-   uncached one driven through an identical randomized trace of
-   inserts, deletes, expiries and lookups answer every lookup the same
-   way. *)
+(* The fast path must be semantically invisible: through a randomized
+   trace of inserts, deletes, expiries and lookups, every cached lookup
+   answers with the very entry the slow path picks. *)
 let prop_microflow_equivalence =
   let op_gen =
     QCheck.Gen.(
@@ -285,8 +273,7 @@ let prop_microflow_equivalence =
     QCheck.(make ~print:(fun l -> string_of_int (List.length l))
        Gen.(list_size (int_range 1 120) op_gen))
     (fun ops ->
-      let cached = Flow_table.create ~capacity:16 () in
-      let plain = Flow_table.create ~microflow:false ~capacity:16 () in
+      let table = Flow_table.create ~capacity:16 () in
       let now = ref 0.0 in
       List.for_all
         (fun op ->
@@ -297,35 +284,27 @@ let prop_microflow_equivalence =
                 entry_for ~priority:prio ~idle:30 ~out_port:p
                   (udp_pkt ~src_port:p) ~now:!now
               in
-              ignore (Flow_table.insert cached (entry ()));
-              ignore (Flow_table.insert plain (entry ()));
+              ignore (Flow_table.insert table (entry ()));
               true
           | `Delete p ->
               let m =
                 Of_match.of_flow_key
                   (Option.get (Packet.flow_key (udp_pkt ~src_port:p)))
               in
-              let a =
-                Flow_table.delete cached ~strict:false ~match_:m ~priority:0 ()
-              in
-              let b =
-                Flow_table.delete plain ~strict:false ~match_:m ~priority:0 ()
-              in
-              a = b
+              ignore
+                (Flow_table.delete table ~strict:false ~match_:m ~priority:0 ());
+              true
           | `Expire t ->
-              List.length (Flow_table.expire cached ~now:t)
-              = List.length (Flow_table.expire plain ~now:t)
-          | `Lookup p ->
+              ignore (Flow_table.expire table ~now:t);
+              true
+          | `Lookup p -> (
               let pkt = udp_pkt ~src_port:p in
-              let a = Flow_table.lookup cached ~in_port:1 pkt in
-              let b = Flow_table.lookup plain ~in_port:1 pkt in
-              let c = Flow_table.lookup_uncached cached ~in_port:1 pkt in
-              (match (a, b) with
-              | None, None -> c = None
-              | Some ea, Some eb ->
-                  out_port_of ea = out_port_of eb
-                  && ea.Flow_entry.priority = eb.Flow_entry.priority
-                  && (match c with Some ec -> ec == ea | None -> false)
+              match
+                ( Flow_table.lookup table ~in_port:1 pkt,
+                  Flow_table.lookup_uncached table ~in_port:1 pkt )
+              with
+              | None, None -> true
+              | Some cached, Some slow -> cached == slow
               | Some _, None | None, Some _ -> false))
         ops)
 
@@ -687,7 +666,6 @@ let suite =
       test_microflow_negative_cache_invalidated;
     Alcotest.test_case "microflow keyed on ingress port" `Quick
       test_microflow_keyed_on_in_port;
-    Alcotest.test_case "microflow disabled" `Quick test_microflow_disabled;
     Alcotest.test_case "checker audits cache hits clean" `Quick
       test_microflow_audit_clean;
     QCheck_alcotest.to_alcotest prop_microflow_equivalence;

@@ -21,6 +21,7 @@ let () =
       ("switch.flow_table", Test_flow_table.suite);
       ("switch.packet_buffer", Test_packet_buffer.suite);
       ("switch.flow_buffer", Test_flow_buffer.suite);
+      ("switch.buffer_units", Test_buffer_units.suite);
       ("switch.session", Test_session.suite);
       ("switch.behaviour", Test_switch.suite);
       ("controller", Test_controller.suite);

@@ -8,11 +8,13 @@ let frame tag = Bytes.of_string (Printf.sprintf "frame-%d" tag)
 let make ?(capacity = 4) ?(expiry = 1.0) ?(reclaim = 0.01) engine =
   Packet_buffer.create engine ~capacity ~expiry ~reclaim_lag:reclaim ()
 
+let in_use pool = Buffer_units.in_use (Packet_buffer.units pool)
+
 let test_alloc_take () =
   let engine = Engine.create () in
   let pool = make engine in
   let id = Option.get (Packet_buffer.alloc pool ~frame:(frame 1)) in
-  Alcotest.(check int) "in use" 1 (Packet_buffer.in_use pool);
+  Alcotest.(check int) "in use" 1 (in_use pool);
   (match Packet_buffer.take pool id with
   | Packet_buffer.Taken f -> Alcotest.(check bytes) "frame" (frame 1) f
   | Packet_buffer.Unknown_id -> Alcotest.fail "expected frame");
@@ -33,13 +35,13 @@ let test_exhaustion_and_reclaim () =
   (* Taking frees the unit only after the reclaim lag. *)
   ignore (Packet_buffer.take pool id1);
   Alcotest.(check int) "still accounted during reclaim" 2
-    (Packet_buffer.in_use pool);
+    (in_use pool);
   Alcotest.(check (option int32)) "still full during reclaim" None
     (Packet_buffer.alloc pool ~frame:(frame 4));
   (* Run just past the reclaim lag (but not to the 1 s expiry of the
      other unit). *)
   Engine.run ~until:0.05 engine;
-  Alcotest.(check int) "reclaimed" 1 (Packet_buffer.in_use pool);
+  Alcotest.(check int) "reclaimed" 1 (in_use pool);
   Alcotest.(check bool) "allocatable again" true
     (Packet_buffer.alloc pool ~frame:(frame 5) <> None)
 
@@ -65,7 +67,7 @@ let test_expiry_drops_unreleased () =
   let id = Option.get (Packet_buffer.alloc pool ~frame:(frame 1)) in
   Engine.run engine;
   Alcotest.(check int) "expired" 1 (Packet_buffer.expired pool);
-  Alcotest.(check int) "freed" 0 (Packet_buffer.in_use pool);
+  Alcotest.(check int) "freed" 0 (in_use pool);
   match Packet_buffer.take pool id with
   | Packet_buffer.Unknown_id -> ()
   | Packet_buffer.Taken _ -> Alcotest.fail "expired packet must be gone"
@@ -90,8 +92,8 @@ let test_occupancy_statistics () =
          ignore (Packet_buffer.take pool id2)));
   ignore (Engine.schedule_at engine 2.0 (fun () -> ()));
   Engine.run engine;
-  Alcotest.(check int) "max" 2 (Packet_buffer.max_in_use pool);
-  let mean = Packet_buffer.mean_in_use pool ~until:2.0 in
+  Alcotest.(check int) "max" 2 (Buffer_units.max_in_use (Packet_buffer.units pool));
+  let mean = Buffer_units.mean_in_use (Packet_buffer.units pool) ~until:2.0 in
   Alcotest.(check bool)
     (Printf.sprintf "mean ~1 (got %g)" mean)
     true
@@ -118,7 +120,7 @@ let test_wipe_cancels_pending_reclaim () =
     (Engine.schedule_at engine 0.05 (fun () ->
          Alcotest.(check int) "wipe reclaims the in-flight release" 0
            (let _lost = Packet_buffer.wipe pool in
-            Packet_buffer.in_use pool);
+            in_use pool);
          let id2 = Option.get (Packet_buffer.alloc pool ~frame:(frame 2)) in
          ignore
            (Engine.schedule_at engine 0.06 (fun () ->
@@ -131,12 +133,12 @@ let test_wipe_cancels_pending_reclaim () =
      still be counting down to 0.16. *)
   Engine.run ~until:0.12 engine;
   Alcotest.(check int) "second reclaim honours the full lag" 1
-    (Packet_buffer.in_use pool);
+    (in_use pool);
   Alcotest.(check bool) "in_use never negative" true
-    (Packet_buffer.in_use pool >= 0);
+    (in_use pool >= 0);
   Engine.run ~until:0.2 engine;
   Alcotest.(check int) "second reclaim completes on time" 0
-    (Packet_buffer.in_use pool);
+    (in_use pool);
   Alcotest.(check bool) "slot allocatable after both lives" true
     (Packet_buffer.alloc pool ~frame:(frame 3) <> None)
 
@@ -162,7 +164,7 @@ let prop_never_exceeds_capacity =
                  ignore (Packet_buffer.take pool id)
              | [] -> ()
            end);
-          if Packet_buffer.in_use pool > 5 then ok := false)
+          if in_use pool > 5 then ok := false)
         ops;
       !ok)
 

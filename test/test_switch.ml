@@ -92,7 +92,8 @@ let test_miss_packet_granularity_truncates () =
         (not (Int32.equal p.Of_packet_in.buffer_id Of_wire.no_buffer));
       Alcotest.(check int) "miss_send_len bytes" 128 (Bytes.length p.Of_packet_in.data);
       Alcotest.(check int) "total_len is full frame" 500 p.Of_packet_in.total_len;
-      Alcotest.(check int) "one unit held" 1 (Switch.buffer_units_in_use h.switch)
+      Alcotest.(check int) "one unit held" 1
+        (Switch.buffer_stats h.switch).Of_ext.units_in_use
   | _ -> Alcotest.fail "expected one packet_in"
 
 let test_packet_out_releases_buffered () =
@@ -257,6 +258,40 @@ let test_vendor_switches_mechanism () =
   send_of h (Of_codec.Vendor Of_ext.Flow_buffer_disable);
   Engine.run h.engine;
   Alcotest.(check string) "back to packet-granularity" "packet-granularity"
+    (Switch.mechanism_to_string (Switch.mechanism h.switch))
+
+(* Regression: the wire carries backoff durations as signed int32
+   milliseconds, so a negative timeout or cap decodes. The switch used
+   to accept it, and the next flow-granularity miss raised out of
+   [Engine.run] when it armed a negative re-request delay. *)
+let test_negative_backoff_refused () =
+  let h = make_harness () in
+  send_of h
+    (Of_codec.Vendor
+       (Of_ext.Flow_buffer_enable (Of_ext.default_backoff ~timeout:0.05)));
+  let negative =
+    { Of_ext.timeout = -0.001; multiplier = 1.0; cap = -0.001; max_resends = 3 }
+  in
+  Switch.handle_of_message h.switch
+    (Of_codec.encode ~xid:9l (Of_codec.Vendor (Of_ext.Flow_buffer_enable negative)));
+  Switch.handle_frame h.switch ~in_port:1 (frame ~src_port:100 ());
+  Engine.run ~until:0.08 h.engine;
+  (match
+     List.filter_map
+       (function xid, Of_codec.Error_msg e -> Some (xid, e) | _ -> None)
+       (messages h)
+   with
+  | [ (xid, e) ] ->
+      Alcotest.(check int32) "echoes the request's xid" 9l xid;
+      Alcotest.(check bool) "bad_request" true
+        (e.Of_error.error_type = Of_error.Bad_request);
+      Alcotest.(check int) "eperm" Of_error.Bad_request_code.eperm
+        e.Of_error.code
+  | l -> Alcotest.fail (Printf.sprintf "expected 1 error, got %d" (List.length l)));
+  (* The previous backoff holds: one request, one re-request 50 ms
+     later. *)
+  Alcotest.(check int) "original + resend" 2 (List.length (pkt_ins h));
+  Alcotest.(check string) "still flow-granularity" "flow-granularity"
     (Switch.mechanism_to_string (Switch.mechanism h.switch))
 
 let test_stats_replies () =
@@ -426,6 +461,8 @@ let suite =
     Alcotest.test_case "handshake replies" `Quick test_handshake_replies;
     Alcotest.test_case "vendor message switches mechanism" `Quick
       test_vendor_switches_mechanism;
+    Alcotest.test_case "negative backoff refused" `Quick
+      test_negative_backoff_refused;
     Alcotest.test_case "stats replies" `Quick test_stats_replies;
     Alcotest.test_case "housekeeping sweep expires rules" `Quick
       test_table_sweep_expires_rules;
