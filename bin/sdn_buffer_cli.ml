@@ -70,7 +70,8 @@ let mechanism_arg =
 let buffer_arg =
   Arg.(
     value & opt buffer_units 256
-    & info [ "b"; "buffer" ] ~docv:"UNITS" ~doc:"Buffer capacity in units.")
+    & info [ "b"; "buffer" ] ~docv:"UNITS"
+        ~doc:"Buffer capacity in units; 0 runs the no-buffer mechanism.")
 
 let rate_arg =
   Arg.(
@@ -166,7 +167,9 @@ let buf_policy_arg =
            admit while the class holds less than ALPHA x free), or \
            $(b,tdt[:ALPHA[:TARGET_MS]]) (adaptive threshold tightening \
            under queueing delay). Unset (the default) keeps the legacy \
-           private buffers and byte-identical output.")
+           private buffers and byte-identical output. Only the \
+           packet-granularity pool has a policy: with $(b,-m flow), \
+           $(b,-m no-buffer) or $(b,-b 0) the flag is a usage error.")
 
 let fail_mode_conv =
   conv_of ~parse:Sdn_switch.Session.fail_mode_of_string
@@ -271,39 +274,50 @@ let workload_arg =
 let run_cmd =
   let run mechanism buffer rate seed workload faults crashes watermark
       buf_policy echo_interval echo_misses fail_mode check =
-    let faults =
-      {
-        faults with
-        Sdn_sim.Faults.crashes = faults.Sdn_sim.Faults.crashes @ crashes;
-      }
-    in
-    let config =
-      {
-        Config.default with
-        Config.mechanism;
-        buffer_capacity = (if mechanism = Config.No_buffer then 0 else buffer);
-        rate_mbps = rate;
-        seed;
-        workload;
-        faults;
-        overload_watermark = watermark;
-        buf_policy;
-        echo_interval;
-        echo_misses;
-        fail_mode;
-        check;
-      }
-    in
-    let result = Experiment.run config in
-    Format.printf "%a@." Experiment.pp_result result;
-    check_exit [ result ]
+    (* A pool of 0 units is the no-buffer configuration, whatever the
+       mechanism named. *)
+    let mechanism = if buffer = 0 then Config.No_buffer else mechanism in
+    match (mechanism, buf_policy) with
+    | (Config.No_buffer | Config.Flow_granularity), Some _ ->
+        (* The policy shapes only the packet-granularity pool (and QoS
+           queues, which [run] does not configure). *)
+        `Error (true, "--buf-policy needs -m packet and a pool of 1 unit or more")
+    | _, _ ->
+        let faults =
+          {
+            faults with
+            Sdn_sim.Faults.crashes = faults.Sdn_sim.Faults.crashes @ crashes;
+          }
+        in
+        let config =
+          {
+            Config.default with
+            Config.mechanism;
+            buffer_capacity = (if mechanism = Config.No_buffer then 0 else buffer);
+            rate_mbps = rate;
+            seed;
+            workload;
+            faults;
+            overload_watermark = watermark;
+            buf_policy;
+            echo_interval;
+            echo_misses;
+            fail_mode;
+            check;
+          }
+        in
+        let result = Experiment.run config in
+        Format.printf "%a@." Experiment.pp_result result;
+        check_exit [ result ];
+        `Ok ()
   in
   let term =
     Term.(
-      const run $ mechanism_arg $ buffer_arg $ rate_arg $ seed_arg
-      $ workload_arg $ faults_arg $ crash_arg $ watermark_arg
-      $ buf_policy_arg $ echo_interval_arg $ echo_misses_arg $ fail_mode_arg
-      $ check_arg)
+      ret
+        (const run $ mechanism_arg $ buffer_arg $ rate_arg $ seed_arg
+       $ workload_arg $ faults_arg $ crash_arg $ watermark_arg
+       $ buf_policy_arg $ echo_interval_arg $ echo_misses_arg
+       $ fail_mode_arg $ check_arg))
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one experiment and print its metrics.") term
 

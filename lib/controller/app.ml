@@ -8,12 +8,7 @@ type context = {
   total_len : int;
 }
 
-type forward = {
-  out_port : int;
-  install : bool;
-  idle_timeout : int;
-  hard_timeout : int;
-}
+type forward = { out_port : int; idle_timeout : int }
 
 type forward_queued = { f : forward; queue_id : int32 }
 
@@ -21,9 +16,5 @@ type decision =
   | Forward of forward
   | Forward_queued of forward_queued
   | Flood
-  | Drop
 
 type t = { name : string; decide : context -> decision }
-
-let forward ?(install = true) ?(idle_timeout = 5) ?(hard_timeout = 0) out_port =
-  Forward { out_port; install; idle_timeout; hard_timeout }

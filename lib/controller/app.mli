@@ -3,7 +3,8 @@
     An application receives the decoded context of a [PACKET_IN] and
     returns a forwarding decision; the controller core turns the
     decision into [FLOW_MOD] / [PACKET_OUT] messages and prices the
-    CPU work. *)
+    CPU work. A forward always installs a rule for the flow, with no
+    hard timeout, as the paper's Floodlight forwarding module does. *)
 
 open Sdn_net
 
@@ -15,12 +16,7 @@ type context = {
   total_len : int;
 }
 
-type forward = {
-  out_port : int;
-  install : bool;  (** also install a rule for the flow? *)
-  idle_timeout : int;
-  hard_timeout : int;
-}
+type forward = { out_port : int; idle_timeout : int }
 
 type forward_queued = {
   f : forward;
@@ -32,14 +28,8 @@ type decision =
   | Forward_queued of forward_queued
       (** like [Forward] but through an [Enqueue] action *)
   | Flood  (** PACKET_OUT to FLOOD, no rule installed *)
-  | Drop
 
 type t = {
   name : string;
   decide : context -> decision;
 }
-
-val forward :
-  ?install:bool -> ?idle_timeout:int -> ?hard_timeout:int -> int -> decision
-(** [forward port] with Floodlight-like defaults ([install = true],
-    idle 5 s, no hard timeout). *)

@@ -1,6 +1,6 @@
 open Sdn_net
 
-let forwarding ~hosts ?(idle_timeout = 5) ?(hard_timeout = 0) () =
+let forwarding ~hosts ?(idle_timeout = 5) () =
   let by_ip = Hashtbl.create 8 in
   let by_mac = Hashtbl.create 8 in
   List.iter
@@ -22,32 +22,16 @@ let forwarding ~hosts ?(idle_timeout = 5) ?(hard_timeout = 0) () =
             (Mac.to_int64 ctx.App.headers.Packet.h_eth.Ethernet.dst)
     in
     match port with
-    | Some out_port -> App.forward ~idle_timeout ~hard_timeout out_port
+    | Some out_port -> App.Forward { App.out_port; idle_timeout }
     | None -> App.Flood
   in
   { App.name = "forwarding"; decide }
-
-let learning_switch () =
-  let table = Hashtbl.create 16 in
-  let decide (ctx : App.context) =
-    let eth = ctx.App.headers.Packet.h_eth in
-    Hashtbl.replace table (Mac.to_int64 eth.Ethernet.src) ctx.App.in_port;
-    if Mac.is_broadcast eth.Ethernet.dst then App.Flood
-    else begin
-      match Hashtbl.find_opt table (Mac.to_int64 eth.Ethernet.dst) with
-      | Some out_port -> App.forward out_port
-      | None -> App.Flood
-    end
-  in
-  { App.name = "learning-switch"; decide }
 
 let qos_forwarding ~hosts ~classify ?(idle_timeout = 5) () =
   let plain = forwarding ~hosts ~idle_timeout () in
   let decide (ctx : App.context) =
     match plain.App.decide ctx with
     | App.Forward f -> App.Forward_queued { App.f; queue_id = classify ctx }
-    | (App.Flood | App.Drop | App.Forward_queued _) as d -> d
+    | (App.Flood | App.Forward_queued _) as d -> d
   in
   { App.name = "qos-forwarding"; decide }
-
-let dropper () = { App.name = "dropper"; decide = (fun _ -> App.Drop) }

@@ -9,8 +9,6 @@ type counters = {
   pkt_ins_received : int;
   flow_mods_sent : int;
   pkt_outs_sent : int;
-  drops_decided : int;
-  port_changes : int;
   switch_downs : int;
   resyncs : int;
   crashes : int;
@@ -77,8 +75,6 @@ type t = {
   mutable pkt_ins_received : int;
   mutable flow_mods_sent : int;
   mutable pkt_outs_sent : int;
-  mutable drops_decided : int;
-  mutable port_changes : int;
   mutable resyncs : int;
   (* Crash–restart fault injection: while [dead] the process neither
      receives nor emits; messages arriving meanwhile are lost. *)
@@ -264,8 +260,6 @@ let create engine ~app ~costs ~rng ?check ?(release_strategy = `Pair)
       pkt_ins_received = 0;
       flow_mods_sent = 0;
       pkt_outs_sent = 0;
-      drops_decided = 0;
-      port_changes = 0;
       resyncs = 0;
       dead = false;
       crashes = 0;
@@ -322,44 +316,23 @@ let respond t ~xid ~(pkt_in : Of_packet_in.t) (ctx : App.context)
         ~in_port:ctx.App.in_port ~out_port
   in
   let forward ~action ~out_port (f : App.forward) =
-    if f.App.install then begin
-      let release_in_flow_mod =
-        buffered && t.release_strategy = `Flow_mod_release
-      in
-      let flow_mod =
-        Of_flow_mod.add ~idle_timeout:f.App.idle_timeout
-          ~hard_timeout:f.App.hard_timeout
-          ~buffer_id:
-            (if release_in_flow_mod then ctx.App.buffer_id else Of_wire.no_buffer)
-          ~match_:(match_for ctx) ~actions:[ action ] ()
-      in
-      send t ~xid (Of_codec.Flow_mod flow_mod);
-      if not release_in_flow_mod then begin
-        let po = pkt_out_for ~out_port in
-        send t ~xid
-          (Of_codec.Packet_out { po with Of_packet_out.actions = [ action ] })
-      end
-    end
-    else begin
+    let release_in_flow_mod =
+      buffered && t.release_strategy = `Flow_mod_release
+    in
+    let flow_mod =
+      Of_flow_mod.add ~idle_timeout:f.App.idle_timeout
+        ~buffer_id:
+          (if release_in_flow_mod then ctx.App.buffer_id else Of_wire.no_buffer)
+        ~match_:(match_for ctx) ~actions:[ action ] ()
+    in
+    send t ~xid (Of_codec.Flow_mod flow_mod);
+    if not release_in_flow_mod then begin
       let po = pkt_out_for ~out_port in
       send t ~xid
         (Of_codec.Packet_out { po with Of_packet_out.actions = [ action ] })
     end
   in
   match decision with
-  | App.Drop ->
-      t.drops_decided <- t.drops_decided + 1;
-      if buffered then
-        (* Release the buffer with no output action: the switch frees
-           the unit and discards the packet. *)
-        send t ~xid
-          (Of_codec.Packet_out
-             {
-               Of_packet_out.buffer_id = ctx.App.buffer_id;
-               in_port = ctx.App.in_port;
-               actions = [];
-               data = Bytes.empty;
-             })
   | App.Flood ->
       send t ~xid
         (Of_codec.Packet_out (pkt_out_for ~out_port:Of_wire.Port.flood))
@@ -375,12 +348,9 @@ let reply_sizes t decision ~buffered ~data_len =
      frame data carried back (the expensive no-buffer PACKET_OUT). *)
   let data_out = if buffered then 0 else data_len in
   match decision with
-  | App.Drop -> if buffered then (1, 0) else (0, 0)
   | App.Flood -> (1, data_out)
-  | App.Forward { App.install; _ } | App.Forward_queued { App.f = { App.install; _ }; _ }
-    ->
-      if not install then (1, data_out)
-      else if buffered && t.release_strategy = `Flow_mod_release then (1, 0)
+  | App.Forward _ | App.Forward_queued _ ->
+      if buffered && t.release_strategy = `Flow_mod_release then (1, 0)
       else (2, data_out)
 
 let note_arrival t ~bytes =
@@ -555,28 +525,15 @@ let handle_message t buf =
              reconciliation pass does not resurrect it. *)
           View_key.Table.remove s.flow_view
             (fr.Of_flow_removed.match_, fr.Of_flow_removed.priority)
-      | Of_codec.Port_status ps ->
-          t.port_changes <- t.port_changes + 1;
-          (* A failed link strands every rule forwarding into it; flush
-             them so affected flows fall back to the reactive path. *)
-          if ps.Of_port_status.link_down then begin
-            let work = t.costs.Costs.parse_base_cost +. t.costs.Costs.decision_cost in
-            Cpu.submit t.cpu ~work_s:work (fun () ->
-                send t ~xid
-                  (Of_codec.Flow_mod
-                     {
-                       (Of_flow_mod.add ~match_:Of_match.wildcard_all ~actions:[] ()) with
-                       Of_flow_mod.command = Of_flow_mod.Delete;
-                       out_port = ps.Of_port_status.port.Of_features.port_no;
-                     }))
-          end
       | Of_codec.Stats_reply (Of_stats.Flow_reply stats) ->
           handle_flow_stats t stats
       | Of_codec.Hello | Of_codec.Error_msg _ | Of_codec.Echo_reply _
       | Of_codec.Features_reply _ | Of_codec.Get_config_reply _
-      | Of_codec.Stats_reply _ | Of_codec.Barrier_reply | Of_codec.Vendor _ ->
-          (* Handshake replies, statistics and error reports land here;
-             nothing to do for the reproduction's workloads. *)
+      | Of_codec.Port_status _ | Of_codec.Stats_reply _
+      | Of_codec.Barrier_reply | Of_codec.Vendor _ ->
+          (* Handshake replies, port and statistics reports and error
+             reports land here; nothing to do for the reproduction's
+             workloads. *)
           ()
       | Of_codec.Features_request | Of_codec.Get_config_request
       | Of_codec.Set_config _ | Of_codec.Packet_out _ | Of_codec.Flow_mod _
@@ -658,8 +615,6 @@ let counters t =
     pkt_ins_received = t.pkt_ins_received;
     flow_mods_sent = t.flow_mods_sent;
     pkt_outs_sent = t.pkt_outs_sent;
-    drops_decided = t.drops_decided;
-    port_changes = t.port_changes;
     switch_downs = switch_downs t;
     resyncs = t.resyncs;
     crashes = t.crashes;

@@ -20,8 +20,6 @@ type counters = {
   pkt_ins_received : int;
   flow_mods_sent : int;
   pkt_outs_sent : int;
-  drops_decided : int;
-  port_changes : int;
   switch_downs : int;
       (** times the echo keepalive declared the switch session Down *)
   resyncs : int;

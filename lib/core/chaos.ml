@@ -34,15 +34,14 @@ let point_config ~base ~mechanism ~loss_rate =
 let run_grid ~jobs configs =
   Array.to_list (Exec.run_experiments ~jobs (Array.of_list configs))
 
-let run ?(mechanisms = default_mechanisms) ?(loss_rates = default_loss_rates)
-    ?(jobs = 1) ~base () =
+let run ?(loss_rates = default_loss_rates) ?(jobs = 1) ~base () =
   run_grid ~jobs
     (List.concat_map
        (fun mechanism ->
          List.map
            (fun loss_rate -> point_config ~base ~mechanism ~loss_rate)
            loss_rates)
-       mechanisms)
+       default_mechanisms)
 
 (* Report rows read each point's axes back from the configuration it
    ran: only the [*_point_config] functions of this module write them. *)
@@ -126,7 +125,7 @@ let print_report results = print_string (report results)
    how each fail mode degrades, and what the reconnect resyncs. *)
 
 let default_outage_durations = [ 0.05; 0.1 ]
-let default_fail_modes = [ Config.Fail_secure; Config.Fail_standalone ]
+let fail_modes = [ Config.Fail_secure; Config.Fail_standalone ]
 
 (* Traffic starts at 0.05s; 0.15s puts the blackout mid-run for the
    default Exp-B workload so misses arrive while the session is Down. *)
@@ -155,9 +154,7 @@ let outage_point_config ~base ~mechanism ~fail_mode ~duration =
     faults;
   }
 
-let run_outage ?(mechanisms = default_mechanisms)
-    ?(fail_modes = default_fail_modes)
-    ?(durations = default_outage_durations) ?(jobs = 1) ~base () =
+let run_outage ?(durations = default_outage_durations) ?(jobs = 1) ~base () =
   run_grid ~jobs
     (List.concat_map
        (fun mechanism ->
@@ -168,7 +165,7 @@ let run_outage ?(mechanisms = default_mechanisms)
                  outage_point_config ~base ~mechanism ~fail_mode ~duration)
                durations)
            fail_modes)
-       mechanisms)
+       default_mechanisms)
 
 (* The swept duration, read back as [stop - start] of the single
    window: not always bit-equal to the swept value, so every use
@@ -284,9 +281,8 @@ let crash_point_config ~base ~mechanism ~node ~mode ~down =
     faults;
   }
 
-let run_crash ?(mechanisms = default_mechanisms)
-    ?(nodes = default_crash_nodes) ?(modes = default_crash_modes)
-    ?(downs = default_crash_downs) ?(jobs = 1) ~base () =
+let run_crash ?(modes = default_crash_modes) ?(downs = default_crash_downs)
+    ?(jobs = 1) ~base () =
   run_grid ~jobs
     (List.concat_map
        (fun mechanism ->
@@ -299,8 +295,8 @@ let run_crash ?(mechanisms = default_mechanisms)
                      crash_point_config ~base ~mechanism ~node ~mode ~down)
                    downs)
                modes)
-           nodes)
-       mechanisms)
+           default_crash_nodes)
+       default_mechanisms)
 
 let the_crash (r : Experiment.result) =
   match r.Experiment.config.Config.faults.Faults.crashes with

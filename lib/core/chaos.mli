@@ -26,14 +26,14 @@ val default_base : seed:int -> Config.t
     buffered tails make control-channel loss visible. *)
 
 val run :
-  ?mechanisms:Config.mechanism list ->
   ?loss_rates:float list ->
   ?jobs:int ->
   base:Config.t ->
   unit ->
   Experiment.result list
-(** Run the sweep: one experiment per mechanism x loss rate, in
-    deterministic order (mechanisms outer, loss rates inner). Each
+(** Run the sweep: one experiment per mechanism of
+    {!default_mechanisms} x loss rate, in deterministic order
+    (mechanisms outer, loss rates inner). Each
     point runs [base] with the mechanism substituted and the fault
     plan's independent loss set to the rate (any burst/jitter/outage
     in [base.faults] is kept). *)
@@ -62,16 +62,15 @@ val default_outage_base : seed:int -> Config.t
     [echo_misses = 2], so a blackout is declared Down within ~30 ms. *)
 
 val run_outage :
-  ?mechanisms:Config.mechanism list ->
-  ?fail_modes:Config.fail_mode list ->
   ?durations:float list ->
   ?jobs:int ->
   base:Config.t ->
   unit ->
   Experiment.result list
-(** Run the sweep: one experiment per mechanism x fail mode x duration,
-    in deterministic order (mechanisms outer, durations inner; fail
-    modes default to fail-secure then fail-standalone). Each point runs
+(** Run the sweep: one experiment per mechanism of
+    {!default_mechanisms} x fail mode x duration, in deterministic
+    order (mechanisms outer, then fail-secure before fail-standalone,
+    durations inner). Each point runs
     [base] with the mechanism and fail mode substituted and the fault
     plan's outage list replaced by the single window
     [\[0.15, 0.15 + duration)]. *)
@@ -123,17 +122,16 @@ val crash_point_config :
     [mode]. *)
 
 val run_crash :
-  ?mechanisms:Config.mechanism list ->
-  ?nodes:Sdn_sim.Faults.crash_node list ->
   ?modes:Sdn_sim.Faults.restart_mode list ->
   ?downs:float list ->
   ?jobs:int ->
   base:Config.t ->
   unit ->
   Experiment.result list
-(** Run the sweep: one {!crash_point_config} experiment per mechanism x
-    node x mode x downtime, in deterministic order (mechanisms outer,
-    downtimes inner). *)
+(** Run the sweep: one {!crash_point_config} experiment per mechanism
+    of {!default_mechanisms} x node of {!default_crash_nodes} x mode x
+    downtime, in deterministic order (mechanisms outer, downtimes
+    inner). *)
 
 val crash_report : Experiment.result list -> string
 (** Deterministic plain-text report of {!run_crash}'s results: one

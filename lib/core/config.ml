@@ -31,9 +31,6 @@ type t = {
   faults : Sdn_sim.Faults.spec;
   miss_send_len : int;
   resend_timeout : float;
-  resend_multiplier : float;
-  resend_cap : float;
-  resend_jitter : float;
   max_resends : int;
   flow_table_capacity : int;
   rule_idle_timeout : int;
@@ -61,9 +58,6 @@ let default =
     faults = Sdn_sim.Faults.none;
     miss_send_len = 128;
     resend_timeout = 50e-3;
-    resend_multiplier = 2.0;
-    resend_cap = 400e-3;
-    resend_jitter = 0.1;
     max_resends = 3;
     flow_table_capacity = 2048;
     rule_idle_timeout = 5;

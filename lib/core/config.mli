@@ -55,14 +55,8 @@ type t = {
       (** bytes of a buffered packet carried in the PACKET_IN (128 in
           OpenFlow 1.0 and in the paper) *)
   resend_timeout : float;
-      (** flow-granularity base re-request delay, seconds *)
-  resend_multiplier : float;
-      (** re-request delay growth per unanswered request (1 = the
-          paper's fixed period) *)
-  resend_cap : float;  (** upper bound on the re-request delay, seconds *)
-  resend_jitter : float;
-      (** uniform multiplicative jitter fraction on each re-request
-          delay, in [\[0, 1)] *)
+      (** flow-granularity base re-request delay, seconds; later
+          re-requests back off as {!Sdn_switch.Switch.config} describes *)
   max_resends : int;
       (** unanswered re-requests before a buffered chain is abandoned *)
   flow_table_capacity : int;

@@ -11,12 +11,8 @@ type t = {
   delay : Delay.t;
   host1_link : Bytes.t Link.t;
   host2_link : Bytes.t Link.t;
-  to_host1 : Bytes.t Link.t;
-  to_host2 : Bytes.t Link.t;
   to_controller : Bytes.t Link.t;
   to_switch : Bytes.t Link.t;
-  faults_up : Faults.t;
-  faults_down : Faults.t;
   traffic_rng : Rng.t;
   mutable host1_received : int;
   mutable host2_received : int;
@@ -29,20 +25,13 @@ let host1_ip = Ip.make 10 0 0 1
 let host2_ip = Ip.make 10 0 0 2
 
 (* The switch configuration a run's config asks for: every switch knob
-   the config carries, on top of the switch's defaults. *)
+   is a config field. *)
 let switch_config (config : Config.t) =
   {
-    Sdn_switch.Switch.default_config with
-    (* buffer_capacity = 0 means the no-buffer configuration. *)
-    Sdn_switch.Switch.mechanism =
-      (if config.Config.buffer_capacity = 0 then Sdn_switch.Switch.No_buffer
-       else config.Config.mechanism);
-    buffer_capacity = max 1 config.Config.buffer_capacity;
+    Sdn_switch.Switch.mechanism = config.Config.mechanism;
+    buffer_capacity = config.Config.buffer_capacity;
     miss_send_len = config.Config.miss_send_len;
     resend_timeout = config.Config.resend_timeout;
-    resend_multiplier = config.Config.resend_multiplier;
-    resend_cap = config.Config.resend_cap;
-    resend_jitter = config.Config.resend_jitter;
     max_resends = config.Config.max_resends;
     flow_table_capacity = config.Config.flow_table_capacity;
     echo_interval = config.Config.echo_interval;
@@ -66,16 +55,16 @@ let switch_config (config : Config.t) =
   }
 
 (* The re-request policy the controller pushes over the vendor
-   extension to enable flow granularity; [None] for the other
-   mechanisms. *)
+   extension to enable flow granularity, with the switch's own backoff
+   shape; [None] for the other mechanisms. *)
 let flow_buffer_backoff (config : Config.t) =
   match config.Config.mechanism with
   | Config.Flow_granularity ->
       Some
         {
           Sdn_openflow.Of_ext.timeout = config.Config.resend_timeout;
-          multiplier = config.Config.resend_multiplier;
-          cap = config.Config.resend_cap;
+          multiplier = Sdn_switch.Session.backoff_multiplier;
+          cap = Sdn_switch.Session.backoff_cap;
           max_resends = config.Config.max_resends;
         }
   | Config.No_buffer | Config.Packet_granularity -> None
@@ -264,12 +253,8 @@ let build (config : Config.t) =
       delay;
       host1_link;
       host2_link;
-      to_host1;
-      to_host2;
       to_controller;
       to_switch;
-      faults_up;
-      faults_down;
       traffic_rng;
       host1_received = 0;
       host2_received = 0;
@@ -290,7 +275,10 @@ let inject t ~in_port frame =
   in
   Link.send link ~size:(Bytes.length frame) frame
 
-let run_until_quiet ?(grace = 2.0) ?(min_time = 0.0) t =
+(* The probing slice of [run_until_quiet], seconds. *)
+let grace = 2.0
+
+let run_until_quiet ?(min_time = 0.0) t =
   (* Run in grace-sized slices until every injected packet has either
      egressed or been dropped (bounded rounds — the housekeeping sweep
      reschedules forever, so a plain drain would never terminate). *)

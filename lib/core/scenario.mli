@@ -26,12 +26,8 @@ type t = {
   delay : Delay.t;
   host1_link : Bytes.t Link.t;  (** Host1 -> switch port 1 *)
   host2_link : Bytes.t Link.t;  (** Host2 -> switch port 2 *)
-  to_host1 : Bytes.t Link.t;  (** switch port 1 egress *)
-  to_host2 : Bytes.t Link.t;  (** switch port 2 egress *)
   to_controller : Bytes.t Link.t;
   to_switch : Bytes.t Link.t;
-  faults_up : Faults.t;  (** fault plan on the switch-to-controller leg *)
-  faults_down : Faults.t;  (** fault plan on the controller-to-switch leg *)
   traffic_rng : Rng.t;
   mutable host1_received : int;
   mutable host2_received : int;
@@ -53,9 +49,9 @@ val crash_events : t -> (float * string) list
     oldest first — e.g. [("0.2", "switch crash (cold)")] followed by
     the matching restart. Empty when the plan has no crashes. *)
 
-val run_until_quiet : ?grace:float -> ?min_time:float -> t -> unit
+val run_until_quiet : ?min_time:float -> t -> unit
 (** Run the engine until every injected packet has either egressed or
-    been dropped, probing in [grace]-second slices (default 2). Pass
+    been dropped, probing in 2-second slices. Pass
     [min_time] (absolute simulation time) to keep running at least
     that long even through quiet periods — needed for workloads with
     idle gaps, such as the TCP rule-eviction scenario. *)

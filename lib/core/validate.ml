@@ -154,7 +154,7 @@ let tx_fm = tx ~bytes:flow_mod_bytes ~bps:ctl_bw
 let tx_po = tx ~bytes:po_release_bytes ~bps:ctl_bw
 let tx_po_full = tx ~bytes:po_full_bytes ~bps:ctl_bw
 let tx_eg = tx ~bytes:frame_size ~bps:Calibration.data_link_bandwidth_bps
-let reclaim_lag = Sdn_switch.Switch.default_config.Sdn_switch.Switch.reclaim_lag
+let reclaim_lag = Sdn_switch.Switch.reclaim_lag
 
 (* Mean controller work per buffered PACKET_IN under `Pair release
    (two replies, no data carried back). *)

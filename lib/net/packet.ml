@@ -112,8 +112,9 @@ let flow_key t =
            ~dst_port:tcp.Tcp.dst_port)
   | Ipv4 (_, Raw_l4 _) | Arp _ | Raw_l3 _ -> None
 
-let udp ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ?(ttl = 64)
-    ?(ident = 0) ~payload () =
+(* The headers of a built IPv4 frame: identification 0, TTL 64,
+   don't-fragment set. *)
+let ipv4 ~src_mac ~dst_mac ~src_ip ~dst_ip ~proto l4 =
   {
     eth =
       { Ethernet.dst = dst_mac; src = src_mac; ethertype = Ethernet.ethertype_ipv4 };
@@ -121,15 +122,19 @@ let udp ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ?(ttl = 64)
       Ipv4
         ( {
             Ipv4.tos = 0;
-            ident;
+            ident = 0;
             dont_fragment = true;
-            ttl;
-            proto = Ipv4.proto_udp;
+            ttl = 64;
+            proto;
             src = src_ip;
             dst = dst_ip;
           },
-          Udp ({ Udp.src_port; dst_port }, payload) );
+          l4 );
   }
+
+let udp ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ~payload () =
+  ipv4 ~src_mac ~dst_mac ~src_ip ~dst_ip ~proto:Ipv4.proto_udp
+    (Udp ({ Udp.src_port; dst_port }, payload))
 
 let udp_frame_of_size ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port
     ~frame_size ~payload_fill =
@@ -141,26 +146,10 @@ let udp_frame_of_size ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port
   payload_fill payload;
   udp ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ~payload ()
 
-let tcp ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ?(ttl = 64)
-    ?(ident = 0) ?(seq = 0l) ?(ack_seq = 0l) ?(flags = Tcp.no_flags)
-    ?(window = 65535) ~payload () =
-  {
-    eth =
-      { Ethernet.dst = dst_mac; src = src_mac; ethertype = Ethernet.ethertype_ipv4 };
-    l3 =
-      Ipv4
-        ( {
-            Ipv4.tos = 0;
-            ident;
-            dont_fragment = true;
-            ttl;
-            proto = Ipv4.proto_tcp;
-            src = src_ip;
-            dst = dst_ip;
-          },
-          Tcp ({ Tcp.src_port; dst_port; seq; ack_seq; flags; window }, payload)
-        );
-  }
+let tcp ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ?(seq = 0l)
+    ?(ack_seq = 0l) ?(flags = Tcp.no_flags) ?(window = 65535) ~payload () =
+  ipv4 ~src_mac ~dst_mac ~src_ip ~dst_ip ~proto:Ipv4.proto_tcp
+    (Tcp ({ Tcp.src_port; dst_port; seq; ack_seq; flags; window }, payload))
 
 let arp ~src_mac ~dst_mac payload =
   {

@@ -67,12 +67,11 @@ val udp :
   dst_ip:Ip.t ->
   src_port:int ->
   dst_port:int ->
-  ?ttl:int ->
-  ?ident:int ->
   payload:Bytes.t ->
   unit ->
   t
-(** Build a UDP-in-IPv4-in-Ethernet frame. *)
+(** Build a UDP-in-IPv4-in-Ethernet frame (IPv4 identification 0, TTL
+    64, don't-fragment set; so are {!tcp}'s). *)
 
 val udp_frame_of_size :
   src_mac:Mac.t ->
@@ -98,8 +97,6 @@ val tcp :
   dst_ip:Ip.t ->
   src_port:int ->
   dst_port:int ->
-  ?ttl:int ->
-  ?ident:int ->
   ?seq:int32 ->
   ?ack_seq:int32 ->
   ?flags:Tcp.flags ->

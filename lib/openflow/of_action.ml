@@ -14,7 +14,7 @@ type t =
   | Set_tp_dst of int
   | Enqueue of { port : int; queue_id : int32 }
 
-let output ?(max_len = 0xFFFF) port = Output { port; max_len }
+let output port = Output { port; max_len = 0xFFFF }
 
 (* ofp_action_type values. *)
 let type_output = 0

@@ -18,8 +18,8 @@ type t =
   | Set_tp_dst of int
   | Enqueue of { port : int; queue_id : int32 }
 
-val output : ?max_len:int -> int -> t
-(** [output port] with [max_len] defaulting to 0xFFFF. *)
+val output : int -> t
+(** [output port] with [max_len] 0xFFFF. *)
 
 val list_size : t list -> int
 

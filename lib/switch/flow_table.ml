@@ -5,11 +5,9 @@ type insert_result =
   | Installed
   | Replaced
   | Evicted of Flow_entry.t
-  | Table_full
 
 type t = {
   capacity : int;
-  eviction : bool;
   by_uid : (int, Flow_entry.t) Hashtbl.t;
   exact : int list ref Flow_key.Table.t;
   mutable wildcard_uids : int list;
@@ -27,12 +25,11 @@ type t = {
   clock : unit -> float;
 }
 
-let create ?(eviction = true) ?check ?(name = "flow-table")
+let create ?check ?(name = "flow-table")
     ?(clock = fun () -> 0.0) ~capacity () =
   if capacity <= 0 then invalid_arg "Flow_table.create: capacity";
   {
     capacity;
-    eviction;
     by_uid = Hashtbl.create 64;
     exact = Flow_key.Table.create 64;
     wildcard_uids = [];
@@ -150,21 +147,20 @@ let insert t entry =
       remove_uid t uid;
       ignore (add_entry t entry);
       Replaced
-  | None ->
-      if Hashtbl.length t.by_uid < t.capacity then begin
-        ignore (add_entry t entry);
-        Installed
-      end
-      else if not t.eviction then Table_full
-      else begin
-        match eviction_victim t with
-        | None -> Table_full (* capacity 0 is rejected at create *)
-        | Some (uid, victim) ->
-            remove_uid t uid;
-            t.evictions <- t.evictions + 1;
-            ignore (add_entry t entry);
-            Evicted victim
-      end
+  | None -> (
+      let victim =
+        if Hashtbl.length t.by_uid < t.capacity then None
+        else eviction_victim t
+      in
+      match victim with
+      | None ->
+          ignore (add_entry t entry);
+          Installed
+      | Some (uid, victim) ->
+          remove_uid t uid;
+          t.evictions <- t.evictions + 1;
+          ignore (add_entry t entry);
+          Evicted victim)
 
 let candidates t pkt =
   let exact =

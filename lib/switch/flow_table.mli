@@ -1,5 +1,5 @@
-(** The switch's flow table: priority matching, capacity with optional
-    LRU eviction, idle/hard timeout expiry — fronted by an OVS-style
+(** The switch's flow table: priority matching, capacity with LRU
+    eviction, idle/hard timeout expiry — fronted by an OVS-style
     exact-match microflow cache ({!Microflow}).
 
     Exact 5-tuple rules (the kind a reactive controller installs per
@@ -29,19 +29,18 @@ type insert_result =
   | Installed
   | Replaced  (** an entry with equal match and priority was overwritten *)
   | Evicted of Flow_entry.t  (** installed after evicting this entry *)
-  | Table_full  (** rejected: table at capacity and eviction disabled *)
 
 val create :
-  ?eviction:bool ->
   ?check:Sdn_check.Check.t ->
   ?name:string ->
   ?clock:(unit -> float) ->
   capacity:int ->
   unit ->
   t
-(** [eviction] defaults to [true]: at capacity the least-recently-used
-    entry of minimal priority is displaced, as the paper's discussion
-    of TCP rule-eviction assumes.
+(** A table of at most [capacity] rules (at least 1, else
+    [Invalid_argument]). At capacity an insert displaces the
+    least-recently-used entry of minimal priority, as the paper's
+    discussion of TCP rule-eviction assumes.
 
     With [check] armed, every cache hit re-runs the slow path and
     reports a [microflow-agreement] violation on divergence, stamped
@@ -74,8 +73,8 @@ val delete :
     how many were removed. Non-strict removes every entry subsumed by
     [match_]; strict requires equal match and priority. When
     [out_port] names a physical port, only entries with an output or
-    enqueue action to that port qualify (the filter a controller uses
-    to flush rules after a port failure). *)
+    enqueue action to that port qualify (a FLOW_MOD delete's
+    [out_port] filter). *)
 
 val expire : t -> now:float -> Flow_entry.t list
 (** Remove and return entries whose idle or hard timeout has elapsed. *)

@@ -24,18 +24,13 @@ type config = {
   echo_interval : float;
   echo_misses : int;
   reconnect_delay : float;
-  reconnect_multiplier : float;
-  reconnect_cap : float;
 }
 
 let default_config =
-  {
-    echo_interval = 0.0;
-    echo_misses = 3;
-    reconnect_delay = 50e-3;
-    reconnect_multiplier = 2.0;
-    reconnect_cap = 400e-3;
-  }
+  { echo_interval = 0.0; echo_misses = 3; reconnect_delay = 50e-3 }
+
+let backoff_multiplier = 2.0
+let backoff_cap = 400e-3
 
 type t = {
   engine : Engine.t;
@@ -77,8 +72,6 @@ let create engine ?check ?(name = "session") ~config ~fresh_xid ~send_echo
     ~on_down ~on_restore () =
   if config.echo_misses < 1 then
     invalid_arg "Session.create: echo_misses below 1";
-  if config.reconnect_multiplier < 1.0 then
-    invalid_arg "Session.create: reconnect multiplier below 1";
   {
     engine;
     check;
@@ -124,9 +117,8 @@ let set_state t s =
   end
 
 let reconnect_delay t ~attempt =
-  Float.min t.config.reconnect_cap
-    (t.config.reconnect_delay
-    *. (t.config.reconnect_multiplier ** float_of_int attempt))
+  Float.min backoff_cap
+    (t.config.reconnect_delay *. (backoff_multiplier ** float_of_int attempt))
 
 (* The keepalive loop: every [echo_interval], check how many echoes are
    still unanswered, then send a fresh one. Reaching [echo_misses]

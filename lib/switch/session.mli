@@ -19,10 +19,10 @@
     While Up/Probing it sends one keepalive echo per [echo_interval]
     and matches replies by xid (so reordered replies under jitter still
     match). Once Down it switches to reconnect probes on an
-    exponential-backoff schedule ([reconnect_delay] doubling up to
-    [reconnect_cap]). Replies to pre-outage keepalives that arrive
-    after the Down transition are counted as {e false positives} — the
-    channel was merely slow, not dead.
+    exponential-backoff schedule ([reconnect_delay] growing by
+    {!backoff_multiplier} up to {!backoff_cap}). Replies to pre-outage
+    keepalives that arrive after the Down transition are counted as
+    {e false positives} — the channel was merely slow, not dead.
 
     With [echo_interval <= 0] the machine is passive: it only tracks
     Handshaking → Up and never declares an outage, which keeps
@@ -51,12 +51,19 @@ type config = {
   echo_interval : float;  (** seconds between keepalives; [<= 0] disables *)
   echo_misses : int;  (** unanswered echoes before declaring Down *)
   reconnect_delay : float;  (** first reconnect probe delay *)
-  reconnect_multiplier : float;  (** backoff growth, [>= 1] *)
-  reconnect_cap : float;  (** backoff ceiling *)
 }
 
 val default_config : config
 (** Disabled echo (interval 0), 3 misses, 50 ms → ×2 → 400 ms probes. *)
+
+val backoff_multiplier : float
+(** 2: each reconnect probe waits twice as long as the one before. The
+    switch's flow-granularity re-requests back off by the same
+    factor. *)
+
+val backoff_cap : float
+(** 0.4 s: the longest reconnect probe delay, and the re-requests'
+    cap. *)
 
 type t
 

@@ -13,16 +13,9 @@ type config = {
   mechanism : mechanism;
   buffer_capacity : int;
   miss_send_len : int;
-  buffer_expiry : float;
-  reclaim_lag : float;
   resend_timeout : float;
-  resend_multiplier : float;
-  resend_cap : float;
-  resend_jitter : float;
   max_resends : int;
   flow_table_capacity : int;
-  flow_table_eviction : bool;
-  table_sweep_interval : float;
   echo_interval : float;
   echo_misses : int;
   fail_mode : Session.fail_mode;
@@ -36,18 +29,9 @@ let default_config =
     mechanism = Packet_granularity;
     buffer_capacity = 256;
     miss_send_len = Of_packet_in.default_miss_send_len;
-    buffer_expiry = 1.0;
-    reclaim_lag = 3.2e-3;
     resend_timeout = 50e-3;
-    (* Exponential backoff with mild jitter: 50, ~100, ~200 ms. The
-       paper's fixed period is multiplier 1 / cap = timeout. *)
-    resend_multiplier = 2.0;
-    resend_cap = 400e-3;
-    resend_jitter = 0.1;
     max_resends = 3;
     flow_table_capacity = 2048;
-    flow_table_eviction = true;
-    table_sweep_interval = 1.0;
     (* Echo keepalive is opt-in: interval 0 keeps the control channel
        byte-identical to the pre-session behaviour. *)
     echo_interval = 0.0;
@@ -62,6 +46,18 @@ let default_config =
     buf_policy = None;
     shared_headroom = 0;
   }
+
+(* A packet-granularity unit ages out after [unit_expiry]; a freed
+   unit of either pool is reusable [reclaim_lag] later. *)
+let unit_expiry = 1.0
+let reclaim_lag = 3.2e-3
+
+(* Re-requests back off exponentially with mild jitter, 50, ~100,
+   ~200 ms, in the same shape as the session's reconnect probes. *)
+let resend_jitter = 0.1
+
+(* The period of the flow table's idle/hard timeout sweep. *)
+let sweep_period = 1.0
 
 (* The datapath id the features reply carries. It also prefixes the
    checker's ledger names ("sw-1/...") and sets the base of the xids
@@ -104,7 +100,6 @@ type t = {
   mutable shared_pool : Buf_policy.t option;
   ports : Bytes.t Link.t Of_wire.Port.Table.t;
   port_schedulers : Egress_queue.t Of_wire.Port.Table.t;
-  down_ports : unit Of_wire.Port.Table.t;
   mutable controller_link : Bytes.t Link.t option;
   mutable next_xid : int32;
   mutable session : Session.t option;
@@ -193,8 +188,8 @@ let ensure_pkt_pool t =
       in
       let pool =
         Packet_buffer.create t.engine ?check:t.check ?policy
-          ~pool_name:pkt_pool_name ~capacity ~expiry:t.config.buffer_expiry
-          ~reclaim_lag:t.config.reclaim_lag ()
+          ~pool_name:pkt_pool_name ~capacity ~expiry:unit_expiry ~reclaim_lag
+          ()
       in
       t.pkt_pool <- Some pool;
       pool
@@ -208,11 +203,9 @@ let rec ensure_flow_pool t =
       let pool =
         Flow_buffer.create t.engine ?check:t.check
           ~pool_name:flow_pool_name ~capacity:t.config.buffer_capacity
-          ~reclaim_lag:t.config.reclaim_lag
-          ~resend_timeout:t.config.resend_timeout
-          ~resend_multiplier:t.config.resend_multiplier
-          ~resend_cap:t.config.resend_cap
-          ~resend_jitter:t.config.resend_jitter ~rng:t.resend_rng
+          ~reclaim_lag ~resend_timeout:t.config.resend_timeout
+          ~resend_multiplier:Session.backoff_multiplier
+          ~resend_cap:Session.backoff_cap ~resend_jitter ~rng:t.resend_rng
           ~max_resends:t.config.max_resends
           ~on_resend:(fun ~buffer_id ~key:_ ~first_frame ->
             t.pkt_in_resends <- t.pkt_in_resends + 1;
@@ -281,15 +274,16 @@ and send_pkt_in t ~buffer_id ~frame ~in_port ~truncate ~extra_cost =
 let buffer_units t =
   match t.mechanism with
   | Flow_granularity -> Option.map Flow_buffer.units t.flow_pool
-  | Packet_granularity | No_buffer -> Option.map Packet_buffer.units t.pkt_pool
+  | Packet_granularity -> Option.map Packet_buffer.units t.pkt_pool
+  | No_buffer -> None
 
-(* Both tables stay empty unless a scenario takes a port down or gives
-   it a scheduler: test the size first, since every forwarded frame
-   asks. *)
-let port_down t port =
-  Of_wire.Port.Table.length t.down_ports > 0
-  && Of_wire.Port.Table.mem t.down_ports port
+(* The units the active mechanism buffers in, as FEATURES_REPLY
+   advertises them. *)
+let n_buffers t =
+  match t.mechanism with No_buffer -> 0 | _ -> t.config.buffer_capacity
 
+(* The table stays empty unless a scenario gives a port a scheduler:
+   test the size first, since every forwarded frame asks. *)
 let scheduler_of t port =
   if Of_wire.Port.Table.length t.port_schedulers = 0 then None
   else Of_wire.Port.Table.find_opt t.port_schedulers port
@@ -299,7 +293,6 @@ let forward_frame t ~port ~queue_id frame =
     t.frames_dropped <- t.frames_dropped + 1;
     t.crash_lost_frames <- t.crash_lost_frames + 1
   end
-  else if port_down t port then t.frames_dropped <- t.frames_dropped + 1
   else
   match scheduler_of t port with
   | Some scheduler ->
@@ -313,7 +306,7 @@ let forward_frame t ~port ~queue_id frame =
       | exception Not_found -> t.frames_dropped <- t.frames_dropped + 1)
 
 (* The special ports an output action can name: FLOOD and ALL mean
-   every up port but the ingress one, IN_PORT the ingress port, and
+   every port but the ingress one, IN_PORT the ingress port, and
    CONTROLLER and NONE no data-plane port. *)
 let floods port = port = Of_wire.Port.flood || port = Of_wire.Port.all
 let off_datapath port = port = Of_wire.Port.controller || port = Of_wire.Port.none
@@ -322,8 +315,7 @@ let off_datapath port = port = Of_wire.Port.controller || port = Of_wire.Port.no
    ascending port number. *)
 let flood_ports t ~in_port =
   Of_wire.Port.Table.fold
-    (fun p _ acc ->
-      if p = in_port || port_down t p then acc else p :: acc)
+    (fun p _ acc -> if p = in_port then acc else p :: acc)
     t.ports []
   |> List.sort Int.compare
 
@@ -598,17 +590,9 @@ let handle_flow_mod t (fm : Of_flow_mod.t) ~offending =
           ignore
             (Engine.schedule t.engine
                ~delay:t.costs.Costs.flow_mod_apply_latency (fun () ->
-                 let entry =
-                   Flow_entry.of_flow_mod fm ~now:(Engine.now t.engine)
-                 in
-                 match Flow_table.insert t.table entry with
-                 | Flow_table.Installed | Flow_table.Replaced
-                 | Flow_table.Evicted _ ->
-                     ()
-                 | Flow_table.Table_full ->
-                     send_error t ~error_type:Of_error.Flow_mod_failed
-                       ~code:Of_error.Flow_mod_failed_code.all_tables_full
-                       ~offending));
+                 ignore
+                   (Flow_table.insert t.table
+                      (Flow_entry.of_flow_mod fm ~now:(Engine.now t.engine)))));
           apply_buffer_release t ~buffer_id:fm.Of_flow_mod.buffer_id
             ~actions:fm.Of_flow_mod.actions ~offending
       | Of_flow_mod.Delete ->
@@ -652,7 +636,7 @@ let buffer_stats t =
   let units_in_use, units_total =
     match buffer_units t with
     | Some units -> (Buffer_units.in_use units, Buffer_units.capacity units)
-    | None -> (0, t.config.buffer_capacity)
+    | None -> (0, n_buffers t)
   in
   match (t.mechanism, t.flow_pool) with
   | Flow_granularity, Some pool ->
@@ -677,12 +661,14 @@ let handle_vendor t ~xid (v : Of_ext.t) ~offending =
   match v with
   | Of_ext.Flow_buffer_enable b ->
       (* The controller dictates the re-request policy; it applies to
-         the live pool from the next timer arming. A policy no timer
-         can arm (the wire carries signed milliseconds) is refused
-         whole, keeping the previous one. *)
+         the live pool from the next timer arming. A switch built
+         without buffer units, or a policy no timer can arm (the wire
+         carries signed milliseconds), refuses the enable whole,
+         keeping its mechanism and previous policy. *)
       if
-        Flow_buffer.valid_backoff ~resend_timeout:b.Of_ext.timeout
-          ~resend_multiplier:b.Of_ext.multiplier ~resend_cap:b.Of_ext.cap
+        t.config.buffer_capacity > 0
+        && Flow_buffer.valid_backoff ~resend_timeout:b.Of_ext.timeout
+             ~resend_multiplier:b.Of_ext.multiplier ~resend_cap:b.Of_ext.cap
       then begin
         t.mechanism <- Flow_granularity;
         Flow_buffer.set_backoff (ensure_flow_pool t)
@@ -693,7 +679,10 @@ let handle_vendor t ~xid (v : Of_ext.t) ~offending =
       else
         send_error ~xid t ~error_type:Of_error.Bad_request
           ~code:Of_error.Bad_request_code.eperm ~offending
-  | Of_ext.Flow_buffer_disable -> t.mechanism <- Packet_granularity
+  | Of_ext.Flow_buffer_disable ->
+      (* Without buffer units there is no packet pool to fall back on:
+         the switch stays no-buffer. *)
+      if t.config.buffer_capacity > 0 then t.mechanism <- Packet_granularity
   | Of_ext.Flow_buffer_stats_request ->
       send_to_controller ~xid t
         (Of_codec.Vendor (Of_ext.Flow_buffer_stats_reply (buffer_stats t)))
@@ -717,10 +706,7 @@ let features_reply t =
     |> List.sort (fun (a : Of_features.phy_port) b ->
            Int.compare a.Of_features.port_no b.Of_features.port_no)
   in
-  Of_features.make ~datapath_id
-    ~n_buffers:
-      (match t.mechanism with No_buffer -> 0 | _ -> t.config.buffer_capacity)
-    ~n_tables:1 ~ports
+  Of_features.make ~datapath_id ~n_buffers:(n_buffers t) ~n_tables:1 ~ports
 
 let handle_stats_request t ~xid (req : Of_stats.request) =
   let now = Engine.now t.engine in
@@ -850,6 +836,11 @@ let on_session_restore t = Option.iter Flow_buffer.resume t.flow_pool
 
 (* ---- Crash–restart fault injection ---- *)
 
+(* A switch built without buffer units is no-buffer whatever mechanism
+   it was configured with. *)
+let initial_mechanism config =
+  if config.buffer_capacity = 0 then No_buffer else config.mechanism
+
 let crash t ~mode =
   if not t.dead then begin
     t.dead <- true;
@@ -879,9 +870,7 @@ let crash t ~mode =
         in
         t.crash_wiped_packets <- t.crash_wiped_packets + pkt_wiped + flow_wiped;
         ignore (Flow_table.clear t.table);
-        t.mechanism <-
-          (if t.config.buffer_capacity = 0 then No_buffer
-           else t.config.mechanism);
+        t.mechanism <- initial_mechanism t.config;
         t.miss_send_len <- t.config.miss_send_len
   end
 
@@ -898,9 +887,6 @@ let restart t =
 let create engine ?check ~config ~costs ~rng () =
   let noise = Costs.noise costs rng in
   let amortize ~queue_len = Costs.amortization costs ~queue_len in
-  let mechanism =
-    if config.buffer_capacity = 0 then No_buffer else config.mechanism
-  in
   let t =
     {
       engine;
@@ -910,7 +896,7 @@ let create engine ?check ~config ~costs ~rng () =
       (* A dedicated stream for re-request jitter, so backoff draws do
          not perturb the service-noise sequence. *)
       resend_rng = Rng.split rng;
-      mechanism;
+      mechanism = initial_mechanism config;
       miss_send_len = config.miss_send_len;
       kernel =
         Cpu.create engine ~name:"switch-kernel" ~cores:costs.Costs.kernel_cores
@@ -924,8 +910,7 @@ let create engine ?check ~config ~costs ~rng () =
           ~receiver:(fun k -> k ())
           ();
       table =
-        Flow_table.create ~eviction:config.flow_table_eviction ?check
-          ~name:(name ^ "/table")
+        Flow_table.create ?check ~name:(name ^ "/table")
           ~clock:(fun () -> Engine.now engine)
           ~capacity:config.flow_table_capacity ();
       pkt_pool = None;
@@ -933,7 +918,6 @@ let create engine ?check ~config ~costs ~rng () =
       shared_pool = None;
       ports = Of_wire.Port.Table.create 8;
       port_schedulers = Of_wire.Port.Table.create 8;
-      down_ports = Of_wire.Port.Table.create 4;
       controller_link = None;
       next_xid = Int32.add 1l (Int32.shift_left (Int64.to_int32 datapath_id) 20);
       frames_forwarded = 0;
@@ -953,8 +937,9 @@ let create engine ?check ~config ~costs ~rng () =
       standalone_table = Hashtbl.create 16;
     }
   in
-  (* The reconnect probe schedule reuses the re-request backoff knobs:
-     both are "retry into a possibly-dead control channel" timers. *)
+  (* The reconnect probes start at the re-request timeout and share its
+     backoff: both are "retry into a possibly-dead control channel"
+     timers. *)
   t.session <-
     Some
       (Session.create engine ?check ~name
@@ -963,8 +948,6 @@ let create engine ?check ~config ~costs ~rng () =
              Session.echo_interval = config.echo_interval;
              echo_misses = config.echo_misses;
              reconnect_delay = config.resend_timeout;
-             reconnect_multiplier = Float.max 1.0 config.resend_multiplier;
-             reconnect_cap = config.resend_cap;
            }
          ~fresh_xid:(fun () -> fresh_xid t)
          ~send_echo:(fun ~xid ->
@@ -1001,9 +984,9 @@ let start t =
             (Of_codec.Flow_removed (Flow_entry.to_flow_removed entry ~now ~reason))
         end)
       expired;
-    ignore (Engine.schedule t.engine ~delay:t.config.table_sweep_interval sweep)
+    ignore (Engine.schedule t.engine ~delay:sweep_period sweep)
   in
-  ignore (Engine.schedule t.engine ~delay:t.config.table_sweep_interval sweep);
+  ignore (Engine.schedule t.engine ~delay:sweep_period sweep);
   Session.start (the_session t)
 
 let mechanism t = t.mechanism
@@ -1014,24 +997,6 @@ let set_port t ~port link =
       (Printf.sprintf "Switch.set_port: port %d outside 1..%d" port
          Of_wire.Port.max_physical);
   Of_wire.Port.Table.replace t.ports port link
-
-let set_port_state t ~port ~up =
-  let was_down = Of_wire.Port.Table.mem t.down_ports port in
-  if up then Of_wire.Port.Table.remove t.down_ports port
-  else Of_wire.Port.Table.replace t.down_ports port ();
-  if was_down <> not up then begin
-    (* Notify the controller asynchronously, as a real switch does. *)
-    let port_desc = phy_port port in
-    send_to_controller t
-      (Of_codec.Port_status
-         {
-           Of_port_status.reason = Of_port_status.Modify;
-           port = port_desc;
-           link_down = not up;
-         })
-  end
-
-let port_is_up t ~port = not (port_down t port)
 
 let set_port_scheduler t ~port ~policy ~queues =
   match Of_wire.Port.Table.find_opt t.ports port with

@@ -22,8 +22,10 @@
 
     The mechanism can also be switched at runtime by the controller
     through the {!Sdn_openflow.Of_ext} vendor messages. An enable whose
-    backoff fails {!Flow_buffer.valid_backoff} is refused with an
-    OFPT_ERROR (Bad_request, EPERM) and changes nothing. *)
+    backoff fails {!Flow_buffer.valid_backoff}, or sent to a switch
+    built with [buffer_capacity = 0], is refused with an OFPT_ERROR
+    (Bad_request, EPERM) and changes nothing; such a switch also
+    ignores a disable, so it stays no-buffer. *)
 
 open Sdn_sim
 open Sdn_openflow
@@ -34,22 +36,19 @@ val mechanism_to_string : mechanism -> string
 
 type config = {
   mechanism : mechanism;
-  buffer_capacity : int;  (** units (0 forces [No_buffer]) *)
+  buffer_capacity : int;
+      (** units; 0 forces [No_buffer] for the switch's whole life *)
   miss_send_len : int;  (** PACKET_IN data bytes when buffered *)
-  buffer_expiry : float;  (** packet-granularity ageing, seconds *)
-  reclaim_lag : float;  (** deferred unit reclamation, seconds *)
-  resend_timeout : float;  (** flow-granularity base re-request delay *)
-  resend_multiplier : float;
-      (** growth of the re-request delay per unanswered request (1 =
-          the paper's fixed period) *)
-  resend_cap : float;  (** upper bound on the re-request delay, seconds *)
-  resend_jitter : float;
-      (** uniform multiplicative jitter fraction on each delay, in
-          [\[0, 1)] — desynchronises simultaneous timeouts *)
+  resend_timeout : float;
+      (** flow-granularity base re-request delay, seconds. Successive
+          re-requests back off by {!Session.backoff_multiplier} up to
+          {!Session.backoff_cap}, each jittered by ±10%, until the
+          controller's vendor enable sets its own policy. It is also
+          the first reconnect probe delay *)
   max_resends : int;
   flow_table_capacity : int;
-  flow_table_eviction : bool;
-  table_sweep_interval : float;  (** idle/hard timeout sweep period *)
+      (** rules; at capacity an install evicts the least recently used
+          rule of minimal priority *)
   echo_interval : float;
       (** keepalive echo period, seconds; [<= 0] disables the liveness
           machinery entirely (the pre-session behaviour) *)
@@ -77,6 +76,11 @@ type config = {
 }
 
 val default_config : config
+
+val reclaim_lag : float
+(** 3.2 ms: how long a freed buffer unit of either pool stays
+    unusable (deferred reclamation). A packet-granularity unit ages out
+    after 1 s, and the flow table's timeouts are swept every second. *)
 
 type counters = {
   frames_forwarded : int;
@@ -135,7 +139,7 @@ val set_port : t -> port:int -> Bytes.t Link.t -> unit
     OpenFlow, and physical: a port outside [1..0xff00]
     ({!Sdn_openflow.Of_wire.Port.max_physical}) raises
     [Invalid_argument]. A port's hardware address in the FEATURES_REPLY
-    and PORT_STATUS is [02:00:00:00:hi:lo], its number's two bytes. *)
+    is [02:00:00:00:hi:lo], its number's two bytes. *)
 
 val set_port_scheduler :
   t ->
@@ -162,13 +166,6 @@ val flow_pool : t -> Flow_buffer.t option
 val egress_misrouted : t -> int
 (** Frames dropped across all port schedulers because they named a
     queue id no configured queue carries (summed in port order). *)
-
-val set_port_state : t -> port:int -> up:bool -> unit
-(** Fail or restore a port (failure injection). Frames forwarded to a
-    down port are dropped, floods skip it, and the controller receives
-    a [PORT_STATUS] notification on every transition. *)
-
-val port_is_up : t -> port:int -> bool
 
 val set_controller_link : t -> Bytes.t Link.t -> unit
 (** Attach the switch-to-controller half of the control channel. *)
@@ -223,11 +220,14 @@ val counters : t -> counters
 
 val buffer_units : t -> Buffer_units.t option
 (** The unit pool of the active mechanism, once created: the flow pool
-    under flow granularity, else the packet pool. Buffer statistics,
-    the overload guard and an experiment's occupancy read it. *)
+    under flow granularity, the packet pool under packet granularity,
+    none under no-buffer. Buffer statistics, the overload guard and an
+    experiment's occupancy read it. *)
 
 val buffer_stats : t -> Of_ext.stats
-(** Unified pool statistics for whichever mechanism is active. *)
+(** Unified pool statistics for whichever mechanism is active. Under
+    [No_buffer] every count is 0, as the FEATURES_REPLY's [n_buffers]
+    is. *)
 
 val cpu_busy_core_seconds : t -> float
 (** Combined kernel + userspace busy integral — the quantity behind

@@ -123,52 +123,6 @@ let test_unroutable_floods () =
       | _ -> Alcotest.fail "expected a single output action")
   | _ -> Alcotest.fail "expected a flood packet_out and no flow_mod"
 
-let test_dropper_app_releases_buffer () =
-  let h = make_harness ~app:(Apps.dropper ()) () in
-  deliver h (Of_codec.Packet_in (pkt_in_of (frame ()))) ~xid:1l;
-  Engine.run h.engine;
-  (match messages h with
-  | [ (_, Of_codec.Packet_out po) ] ->
-      Alcotest.(check (list reject)) "no actions = drop" []
-        (List.map (fun _ -> ()) po.Of_packet_out.actions)
-  | _ -> Alcotest.fail "expected an empty packet_out releasing the buffer");
-  Alcotest.(check int) "drop counted" 1
-    (Controller.counters h.controller).Controller.drops_decided
-
-let test_learning_switch_learns () =
-  let h = make_harness ~app:(Apps.learning_switch ()) () in
-  (* First, a packet from mac1 on port 1 teaches the mapping; its
-     destination is unknown, so it floods. *)
-  deliver h (Of_codec.Packet_in (pkt_in_of (frame ()))) ~xid:1l;
-  Engine.run h.engine;
-  (match messages h with
-  | [ (_, Of_codec.Packet_out po) ] -> (
-      match po.Of_packet_out.actions with
-      | [ Of_action.Output { port; _ } ] ->
-          Alcotest.(check int) "floods unknown" Of_wire.Port.flood port
-      | _ -> Alcotest.fail "expected one action")
-  | _ -> Alcotest.fail "expected flood first");
-  h.to_switch := [];
-  (* Then the reverse direction: dst mac1 is now known on port 1. *)
-  let reverse =
-    Packet.encode
-      (Packet.udp_frame_of_size ~src_mac:mac2 ~dst_mac:mac1 ~src_ip:ip2
-         ~dst_ip:ip1 ~src_port:9 ~dst_port:1000 ~frame_size:100
-         ~payload_fill:(fun _ -> ()))
-  in
-  deliver h
-    (Of_codec.Packet_in
-       (Of_packet_in.make ~buffer_id:9l ~in_port:2 ~reason:Of_packet_in.No_match
-          ~frame:reverse ~miss_send_len:(Some 128)))
-    ~xid:2l;
-  Engine.run h.engine;
-  match messages h with
-  | [ (_, Of_codec.Flow_mod _); (_, Of_codec.Packet_out po) ] -> (
-      match po.Of_packet_out.actions with
-      | [ Of_action.Output { port = 1; _ } ] -> ()
-      | _ -> Alcotest.fail "expected learned output to port 1")
-  | _ -> Alcotest.fail "expected install + release"
-
 let test_echo_reply () =
   let h = make_harness () in
   deliver h (Of_codec.Echo_request (Bytes.of_string "abc")) ~xid:44l;
@@ -273,9 +227,6 @@ let suite =
     Alcotest.test_case "flow_mod release strategy (ablation)" `Quick
       test_flow_mod_release_strategy;
     Alcotest.test_case "unroutable destination floods" `Quick test_unroutable_floods;
-    Alcotest.test_case "dropper app releases buffer" `Quick
-      test_dropper_app_releases_buffer;
-    Alcotest.test_case "learning switch learns" `Quick test_learning_switch_learns;
     Alcotest.test_case "echo reply" `Quick test_echo_reply;
     Alcotest.test_case "handshake on start" `Quick test_start_handshake;
     Alcotest.test_case "counters" `Quick test_counters;

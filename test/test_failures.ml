@@ -1,6 +1,5 @@
-(* Failure-injection tests: port failures, PORT_STATUS notifications,
-   rule flushing, the reactive recovery path, control-channel loss and
-   malformed frames at either endpoint. *)
+(* Failure tests: the PORT_STATUS codec, filtered rule deletion,
+   control-channel loss and malformed frames at either endpoint. *)
 
 open Sdn_sim
 open Sdn_net
@@ -22,7 +21,6 @@ let quiet_costs =
 type harness = {
   engine : Engine.t;
   switch : Switch.t;
-  egress2 : int ref;
   to_controller : (int32 * Of_codec.msg) list ref;
 }
 
@@ -32,10 +30,10 @@ let make_harness () =
     Switch.create engine ~config:Switch.default_config ~costs:quiet_costs
       ~rng:(Rng.of_int 1) ()
   in
-  let egress2 = ref 0 and to_controller = ref [] in
+  let to_controller = ref [] in
   let out =
     Link.create engine ~name:"out" ~bandwidth_bps:1e9 ~propagation_s:0.0
-      ~receiver:(fun (_ : Bytes.t) -> incr egress2)
+      ~receiver:(fun (_ : Bytes.t) -> ())
       ()
   in
   let ctrl =
@@ -48,7 +46,7 @@ let make_harness () =
   in
   Switch.set_port switch ~port:2 out;
   Switch.set_controller_link switch ctrl;
-  { engine; switch; egress2; to_controller }
+  { engine; switch; to_controller }
 
 let install h ~src_port ~out_port =
   let key = Option.get (Packet.peek_flow_key (frame ~src_port ())) in
@@ -75,51 +73,12 @@ let test_port_status_roundtrip () =
   | Ok _ -> Alcotest.fail "xid mangled"
   | Error e -> Alcotest.fail e
 
-let test_down_port_drops_frames () =
-  let h = make_harness () in
-  install h ~src_port:1 ~out_port:2;
-  Switch.set_port_state h.switch ~port:2 ~up:false;
-  Alcotest.(check bool) "reported down" false (Switch.port_is_up h.switch ~port:2);
-  Switch.handle_frame h.switch ~in_port:1 (frame ~src_port:1 ());
-  Engine.run ~until:0.05 h.engine;
-  Alcotest.(check int) "nothing egressed" 0 !(h.egress2);
-  Alcotest.(check bool) "drop counted" true
-    ((Switch.counters h.switch).Switch.frames_dropped > 0)
-
-let test_port_recovery () =
-  let h = make_harness () in
-  install h ~src_port:1 ~out_port:2;
-  Switch.set_port_state h.switch ~port:2 ~up:false;
-  Switch.set_port_state h.switch ~port:2 ~up:true;
-  Switch.handle_frame h.switch ~in_port:1 (frame ~src_port:1 ());
-  Engine.run ~until:0.05 h.engine;
-  Alcotest.(check int) "forwarding restored" 1 !(h.egress2)
-
-let test_notification_on_transition_only () =
-  let h = make_harness () in
-  Switch.set_port_state h.switch ~port:2 ~up:false;
-  Switch.set_port_state h.switch ~port:2 ~up:false (* no-op *);
-  Switch.set_port_state h.switch ~port:2 ~up:true;
-  Engine.run ~until:0.01 h.engine;
-  let notifications =
-    List.filter_map
-      (function _, Of_codec.Port_status ps -> Some ps | _ -> None)
-      (List.rev !(h.to_controller))
-  in
-  match notifications with
-  | [ down; up ] ->
-      Alcotest.(check bool) "first reports down" true down.Of_port_status.link_down;
-      Alcotest.(check bool) "second reports up" false up.Of_port_status.link_down;
-      Alcotest.(check int) "names the port" 2 down.Of_port_status.port.Of_features.port_no
-  | l -> Alcotest.fail (Printf.sprintf "expected 2 notifications, got %d" (List.length l))
-
 let test_delete_with_out_port_filter () =
   let h = make_harness () in
   install h ~src_port:1 ~out_port:2;
   install h ~src_port:2 ~out_port:3;
   Alcotest.(check int) "two rules" 2 (Flow_table.length (Switch.flow_table h.switch));
-  (* Delete only the rules forwarding into port 2 (what the controller
-     sends after a failure). *)
+  (* Delete only the rules forwarding into port 2. *)
   Switch.handle_of_message h.switch
     (Of_codec.encode ~xid:9l
        (Of_codec.Flow_mod
@@ -136,59 +95,6 @@ let test_delete_with_out_port_filter () =
       | [ Of_action.Output { port = 3; _ } ] -> ()
       | _ -> Alcotest.fail "wrong survivor")
   | l -> Alcotest.fail (Printf.sprintf "expected 1 survivor, got %d" (List.length l))
-
-(* End-to-end: the scenario's controller flushes rules on a failure and
-   the flow recovers through the reactive path once the port returns. *)
-let test_scenario_failure_and_recovery () =
-  let open Sdn_core in
-  let config =
-    {
-      Config.default with
-      Config.workload = Config.Exp_a { n_flows = 1 };
-      rate_mbps = 10.0;
-      seed = 6;
-    }
-  in
-  let scenario = Scenario.build config in
-  let engine = scenario.Scenario.engine in
-  let rng = scenario.Scenario.traffic_rng in
-  (* One flow of steady packets across the failure window. *)
-  let injections =
-    Sdn_traffic.Patterns.udp_burst ~rng ~start:0.05 ~n_packets:60
-      ~rate_mbps:2.0 ~frame_size:500 ()
-  in
-  Sdn_traffic.Pktgen.schedule engine
-    ~inject:(fun ~in_port frame -> Scenario.inject scenario ~in_port frame)
-    injections;
-  (* Fail port 2 mid-run, restore it later. *)
-  ignore
-    (Engine.schedule_at engine 0.08 (fun () ->
-         Sdn_switch.Switch.set_port_state scenario.Scenario.switch ~port:2
-           ~up:false));
-  ignore
-    (Engine.schedule_at engine 0.1 (fun () ->
-         Sdn_switch.Switch.set_port_state scenario.Scenario.switch ~port:2
-           ~up:true));
-  Scenario.run_until_quiet ~min_time:0.25 scenario;
-  let controller_counters =
-    Sdn_controller.Controller.counters scenario.Scenario.controller
-  in
-  Alcotest.(check int) "controller saw both transitions" 2
-    controller_counters.Sdn_controller.Controller.port_changes;
-  (* The flush makes post-failure packets miss again: more than the
-     flow's single initial request must have been sent. *)
-  let counters = Sdn_switch.Switch.counters scenario.Scenario.switch in
-  Alcotest.(check bool)
-    (Printf.sprintf "reactive recovery re-requested (%d requests)"
-       counters.Sdn_switch.Switch.pkt_ins_sent)
-    true
-    (counters.Sdn_switch.Switch.pkt_ins_sent > 1);
-  (* Most packets still arrive; only those inside the outage window are
-     lost. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "most packets delivered (%d/60)" scenario.Scenario.host2_received)
-    true
-    (scenario.Scenario.host2_received >= 45)
 
 (* {2 Control-channel loss and the re-request recovery path} *)
 
@@ -360,15 +266,8 @@ let test_malformed_frame_replies () =
 let suite =
   [
     Alcotest.test_case "PORT_STATUS roundtrip" `Quick test_port_status_roundtrip;
-    Alcotest.test_case "down port drops frames" `Quick test_down_port_drops_frames;
-    Alcotest.test_case "port recovery restores forwarding" `Quick
-      test_port_recovery;
-    Alcotest.test_case "notification only on transitions" `Quick
-      test_notification_on_transition_only;
     Alcotest.test_case "delete honours out_port filter" `Quick
       test_delete_with_out_port_filter;
-    Alcotest.test_case "end-to-end failure and reactive recovery" `Quick
-      test_scenario_failure_and_recovery;
     Alcotest.test_case "flow granularity survives 20% control loss" `Quick
       test_flow_granularity_survives_loss;
     Alcotest.test_case "abandons flows when resends exhausted" `Quick

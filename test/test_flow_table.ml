@@ -73,7 +73,7 @@ let test_replace_same_match_priority () =
   | None -> Alcotest.fail "expected hit"
 
 let test_capacity_eviction () =
-  let table = Flow_table.create ~eviction:true ~capacity:3 () in
+  let table = Flow_table.create ~capacity:3 () in
   for p = 1 to 3 do
     ignore (Flow_table.insert table (entry_for ~out_port:2 (udp_pkt ~src_port:p) ~now:(float_of_int p)))
   done;
@@ -95,12 +95,6 @@ let test_capacity_eviction () =
   Alcotest.(check int) "eviction counted" 1 (Flow_table.evictions table);
   Alcotest.(check bool) "evicted flow now misses" true
     (Flow_table.lookup table ~in_port:1 (udp_pkt ~src_port:1) = None)
-
-let test_table_full_without_eviction () =
-  let table = Flow_table.create ~eviction:false ~capacity:1 () in
-  ignore (Flow_table.insert table (entry_for ~out_port:2 (udp_pkt ~src_port:1) ~now:0.0));
-  let result = Flow_table.insert table (entry_for ~out_port:2 (udp_pkt ~src_port:2) ~now:0.0) in
-  Alcotest.(check bool) "rejected" true (result = Flow_table.Table_full)
 
 let test_idle_timeout_expiry () =
   let table = Flow_table.create ~capacity:10 () in
@@ -335,7 +329,6 @@ let prop_inserted_flow_is_found =
 
 type model = {
   m_capacity : int;
-  m_eviction : bool;
   mutable m_next_uid : int;
   mutable m_rules : (int * Flow_entry.t) list;  (* install order *)
 }
@@ -370,7 +363,6 @@ let model_insert m (e : Flow_entry.t) =
     add ();
     Flow_table.Installed
   end
-  else if not m.m_eviction then Flow_table.Table_full
   else begin
     let older (ua, (a : Flow_entry.t)) (ub, (b : Flow_entry.t)) =
       a.Flow_entry.priority < b.Flow_entry.priority
@@ -380,7 +372,10 @@ let model_insert m (e : Flow_entry.t) =
                && ua < ub))
     in
     match m.m_rules with
-    | [] -> Flow_table.Table_full
+    | [] ->
+        (* Unreachable: the capacity is at least 1. *)
+        add ();
+        Flow_table.Installed
     | first :: rest ->
         let victim_uid, victim =
           List.fold_left (fun best r -> if older r best then r else best)
@@ -474,21 +469,19 @@ let prop_model_equivalence =
   in
   let case_gen =
     QCheck.Gen.(
-      triple (int_range 1 6) bool
+      pair (int_range 1 6)
         (list_size (int_range 1 60) (pair op_gen (oneofl [ 0.0; 0.5; 1.0 ]))))
   in
-  let print (capacity, eviction, ops) =
-    Printf.sprintf "capacity=%d eviction=%b\n%s" capacity eviction
+  let print (capacity, ops) =
+    Printf.sprintf "capacity=%d\n%s" capacity
       (String.concat "\n"
          (List.map (fun (op, dt) -> Printf.sprintf "+%.1f %s" dt (pp_model_op op)) ops))
   in
   QCheck.Test.make ~name:"flow table agrees with a list model" ~count:300
     (QCheck.make ~print case_gen)
-    (fun (capacity, eviction, ops) ->
-      let table = Flow_table.create ~eviction ~capacity () in
-      let m =
-        { m_capacity = capacity; m_eviction = eviction; m_next_uid = 0; m_rules = [] }
-      in
+    (fun (capacity, ops) ->
+      let table = Flow_table.create ~capacity () in
+      let m = { m_capacity = capacity; m_next_uid = 0; m_rules = [] } in
       let now = ref 0.0 in
       let same_entries a b = List.equal ( == ) a b in
       List.for_all
@@ -650,8 +643,6 @@ let suite =
     Alcotest.test_case "replace on equal match+priority" `Quick
       test_replace_same_match_priority;
     Alcotest.test_case "LRU eviction at capacity" `Quick test_capacity_eviction;
-    Alcotest.test_case "table full without eviction" `Quick
-      test_table_full_without_eviction;
     Alcotest.test_case "idle timeout" `Quick test_idle_timeout_expiry;
     Alcotest.test_case "hard timeout" `Quick test_hard_timeout_expiry;
     Alcotest.test_case "strict and loose delete" `Quick test_delete_strict_and_loose;

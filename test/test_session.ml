@@ -8,13 +8,7 @@ open Sdn_switch
 open Sdn_core
 
 let config ?(interval = 0.01) ?(misses = 3) () =
-  {
-    Session.echo_interval = interval;
-    echo_misses = misses;
-    reconnect_delay = 0.05;
-    reconnect_multiplier = 2.0;
-    reconnect_cap = 0.4;
-  }
+  { Session.echo_interval = interval; echo_misses = misses; reconnect_delay = 0.05 }
 
 (* A session wired to a test harness: [send_echo] is the only wire, and
    the session itself is threaded back through a ref so responders can

