@@ -8,7 +8,7 @@
      dune exec bench/main.exe                 # micro-benchmarks
      dune exec bench/main.exe -- micro        # the same
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
-                                              # (default BENCH_pr25.json)
+                                              # (default BENCH_pr27.json)
 
    The json snapshot also times a small end-to-end sweep at
    --jobs 1/2/4 and records the parallel speedups, so the regression
@@ -350,8 +350,10 @@ let micro_tests () =
     (* One pop and one push on a queue holding 25,000 events: each
        run dispatches the earliest event, which reschedules itself
        after an Rng-drawn delay. No shipped workload queues that many
-       since traffic plans stream in (hit_path's queue peaks near
-       300); the subject pins the queue's cost at a large size. *)
+       since traffic plans stream in (over the first perfbench pass,
+       seed 1, the queue peaks at 20 events on hit_path, 73 on
+       paper_sweep and table_scale and 49 on crash_recovery); the
+       subject pins the queue's cost at a large size. *)
     Test.make ~name:"engine/churn-25k-pending"
       (Staged.stage
          (let engine = Sdn_sim.Engine.create () in
@@ -366,6 +368,54 @@ let micro_tests () =
             fire ()
           done;
           fun () -> ignore (Sdn_sim.Engine.step_batch engine)));
+    (* One dispatch on a queue of 20 events, the size the workloads
+       reach: four re-armable streams, as links and CPU cores keep,
+       each re-arming itself after an Rng-drawn delay; eight timers
+       that each schedule their successor; and one guard per timer,
+       due a second later, which each timer run cancels and sets
+       again, as an answered re-request timeout is. *)
+    Test.make ~name:"engine/mixed-20-pending"
+      (Staged.stage
+         (let engine = Sdn_sim.Engine.create () in
+          let rng = Sdn_sim.Rng.of_int 7 in
+          let streams = ref [||] in
+          let stream i () =
+            Sdn_sim.Engine.arm_after !streams.(i)
+              ~delay:(Sdn_sim.Rng.float rng 2e-4)
+          in
+          streams := Array.init 4 (fun i -> Sdn_sim.Engine.event engine (stream i));
+          Array.iteri (fun i _ -> stream i ()) !streams;
+          let guards =
+            Array.init 8 (fun _ -> Sdn_sim.Engine.schedule engine ~delay:1.0 ignore)
+          in
+          let timers = Array.make 8 ignore in
+          let timer i () =
+            ignore
+              (Sdn_sim.Engine.schedule engine
+                 ~delay:(Sdn_sim.Rng.float rng 8e-4)
+                 timers.(i));
+            Sdn_sim.Engine.cancel guards.(i);
+            guards.(i) <- Sdn_sim.Engine.schedule engine ~delay:1.0 ignore
+          in
+          Array.iteri
+            (fun i _ ->
+              timers.(i) <- timer i;
+              timer i ())
+            timers;
+          fun () -> ignore (Sdn_sim.Engine.step engine)));
+    (* One sample into an accumulator that keeps no samples, so the
+       subject gauges the running moments alone: what the delay
+       trackers, the egress queues and the session pay per recorded
+       delay. The sample is read from an array, so it reaches [add]
+       boxed, as a computed delay does. *)
+    Test.make ~name:"stats/add"
+      (Staged.stage
+         (let stats = Sdn_sim.Stats.create ~keep_samples:false () in
+          let samples = Float.Array.init 64 (fun i -> 1e-4 *. float_of_int i) in
+          let i = ref 0 in
+          fun () ->
+            i := (!i + 1) land 63;
+            Sdn_sim.Stats.add stats (Float.Array.get samples !i)));
     (* ---- Event streams: what one message on a jitter-free link, one
        job on a 2-core CPU with lognormal service noise and one noise
        draw allocate. Each run sends or submits one and dispatches the
@@ -779,7 +829,7 @@ let run_json path =
 let () =
   match Array.to_list Sys.argv with
   | [ _ ] | [ _; "micro" ] -> run_micro ()
-  | [ _; "json" ] -> run_json "BENCH_pr25.json"
+  | [ _; "json" ] -> run_json "BENCH_pr27.json"
   | [ _; "json"; path ] -> run_json path
   | _ ->
       prerr_endline "usage: main.exe [micro|json [path]]";

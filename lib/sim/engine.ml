@@ -1,24 +1,41 @@
 type handle = {
   action : unit -> unit;
-  mutable cancelled : bool;
-  (* Current slot in the owning engine's heap; [-1] while not queued. *)
-  mutable heap_index : int;
+  (* Slot in the owning engine's registry while registered; [-1] once
+     released. The registry moves events between slots, so this is
+     rewritten whenever the event moves. *)
+  mutable id : int;
+  (* [cancelled] and [one_shot] bits. *)
+  mutable flags : int;
   engine : t;
 }
 
-(* The queue is a binary min-heap on (time, seq). Slot [i] below [size]
-   holds event [evs.(i)] with key [(times.(i), seqs.(i))]; every [evs]
-   slot at or past [size] holds [sentinel]. The keys live in unboxed
-   arrays beside the events, so an event keeps no key of its own and
-   can be queued again with a new one. *)
+(* The registry holds every registered event in [handles.(0 .. nreg -
+   1)], with its heap slot in [pos] ([-1] while not queued); every
+   [handles] slot at or past [nreg] holds [vacant]. A one-shot event
+   ([schedule_at]) is registered while queued and released when it runs
+   or is cancelled; a re-armable one ([event]) stays registered for the
+   engine's life, and a plan's until its last event runs.
+
+   The queue is a binary min-heap on (time, seq). Slot [i] below [size]
+   holds the event with id [ids.(i)] and key [(times.(i), seqs.(i))].
+   All three arrays are unboxed, so a sift moves only floats and ints
+   and never stores a pointer: a handle is written into the registry
+   only when its event registers or leaves it. An event keeps no key
+   of its own and can be queued again with a new one. *)
 and t = {
   mutable clock : float;
   mutable next_seq : int;
   mutable processed : int;
   mutable times : Float.Array.t;
   mutable seqs : int array;
-  mutable evs : handle array;
+  mutable ids : int array;
   mutable size : int;
+  mutable handles : handle array;
+  mutable pos : int array;
+  mutable nreg : int;
+  (* Fills every [handles] slot at or past [nreg], so a released event
+     is not kept alive. Never registered, queued or handed out. *)
+  vacant : handle;
   (* Seqs taken by [reserve] whose events are not queued yet: a plan's
      later injections, the messages behind a link's head. *)
   mutable backlog : int;
@@ -26,30 +43,12 @@ and t = {
 
 type event = handle
 
-(* Fills every [evs] slot at or past [size], so a slot write stores a
-   handle and never allocates an option cell. Shared by every engine,
-   in every domain, and never written: sifts write only slots below
-   [size], and it is never handed out, so nothing can cancel, arm or
-   reindex it. *)
-let sentinel =
-  {
-    action = ignore;
-    cancelled = true;
-    heap_index = -1;
-    engine =
-      {
-        clock = 0.0;
-        next_seq = 0;
-        processed = 0;
-        times = Float.Array.create 0;
-        seqs = [||];
-        evs = [||];
-        size = 0;
-        backlog = 0;
-      };
-  }
+let cancelled = 1
 
-(* Initial capacity and shrink floor of the heap arrays. *)
+(* Leaves the registry when popped. *)
+let one_shot = 2
+
+(* Initial capacity and shrink floor of the heap and registry arrays. *)
 let min_capacity = 256
 
 (* Both sifts move a hole instead of swapping pairs: each displaced
@@ -62,11 +61,17 @@ let min_capacity = 256
 let[@inline] move t ~from ~into =
   Float.Array.set t.times into (Float.Array.get t.times from);
   t.seqs.(into) <- t.seqs.(from);
-  let ev = t.evs.(from) in
-  t.evs.(into) <- ev;
-  ev.heap_index <- into
+  let id = t.ids.(from) in
+  t.ids.(into) <- id;
+  t.pos.(id) <- into
 
-let sift_up t ~hole ~src ev =
+let[@inline] settle t i time seq id =
+  Float.Array.set t.times i time;
+  t.seqs.(i) <- seq;
+  t.ids.(i) <- id;
+  t.pos.(id) <- i
+
+let sift_up t ~hole ~src id =
   let time = Float.Array.get t.times src and seq = t.seqs.(src) in
   let i = ref hole in
   let rising = ref true in
@@ -79,12 +84,9 @@ let sift_up t ~hole ~src ev =
     end
     else rising := false
   done;
-  Float.Array.set t.times !i time;
-  t.seqs.(!i) <- seq;
-  t.evs.(!i) <- ev;
-  ev.heap_index <- !i
+  settle t !i time seq id
 
-let sift_down t ~hole ~src ev =
+let sift_down t ~hole ~src id =
   let time = Float.Array.get t.times src and seq = t.seqs.(src) in
   let size = t.size in
   let i = ref hole in
@@ -106,78 +108,133 @@ let sift_down t ~hole ~src ev =
     end
     else sinking := false
   done;
-  Float.Array.set t.times !i time;
-  t.seqs.(!i) <- seq;
-  t.evs.(!i) <- ev;
-  ev.heap_index <- !i
+  settle t !i time seq id
 
-let resize t capacity =
+let resize_heap t capacity =
   let n = t.size in
   let times = Float.Array.create capacity in
   Float.Array.blit t.times 0 times 0 n;
   let seqs = Array.make capacity 0 in
   Array.blit t.seqs 0 seqs 0 n;
-  let evs = Array.make capacity sentinel in
-  Array.blit t.evs 0 evs 0 n;
+  let ids = Array.make capacity 0 in
+  Array.blit t.ids 0 ids 0 n;
   t.times <- times;
   t.seqs <- seqs;
-  t.evs <- evs
+  t.ids <- ids
 
-(* Shrink the heap arrays once occupancy falls to a quarter, so a burst
-   (an outage scenario queueing tens of thousands of timers) does not
-   pin its high-water memory forever. Halving at one-quarter leaves a
+let resize_registry t capacity =
+  let n = t.nreg in
+  let handles = Array.make capacity t.vacant in
+  Array.blit t.handles 0 handles 0 n;
+  let pos = Array.make capacity (-1) in
+  Array.blit t.pos 0 pos 0 n;
+  t.handles <- handles;
+  t.pos <- pos
+
+(* Shrink the arrays once occupancy falls to a quarter, so a burst (an
+   outage scenario queueing tens of thousands of timers) does not pin
+   its high-water memory forever. Halving at one-quarter leaves a
    factor-two hysteresis band, so push/pop around the boundary cannot
    thrash between grow and shrink. *)
-let maybe_shrink t =
-  let cap = Array.length t.evs in
-  if cap > min_capacity && t.size * 4 <= cap then
-    resize t (max min_capacity (cap / 2))
+let[@inline] shrunk ~used cap =
+  if cap > min_capacity && used * 4 <= cap then max min_capacity (cap / 2)
+  else cap
 
 (* Remove the event in slot [i] (below [size]): the last event fills
    the hole and sifts whichever way restores the order. *)
 let remove_at t i =
+  t.pos.(t.ids.(i)) <- -1;
   let last = t.size - 1 in
-  let ev = t.evs.(last) in
-  t.evs.(last) <- sentinel;
   t.size <- last;
   if i < last then begin
     let time = Float.Array.get t.times last and seq = t.seqs.(last) in
+    let id = t.ids.(last) in
     let p = (i - 1) / 2 in
     if
       i > 0
       &&
       let pt = Float.Array.get t.times p in
       time < pt || (time = pt && seq < t.seqs.(p))
-    then sift_up t ~hole:i ~src:last ev
-    else sift_down t ~hole:i ~src:last ev
+    then sift_up t ~hole:i ~src:last id
+    else sift_down t ~hole:i ~src:last id
   end;
-  maybe_shrink t
+  let cap = Float.Array.length t.times in
+  let cap' = shrunk ~used:last cap in
+  if cap' < cap then resize_heap t cap'
+
+(* Take the queue minimum out and return its id: the heap half of a
+   pop, which stores no pointer. The registry half, releasing a
+   one-shot event, is [exec_min]'s. *)
+let pop_min t =
+  let id = t.ids.(0) in
+  remove_at t 0;
+  id
+
+let register t ev =
+  let id = t.nreg in
+  if id = Array.length t.handles then resize_registry t (2 * id);
+  t.handles.(id) <- ev;
+  t.pos.(id) <- -1;
+  t.nreg <- id + 1;
+  ev.id <- id
+
+(* The registry stays dense: the last registered event moves into the
+   freed id, so ids stay below [nreg] and the arrays can shrink. [ev]
+   is not queued. *)
+let release t ev =
+  let id = ev.id and last = t.nreg - 1 in
+  if id < last then begin
+    let moved = t.handles.(last) in
+    t.handles.(id) <- moved;
+    moved.id <- id;
+    let p = t.pos.(last) in
+    t.pos.(id) <- p;
+    if p >= 0 then t.ids.(p) <- id
+  end;
+  t.handles.(last) <- t.vacant;
+  t.nreg <- last;
+  ev.id <- -1;
+  let cap = Array.length t.handles in
+  let cap' = shrunk ~used:last cap in
+  if cap' < cap then resize_registry t cap'
 
 let create ?(now = 0.0) () =
-  {
-    clock = now;
-    next_seq = 0;
-    processed = 0;
-    times = Float.Array.create min_capacity;
-    seqs = Array.make min_capacity 0;
-    evs = Array.make min_capacity sentinel;
-    size = 0;
-    backlog = 0;
-  }
+  let rec t =
+    {
+      clock = now;
+      next_seq = 0;
+      processed = 0;
+      times = Float.Array.create min_capacity;
+      seqs = Array.make min_capacity 0;
+      ids = Array.make min_capacity 0;
+      size = 0;
+      handles = [||];
+      pos = Array.make min_capacity (-1);
+      nreg = 0;
+      vacant;
+      backlog = 0;
+    }
+  and vacant = { action = ignore; id = -1; flags = 0; engine = t } in
+  t.handles <- Array.make min_capacity vacant;
+  t
 
 let now t = t.clock
 
-(* Queue [ev] with key [(time, seq)]. The key is written to the first
-   free slot, where the sift reads it back unboxed. *)
-let[@inline] push t time seq ev =
-  if t.size = Array.length t.evs then resize t (2 * t.size);
+(* Queue the event with id [id] under key [(time, seq)]. The key is
+   written to the first free slot, where the sift reads it back
+   unboxed. *)
+let[@inline] push t time seq id =
+  if t.size = Float.Array.length t.times then resize_heap t (2 * t.size);
   let i = t.size in
   t.size <- i + 1;
   Float.Array.set t.times i time;
   t.seqs.(i) <- seq;
-  sift_up t ~hole:i ~src:i ev
+  sift_up t ~hole:i ~src:i id
 
-let event t action = { action; cancelled = false; heap_index = -1; engine = t }
+let event t action =
+  let ev = { action; id = -1; flags = 0; engine = t } in
+  register t ev;
+  ev
 
 let[@inline] fresh_seq t =
   let seq = t.next_seq in
@@ -188,11 +245,10 @@ let reserve t =
   t.backlog <- t.backlog + 1;
   fresh_seq t
 
-(* Shared by [arm] and [arm_after]: [time] has passed the caller's
-   check. *)
-let[@inline] arm_checked ev time seq =
-  if ev.heap_index >= 0 then invalid_arg "Engine.arm: event already queued";
-  push ev.engine time seq ev
+(* Shared by [arm] and [arm_after]. *)
+let[@inline] check_idle ev =
+  if ev.engine.pos.(ev.id) >= 0 then
+    invalid_arg "Engine.arm: event already queued"
 
 let arm ev time ~seq =
   let t = ev.engine in
@@ -202,7 +258,8 @@ let arm ev time ~seq =
     invalid_arg
       (Printf.sprintf "Engine.arm: time %g is not at or after now %g" time
          t.clock);
-  arm_checked ev time seq;
+  check_idle ev;
+  push t time seq ev.id;
   t.backlog <- t.backlog - 1
 
 let arm_after ev ~delay =
@@ -210,7 +267,8 @@ let arm_after ev ~delay =
   if not (delay >= 0.0) then
     invalid_arg
       (Printf.sprintf "Engine.arm_after: delay %g is negative or NaN" delay);
-  arm_checked ev (t.clock +. delay) (fresh_seq t)
+  check_idle ev;
+  push t (t.clock +. delay) (fresh_seq t) ev.id
 
 let schedule_at t time action =
   (* Negated so that a NaN time, which compares false both ways, is
@@ -219,8 +277,9 @@ let schedule_at t time action =
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is not at or after now %g"
          time t.clock);
-  let ev = event t action in
-  push t time (fresh_seq t) ev;
+  let ev = { action; id = -1; flags = one_shot; engine = t } in
+  register t ev;
+  push t time (fresh_seq t) ev.id;
   ev
 
 (* A plan of [n] events takes the [n] sequence numbers that [n] calls
@@ -231,8 +290,9 @@ let schedule_at t time action =
    minimum: queueing it alone changes no dispatch. One event serves the
    whole plan: each time it runs it queues itself again with its
    successor's key before the action runs, so an action that raises
-   still leaves the rest of the plan queued. Events run in index
-   order, so the action reads its index from a cursor. *)
+   still leaves the rest of the plan queued. Its last event is queued
+   one-shot, so the finished plan leaves the registry. Events run in
+   index order, so the action reads its index from a cursor. *)
 let schedule_plan t times f =
   let n = Array.length times in
   if n > 0 then begin
@@ -263,15 +323,17 @@ let schedule_plan t times f =
             next := i + 1;
             if i + 1 < n then begin
               t.backlog <- t.backlog - 1;
-              push t (times.(i + 1)) (base + i + 1) ev
+              if i + 2 = n then ev.flags <- one_shot;
+              push t (times.(i + 1)) (base + i + 1) ev.id
             end;
             f i);
-        cancelled = false;
-        heap_index = -1;
+        id = -1;
+        flags = (if n = 1 then one_shot else 0);
         engine = t;
       }
     in
-    push t (times.(0)) base ev
+    register t ev;
+    push t (times.(0)) base ev.id
   end
 
 let schedule t ~delay action =
@@ -284,25 +346,26 @@ let schedule t ~delay action =
    immediately instead of lingering as a tombstone until popped. Long
    chaos runs cancel echo keepalives and backoff timers constantly;
    without real removal the queue grows monotonically and [pending]
-   drifts away from the live event count. *)
+   drifts away from the live event count. A handle is one-shot, so it
+   keeps an id exactly while queued: a fired or cancelled one has none,
+   and its old id, now another event's, is never touched. *)
 let cancel handle =
-  if not handle.cancelled then begin
-    handle.cancelled <- true;
-    let i = handle.heap_index in
-    if i >= 0 then begin
-      handle.heap_index <- -1;
-      remove_at handle.engine i
+  if handle.flags land cancelled = 0 then begin
+    handle.flags <- handle.flags lor cancelled;
+    if handle.id >= 0 then begin
+      let t = handle.engine in
+      remove_at t t.pos.(handle.id);
+      release t handle
     end
   end
 
-let is_cancelled handle = handle.cancelled
+let is_cancelled handle = handle.flags land cancelled <> 0
 
 (* Take the queue minimum out and run it. The caller has set the clock
    to its time. *)
 let exec_min t =
-  let ev = t.evs.(0) in
-  ev.heap_index <- -1;
-  remove_at t 0;
+  let ev = t.handles.(pop_min t) in
+  if ev.flags land one_shot <> 0 then release t ev;
   t.processed <- t.processed + 1;
   ev.action ()
 

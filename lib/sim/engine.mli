@@ -6,17 +6,23 @@
     insertion order, so the simulation is fully deterministic.
 
     The queue is a binary min-heap written for the engine's own
-    events: each event's key, (time, insertion order), sits in unboxed
-    arrays beside the event array, and each event records its own slot.
-    Every empty slot holds one shared sentinel event that is never
-    written, instead of an option, so no slot write allocates: the
-    queue allocates only when its arrays grow or shrink. Knowing its
-    slot, a cancelled event leaves the queue in O(log n) instead of
-    lingering as a tombstone until popped, so heavy cancel churn (echo
-    keepalives, backoff timers) neither grows the queue nor skews
-    {!pending}. The arrays halve once occupancy falls to a quarter, so
-    a burst does not pin its high-water memory. Events that share a
-    timestamp are dispatched as one batch ({!step_batch}).
+    events. Each event has an int id in a per-engine registry, which
+    maps the id to the event and to its heap slot. The heap itself is
+    three unboxed arrays, each slot holding a key, (time, insertion
+    order), and an id, so a sift moves only floats and ints: it neither
+    allocates nor stores a pointer, and the queue allocates only when
+    its arrays grow or shrink. A one-shot event ({!schedule_at}) holds
+    an id while queued, a plan until its last event runs, and a
+    re-armable event ({!event}) for the engine's life; an id freed by
+    one event may be given to another, and a handle that has run or
+    been cancelled no longer names any. Knowing its slot, a cancelled
+    event leaves the queue
+    in O(log n) instead of lingering as a tombstone until popped, so
+    heavy cancel churn (echo keepalives, backoff timers) neither grows
+    the queue nor skews {!pending}. The heap and registry arrays halve
+    once occupancy falls to a quarter, so a burst does not pin its
+    high-water memory. Events that share a timestamp are dispatched as
+    one batch ({!step_batch}).
 
     Times are in seconds (floats); NaN times and delays are refused.
 

@@ -1,10 +1,18 @@
-type t = {
-  mutable count : int;
+(* The float accumulators, in a record of floats only, which OCaml
+   stores unboxed: an update writes a float in place. As fields of [t],
+   which mixes floats with ints, each update would allocate a box and
+   store it through the write barrier. *)
+type moments = {
   mutable mean : float;
   mutable m2 : float;
   mutable sum : float;
   mutable min_v : float;
   mutable max_v : float;
+}
+
+type t = {
+  mutable count : int;
+  m : moments;
   mutable samples : float array;
   mutable sample_count : int;
   keep_samples : bool;
@@ -13,11 +21,7 @@ type t = {
 let create ?(keep_samples = true) () =
   {
     count = 0;
-    mean = 0.0;
-    m2 = 0.0;
-    sum = 0.0;
-    min_v = nan;
-    max_v = nan;
+    m = { mean = 0.0; m2 = 0.0; sum = 0.0; min_v = nan; max_v = nan };
     samples = (if keep_samples then Array.make 16 0.0 else [||]);
     sample_count = 0;
     keep_samples;
@@ -35,31 +39,32 @@ let store_sample t x =
   end
 
 let add t x =
+  let m = t.m in
   t.count <- t.count + 1;
-  t.sum <- t.sum +. x;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.count);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+  m.sum <- m.sum +. x;
+  let delta = x -. m.mean in
+  m.mean <- m.mean +. (delta /. float_of_int t.count);
+  m.m2 <- m.m2 +. (delta *. (x -. m.mean));
   if t.count = 1 then begin
-    t.min_v <- x;
-    t.max_v <- x
+    m.min_v <- x;
+    m.max_v <- x
   end
   else begin
-    if x < t.min_v then t.min_v <- x;
-    if x > t.max_v then t.max_v <- x
+    if x < m.min_v then m.min_v <- x;
+    if x > m.max_v then m.max_v <- x
   end;
   store_sample t x
 
 let count t = t.count
-let sum t = t.sum
-let mean t = if t.count = 0 then 0.0 else t.mean
+let sum t = t.m.sum
+let mean t = if t.count = 0 then 0.0 else t.m.mean
 
 let variance t =
-  if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
+  if t.count < 2 then 0.0 else t.m.m2 /. float_of_int (t.count - 1)
 
 let stddev t = sqrt (variance t)
-let min t = t.min_v
-let max t = t.max_v
+let min t = t.m.min_v
+let max t = t.m.max_v
 
 let samples t = Array.sub t.samples 0 t.sample_count
 
@@ -87,21 +92,22 @@ let merge a b =
   let keep = a.keep_samples && b.keep_samples in
   let t = create ~keep_samples:keep () in
   if a.count + b.count > 0 then begin
+    let am = a.m and bm = b.m and m = t.m in
     let na = float_of_int a.count and nb = float_of_int b.count in
     let n = na +. nb in
-    let delta = b.mean -. a.mean in
+    let delta = bm.mean -. am.mean in
     t.count <- a.count + b.count;
-    t.sum <- a.sum +. b.sum;
-    t.mean <- ((na *. a.mean) +. (nb *. b.mean)) /. n;
-    t.m2 <- a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. n);
-    t.min_v <-
-      (if a.count = 0 then b.min_v
-       else if b.count = 0 then a.min_v
-       else Stdlib.min a.min_v b.min_v);
-    t.max_v <-
-      (if a.count = 0 then b.max_v
-       else if b.count = 0 then a.max_v
-       else Stdlib.max a.max_v b.max_v);
+    m.sum <- am.sum +. bm.sum;
+    m.mean <- ((na *. am.mean) +. (nb *. bm.mean)) /. n;
+    m.m2 <- am.m2 +. bm.m2 +. (delta *. delta *. na *. nb /. n);
+    m.min_v <-
+      (if a.count = 0 then bm.min_v
+       else if b.count = 0 then am.min_v
+       else Stdlib.min am.min_v bm.min_v);
+    m.max_v <-
+      (if a.count = 0 then bm.max_v
+       else if b.count = 0 then am.max_v
+       else Stdlib.max am.max_v bm.max_v);
     if keep then begin
       Array.iter (store_sample t) (samples a);
       Array.iter (store_sample t) (samples b)
@@ -110,10 +116,11 @@ let merge a b =
   t
 
 let clear t =
+  let m = t.m in
   t.count <- 0;
-  t.mean <- 0.0;
-  t.m2 <- 0.0;
-  t.sum <- 0.0;
-  t.min_v <- nan;
-  t.max_v <- nan;
+  m.mean <- 0.0;
+  m.m2 <- 0.0;
+  m.sum <- 0.0;
+  m.min_v <- nan;
+  m.max_v <- nan;
   t.sample_count <- 0

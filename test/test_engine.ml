@@ -322,9 +322,15 @@ let test_plan_raise_keeps_successor () =
    until at most [a] events are pending, kind 7 = cancel every handle
    [culled ~a] picks. Kind 8 = [Engine.schedule_plan] of [burst_size a]
    events at [plan_delays] past now; plan events have no handles, so
-   kinds 3 and 7 skip their ids. Both sides produce the dispatch trace
-   [(id, time)] and a [(pending, processed)] snapshot after every op,
-   then drain. *)
+   kinds 3 and 7 skip their ids. Kind 9 steps re-armable event
+   [a mod rearm_events] ({!Engine.event}, made at its first op, so it
+   registers among one-shot events that come and go): an idle one
+   reserves an insertion order ({!Engine.reserve}), pending from then
+   on; a reserved one is armed with it at [burst_delay a] past now; a
+   queued one must refuse a second arm. A reserved order not armed by
+   the end stays pending, so kind 6 also stops when the queue is empty.
+   Both sides produce the dispatch trace [(id, time)] and a
+   [(pending, processed)] snapshot after every op, then drain. *)
 let scale_of_kind = function 0 -> 3.3e-7 | 1 -> 1.05e-4 | _ -> 2.7e-2
 
 let burst_size a = 500 + (20 * a)
@@ -336,6 +342,10 @@ let burst_delay id = float_of_int (id * 7919 mod 4093) *. 1e-5
 let culled ~a id = ((id * 31) + a) mod 3 = 0
 
 let plan_kind = 8
+
+let rearm_kind = 9
+
+let rearm_events = 2
 
 (* A plan's delays: the burst delays of the ids it takes, sorted, so
    they collide with each other and with events already queued. *)
@@ -377,6 +387,25 @@ let run_script ?(scale_of_kind = scale_of_kind) ops =
            trace := (id, Engine.now engine) :: !trace))
   in
   let cancel id = Option.iter Engine.cancel (Hashtbl.find_opt handles id) in
+  (* Re-armable event [r]: its id while reserved or queued, its
+     reserved order until armed ([-1] after), and whether it is
+     queued. *)
+  let rearms = Array.make rearm_events None in
+  let rearm_id = Array.make rearm_events 0 in
+  let rearm_seq = Array.make rearm_events (-1) in
+  let queued = Array.make rearm_events false in
+  let rearm r =
+    match rearms.(r) with
+    | Some ev -> ev
+    | None ->
+        let ev =
+          Engine.event engine (fun () ->
+              queued.(r) <- false;
+              trace := (rearm_id.(r), Engine.now engine) :: !trace)
+        in
+        rearms.(r) <- Some ev;
+        ev
+  in
   List.iter
     (fun (kind, a) ->
       (match kind with
@@ -388,13 +417,31 @@ let run_script ?(scale_of_kind = scale_of_kind) ops =
             schedule (burst_delay !next_id)
           done
       | 6 ->
-          while Engine.pending engine > a do
-            ignore (Engine.step_batch engine)
+          while Engine.pending engine > a && Engine.step_batch engine > 0 do
+            ()
           done
       | 7 ->
           for id = 0 to !next_id - 1 do
             if culled ~a id then cancel id
           done
+      | 9 ->
+          let r = a mod rearm_events in
+          let ev = rearm r in
+          if queued.(r) then begin
+            match Engine.arm_after ev ~delay:0.0 with
+            | () -> failwith "Engine.arm_after queued a queued event"
+            | exception Invalid_argument _ -> ()
+          end
+          else if rearm_seq.(r) >= 0 then begin
+            Engine.arm ev (Engine.now engine +. burst_delay a) ~seq:rearm_seq.(r);
+            rearm_seq.(r) <- -1;
+            queued.(r) <- true
+          end
+          else begin
+            rearm_id.(r) <- !next_id;
+            incr next_id;
+            rearm_seq.(r) <- Engine.reserve engine
+          end
       | _ ->
           let first = !next_id and now = Engine.now engine in
           let times =
@@ -416,10 +463,14 @@ let by_time (t1, i1) (t2, i2) =
   let c = Float.compare t1 t2 in
   if c <> 0 then c else Int.compare i1 i2
 
+type rearm = Idle | Reserved of int | Queued
+
 let model_script ?(scale_of_kind = scale_of_kind) ops =
   let clock = ref 0.0 and processed = ref 0 in
   let live = ref [] and n_live = ref 0 and trace = ref [] and counts = ref [] in
-  let n_scheduled = ref 0 and planned = Hashtbl.create 64 in
+  (* Ids of plan and re-armable events, which have no handle. *)
+  let n_scheduled = ref 0 and handleless = Hashtbl.create 64 in
+  let rearms = Array.make rearm_events Idle and rearm_of = Hashtbl.create 8 in
   let add delays =
     let evs =
       List.map
@@ -435,7 +486,7 @@ let model_script ?(scale_of_kind = scale_of_kind) ops =
   (* Only events scheduled one by one can be cancelled. A cancel that
      hits nothing live copies nothing. *)
   let drop pred =
-    let hit (_, id) = pred id && not (Hashtbl.mem planned id) in
+    let hit (_, id) = pred id && not (Hashtbl.mem handleless id) in
     if List.exists hit !live then begin
       let gone, kept = List.partition hit !live in
       live := kept;
@@ -446,6 +497,7 @@ let model_script ?(scale_of_kind = scale_of_kind) ops =
     clock := time;
     incr processed;
     decr n_live;
+    Option.iter (fun r -> rearms.(r) <- Idle) (Hashtbl.find_opt rearm_of id);
     trace := (id, time) :: !trace
   in
   (* [live] is sorted, so the batch is its same-time prefix. *)
@@ -473,14 +525,30 @@ let model_script ?(scale_of_kind = scale_of_kind) ops =
       | 4 -> step_batch ()
       | 5 -> add (List.init (burst_size a) (fun i -> burst_delay (!n_scheduled + i)))
       | 6 ->
-          while !n_live > a do
+          while !n_live > a && !live <> [] do
             step_batch ()
           done
       | 7 -> drop (culled ~a)
+      | 9 -> (
+          let r = a mod rearm_events in
+          match rearms.(r) with
+          | Queued -> ()
+          | Reserved id ->
+              live := List.merge by_time [ (!clock +. burst_delay a, id) ] !live;
+              rearms.(r) <- Queued
+          | Idle ->
+              let id = !n_scheduled in
+              incr n_scheduled;
+              incr n_live;
+              Hashtbl.replace handleless id ();
+              Hashtbl.replace rearm_of id r;
+              rearms.(r) <- Reserved id)
       | _ ->
           let first = !n_scheduled in
           let delays = plan_delays ~first a in
-          List.iteri (fun i _ -> Hashtbl.replace planned (first + i) ()) delays;
+          List.iteri
+            (fun i _ -> Hashtbl.replace handleless (first + i) ())
+            delays;
           add delays);
       counts := (!n_live, !processed) :: !counts)
     ops;

@@ -1,8 +1,9 @@
 (* Tests of the engine's event queue, a binary min-heap on (time, seq)
-   that lives inside Engine, driven through Engine's public API: order
-   after growth past the initial 1,024 slots, reuse after a drain,
-   cancellation at the root, the last slot and interior slots, and the
-   shrink back to the initial footprint after a burst. *)
+   over a registry of event ids that lives inside Engine, driven
+   through Engine's public API: order after growth past the initial
+   256 slots, reuse after a drain, cancellation at the root, the last
+   slot and interior slots, ids that move or pass to another event,
+   and the shrink back to the initial footprint after a burst. *)
 
 open Sdn_sim
 
@@ -187,6 +188,61 @@ let test_stale_cancel_is_harmless () =
   Engine.run engine;
   Alcotest.(check (list int)) "dispatch" [ 1; 2 ] (ran log)
 
+(* ---- The id registry ----
+
+   A one-shot event leaves the registry when it runs or is cancelled,
+   and the last registered event moves into the id it frees. *)
+
+(* A's id passes to B once A has run: cancelling A, stale now, must
+   leave B queued. When B runs, D moves into the id B frees, so
+   cancelling B must spare D. *)
+let test_stale_handle_spares_new_owner () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let a = Engine.schedule_at engine 1.0 (fun () -> log := 1 :: !log) in
+  Engine.run engine;
+  let b = Engine.schedule_at engine 2.0 (fun () -> log := 2 :: !log) in
+  Engine.cancel a;
+  Alcotest.(check int) "B still pending" 1 (Engine.pending engine);
+  let c = Engine.schedule_at engine 3.0 (fun () -> log := 3 :: !log) in
+  let d = Engine.schedule_at engine 4.0 (fun () -> log := 4 :: !log) in
+  Engine.run ~until:2.0 engine;
+  Engine.cancel b;
+  Engine.cancel c;
+  Alcotest.(check int) "D still pending" 1 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list int)) "A, B and D ran" [ 1; 2; 4 ] (ran log);
+  Alcotest.(check bool) "D not cancelled" false (Engine.is_cancelled d)
+
+(* A re-armable event registered after three timers moves to a lower
+   id while queued when the first timer is cancelled, and another
+   queued timer moves when the second one runs. The event keeps its
+   reserved order, refuses a second arm while queued and arms again
+   after it ran. *)
+let test_rearmable_survives_releases () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let timers = schedule_all engine log [ (1, 1.0); (2, 2.0); (3, 3.0) ] in
+  let seq = Engine.reserve engine in
+  ignore (schedule_all engine log [ (4, 2.0) ]);
+  let ev = Engine.event engine (fun () -> log := 10 :: !log) in
+  Engine.arm ev 2.0 ~seq;
+  Engine.cancel (List.hd timers);
+  let refused () =
+    match Engine.arm_after ev ~delay:0.5 with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "second arm refused" true (refused ());
+  Alcotest.(check int) "pending" 4 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list int)) "(time, seq) order" [ 2; 10; 4; 3 ] (ran log);
+  Engine.arm_after ev ~delay:1.0;
+  Alcotest.(check bool) "second arm refused after a re-arm" true (refused ());
+  Engine.run engine;
+  Alcotest.(check (list int)) "re-armed" [ 2; 10; 4; 3; 10 ] (ran log);
+  Alcotest.(check (float 0.0)) "clock" 4.0 (Engine.now engine)
+
 (* ---- Adaptive capacity ----
 
    The heap array halves whenever occupancy falls to a quarter, so a
@@ -224,14 +280,14 @@ let test_cancel_burst_resets_footprint () =
 (* ---- Properties ---- *)
 
 (* Bursts of thousands of events, drains below a quarter of the grown
-   capacity, wholesale random cancels and plans, against the
-   sorted-list model of Test_engine. *)
+   capacity, wholesale random cancels, plans and re-armable events,
+   against the sorted-list model of Test_engine. *)
 let prop_burst_model =
   QCheck.Test.make ~name:"indexed remove keeps heap and model in step"
     ~count:100
     QCheck.(
       list_of_size (Gen.int_range 1 30)
-        (pair (int_bound Test_engine.plan_kind) (int_bound 200)))
+        (pair (int_bound Test_engine.rearm_kind) (int_bound 200)))
     (fun ops -> Test_engine.run_script ops = Test_engine.model_script ops)
 
 let prop_drains_sorted =
@@ -296,6 +352,10 @@ let suite =
     Alcotest.test_case "indices live and distinct" `Quick test_handles_distinct;
     Alcotest.test_case "remove rejects bad index" `Quick
       test_stale_cancel_is_harmless;
+    Alcotest.test_case "stale handle spares its id's new owner" `Quick
+      test_stale_handle_spares_new_owner;
+    Alcotest.test_case "re-armable event survives releases" `Quick
+      test_rearmable_survives_releases;
     Alcotest.test_case "shrinks after burst" `Quick test_shrink_after_burst;
     Alcotest.test_case "clear resets capacity" `Quick
       test_cancel_burst_resets_footprint;
