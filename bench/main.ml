@@ -8,7 +8,7 @@
      dune exec bench/main.exe                 # micro-benchmarks
      dune exec bench/main.exe -- micro        # the same
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
-                                              # (default BENCH_pr27.json)
+                                              # (default BENCH_pr28.json)
 
    The json snapshot also times a small end-to-end sweep at
    --jobs 1/2/4 and records the parallel speedups, so the regression
@@ -122,13 +122,15 @@ let reference_checksum buf off len =
   done;
   !s
 
-(* A packet that matches rule 0 of [populated_table]. *)
-let hit_packet =
+(* A packet that matches rule [i] of [populated_table]. *)
+let populated_packet i =
   Sdn_net.Packet.udp ~src_mac:mac1 ~dst_mac:mac2
-    ~src_ip:(Sdn_net.Ip.of_int32 0x0A010000l) ~dst_ip:ip2 ~src_port:1000
-    ~dst_port:9
+    ~src_ip:(Sdn_net.Ip.of_int32 (Int32.of_int (0x0A010000 + i)))
+    ~dst_ip:ip2 ~src_port:(1000 + (i mod 16384)) ~dst_port:9
     ~payload:(Bytes.of_string "x")
     ()
+
+let hit_packet = populated_packet 0
 
 (* The [Pktgen.schedule] that queued a whole traffic plan at set-up,
    one [Engine.schedule_at] per injection: the reference for
@@ -321,6 +323,26 @@ let micro_tests () =
             | Sdn_switch.Flow_buffer.Appended _ | Sdn_switch.Flow_buffer.No_space
               ->
                 ()));
+    (* The flow buffer's chain index: is a chain held for this flow,
+       with 256 chains held, each run asking for the next flow. *)
+    Test.make ~name:"buffer/flow-chain-lookup-256"
+      (Staged.stage
+         (let engine = Sdn_sim.Engine.create () in
+          let pool =
+            Sdn_switch.Flow_buffer.create engine ~capacity:256 ~reclaim_lag:0.0
+              ~resend_timeout:1e9 ~max_resends:0
+              ~on_resend:(fun ~buffer_id:_ ~key:_ ~first_frame:_ -> ())
+              ()
+          in
+          let keys = Array.init 256 (fun i -> Option.get (Sdn_net.Packet.flow_key (populated_packet i))) in
+          Array.iter
+            (fun key ->
+              ignore (Sdn_switch.Flow_buffer.add pool ~key ~frame:sample_frame))
+            keys;
+          let next = ref 0 in
+          fun () ->
+            next := (!next + 1) land 255;
+            ignore (Sdn_switch.Flow_buffer.has_chain pool ~key:keys.(!next))));
     Test.make ~name:"engine/schedule-run-event"
       (Staged.stage
          (let engine = Sdn_sim.Engine.create () in
@@ -341,6 +363,20 @@ let micro_tests () =
             ignore
               (Sdn_switch.Flow_table.lookup_uncached table ~in_port:1
                  hit_packet)));
+    (* The switch's slow path: a valid frame that matches rule 0,
+       arriving on a new ingress port each run. Its microflow key is
+       new, and the 65,536 ports outlast the 8,192-answer cache, so
+       every run misses the cache, matches the exact bucket and the 32
+       wildcard rules against the key's words and caches the answer. *)
+    Test.make ~name:"flow-table/lookup-frame-miss-1k-mixed"
+      (Staged.stage
+         (let table = populated_table ~wildcards:32 968 in
+          let frame = Packet.encode hit_packet in
+          let port = ref 0 in
+          fun () ->
+            port := (!port + 1) land 0xFFFF;
+            ignore
+              (Sdn_switch.Flow_table.lookup_frame table ~in_port:!port frame)));
     Test.make ~name:"engine/schedule-cancel"
       (Staged.stage
          (let engine = Sdn_sim.Engine.create () in
@@ -829,7 +865,7 @@ let run_json path =
 let () =
   match Array.to_list Sys.argv with
   | [ _ ] | [ _; "micro" ] -> run_micro ()
-  | [ _; "json" ] -> run_json "BENCH_pr27.json"
+  | [ _; "json" ] -> run_json "BENCH_pr28.json"
   | [ _; "json"; path ] -> run_json path
   | _ ->
       prerr_endline "usage: main.exe [micro|json [path]]";

@@ -152,6 +152,32 @@ let matches t ~in_port (pkt : Packet.t) =
       absent t.nw_tos && absent t.nw_proto && absent t.nw_src
       && absent t.nw_dst && absent t.tp_src && absent t.tp_dst
 
+(* [matches] on an IPv4 TCP or UDP packet's fields as immediate ints,
+   in the same order; [ip_word] is the prefix test on unsigned 32-bit
+   addresses. *)
+let mac_word f v = match f with None -> true | Some e -> Mac.to_int e = v
+
+let ip_word f addr =
+  match f with
+  | None -> true
+  | Some (prefix, bits) ->
+      if bits < 0 || bits > 32 then invalid_arg "Of_match.matches_ipv4: bits";
+      let differ = (Int32.to_int (Ip.to_int32 prefix) lxor addr) land 0xFFFF_FFFF in
+      bits = 0 || differ lsr (32 - bits) = 0
+
+let matches_ipv4 t ~in_port ~dl_src ~dl_dst ~tos ~proto ~src_ip ~dst_ip
+    ~src_port ~dst_port =
+  int_field t.in_port in_port
+  && mac_word t.dl_src dl_src
+  && mac_word t.dl_dst dl_dst
+  && absent t.dl_vlan && absent t.dl_vlan_pcp
+  && int_field t.dl_type Ethernet.ethertype_ipv4
+  && int_field t.nw_tos tos
+  && int_field t.nw_proto proto
+  && ip_word t.nw_src src_ip
+  && ip_word t.nw_dst dst_ip
+  && ports_field t ~src:src_port ~dst:dst_port
+
 let subsumes ~general ~specific =
   let field g s eq =
     match (g, s) with
@@ -251,51 +277,66 @@ let read buf off =
       }
   end
 
+(* Monomorphic and inlined field by field: a comparison left generic,
+   or a [Hashtbl.hash], would be a C call. *)
+let[@inline] int_eq (x : int option) y =
+  match (x, y) with
+  | None, None -> true
+  | Some u, Some v -> u = v
+  | None, Some _ | Some _, None -> false
+
+let[@inline] mac_eq x y =
+  match (x, y) with
+  | None, None -> true
+  | Some u, Some v -> Mac.equal u v
+  | None, Some _ | Some _, None -> false
+
+let[@inline] prefix_eq x y =
+  match (x, y) with
+  | None, None -> true
+  | Some (ia, (ba : int)), Some (ib, bb) -> Ip.equal ia ib && ba = bb
+  | None, Some _ | Some _, None -> false
+
 let equal a b =
-  let opt_eq eq x y =
-    match (x, y) with
-    | None, None -> true
-    | Some u, Some v -> eq u v
-    | None, Some _ | Some _, None -> false
-  in
-  let ip_eq (ia, ba) (ib, bb) = Ip.equal ia ib && ba = bb in
-  opt_eq ( = ) a.in_port b.in_port
-  && opt_eq Mac.equal a.dl_src b.dl_src
-  && opt_eq Mac.equal a.dl_dst b.dl_dst
-  && opt_eq ( = ) a.dl_vlan b.dl_vlan
-  && opt_eq ( = ) a.dl_vlan_pcp b.dl_vlan_pcp
-  && opt_eq ( = ) a.dl_type b.dl_type
-  && opt_eq ( = ) a.nw_tos b.nw_tos
-  && opt_eq ( = ) a.nw_proto b.nw_proto
-  && opt_eq ip_eq a.nw_src b.nw_src
-  && opt_eq ip_eq a.nw_dst b.nw_dst
-  && opt_eq ( = ) a.tp_src b.tp_src
-  && opt_eq ( = ) a.tp_dst b.tp_dst
+  int_eq a.in_port b.in_port
+  && mac_eq a.dl_src b.dl_src
+  && mac_eq a.dl_dst b.dl_dst
+  && int_eq a.dl_vlan b.dl_vlan
+  && int_eq a.dl_vlan_pcp b.dl_vlan_pcp
+  && int_eq a.dl_type b.dl_type
+  && int_eq a.nw_tos b.nw_tos
+  && int_eq a.nw_proto b.nw_proto
+  && prefix_eq a.nw_src b.nw_src
+  && prefix_eq a.nw_dst b.nw_dst
+  && int_eq a.tp_src b.tp_src
+  && int_eq a.tp_dst b.tp_dst
 
 (* Mixes exactly the fields [equal] compares, a wildcard as 0 and a
    pinned value as 1 + its hash, so equal matches hash equally. *)
+let[@inline] mix h v = (h * 31) + v
+let[@inline] hash_int h = function None -> mix h 0 | Some v -> mix h (v + 1)
+let[@inline] hash_mac h = function None -> mix h 0 | Some m -> mix h (Mac.hash m + 1)
+
+let[@inline] hash_prefix h = function
+  | None -> mix h 0
+  | Some (ip, bits) -> mix (mix h (Ip.hash ip + 1)) bits
+
 let hash t =
-  let mix h v = (h * 31) + v in
-  let int h = function None -> mix h 0 | Some v -> mix h (v + 1) in
-  let mac h = function None -> mix h 0 | Some m -> mix h (Mac.hash m + 1) in
-  let prefix h = function
-    | None -> mix h 0
-    | Some (ip, bits) -> mix (mix h (Ip.hash ip + 1)) bits
-  in
-  let h = int 0 t.in_port in
-  let h = mac h t.dl_src in
-  let h = mac h t.dl_dst in
-  let h = int h t.dl_vlan in
-  let h = int h t.dl_vlan_pcp in
-  let h = int h t.dl_type in
-  let h = int h t.nw_tos in
-  let h = int h t.nw_proto in
-  let h = prefix h t.nw_src in
-  let h = prefix h t.nw_dst in
-  let h = int h t.tp_src in
-  let h = int h t.tp_dst in
+  let h = hash_int 0 t.in_port in
+  let h = hash_mac h t.dl_src in
+  let h = hash_mac h t.dl_dst in
+  let h = hash_int h t.dl_vlan in
+  let h = hash_int h t.dl_vlan_pcp in
+  let h = hash_int h t.dl_type in
+  let h = hash_int h t.nw_tos in
+  let h = hash_int h t.nw_proto in
+  let h = hash_prefix h t.nw_src in
+  let h = hash_prefix h t.nw_dst in
+  let h = hash_int h t.tp_src in
+  let h = hash_int h t.tp_dst in
   (* Hashtbl.Make buckets on the low bits; finish with a full mix. *)
-  Hashtbl.hash h
+  let h = (h lxor (h lsr 29)) * 0x1B873593 in
+  (h lxor (h lsr 32)) land max_int
 
 let pp fmt t =
   let field name pp_v = function

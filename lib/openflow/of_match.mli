@@ -41,6 +41,23 @@ val matches : t -> in_port:int -> Packet.t -> bool
     address within the prefix); one the packet lacks matches only a
     wildcard. Compares field by field and allocates nothing. *)
 
+val matches_ipv4 :
+  t ->
+  in_port:int ->
+  dl_src:int ->
+  dl_dst:int ->
+  tos:int ->
+  proto:int ->
+  src_ip:int ->
+  dst_ip:int ->
+  src_port:int ->
+  dst_port:int ->
+  bool
+(** {!matches} of an IPv4 TCP or UDP packet given by its header fields
+    as immediate ints: the MACs as {!Sdn_net.Mac.to_int}, the addresses
+    as unsigned 32-bit ints. Agrees with [matches] on the packet those
+    fields came from; allocates nothing. *)
+
 val subsumes : general:t -> specific:t -> bool
 (** [subsumes ~general ~specific]: every packet matched by [specific]
     is matched by [general] (conservative for prefixes: requires the
@@ -55,6 +72,6 @@ val equal : t -> t -> bool
 val hash : t -> int
 (** Field-wise and allocation-free; agrees with {!equal} (equal
     matches hash equally), so a match can key a [Hashtbl.Make]
-    table. *)
+    table. Neither calls into C. *)
 
 val pp : Format.formatter -> t -> unit

@@ -22,7 +22,8 @@ type t = {
   rng : Rng.t option;
   on_resend : buffer_id:int32 -> key:Flow_key.t -> first_frame:Bytes.t -> unit;
   chains : chain option array;  (** by slot *)
-  by_key : chain Flow_key.Table.t;
+  by_key : chain option Int_table.t;  (** by the 5-tuple's three words *)
+  words : int array;  (** scratch: a chain-index key *)
   mutable packets : int;
   mutable alloc_failures : int;
   mutable resends : int;
@@ -75,7 +76,8 @@ let create engine ?check ?(pool_name = "flow_pool") ~capacity ~reclaim_lag
     rng;
     on_resend;
     chains = Array.make capacity None;
-    by_key = Flow_key.Table.create 64;
+    by_key = Int_table.create ~words:Microflow.tuple_words None;
+    words = Array.make Microflow.tuple_words 0;
     packets = 0;
     alloc_failures = 0;
     resends = 0;
@@ -114,13 +116,19 @@ let cancel_resend c =
   (match c.resend_handle with Some h -> Engine.cancel h | None -> ());
   c.resend_handle <- None
 
+(* Load [t.words] with the chain-index key of a flow. *)
+let index_key t key =
+  if not (Microflow.load_flow_key t.words key) then
+    invalid_arg "Flow_buffer: flow key port or protocol out of range"
+
 (* Forget chain [c]: cancel its re-request, unmap its flow and empty
    its slot. Returns how many packets it held. *)
 let forget t c =
   cancel_resend c;
   let n = List.length c.frames_rev in
   t.packets <- t.packets - n;
-  Flow_key.Table.remove t.by_key c.key;
+  index_key t c.key;
+  Int_table.remove t.by_key t.words;
   t.chains.(c.slot) <- None;
   n
 
@@ -153,7 +161,8 @@ let rec arm_resend t c =
            | Some _ | None -> ()))
 
 let add t ~key ~frame =
-  match Flow_key.Table.find_opt t.by_key key with
+  index_key t key;
+  match Int_table.find t.by_key t.words with
   | Some c ->
       c.frames_rev <- frame :: c.frames_rev;
       t.packets <- t.packets + 1;
@@ -175,8 +184,9 @@ let add t ~key ~frame =
             resend_handle = None;
           }
         in
-        t.chains.(i) <- Some c;
-        Flow_key.Table.add t.by_key key c;
+        let held = Some c in
+        t.chains.(i) <- held;
+        Int_table.replace t.by_key t.words held;
         t.packets <- t.packets + 1;
         (* While frozen (controller session down, fail-secure mode)
            chains are absorbed silently: no re-request timer burns
@@ -248,7 +258,9 @@ let wipe t =
   t.frozen <- false;
   !packets
 
-let has_chain t ~key = Flow_key.Table.mem t.by_key key
+let has_chain t ~key =
+  index_key t key;
+  Option.is_some (Int_table.find t.by_key t.words)
 
 let is_frozen t = t.frozen
 let freezes t = t.freezes
@@ -258,7 +270,7 @@ let expired_on_resume t = t.expired_on_resume
 
 let units t = t.units
 let packets_buffered t = t.packets
-let flows_buffered t = Flow_key.Table.length t.by_key
+let flows_buffered t = Int_table.length t.by_key
 let alloc_failures t = t.alloc_failures
 let resends t = t.resends
 let drops t = t.drops

@@ -2,8 +2,8 @@
     (Section V, Algorithms 1 and 2).
 
     One buffer unit ({!Buffer_units}) holds {e all} miss-match packets
-    of one flow, found by the flow's 5-tuple, under a single
-    [buffer_id]. The first packet of a flow allocates the unit and
+    of one flow under a single [buffer_id], found by the flow's 5-tuple
+    in an {!Int_table} on its three words ({!Microflow.load_flow_key}). The first packet of a flow allocates the unit and
     triggers exactly one [PACKET_IN]; subsequent miss-match packets of
     the same flow are chained onto the unit silently. When the
     [PACKET_OUT] arrives, the whole chain is released at once, so units
@@ -91,7 +91,8 @@ val add : t -> key:Flow_key.t -> frame:Bytes.t -> add_result
 (** Algorithm 1, lines 5-11. While frozen, a [First] allocation does
     {e not} arm the re-request timer — the caller also refrains from
     sending the PACKET_IN, so the chain just accumulates until
-    {!resume}. *)
+    {!resume}. A key with a protocol wider than 8 bits or a port wider
+    than 16 raises [Invalid_argument], here and in {!has_chain}. *)
 
 val freeze : t -> unit
 (** Controller session lost (fail-secure mode): cancel every armed

@@ -1,24 +1,24 @@
 (** The switch's flow table: priority matching, capacity with LRU
     eviction, idle/hard timeout expiry — fronted by an OVS-style
-    exact-match microflow cache ({!Microflow}).
+    exact-match microflow cache. The paper's root-cause discussion —
+    rules being "kicked out from the size limited flow table" — is
+    modelled by [capacity] and eviction.
 
-    Exact 5-tuple rules (the kind a reactive controller installs per
-    flow) are hash-indexed on that 5-tuple, and wildcarded rules sit in
-    one list. Lookup, insert and strict delete consult only the
-    packet's or match's index bucket plus that list, so with few
-    wildcarded rules they cost the same at two thousand installed rules
-    as at ten. Choosing an eviction victim, non-strict delete and
-    expiry visit every entry. The paper's
-    root-cause discussion — rules being "kicked out from the size
-    limited flow table" — is modelled by [capacity] and eviction.
-
-    Lookup runs in two tiers, mirroring Open vSwitch: the fast path
-    answers from the microflow cache when an identical packet (same
-    ingress port, MACs, ToS and 5-tuple) was classified since the last
-    table mutation; any insert, delete, expiry or eviction flushes the
-    cache, so the fast path can never serve a stale entry. With a
-    {!Sdn_check.Check} armed, every cache hit is audited against the
-    slow path. *)
+    Lookup runs in two tiers, mirroring Open vSwitch. The fast path
+    answers from the cache, an {!Int_table} on the {!Microflow} key,
+    when an identical packet (same ingress port, MACs, ToS and 5-tuple)
+    was classified since the last table mutation; any insert, delete,
+    expiry or eviction flushes it, so it never serves a stale entry. The
+    slow path reads the same key words: rules that pin the whole
+    5-tuple (the kind a reactive controller installs per flow) sit in
+    an exact index, an {!Int_table} on the 5-tuple's three words, and
+    every other rule in one wildcard list. Lookup, insert and strict
+    delete consult one index bucket plus that list, so with few
+    wildcard rules they cost the same at two thousand rules as at ten,
+    and a frame's lookup parses nothing and allocates nothing but the
+    cached answer. Choosing an eviction victim, non-strict delete and
+    expiry visit every entry. With a {!Sdn_check.Check} armed, every
+    lookup of a frame is audited against {!lookup_uncached}. *)
 
 open Sdn_net
 open Sdn_openflow
@@ -42,9 +42,10 @@ val create :
     least-recently-used entry of minimal priority, as the paper's
     discussion of TCP rule-eviction assumes.
 
-    With [check] armed, every cache hit re-runs the slow path and
-    reports a [microflow-agreement] violation on divergence, stamped
-    with [clock ()] (default constantly [0.]) under table [name]. *)
+    With [check] armed, every lookup that the cache or the key-read
+    slow path answers is replayed on {!lookup_uncached}, and a
+    divergence is a [microflow-agreement] violation, stamped with
+    [clock ()] (default constantly [0.]) under table [name]. *)
 
 val length : t -> int
 val insert : t -> Flow_entry.t -> insert_result
@@ -57,15 +58,17 @@ val lookup : t -> in_port:int -> Packet.t -> Flow_entry.t option
 val lookup_frame : t -> in_port:int -> Bytes.t -> Flow_entry.t option
 (** {!lookup} of a frame {!Sdn_net.Packet.validate} accepted, with the
     same result and counters as [lookup] of [Packet.build frame], from
-    the same cache. The cache key is read from the frame in place; a
-    [Packet.t] is built only when the slow path runs (a cache miss, a
-    frame without a 5-tuple, or, with a checker armed, the audit of a
-    hit). A cache hit allocates nothing. *)
+    the same cache. The key is read from the frame in place, and a
+    cache miss matches the candidate rules against its words; a
+    [Packet.t] is built only for a frame without a 5-tuple or, with a
+    checker armed, for the audit. A hit allocates nothing, and a miss
+    only the cached answer. *)
 
 val lookup_uncached : t -> in_port:int -> Packet.t -> Flow_entry.t option
-(** The pure slow path: a full priority scan that bypasses (and never
-    populates) the microflow cache. Used by benchmarks, property tests
-    and the checker's audit replay. *)
+(** The reference slow path on a packet: the candidate rules, matched
+    with {!Sdn_openflow.Of_match.matches}, bypassing (and never
+    populating) the microflow cache. Takes frames without a 5-tuple;
+    used by benchmarks, property tests and the checker's audit. *)
 
 val delete :
   t -> strict:bool -> ?out_port:int -> match_:Of_match.t -> priority:int -> unit -> int

@@ -1,39 +1,24 @@
 open Sdn_net
+open Sdn_openflow
 
-(* Five immediate ints: the ingress port, then each MAC (48 bits) over
-   one 8-bit field and each IPv4 address (32 bits) over its 16-bit
-   transport port. The key must cover every packet field
-   Of_match.matches can consult: in_port, both MACs, the ToS byte, and
-   the 5-tuple. dl_type is implied (a key only exists for IPv4 TCP or
-   UDP), and dl_vlan never matches a simulated packet (Packet.t carries
-   no VLAN tag), so two packets with equal keys are indistinguishable
-   to every rule. *)
-type key = {
-  mutable in_port : int;
-  mutable dst_mac_tos : int;
-  mutable src_mac_proto : int;
-  mutable src_ip_port : int;
-  mutable dst_ip_port : int;
-}
+(* dl_type is implied (a key only exists for IPv4 TCP or UDP), and
+   dl_vlan never matches a simulated packet (Packet.t carries no VLAN
+   tag), so two packets with equal keys are indistinguishable to every
+   rule. *)
+type key = int array
 
-let key () =
-  {
-    in_port = 0;
-    dst_mac_tos = 0;
-    src_mac_proto = 0;
-    src_ip_port = 0;
-    dst_ip_port = 0;
-  }
-
+let words = 5
+let tuple_words = 3
+let key () = Array.make words 0
 let ip_word ip = Int32.to_int ip land 0xFFFF_FFFF
 
-let set k ~in_port ~dl_dst ~dl_src ~tos ~proto ~src_ip ~dst_ip ~src_port
-    ~dst_port =
-  k.in_port <- in_port;
-  k.dst_mac_tos <- (Mac.to_int dl_dst lsl 8) lor tos;
-  k.src_mac_proto <- (Mac.to_int dl_src lsl 8) lor proto;
-  k.src_ip_port <- (src_ip lsl 16) lor src_port;
-  k.dst_ip_port <- (dst_ip lsl 16) lor dst_port
+let set (k : key) ~in_port ~dl_dst ~dl_src ~tos ~proto ~src_ip ~dst_ip
+    ~src_port ~dst_port =
+  k.(0) <- in_port;
+  k.(1) <- (Mac.to_int dl_dst lsl 8) lor tos;
+  k.(2) <- (Mac.to_int dl_src lsl 8) lor proto;
+  k.(3) <- (src_ip lsl 16) lor src_port;
+  k.(4) <- (dst_ip lsl 16) lor dst_port
 
 (* Where [Packet.build] reads each field of a checked frame: Ethernet,
    then IPv4 without options, then the transport ports. *)
@@ -56,13 +41,22 @@ let load_frame k ~in_port frame =
        true
      end
 
+(* A packet built through the API may hold fields wider than the
+   wire's, which would alias another key: it gets none. *)
 let load_ipv4 k ~in_port (eth : Ethernet.t) (ip : Ipv4.t) ~src_port ~dst_port =
-  set k ~in_port ~dl_dst:eth.Ethernet.dst ~dl_src:eth.Ethernet.src
-    ~tos:ip.Ipv4.tos ~proto:ip.Ipv4.proto
-    ~src_ip:(ip_word (Ip.to_int32 ip.Ipv4.src))
-    ~dst_ip:(ip_word (Ip.to_int32 ip.Ipv4.dst))
-    ~src_port ~dst_port;
-  true
+  let tos = ip.Ipv4.tos and proto = ip.Ipv4.proto in
+  tos land 0xFF = tos
+  && proto land 0xFF = proto
+  && src_port land 0xFFFF = src_port
+  && dst_port land 0xFFFF = dst_port
+  && begin
+       set k ~in_port ~dl_dst:eth.Ethernet.dst ~dl_src:eth.Ethernet.src ~tos
+         ~proto
+         ~src_ip:(ip_word (Ip.to_int32 ip.Ipv4.src))
+         ~dst_ip:(ip_word (Ip.to_int32 ip.Ipv4.dst))
+         ~src_port ~dst_port;
+       true
+     end
 
 let load_packet k ~in_port (pkt : Packet.t) =
   match pkt.Packet.l3 with
@@ -74,133 +68,30 @@ let load_packet k ~in_port (pkt : Packet.t) =
         ~dst_port:tcp.Tcp.dst_port
   | Packet.Ipv4 (_, Packet.Raw_l4 _) | Packet.Arp _ | Packet.Raw_l3 _ -> false
 
-(* An open-addressed table with linear probing. Slot [i] holds six
-   ints from [i * stride]: the generation that wrote it, then the five
-   key words; its value sits at [values.(i)]. A slot is live only if
-   its generation is the table's, so a flush bumps the generation and
-   touches no slot. With no deletion inside a generation, a probe stops
-   at the key or at the first dead slot; the load factor stays at most
-   one half. *)
-let stride = 6
-let initial_slots = 16
+let matches (k : key) m =
+  Of_match.matches_ipv4 m ~in_port:k.(0) ~dl_src:(k.(2) lsr 8)
+    ~dl_dst:(k.(1) lsr 8) ~tos:(k.(1) land 0xFF) ~proto:(k.(2) land 0xFF)
+    ~src_ip:(k.(3) lsr 16) ~dst_ip:(k.(4) lsr 16)
+    ~src_port:(k.(3) land 0xFFFF) ~dst_port:(k.(4) land 0xFFFF)
 
-(* At most this many entries; on overflow the whole cache is reset. *)
-let capacity = 8192
+(* Packed only in range, so no two 5-tuples share a key. *)
+let load_tuple (w : int array) ~proto ~src_ip ~dst_ip ~src_port ~dst_port =
+  proto land 0xFF = proto
+  && src_port land 0xFFFF = src_port
+  && dst_port land 0xFFFF = dst_port
+  && begin
+       w.(0) <- proto;
+       w.(1) <- (ip_word (Ip.to_int32 src_ip) lsl 16) lor src_port;
+       w.(2) <- (ip_word (Ip.to_int32 dst_ip) lsl 16) lor dst_port;
+       true
+     end
 
-type 'v t = {
-  mutable slots : int array;  (* empty until the first [add] *)
-  mutable values : 'v option array;
-  mutable generation : int;
-  mutable length : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable flushes : int;
-}
+let load_flow_key w (f : Flow_key.t) =
+  load_tuple w ~proto:f.Flow_key.proto ~src_ip:f.Flow_key.src_ip
+    ~dst_ip:f.Flow_key.dst_ip ~src_port:f.Flow_key.src_port
+    ~dst_port:f.Flow_key.dst_port
 
-let create () =
-  {
-    slots = [||];
-    values = [||];
-    (* Fresh slots read generation 0: dead. *)
-    generation = 1;
-    length = 0;
-    hits = 0;
-    misses = 0;
-    flushes = 0;
-  }
-
-let[@inline] mix h x = (h lxor x) * 0x2545F4914F6CDD1D
-
-let hash ~in_port a b c d =
-  let h = mix (mix (mix (mix (mix 0 in_port) a) b) c) d in
-  let h = (h lxor (h lsr 29)) * 0x1B873593 in
-  h lxor (h lsr 32)
-
-(* The slot holding the key, or the dead slot where it would go. *)
-let rec probe (slots : int array) ~generation ~mask ~in_port a b c d i =
-  let base = i * stride in
-  if slots.(base) <> generation then i
-  else if
-    slots.(base + 1) = in_port
-    && slots.(base + 2) = a
-    && slots.(base + 3) = b
-    && slots.(base + 4) = c
-    && slots.(base + 5) = d
-  then i
-  else probe slots ~generation ~mask ~in_port a b c d ((i + 1) land mask)
-
-let slot_count t = Array.length t.values
-
-let locate t k =
-  let mask = slot_count t - 1 in
-  probe t.slots ~generation:t.generation ~mask ~in_port:k.in_port k.dst_mac_tos
-    k.src_mac_proto k.src_ip_port k.dst_ip_port
-    (hash ~in_port:k.in_port k.dst_mac_tos k.src_mac_proto k.src_ip_port
-       k.dst_ip_port
-    land mask)
-
-let live t i = t.slots.(i * stride) = t.generation
-
-let find t k =
-  let i = if t.length = 0 then -1 else locate t k in
-  if i >= 0 && live t i then begin
-    t.hits <- t.hits + 1;
-    t.values.(i)
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    None
-  end
-
-let flush t =
-  if t.length > 0 then begin
-    t.generation <- t.generation + 1;
-    t.length <- 0;
-    t.flushes <- t.flushes + 1
-  end
-
-(* Double the slot count, moving the live slots; the dead ones are
-   dropped with the old arrays. *)
-let grow t =
-  let old_slots = t.slots and old_values = t.values in
-  let n = Int.max initial_slots (2 * slot_count t) in
-  let mask = n - 1 in
-  let slots = Array.make (n * stride) 0 and values = Array.make n None in
-  for i = 0 to Array.length old_values - 1 do
-    let base = i * stride in
-    if old_slots.(base) = t.generation then begin
-      let word j = old_slots.(base + j) in
-      let j =
-        probe slots ~generation:t.generation ~mask ~in_port:(word 1) (word 2)
-          (word 3) (word 4) (word 5)
-          (hash ~in_port:(word 1) (word 2) (word 3) (word 4) (word 5) land mask)
-      in
-      Array.blit old_slots base slots (j * stride) stride;
-      values.(j) <- old_values.(i)
-    end
-  done;
-  t.slots <- slots;
-  t.values <- values
-
-let add t k v =
-  (* Whole-cache reset on overflow: crude but deterministic, and the
-     steady state (a working set far below capacity) never hits it. *)
-  if t.length >= capacity then flush t;
-  if 2 * (t.length + 1) > slot_count t then grow t;
-  let i = locate t k in
-  if not (live t i) then begin
-    let base = i * stride in
-    t.slots.(base) <- t.generation;
-    t.slots.(base + 1) <- k.in_port;
-    t.slots.(base + 2) <- k.dst_mac_tos;
-    t.slots.(base + 3) <- k.src_mac_proto;
-    t.slots.(base + 4) <- k.src_ip_port;
-    t.slots.(base + 5) <- k.dst_ip_port;
-    t.length <- t.length + 1
-  end;
-  t.values.(i) <- Some v
-
-let length t = t.length
-let hits t = t.hits
-let misses t = t.misses
-let flushes t = t.flushes
+let tuple_of_key (k : key) (w : int array) =
+  w.(0) <- k.(2) land 0xFF;
+  w.(1) <- k.(3);
+  w.(2) <- k.(4)

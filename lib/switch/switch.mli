@@ -174,10 +174,10 @@ val handle_frame : t -> in_port:int -> Bytes.t -> unit
 (** Deliver an ingress frame (wired as the receiver of host links).
     The frame is parsed once: {!Sdn_net.Packet.validate} checks it in
     place (a rejected frame is dropped), the flow table is probed with
-    a key read from it ({!Flow_table.lookup_frame}), and a
-    [Packet.t] is built only for the slow path of a microflow miss or
-    to apply a header rewrite. Buffered frames are released without
-    being parsed again. *)
+    a key read from it ({!Flow_table.lookup_frame}), whose slow path
+    reads the same key, and a [Packet.t] is built only for a frame
+    without a 5-tuple (ARP, raw), a header rewrite or a checker's
+    audit. Buffered frames are released without being parsed again. *)
 
 val handle_of_message : t -> Bytes.t -> unit
 (** Deliver a controller-to-switch OpenFlow message (wired as the

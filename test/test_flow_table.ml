@@ -527,10 +527,10 @@ let prop_model_equivalence =
 
    [Microflow.load_frame] reads a validated frame in place, and
    [load_packet] the packet [Packet.build] makes of it: both must
-   accept the same frames (IPv4 UDP or TCP) and name the same cache
-   entry. A second packet, the first with one key field redrawn, must
-   meet the first's key exactly when the fields the key covers are
-   equal, so every bit the key packs counts. *)
+   accept the same frames (IPv4 UDP or TCP) and load the same words. A
+   second packet, the first with one key field redrawn, must meet the
+   first's key exactly when the fields the key covers are equal, so
+   every bit the key packs counts. *)
 let projection ~in_port (pkt : Packet.t) =
   match pkt.Packet.l3 with
   | Packet.Ipv4 (ip, Packet.Udp ({ Udp.src_port; dst_port }, _))
@@ -567,6 +567,10 @@ let redraw_one_field (in_port, pkt) =
   | 7 -> rewritten (fun p -> Of_action.Set_tp_dst p) Test_packet.gen_l4_port
   | _ -> return (in_port, swap_proto pkt)
 
+(* The cache is an [Int_table] on the key's words, so two keys name the
+   same cache entry exactly when their words are equal. *)
+let same_key (a : Microflow.key) b = Array.for_all2 Int.equal a b
+
 let prop_frame_key_agrees =
   QCheck.Test.make ~name:"frame and packet microflow keys agree" ~count:1500
     (QCheck.make
@@ -581,15 +585,12 @@ let prop_frame_key_agrees =
       = Microflow.load_packet from_packet ~in_port:port_a (Packet.build frame)
       && cacheable = Option.is_some (projection ~in_port:port_a a)
       && ((not cacheable)
-         ||
-         let cache = Microflow.create () in
-         Microflow.add cache from_frame "a";
-         Microflow.find cache from_packet = Some "a"
-         &&
-         let other = Microflow.key () in
-         (not (Microflow.load_packet other ~in_port:port_b b))
-         || Microflow.find cache other = Some "a"
-            = (projection ~in_port:port_a a = projection ~in_port:port_b b)))
+         || same_key from_frame from_packet
+            &&
+            let other = Microflow.key () in
+            (not (Microflow.load_packet other ~in_port:port_b b))
+            || same_key from_frame other
+               = (projection ~in_port:port_a a = projection ~in_port:port_b b)))
 
 (* [lookup_frame] answers from the same cache as [lookup]: on one table
    holding exact and wildcarded rules, a frame lookup and a packet
@@ -635,6 +636,141 @@ let prop_lookup_frame_agrees =
         lookups
       && Flow_table.lookups table = 2 * List.length lookups)
 
+(* ---- The frame-keyed slow path against the reference ----
+
+   On a cache miss [lookup_frame] matches the candidate rules against
+   the key's words, walking the exact bucket oldest first and then the
+   wildcard rules newest first; [lookup_uncached] on [Packet.build] of
+   the frame is the reference. Rules come from a small pool of packets,
+   so several share an exact bucket at equal priority: the whole exact
+   match, the bare 5-tuple, the 5-tuple narrowed by in_port. Wildcard
+   rules keep or drop each of in_port, the MACs and the ToS, and cut
+   both addresses to prefixes of 0-32 bits. Lookups reuse the pool's
+   UDP, TCP, ARP and raw packets, some with another ToS, and every
+   lookup runs twice, so the second is answered from the cache. *)
+
+type slow_op =
+  | S_insert of Of_match.t * int * int * int  (* match, priority, idle, hard *)
+  | S_delete of Of_match.t * int * bool  (* match, priority, strict *)
+  | S_expire
+  | S_lookup of int * Packet.t
+
+let pp_slow_op = function
+  | S_insert (m, prio, idle, hard) ->
+      Format.asprintf "insert %a prio=%d idle=%d hard=%d" Of_match.pp m prio
+        idle hard
+  | S_delete (m, prio, strict) ->
+      Format.asprintf "delete%s %a prio=%d"
+        (if strict then "-strict" else "")
+        Of_match.pp m prio
+  | S_expire -> "expire"
+  | S_lookup (in_port, pkt) ->
+      Format.asprintf "lookup in_port=%d %a" in_port Of_match.pp
+        (Of_match.exact_of_packet pkt)
+
+let gen_slow_match (in_port, pkt) =
+  let open QCheck.Gen in
+  let m = Of_match.exact_of_packet ~in_port pkt in
+  let tuple =
+    {
+      Of_match.wildcard_all with
+      Of_match.dl_type = m.Of_match.dl_type;
+      nw_proto = m.Of_match.nw_proto;
+      nw_src = m.Of_match.nw_src;
+      nw_dst = m.Of_match.nw_dst;
+      tp_src = m.Of_match.tp_src;
+      tp_dst = m.Of_match.tp_dst;
+    }
+  in
+  let keep v = oneofl [ None; v ] in
+  let prefix = function
+    | None -> return None
+    | Some (ip, _) ->
+        oneof [ return None; map (fun bits -> Some (ip, bits)) (int_range 0 32) ]
+  in
+  frequency
+    [
+      (2, return m);
+      (2, return tuple);
+      (1, map (fun p -> { tuple with Of_match.in_port = Some p }) (int_range 1 2));
+      ( 3,
+        let* in_port = keep m.Of_match.in_port in
+        let* dl_src = keep m.Of_match.dl_src in
+        let* dl_dst = keep m.Of_match.dl_dst in
+        let* nw_tos = keep m.Of_match.nw_tos in
+        let* dl_type = keep m.Of_match.dl_type in
+        let* nw_src = prefix m.Of_match.nw_src in
+        let+ nw_dst = prefix m.Of_match.nw_dst in
+        { m with Of_match.in_port; dl_src; dl_dst; nw_tos; dl_type; nw_src; nw_dst;
+                 nw_proto = None; tp_src = None; tp_dst = None } );
+    ]
+
+let gen_slow_case =
+  let open QCheck.Gen in
+  let* pool = array_size (int_range 1 4) Test_packet.gen_packet in
+  let traffic =
+    let* pkt = oneofl (Array.to_list pool) in
+    let* in_port = int_range 1 2 in
+    let+ tos = option ~ratio:0.2 Test_packet.gen_tos in
+    match tos with
+    | None -> (in_port, pkt)
+    | Some v -> (in_port, Of_action.rewrite [ Of_action.Set_nw_tos v ] pkt)
+  in
+  let prio = int_range 0 2 in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         ( 5,
+           let* m = traffic >>= gen_slow_match in
+           let* p = prio in
+           let* idle = int_range 0 3 in
+           let+ hard = int_range 0 4 in
+           S_insert (m, p, idle, hard) );
+         (1, map2 (fun m p -> S_delete (m, p, true)) (traffic >>= gen_slow_match) prio);
+         (1, map (fun m -> S_delete (m, 0, false)) (traffic >>= gen_slow_match));
+         (1, return S_expire);
+         (6, map (fun (in_port, pkt) -> S_lookup (in_port, pkt)) traffic);
+       ])
+
+let prop_slow_path_agrees =
+  let print ops = String.concat "\n" (List.map pp_slow_op ops) in
+  QCheck.Test.make ~name:"frame-keyed slow path agrees with the reference"
+    ~count:400 (QCheck.make ~print gen_slow_case) (fun ops ->
+      let table = Flow_table.create ~capacity:12 () in
+      let now = ref 0.0 in
+      List.for_all
+        (fun op ->
+          now := !now +. 0.5;
+          match op with
+          | S_insert (match_, priority, idle, hard) ->
+              ignore
+                (Flow_table.insert table
+                   (Flow_entry.of_flow_mod
+                      (Of_flow_mod.add ~priority ~idle_timeout:idle
+                         ~hard_timeout:hard ~match_
+                         ~actions:[ Of_action.output 2 ] ())
+                      ~now:!now));
+              true
+          | S_delete (match_, priority, strict) ->
+              ignore (Flow_table.delete table ~strict ~match_ ~priority ());
+              true
+          | S_expire ->
+              ignore (Flow_table.expire table ~now:!now);
+              true
+          | S_lookup (in_port, pkt) -> (
+              let frame = Packet.encode pkt in
+              match Packet.validate frame with
+              | Error _ -> true
+              | Ok () ->
+                  let reference =
+                    Flow_table.lookup_uncached table ~in_port (Packet.build frame)
+                  in
+                  let cold = Flow_table.lookup_frame table ~in_port frame in
+                  let warm = Flow_table.lookup_frame table ~in_port frame in
+                  Option.equal ( == ) cold reference
+                  && Option.equal ( == ) warm reference))
+        ops)
+
 let suite =
   [
     Alcotest.test_case "miss on empty table" `Quick test_miss_on_empty;
@@ -664,4 +800,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_model_equivalence;
     QCheck_alcotest.to_alcotest prop_frame_key_agrees;
     QCheck_alcotest.to_alcotest prop_lookup_frame_agrees;
+    QCheck_alcotest.to_alcotest prop_slow_path_agrees;
   ]

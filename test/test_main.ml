@@ -19,6 +19,7 @@ let () =
       ("openflow.codec", Test_of_codec.suite);
       ("openflow.codec-fuzz", Test_of_codec_fuzz.suite);
       ("switch.flow_table", Test_flow_table.suite);
+      ("switch.int_table", Test_int_table.suite);
       ("switch.packet_buffer", Test_packet_buffer.suite);
       ("switch.flow_buffer", Test_flow_buffer.suite);
       ("switch.buffer_units", Test_buffer_units.suite);
