@@ -290,21 +290,22 @@ let run_cmd =
           }
         in
         let config =
-          {
-            Config.default with
-            Config.mechanism;
-            buffer_capacity = (if mechanism = Config.No_buffer then 0 else buffer);
-            rate_mbps = rate;
-            seed;
-            workload;
-            faults;
-            overload_watermark = watermark;
-            buf_policy;
-            echo_interval;
-            echo_misses;
-            fail_mode;
-            check;
-          }
+          Config.with_mechanism
+            {
+              Config.default with
+              Config.buffer_capacity = buffer;
+              rate_mbps = rate;
+              seed;
+              workload;
+              faults;
+              overload_watermark = watermark;
+              buf_policy;
+              echo_interval;
+              echo_misses;
+              fail_mode;
+              check;
+            }
+            mechanism
         in
         let result = Experiment.run config in
         Format.printf "%a@." Experiment.pp_result result;

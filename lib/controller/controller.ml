@@ -520,20 +520,16 @@ let handle_message t buf =
           let work = t.costs.Costs.parse_base_cost +. t.costs.Costs.encode_base_cost in
           Cpu.submit t.cpu ~work_s:work (fun () ->
               send t ~xid (Of_codec.Echo_reply payload))
-      | Of_codec.Flow_removed fr ->
-          (* The entry timed out at the switch; forget it so the
-             reconciliation pass does not resurrect it. *)
-          View_key.Table.remove s.flow_view
-            (fr.Of_flow_removed.match_, fr.Of_flow_removed.priority)
       | Of_codec.Stats_reply (Of_stats.Flow_reply stats) ->
           handle_flow_stats t stats
       | Of_codec.Hello | Of_codec.Error_msg _ | Of_codec.Echo_reply _
       | Of_codec.Features_reply _ | Of_codec.Get_config_reply _
-      | Of_codec.Port_status _ | Of_codec.Stats_reply _
-      | Of_codec.Barrier_reply | Of_codec.Vendor _ ->
+      | Of_codec.Flow_removed _ | Of_codec.Port_status _
+      | Of_codec.Stats_reply _ | Of_codec.Barrier_reply | Of_codec.Vendor _ ->
           (* Handshake replies, port and statistics reports and error
              reports land here; nothing to do for the reproduction's
-             workloads. *)
+             workloads. The switch sends no FLOW_REMOVED: it refuses
+             rules that ask for one. *)
           ()
       | Of_codec.Features_request | Of_codec.Get_config_request
       | Of_codec.Set_config _ | Of_codec.Packet_out _ | Of_codec.Flow_mod _

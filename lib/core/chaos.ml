@@ -21,13 +21,7 @@ let default_base ~seed =
 
 let point_config ~base ~mechanism ~loss_rate =
   let faults = { base.Config.faults with Faults.loss_rate } in
-  {
-    base with
-    Config.mechanism;
-    buffer_capacity =
-      (if mechanism = Config.No_buffer then 0 else base.Config.buffer_capacity);
-    faults;
-  }
+  { (Config.with_mechanism base mechanism) with Config.faults }
 
 (* Every sweep hands its grid, in report order, to the one funnel and
    keeps the results in that order. *)
@@ -145,14 +139,7 @@ let outage_point_config ~base ~mechanism ~fail_mode ~duration =
         [ { Faults.start_s = outage_start; stop_s = outage_start +. duration } ];
     }
   in
-  {
-    base with
-    Config.mechanism;
-    buffer_capacity =
-      (if mechanism = Config.No_buffer then 0 else base.Config.buffer_capacity);
-    fail_mode;
-    faults;
-  }
+  { (Config.with_mechanism base mechanism) with Config.fail_mode; faults }
 
 let run_outage ?(durations = default_outage_durations) ?(jobs = 1) ~base () =
   run_grid ~jobs
@@ -273,13 +260,7 @@ let crash_point_config ~base ~mechanism ~node ~mode ~down =
         [ { Faults.node; at_s = crash_start; down_s = down; mode } ];
     }
   in
-  {
-    base with
-    Config.mechanism;
-    buffer_capacity =
-      (if mechanism = Config.No_buffer then 0 else base.Config.buffer_capacity);
-    faults;
-  }
+  { (Config.with_mechanism base mechanism) with Config.faults }
 
 let run_crash ?(modes = default_crash_modes) ?(downs = default_crash_downs)
     ?(jobs = 1) ~base () =

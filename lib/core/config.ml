@@ -95,6 +95,14 @@ let packets_expected t =
   (* plus the flow-0 primer *)
   | Poisson_mix { n_packets; _ } -> n_packets + 1
 
+let with_mechanism t mechanism =
+  let buffer_capacity =
+    match mechanism with
+    | No_buffer -> 0
+    | Packet_granularity | Flow_granularity -> t.buffer_capacity
+  in
+  { t with mechanism; buffer_capacity }
+
 let label t =
   let base =
     match t.mechanism with

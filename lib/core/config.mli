@@ -103,6 +103,10 @@ val exp_b : mechanism:mechanism -> rate_mbps:float -> seed:int -> t
 (** The Section V comparison: 50 flows x 20 packets, batches of 5,
     buffer 256 for both mechanisms. *)
 
+val with_mechanism : t -> mechanism -> t
+(** [t] running [mechanism]. A no-buffer configuration has 0 buffer
+    units; the other two keep [t]'s [buffer_capacity]. *)
+
 val packets_expected : t -> int
 (** Total data packets the workload injects. *)
 

@@ -9,9 +9,10 @@
     reads the frame in place and allocates nothing on success. {!build}
     reads the fields of a frame [validate] accepted into a [Packet.t].
     [decode] is the two in turn. The switch validates every frame it
-    receives but builds a [Packet.t] only where it needs one: for the
-    slow-path classification of a microflow miss, and for a header
-    rewrite. *)
+    receives but builds a [Packet.t] only where it needs one: to
+    classify a frame without a 5-tuple (ARP, raw), and to audit a
+    lookup while a checker is armed. It rewrites no header (it refuses
+    actions that would), so a forwarded frame is never re-encoded. *)
 
 type l4 =
   | Udp of Udp.t * Bytes.t  (** header, application payload *)

@@ -145,26 +145,6 @@ let read_list buf off ~len =
   in
   loop [] off
 
-let rewrite_l4_src port = function
-  | Packet.Udp (u, p) -> Packet.Udp ({ u with Udp.src_port = port }, p)
-  | Packet.Tcp (t, p) -> Packet.Tcp ({ t with Tcp.src_port = port }, p)
-  | Packet.Raw_l4 _ as l4 -> l4
-
-let rewrite_l4_dst port = function
-  | Packet.Udp (u, p) -> Packet.Udp ({ u with Udp.dst_port = port }, p)
-  | Packet.Tcp (t, p) -> Packet.Tcp ({ t with Tcp.dst_port = port }, p)
-  | Packet.Raw_l4 _ as l4 -> l4
-
-let rewrite_ip f (pkt : Packet.t) =
-  match pkt.Packet.l3 with
-  | Packet.Ipv4 (ip, l4) -> { pkt with Packet.l3 = Packet.Ipv4 (f ip, l4) }
-  | Packet.Arp _ | Packet.Raw_l3 _ -> pkt
-
-let rewrite_l4 f (pkt : Packet.t) =
-  match pkt.Packet.l3 with
-  | Packet.Ipv4 (ip, l4) -> { pkt with Packet.l3 = Packet.Ipv4 (ip, f l4) }
-  | Packet.Arp _ | Packet.Raw_l3 _ -> pkt
-
 let rec rewrites = function
   | [] -> false
   | ( Set_dl_src _ | Set_dl_dst _ | Set_nw_src _ | Set_nw_dst _ | Set_nw_tos _
@@ -174,30 +154,6 @@ let rec rewrites = function
   | (Output _ | Enqueue _ | Set_vlan_vid _ | Set_vlan_pcp _ | Strip_vlan) :: rest
     ->
       rewrites rest
-
-(* A walk without an accumulator pair: an action list with no header
-   rewrite returns [pkt] itself and allocates nothing. *)
-let rec rewrite actions pkt =
-  match actions with
-  | [] -> pkt
-  | action :: rest ->
-      let pkt =
-        match action with
-        | Set_dl_src mac ->
-            { pkt with Packet.eth = { pkt.Packet.eth with Ethernet.src = mac } }
-        | Set_dl_dst mac ->
-            { pkt with Packet.eth = { pkt.Packet.eth with Ethernet.dst = mac } }
-        | Set_nw_src ip -> rewrite_ip (fun h -> { h with Ipv4.src = ip }) pkt
-        | Set_nw_dst ip -> rewrite_ip (fun h -> { h with Ipv4.dst = ip }) pkt
-        | Set_nw_tos tos -> rewrite_ip (fun h -> { h with Ipv4.tos = tos }) pkt
-        | Set_tp_src port -> rewrite_l4 (rewrite_l4_src port) pkt
-        | Set_tp_dst port -> rewrite_l4 (rewrite_l4_dst port) pkt
-        | Output _ | Enqueue _ | Set_vlan_vid _ | Set_vlan_pcp _ | Strip_vlan ->
-            (* Forwarding is the switch's walk; VLAN tagging is not
-               modelled on the data plane. *)
-            pkt
-      in
-      rewrite rest pkt
 
 let equal a b =
   match (a, b) with

@@ -31,13 +31,11 @@ val read_list : Bytes.t -> int -> len:int -> (t list, string) result
 
 val rewrites : t list -> bool
 (** Whether the list holds a header rewrite ([Set_dl_*], [Set_nw_*] or
-    [Set_tp_*]). Where it does not, {!rewrite} returns its packet
-    itself, so a caller holding only the frame need not parse it. *)
-
-val rewrite : t list -> Packet.t -> Packet.t
-(** Apply the header rewrites in order. A list without any returns the
-    packet itself (physically equal), so a caller re-encodes only what
-    was rewritten. [Output] and [Enqueue] are the caller's to walk. *)
+    [Set_tp_*]). The switch model rewrites no header: it refuses a
+    FLOW_MOD or PACKET_OUT carrying one with [Bad_action]/[bad_type]
+    ({!Of_error.Bad_action_code}), so a forwarded frame is never
+    parsed or re-encoded. VLAN actions are not rewrites: the data
+    plane models no VLAN tag, and the switch ignores them. *)
 
 val equal : t -> t -> bool
 val pp_list : Format.formatter -> t list -> unit

@@ -17,6 +17,10 @@ module Flow_mod_failed_code = struct
   let unsupported = 5
 end
 
+module Bad_action_code = struct
+  let bad_type = 0
+end
+
 module Hello_failed_code = struct
   let incompatible = 0
   let eperm = 1

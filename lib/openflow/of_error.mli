@@ -1,4 +1,12 @@
-(** OpenFlow 1.0 [ERROR] message body. *)
+(** OpenFlow 1.0 [ERROR] message body.
+
+    The switch model answers every request it does not serve with the
+    error the 1.0 specification names for it, echoing the request's
+    xid: a FLOW_MOD delete gets [Flow_mod_failed]/[bad_command], one
+    asking for FLOW_REMOVED [Flow_mod_failed]/[eperm], a header-rewrite
+    action [Bad_action]/[bad_type], a DESC or PORT stats request
+    [Bad_request]/[bad_stat] and a filtered FLOW or AGGREGATE stats
+    request [Bad_request]/[eperm]. *)
 
 type error_type =
   | Hello_failed
@@ -14,7 +22,7 @@ type t = {
   data : Bytes.t;  (** at least 64 bytes of the offending message *)
 }
 
-(** Codes for [Flow_mod_failed], the type the switch model raises. *)
+(** Codes for [Flow_mod_failed]. *)
 module Flow_mod_failed_code : sig
   val all_tables_full : int
   val overlap : int
@@ -22,6 +30,12 @@ module Flow_mod_failed_code : sig
   val bad_emerg_timeout : int
   val bad_command : int
   val unsupported : int
+end
+
+(** The code for [Bad_action] that the switch model raises: an action
+    type it does not implement. *)
+module Bad_action_code : sig
+  val bad_type : int
 end
 
 (** Codes for [Hello_failed]. *)

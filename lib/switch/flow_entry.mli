@@ -14,7 +14,6 @@ type t = {
   cookie : int64;
   idle_timeout : float;  (** seconds; 0 = no idle expiry *)
   hard_timeout : float;  (** seconds; 0 = no hard expiry *)
-  send_flow_rem : bool;  (** notify the controller on removal *)
   installed_at : float;
   used : used;
   mutable packets : int;
@@ -37,11 +36,3 @@ val is_expired : t -> now:float -> bool
 
 val to_stats : t -> now:float -> Of_stats.flow_stats
 (** Render as an OpenFlow flow-stats record. *)
-
-val expiry_reason : t -> now:float -> Of_flow_removed.reason option
-(** Which timeout (if any) has elapsed; hard timeouts take precedence
-    when both have, as in the OpenFlow specification. *)
-
-val to_flow_removed :
-  t -> now:float -> reason:Of_flow_removed.reason -> Of_flow_removed.t
-(** Render as the FLOW_REMOVED notification body. *)

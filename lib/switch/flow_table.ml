@@ -304,54 +304,16 @@ let lookup_frame t ~in_port frame =
          (if Option.is_some t.check then Some (Packet.build frame) else None)
      else lookup_uncached t ~in_port (Packet.build frame))
 
-let entry_outputs_to (e : Flow_entry.t) port =
-  List.exists
-    (function
-      | Of_action.Output { port = p; _ } -> p = port
-      | Of_action.Enqueue { port = p; _ } -> p = port
-      | Of_action.Set_vlan_vid _ | Of_action.Set_vlan_pcp _
-      | Of_action.Strip_vlan | Of_action.Set_dl_src _ | Of_action.Set_dl_dst _
-      | Of_action.Set_nw_src _ | Of_action.Set_nw_dst _ | Of_action.Set_nw_tos _
-      | Of_action.Set_tp_src _ | Of_action.Set_tp_dst _ ->
-          false)
-    e.Flow_entry.actions
-
-let delete t ~strict ?(out_port = Of_wire.Port.none) ~match_ ~priority () =
-  let port_ok e = out_port = Of_wire.Port.none || entry_outputs_to e out_port in
-  let doomed =
-    if strict then
-      match find_identical t ~match_ ~priority with
-      | Some r when port_ok r.entry -> [ r ]
-      | Some _ | None -> []
-    else
-      (* uid order = install order; keeps the removal sequence
-         deterministic. *)
-      by_uid
-        (fold_rules
-           (fun r acc ->
-             if
-               Of_match.subsumes ~general:match_
-                 ~specific:r.entry.Flow_entry.match_
-               && port_ok r.entry
-             then r :: acc
-             else acc)
-           t [])
-  in
-  List.iter (remove_rule t) doomed;
-  List.length doomed
-
 let expire t ~now =
-  (* The expired entries escape to flow_removed notifications, so order
-     them by uid (install order). *)
   let doomed =
-    by_uid
-      (fold_rules
-         (fun r acc -> if Flow_entry.is_expired r.entry ~now then r :: acc else acc)
-         t [])
+    fold_rules
+      (fun r acc -> if Flow_entry.is_expired r.entry ~now then r :: acc else acc)
+      t []
   in
   List.iter (remove_rule t) doomed;
-  t.expirations <- t.expirations + List.length doomed;
-  List.map (fun r -> r.entry) doomed
+  let n = List.length doomed in
+  t.expirations <- t.expirations + n;
+  n
 
 let clear t =
   let n = t.length in

@@ -7,17 +7,18 @@
     Lookup runs in two tiers, mirroring Open vSwitch. The fast path
     answers from the cache, an {!Int_table} on the {!Microflow} key,
     when an identical packet (same ingress port, MACs, ToS and 5-tuple)
-    was classified since the last table mutation; any insert, delete,
-    expiry or eviction flushes it, so it never serves a stale entry. The
+    was classified since the last table mutation; any insert, expiry,
+    eviction or wipe flushes it, so it never serves a stale entry. The
     slow path reads the same key words: rules that pin the whole
     5-tuple (the kind a reactive controller installs per flow) sit in
     an exact index, an {!Int_table} on the 5-tuple's three words, and
-    every other rule in one wildcard list. Lookup, insert and strict
-    delete consult one index bucket plus that list, so with few
-    wildcard rules they cost the same at two thousand rules as at ten,
-    and a frame's lookup parses nothing and allocates nothing but the
-    cached answer. Choosing an eviction victim, non-strict delete and
-    expiry visit every entry. With a {!Sdn_check.Check} armed, every
+    every other rule in one wildcard list. Lookup and insert consult
+    one index bucket plus that list, so with few wildcard rules they
+    cost the same at two thousand rules as at ten, and a frame's lookup
+    parses nothing and allocates nothing but the cached answer.
+    Choosing an eviction victim and expiry visit every entry. Rules
+    leave the table only by expiry, eviction or {!clear}: the switch
+    refuses FLOW_MOD deletes. With a {!Sdn_check.Check} armed, every
     lookup of a frame is audited against {!lookup_uncached}. *)
 
 open Sdn_net
@@ -70,17 +71,9 @@ val lookup_uncached : t -> in_port:int -> Packet.t -> Flow_entry.t option
     populating) the microflow cache. Takes frames without a 5-tuple;
     used by benchmarks, property tests and the checker's audit. *)
 
-val delete :
-  t -> strict:bool -> ?out_port:int -> match_:Of_match.t -> priority:int -> unit -> int
-(** OpenFlow [Delete]/[Delete_strict]: remove matching entries, return
-    how many were removed. Non-strict removes every entry subsumed by
-    [match_]; strict requires equal match and priority. When
-    [out_port] names a physical port, only entries with an output or
-    enqueue action to that port qualify (a FLOW_MOD delete's
-    [out_port] filter). *)
-
-val expire : t -> now:float -> Flow_entry.t list
-(** Remove and return entries whose idle or hard timeout has elapsed. *)
+val expire : t -> now:float -> int
+(** Remove the entries whose idle or hard timeout has elapsed; return
+    how many. *)
 
 val clear : t -> int
 (** Remove every entry and flush the microflow cache — the soft-state

@@ -353,29 +353,16 @@ let rec forward_all t ~in_port actions frame =
       | _ -> ());
       forward_all t ~in_port rest frame
 
-(* The frame [actions] send: [frame] itself unless a header rewrite
-   applies, which is the one place a forwarded frame is parsed. *)
-let rewritten_frame actions frame =
-  if not (Of_action.rewrites actions) then frame
-  else begin
-    let pkt = Packet.build frame in
-    let rewritten = Of_action.rewrite actions pkt in
-    if rewritten == pkt then frame else Packet.encode rewritten
-  end
-
-(* Egress of a data-plane frame that passed [Packet.validate]: one
-   kernel forwarding job, then the port links. The job walks the
-   action list itself: it applies the header rewrites (re-encoding the
-   frame only if one applied) and forwards the result out of each port
-   named, so no list of outputs is built. A list that forwards nowhere
-   is dropped at once, with no job. Ports are resolved when the job
-   runs. *)
+(* Egress of a frame that passed [Packet.validate]: one kernel job, which
+   forwards the frame as it came in (no header is rewritten) out of each
+   port its action list names. A list that forwards nowhere is dropped at
+   once, with no job. Ports are resolved when the job runs. *)
 let egress t ~in_port ~actions frame =
   if not (forwards t ~in_port actions) then
     t.frames_dropped <- t.frames_dropped + 1
   else
     Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_fwd_cost (fun () ->
-        forward_all t ~in_port actions (rewritten_frame actions frame))
+        forward_all t ~in_port actions frame)
 
 (* ---- Miss handling, per mechanism ---- *)
 
@@ -578,11 +565,26 @@ let apply_buffer_release t ~buffer_id ~actions ~offending =
                   ~code:Of_error.Bad_request_code.buffer_unknown ~offending))
   end
 
-let handle_flow_mod t (fm : Of_flow_mod.t) ~offending =
-  let work = t.costs.Costs.flow_mod_install_cost in
-  Cpu.submit t.userspace ~work_s:work (fun () ->
-      match fm.Of_flow_mod.command with
-      | Of_flow_mod.Add | Of_flow_mod.Modify | Of_flow_mod.Modify_strict ->
+(* The switch installs rules, but deletes none on request, rewrites no
+   header and sends no FLOW_REMOVED. It refuses a request for any of
+   these at once, with the OFPT_ERROR OpenFlow 1.0 names for it. *)
+let flow_mod_refusal (fm : Of_flow_mod.t) =
+  match fm.Of_flow_mod.command with
+  | Of_flow_mod.Delete | Of_flow_mod.Delete_strict ->
+      Some (Of_error.Flow_mod_failed, Of_error.Flow_mod_failed_code.bad_command)
+  | Of_flow_mod.Add | Of_flow_mod.Modify | Of_flow_mod.Modify_strict ->
+      if Of_action.rewrites fm.Of_flow_mod.actions then
+        Some (Of_error.Bad_action, Of_error.Bad_action_code.bad_type)
+      else if fm.Of_flow_mod.send_flow_rem then
+        Some (Of_error.Flow_mod_failed, Of_error.Flow_mod_failed_code.eperm)
+      else None
+
+let handle_flow_mod t ~xid (fm : Of_flow_mod.t) ~offending =
+  match flow_mod_refusal fm with
+  | Some (error_type, code) -> send_error ~xid t ~error_type ~code ~offending
+  | None ->
+      Cpu.submit t.userspace ~work_s:t.costs.Costs.flow_mod_install_cost
+        (fun () ->
           (* The rule takes effect only after the datapath programming
              latency; packets arriving in between still miss. The
              buffered packet (if the FLOW_MOD names one) is released
@@ -594,19 +596,13 @@ let handle_flow_mod t (fm : Of_flow_mod.t) ~offending =
                    (Flow_table.insert t.table
                       (Flow_entry.of_flow_mod fm ~now:(Engine.now t.engine)))));
           apply_buffer_release t ~buffer_id:fm.Of_flow_mod.buffer_id
-            ~actions:fm.Of_flow_mod.actions ~offending
-      | Of_flow_mod.Delete ->
-          ignore
-            (Flow_table.delete t.table ~strict:false
-               ~out_port:fm.Of_flow_mod.out_port ~match_:fm.Of_flow_mod.match_
-               ~priority:fm.Of_flow_mod.priority ())
-      | Of_flow_mod.Delete_strict ->
-          ignore
-            (Flow_table.delete t.table ~strict:true
-               ~out_port:fm.Of_flow_mod.out_port ~match_:fm.Of_flow_mod.match_
-               ~priority:fm.Of_flow_mod.priority ()))
+            ~actions:fm.Of_flow_mod.actions ~offending)
 
-let handle_packet_out t (po : Of_packet_out.t) ~offending =
+let handle_packet_out t ~xid (po : Of_packet_out.t) ~offending =
+  if Of_action.rewrites po.Of_packet_out.actions then
+    send_error ~xid t ~error_type:Of_error.Bad_action
+      ~code:Of_error.Bad_action_code.bad_type ~offending
+  else
   let data_len = Bytes.length po.Of_packet_out.data in
   let work =
     t.costs.Costs.pkt_out_base_cost
@@ -708,69 +704,38 @@ let features_reply t =
   in
   Of_features.make ~datapath_id ~n_buffers:(n_buffers t) ~n_tables:1 ~ports
 
-let handle_stats_request t ~xid (req : Of_stats.request) =
-  let now = Engine.now t.engine in
-  let reply =
-    match req with
-    | Of_stats.Desc_request ->
-        Of_stats.Desc_reply
-          {
-            Of_stats.mfr_desc = "sdn-buffer reproduction";
-            hw_desc = "simulated datapath";
-            sw_desc = "sdn_switch (OCaml)";
-            serial_num = "0";
-            dp_desc = mechanism_to_string t.mechanism;
-          }
-    | Of_stats.Flow_request _ ->
-        (* A big table cannot be reported in one frame (16-bit wire
-           length, no multipart continuation in this codec): answer
-           with the prefix that fits rather than framing garbage. *)
-        Of_stats.Flow_reply
-          (Of_stats.truncate_flow_entries (Flow_table.to_stats t.table ~now))
-    | Of_stats.Aggregate_request _ ->
-        let entries = Flow_table.entries t.table in
-        let packets, bytes =
-          List.fold_left
-            (fun (p, b) (e : Flow_entry.t) ->
-              ( Int64.add p (Int64.of_int e.Flow_entry.packets),
-                Int64.add b (Int64.of_int e.Flow_entry.bytes) ))
-            (0L, 0L) entries
-        in
-        Of_stats.Aggregate_reply
-          {
-            packet_count = packets;
-            byte_count = bytes;
-            flow_count = Int32.of_int (List.length entries);
-          }
-    | Of_stats.Port_request { port_no } ->
-        let one port (link : Bytes.t Link.t) =
-          {
-            Of_stats.port_no = port;
-            rx_packets = 0L;
-            tx_packets = Int64.of_int (Link.messages_sent link);
-            rx_bytes = 0L;
-            tx_bytes = Int64.of_int (Link.bytes_sent link);
-            rx_dropped = 0L;
-            tx_dropped = 0L;
-            rx_errors = 0L;
-            tx_errors = 0L;
-          }
-        in
-        let entries =
-          if port_no = Of_wire.Port.none || port_no = Of_wire.Port.all then
-            (* Stats reply goes on the wire: ascending port number. *)
-            Of_wire.Port.Table.fold (fun p l acc -> one p l :: acc) t.ports []
-            |> List.sort (fun (a : Of_stats.port_stats) b ->
-                   Int.compare a.Of_stats.port_no b.Of_stats.port_no)
-          else begin
-            match Of_wire.Port.Table.find_opt t.ports port_no with
-            | Some l -> [ one port_no l ]
-            | None -> []
-          end
-        in
-        Of_stats.Port_reply entries
-  in
-  send_to_controller ~xid t (Of_codec.Stats_reply reply)
+(* The flow table is reported whole or not at all, as the audit and a
+   monitor poll ask for it; DESC and PORT requests are refused. *)
+let handle_stats_request t ~xid (req : Of_stats.request) ~offending =
+  let reply r = send_to_controller ~xid t (Of_codec.Stats_reply r) in
+  match req with
+  | Of_stats.Desc_request | Of_stats.Port_request _ ->
+      send_error ~xid t ~error_type:Of_error.Bad_request
+        ~code:Of_error.Bad_request_code.bad_stat ~offending
+  | Of_stats.Flow_request { match_; table_id; out_port }
+  | Of_stats.Aggregate_request { match_; table_id; out_port }
+    when not (Of_match.equal match_ Of_match.wildcard_all
+              && out_port = Of_wire.Port.none && (table_id = 0xff || table_id = 0)) ->
+      send_error ~xid t ~error_type:Of_error.Bad_request
+        ~code:Of_error.Bad_request_code.eperm ~offending
+  | Of_stats.Flow_request _ ->
+      (* A big table cannot be reported in one frame (16-bit wire
+         length, no multipart continuation in this codec): answer with
+         the prefix that fits rather than framing garbage. *)
+      reply
+        (Of_stats.Flow_reply
+           (Of_stats.truncate_flow_entries
+              (Flow_table.to_stats t.table ~now:(Engine.now t.engine))))
+  | Of_stats.Aggregate_request _ ->
+      let entries = Flow_table.entries t.table in
+      let sum f =
+        List.fold_left (fun n e -> Int64.add n (Int64.of_int (f e))) 0L entries
+      in
+      reply
+        (Of_stats.Aggregate_reply
+           { packet_count = sum (fun e -> e.Flow_entry.packets);
+             byte_count = sum (fun e -> e.Flow_entry.bytes);
+             flow_count = Int32.of_int (List.length entries) })
 
 let handle_of_message t buf =
   if t.dead then
@@ -792,8 +757,8 @@ let handle_of_message t buf =
       | Of_codec.Echo_reply _ -> Session.note_echo_reply (the_session t) ~xid
       | _ -> Session.note_activity (the_session t));
       match msg with
-      | Of_codec.Flow_mod fm -> handle_flow_mod t fm ~offending:buf
-      | Of_codec.Packet_out po -> handle_packet_out t po ~offending:buf
+      | Of_codec.Flow_mod fm -> handle_flow_mod t ~xid fm ~offending:buf
+      | Of_codec.Packet_out po -> handle_packet_out t ~xid po ~offending:buf
       | Of_codec.Hello -> send_to_controller t Of_codec.Hello
       | Of_codec.Echo_request payload ->
           send_to_controller ~xid t (Of_codec.Echo_reply payload)
@@ -802,7 +767,7 @@ let handle_of_message t buf =
       | Of_codec.Barrier_request ->
           send_to_controller ~xid t Of_codec.Barrier_reply
       | Of_codec.Vendor v -> handle_vendor t ~xid v ~offending:buf
-      | Of_codec.Stats_request req -> handle_stats_request t ~xid req
+      | Of_codec.Stats_request r -> handle_stats_request t ~xid r ~offending:buf
       | Of_codec.Get_config_request ->
           send_to_controller ~xid t
             (Of_codec.Get_config_reply
@@ -815,9 +780,8 @@ let handle_of_message t buf =
       | Of_codec.Get_config_reply _ | Of_codec.Packet_in _
       | Of_codec.Flow_removed _ | Of_codec.Port_status _
       | Of_codec.Stats_reply _ | Of_codec.Barrier_reply ->
-          (* Controller-bound messages are ignored if echoed back,
-             and so are error reports; echo replies were consumed by
-             the session above. *)
+          (* Controller-bound messages and error reports are ignored;
+             echo replies were consumed by the session above. *)
           ())
 
 (* Session-down: stop burning re-request budgets into a dead link (the
@@ -968,22 +932,7 @@ let create engine ?check ~config ~costs ~rng () =
 
 let start t =
   let rec sweep () =
-    let now = Engine.now t.engine in
-    let expired = Flow_table.expire t.table ~now in
-    (* Rules installed with the send_flow_rem flag notify the
-       controller of their demise. *)
-    List.iter
-      (fun (entry : Flow_entry.t) ->
-        if entry.Flow_entry.send_flow_rem then begin
-          let reason =
-            Option.value
-              (Flow_entry.expiry_reason entry ~now)
-              ~default:Of_flow_removed.Idle_timeout
-          in
-          send_to_controller t
-            (Of_codec.Flow_removed (Flow_entry.to_flow_removed entry ~now ~reason))
-        end)
-      expired;
+    ignore (Flow_table.expire t.table ~now:(Engine.now t.engine));
     ignore (Engine.schedule t.engine ~delay:sweep_period sweep)
   in
   ignore (Engine.schedule t.engine ~delay:sweep_period sweep);

@@ -176,12 +176,20 @@ val handle_frame : t -> in_port:int -> Bytes.t -> unit
     place (a rejected frame is dropped), the flow table is probed with
     a key read from it ({!Flow_table.lookup_frame}), whose slow path
     reads the same key, and a [Packet.t] is built only for a frame
-    without a 5-tuple (ARP, raw), a header rewrite or a checker's
-    audit. Buffered frames are released without being parsed again. *)
+    without a 5-tuple (ARP, raw) or a checker's audit. Frames are
+    forwarded as they came in, and buffered frames are released
+    without being parsed again. *)
 
 val handle_of_message : t -> Bytes.t -> unit
 (** Deliver a controller-to-switch OpenFlow message (wired as the
-    receiver of the control link). *)
+    receiver of the control link). The switch serves the reactive loop
+    and whole-table FLOW and AGGREGATE stats. It refuses, with one
+    OFPT_ERROR echoing the xid and no other effect, a FLOW_MOD delete
+    ([Flow_mod_failed]/[bad_command]), a header rewrite in a FLOW_MOD
+    or PACKET_OUT ([Bad_action]/[bad_type]), a FLOW_MOD asking for
+    FLOW_REMOVED ([Flow_mod_failed]/[eperm]), DESC and PORT stats
+    ([Bad_request]/[bad_stat]) and filtered FLOW or AGGREGATE stats
+    ([Bad_request]/[eperm]). *)
 
 val start : t -> unit
 (** Begin periodic housekeeping: the flow-table expiry sweep and — when

@@ -238,7 +238,7 @@ let tcp_frame addressing ~flow_id ~seq_no ~ack_no ~flags ~payload_len ~reverse =
   Packet.encode pkt
 
 (* A stretch of a TCP plan: times, ingress ports, frames. The TCP
-   scenarios build their few frames with the plan. *)
+   scenario builds its few frames with the plan. *)
 let prebuilt stretches =
   let join f = Array.concat (List.map f stretches) in
   let frames = join (fun (_, _, frames) -> frames) in
@@ -272,18 +272,6 @@ let tcp_data_burst ~rng addressing ~flow_id ~start ~gap ~n ~payload_len =
 
 let data_payload_len ~frame_size =
   max Tag.size (frame_size - Ethernet.size - Ipv4.size - Tcp.size)
-
-let tcp_handshake_then_data ~rng ?(addressing = Addressing.default)
-    ?(start = 0.0) ~flow_id ~data_packets ~rate_mbps ~frame_size () =
-  let gap = spacing ~rate_mbps ~frame_size in
-  let handshake = tcp_handshake addressing ~flow_id ~start ~gap in
-  let data =
-    tcp_data_burst ~rng addressing ~flow_id
-      ~start:(start +. (3.0 *. gap))
-      ~gap ~n:data_packets
-      ~payload_len:(data_payload_len ~frame_size)
-  in
-  prebuilt [ handshake; data ]
 
 let tcp_idle_resume ~rng ?(addressing = Addressing.default) ?(start = 0.0)
     ~flow_id ~first_burst ~idle_gap ~second_burst ~rate_mbps ~frame_size () =

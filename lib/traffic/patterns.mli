@@ -145,24 +145,10 @@ val udp_frame :
     {!Addressing.src_port}) whose payload starts with the tag
     [{flow_id; seq; flow_packets}] and is otherwise zero. *)
 
-(** {2 TCP scenarios}
+(** {2 TCP scenario}
 
-    For the Section VI.B discussion. These build their few frames with
-    the plan. *)
-
-val tcp_handshake_then_data :
-  rng:Rng.t ->
-  ?addressing:Addressing.t ->
-  ?start:float ->
-  flow_id:int ->
-  data_packets:int ->
-  rate_mbps:float ->
-  frame_size:int ->
-  unit ->
-  t
-(** SYN / SYN-ACK / ACK (small frames, the reverse direction entering
-    on port 2), then [data_packets] full-size data segments from the
-    initiator. *)
+    For the Section VI.B discussion. It builds its few frames with the
+    plan. *)
 
 val tcp_idle_resume :
   rng:Rng.t ->
@@ -176,8 +162,9 @@ val tcp_idle_resume :
   frame_size:int ->
   unit ->
   t
-(** The rule-eviction scenario: a burst of data, an idle period
-    ([idle_gap], non-negative) longer than the rule's idle timeout
-    (during which the rule is kicked out of the table), then a resumed
-    burst on the {e same} established connection — whose packets are
-    misses again. *)
+(** The rule-eviction scenario: SYN / SYN-ACK / ACK (small frames, the
+    reverse direction entering on port 2), a burst of full-size data
+    segments from the initiator, an idle period ([idle_gap],
+    non-negative) longer than the rule's idle timeout (during which the
+    rule is kicked out of the table), then a resumed burst on the
+    {e same} established connection — whose packets are misses again. *)

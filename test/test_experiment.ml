@@ -157,6 +157,76 @@ let test_calibration_sanity () =
     (fun (what, ok) -> Alcotest.(check bool) what true ok)
     (Calibration.sanity ())
 
+(* The switch refuses the OpenFlow it does not serve with OFPT_ERROR,
+   so a controller that starts sending it (a FLOW_MOD delete, a header
+   rewrite, FLOW_REMOVED, a filtered or DESC/PORT stats request) shows
+   up here: no shipped scenario may draw an ERROR from the switch. Each
+   mechanism runs on Exp-A and Exp-B, and on the outage, crash (whose
+   reconciliation audits send FLOW stats requests) and policy sweeps'
+   bases with one point of each sweep. *)
+let test_no_scenario_draws_an_error () =
+  let observe config =
+    let scenario = Scenario.build config in
+    let plan = Experiment.injections_of config scenario.Scenario.traffic_rng in
+    Sdn_traffic.Pktgen.schedule scenario.Scenario.engine
+      ~inject:(fun ~in_port frame -> Scenario.inject scenario ~in_port frame)
+      plan;
+    Scenario.run_until_quiet
+      ~min_time:(Sdn_traffic.Pktgen.stats_of plan).Sdn_traffic.Pktgen.last scenario;
+    let to_controller =
+      Sdn_measure.Capture.messages_of_type scenario.Scenario.capture
+        Sdn_measure.Capture.To_controller
+    in
+    ( to_controller Sdn_openflow.Of_wire.Msg_type.Packet_in,
+      to_controller Sdn_openflow.Of_wire.Msg_type.Error )
+  in
+  let mechanisms = Chaos.default_mechanisms in
+  let outage ~mechanism ~fail_mode =
+    let base = Chaos.default_outage_base ~seed:7 in
+    {
+      (Config.with_mechanism base mechanism) with
+      Config.fail_mode;
+      faults =
+        {
+          base.Config.faults with
+          Sdn_sim.Faults.outages = [ { Sdn_sim.Faults.start_s = 0.15; stop_s = 0.25 } ];
+        };
+    }
+  in
+  let configs =
+    List.concat_map
+      (fun mechanism ->
+        [
+          Config.with_mechanism
+            (Config.exp_a ~mechanism ~buffer_capacity:256 ~rate_mbps:60.0 ~seed:3)
+            mechanism;
+          Config.with_mechanism (Config.exp_b ~mechanism ~rate_mbps:60.0 ~seed:3) mechanism;
+          outage ~mechanism ~fail_mode:Config.Fail_secure;
+          outage ~mechanism ~fail_mode:Config.Fail_standalone;
+        ]
+        @ List.concat_map
+            (fun node ->
+              List.map
+                (fun mode ->
+                  Chaos.crash_point_config ~base:(Chaos.default_crash_base ~seed:7)
+                    ~mechanism ~node ~mode ~down:0.05)
+                Chaos.default_crash_modes)
+            Chaos.default_crash_nodes)
+      mechanisms
+    @ List.map
+        (fun policy ->
+          Chaos.policy_point_config ~base:(Chaos.default_policy_base ~seed:7)
+            ~policy ~buffer:16)
+        Chaos.default_policies
+  in
+  List.iter
+    (fun config ->
+      let packet_ins, errors = observe config in
+      Alcotest.(check bool) (Config.label config ^ ": the run reached the controller")
+        true (packet_ins > 0);
+      Alcotest.(check int) (Config.label config ^ ": ERRORs to the controller") 0 errors)
+    configs
+
 let suite =
   [
     Alcotest.test_case "all packets delivered under every mechanism" `Quick
@@ -179,4 +249,6 @@ let suite =
       test_udp_burst_single_request_flow_granularity;
     Alcotest.test_case "calibration sanity conditions" `Quick
       test_calibration_sanity;
+    Alcotest.test_case "no shipped scenario draws an ERROR" `Quick
+      test_no_scenario_draws_an_error;
   ]

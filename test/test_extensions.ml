@@ -1,6 +1,7 @@
 (* Tests for the protocol/config extensions: SET_CONFIG / GET_CONFIG,
-   FLOW_REMOVED notifications, the lossy control channel, and the
-   ablation-facing configuration plumbing. *)
+   the FLOW_REMOVED codec and the switch's refusal to send one, the
+   lossy control channel, and the ablation-facing configuration
+   plumbing. *)
 
 open Sdn_sim
 open Sdn_net
@@ -111,11 +112,15 @@ let test_get_config_reply () =
       Alcotest.(check int) "reports miss_send_len" 128 c.Of_config.miss_send_len
   | _ -> Alcotest.fail "expected a config reply"
 
+(* The switch sends no FLOW_REMOVED: a FLOW_MOD that asks for one is
+   refused with FLOW_MOD_FAILED/EPERM, echoing its xid, and installs
+   nothing; an unflagged rule on the same match installs and expires
+   silently. *)
 let test_flow_removed_on_expiry () =
   let engine, switch, msgs = switch_harness Sdn_switch.Switch.default_config in
   Sdn_switch.Switch.start switch;
   let key = Option.get (Packet.peek_flow_key (frame ())) in
-  let install ~send_flow_rem ~priority =
+  let install ~xid ~send_flow_rem ~priority =
     let fm =
       Of_flow_mod.add ~idle_timeout:1 ~priority
         ~match_:(Of_match.of_flow_key key)
@@ -123,25 +128,25 @@ let test_flow_removed_on_expiry () =
         ()
     in
     Sdn_switch.Switch.handle_of_message switch
-      (Of_codec.encode ~xid:1l
+      (Of_codec.encode ~xid
          (Of_codec.Flow_mod { fm with Of_flow_mod.send_flow_rem }))
   in
-  (* Two rules on the same match, different priorities: only the
-     flagged one must notify. *)
-  install ~send_flow_rem:true ~priority:5;
-  install ~send_flow_rem:false ~priority:1;
+  install ~xid:11l ~send_flow_rem:true ~priority:5;
+  install ~xid:12l ~send_flow_rem:false ~priority:1;
+  let table = Sdn_switch.Switch.flow_table switch in
+  Engine.run ~until:0.5 engine;
+  (match Sdn_switch.Flow_table.entries table with
+  | [ e ] -> Alcotest.(check int) "the unflagged rule" 1 e.Sdn_switch.Flow_entry.priority
+  | l -> Alcotest.failf "expected 1 rule, got %d" (List.length l));
   Engine.run ~until:3.5 engine;
-  let removed =
-    List.filter_map
-      (function _, Of_codec.Flow_removed fr -> Some fr | _ -> None)
-      !msgs
-  in
-  match removed with
-  | [ fr ] ->
-      Alcotest.(check int) "the flagged rule" 5 fr.Of_flow_removed.priority;
-      Alcotest.(check bool) "idle reason" true
-        (fr.Of_flow_removed.reason = Of_flow_removed.Idle_timeout)
-  | l -> Alcotest.fail (Printf.sprintf "expected 1 notification, got %d" (List.length l))
+  Alcotest.(check int) "expired" 0 (Sdn_switch.Flow_table.length table);
+  match List.rev !msgs with
+  | [ (xid, Of_codec.Error_msg e) ] ->
+      Alcotest.(check int32) "echoes the xid" 11l xid;
+      Alcotest.(check bool) "flow_mod_failed" true
+        (e.Of_error.error_type = Of_error.Flow_mod_failed);
+      Alcotest.(check int) "eperm" Of_error.Flow_mod_failed_code.eperm e.Of_error.code
+  | l -> Alcotest.failf "expected one OFPT_ERROR and nothing else, got %d" (List.length l)
 
 (* ---- Lossy links ---- *)
 
@@ -262,7 +267,7 @@ let suite =
     Alcotest.test_case "SET_CONFIG changes truncation" `Quick
       test_set_config_changes_truncation;
     Alcotest.test_case "GET_CONFIG reports state" `Quick test_get_config_reply;
-    Alcotest.test_case "FLOW_REMOVED on expiry (flagged rules only)" `Quick
+    Alcotest.test_case "FLOW_REMOVED on expiry (flagged rule refused)" `Quick
       test_flow_removed_on_expiry;
     Alcotest.test_case "link loss statistics" `Quick test_link_loss_statistics;
     Alcotest.test_case "loss rate validation" `Quick test_link_loss_rate_validation;

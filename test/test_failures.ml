@@ -1,5 +1,5 @@
-(* Failure tests: the PORT_STATUS codec, filtered rule deletion,
-   control-channel loss and malformed frames at either endpoint. *)
+(* Failure tests: the PORT_STATUS codec, control-channel loss and
+   malformed frames at either endpoint. *)
 
 open Sdn_sim
 open Sdn_net
@@ -48,17 +48,6 @@ let make_harness () =
   Switch.set_controller_link switch ctrl;
   { engine; switch; to_controller }
 
-let install h ~src_port ~out_port =
-  let key = Option.get (Packet.peek_flow_key (frame ~src_port ())) in
-  Switch.handle_of_message h.switch
-    (Of_codec.encode ~xid:1l
-       (Of_codec.Flow_mod
-          (Of_flow_mod.add
-             ~match_:(Of_match.of_flow_key key)
-             ~actions:[ Of_action.output out_port ]
-             ())));
-  Engine.run ~until:(Engine.now h.engine +. 0.001) h.engine
-
 let test_port_status_roundtrip () =
   let msg =
     Of_codec.Port_status
@@ -72,29 +61,6 @@ let test_port_status_roundtrip () =
   | Ok (3l, msg') -> Alcotest.(check bool) "equal" true (Of_codec.equal msg msg')
   | Ok _ -> Alcotest.fail "xid mangled"
   | Error e -> Alcotest.fail e
-
-let test_delete_with_out_port_filter () =
-  let h = make_harness () in
-  install h ~src_port:1 ~out_port:2;
-  install h ~src_port:2 ~out_port:3;
-  Alcotest.(check int) "two rules" 2 (Flow_table.length (Switch.flow_table h.switch));
-  (* Delete only the rules forwarding into port 2. *)
-  Switch.handle_of_message h.switch
-    (Of_codec.encode ~xid:9l
-       (Of_codec.Flow_mod
-          {
-            (Of_flow_mod.add ~match_:Of_match.wildcard_all ~actions:[] ()) with
-            Of_flow_mod.command = Of_flow_mod.Delete;
-            out_port = 2;
-          }));
-  Engine.run ~until:0.05 h.engine;
-  let remaining = Flow_table.entries (Switch.flow_table h.switch) in
-  match remaining with
-  | [ e ] -> (
-      match e.Flow_entry.actions with
-      | [ Of_action.Output { port = 3; _ } ] -> ()
-      | _ -> Alcotest.fail "wrong survivor")
-  | l -> Alcotest.fail (Printf.sprintf "expected 1 survivor, got %d" (List.length l))
 
 (* {2 Control-channel loss and the re-request recovery path} *)
 
@@ -266,8 +232,6 @@ let test_malformed_frame_replies () =
 let suite =
   [
     Alcotest.test_case "PORT_STATUS roundtrip" `Quick test_port_status_roundtrip;
-    Alcotest.test_case "delete honours out_port filter" `Quick
-      test_delete_with_out_port_filter;
     Alcotest.test_case "flow granularity survives 20% control loss" `Quick
       test_flow_granularity_survives_loss;
     Alcotest.test_case "abandons flows when resends exhausted" `Quick

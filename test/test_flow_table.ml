@@ -101,15 +101,15 @@ let test_idle_timeout_expiry () =
   let pkt = udp_pkt ~src_port:1 in
   ignore (Flow_table.insert table (entry_for ~idle:5 ~out_port:2 pkt ~now:0.0));
   Alcotest.(check int) "not expired yet" 0
-    (List.length (Flow_table.expire table ~now:4.9));
+    (Flow_table.expire table ~now:4.9);
   (* A touch at 4 pushes idle expiry to 9. *)
   (match Flow_table.lookup table ~in_port:1 pkt with
   | Some e -> Flow_entry.touch e ~now:4.0 ~bytes:100
   | None -> Alcotest.fail "hit expected");
   Alcotest.(check int) "still alive at 8" 0
-    (List.length (Flow_table.expire table ~now:8.0));
+    (Flow_table.expire table ~now:8.0);
   Alcotest.(check int) "expires at 9" 1
-    (List.length (Flow_table.expire table ~now:9.0));
+    (Flow_table.expire table ~now:9.0);
   Alcotest.(check int) "expirations counter" 1 (Flow_table.expirations table);
   Alcotest.(check bool) "gone" true (Flow_table.lookup table ~in_port:1 pkt = None)
 
@@ -121,23 +121,7 @@ let test_hard_timeout_expiry () =
   (match Flow_table.lookup table ~in_port:1 pkt with
   | Some e -> Flow_entry.touch e ~now:2.9 ~bytes:100
   | None -> Alcotest.fail "hit expected");
-  Alcotest.(check int) "hard expiry" 1 (List.length (Flow_table.expire table ~now:3.0))
-
-let test_delete_strict_and_loose () =
-  let table = Flow_table.create ~capacity:10 () in
-  let p1 = udp_pkt ~src_port:1 and p2 = udp_pkt ~src_port:2 in
-  ignore (Flow_table.insert table (entry_for ~priority:1 ~out_port:2 p1 ~now:0.0));
-  ignore (Flow_table.insert table (entry_for ~priority:2 ~out_port:2 p2 ~now:0.0));
-  (* Strict delete with wrong priority removes nothing. *)
-  let m1 = Of_match.of_flow_key (Option.get (Packet.flow_key p1)) in
-  Alcotest.(check int) "strict wrong priority" 0
-    (Flow_table.delete table ~strict:true ~match_:m1 ~priority:9 ());
-  Alcotest.(check int) "strict right priority" 1
-    (Flow_table.delete table ~strict:true ~match_:m1 ~priority:1 ());
-  (* Loose delete with a wildcard removes the rest. *)
-  Alcotest.(check int) "loose wildcard" 1
-    (Flow_table.delete table ~strict:false ~match_:Of_match.wildcard_all ~priority:0 ());
-  Alcotest.(check int) "empty" 0 (Flow_table.length table)
+  Alcotest.(check int) "hard expiry" 1 (Flow_table.expire table ~now:3.0)
 
 let test_stats_counters () =
   let table = Flow_table.create ~capacity:10 () in
@@ -170,7 +154,7 @@ let test_microflow_counters () =
   Alcotest.(check int) "one cached entry" 1 (Flow_table.microflow_length table)
 
 let test_microflow_invalidated_by_mutations () =
-  let table = Flow_table.create ~capacity:10 () in
+  let table = Flow_table.create ~capacity:1 () in
   let pkt = udp_pkt ~src_port:1 in
   ignore (Flow_table.insert table (entry_for ~out_port:2 pkt ~now:0.0));
   ignore (Flow_table.lookup table ~in_port:1 pkt);
@@ -181,11 +165,14 @@ let test_microflow_invalidated_by_mutations () =
   (match Flow_table.lookup table ~in_port:1 pkt with
   | Some e -> Alcotest.(check int) "new actions after insert" 7 (out_port_of e)
   | None -> Alcotest.fail "expected hit");
-  (* Deleting it must flush again: a stale hit would forward into a
+  (* Evicting it must flush again: a stale hit would forward into a
      void. *)
-  let m = Of_match.of_flow_key (Option.get (Packet.flow_key pkt)) in
-  ignore (Flow_table.delete table ~strict:false ~match_:m ~priority:0 ());
-  Alcotest.(check bool) "miss after delete" true
+  (match
+     Flow_table.insert table (entry_for ~out_port:3 (udp_pkt ~src_port:2) ~now:2.0)
+   with
+  | Flow_table.Evicted _ -> ()
+  | Flow_table.Installed | Flow_table.Replaced -> Alcotest.fail "expected an eviction");
+  Alcotest.(check bool) "miss after eviction" true
     (Flow_table.lookup table ~in_port:1 pkt = None);
   Alcotest.(check bool) "flushes counted" true
     (Flow_table.microflow_flushes table >= 2)
@@ -248,17 +235,19 @@ let test_microflow_audit_clean () =
     (Sdn_check.Check.events_seen check > 0)
 
 (* The fast path must be semantically invisible: through a randomized
-   trace of inserts, deletes, expiries and lookups, every cached lookup
-   answers with the very entry the slow path picks. *)
+   trace of inserts, evictions at capacity, expiries and lookups, every
+   cached lookup answers with the very entry the slow path picks. The
+   sweep runs at a random time or at the trace's own clock, which rules
+   with short idle timeouts outlive. *)
 let prop_microflow_equivalence =
   let op_gen =
     QCheck.Gen.(
       frequency
         [
           (6, map (fun p -> `Lookup p) (int_range 1 40));
-          (3, map2 (fun p prio -> `Insert (p, prio)) (int_range 1 40)
-                (int_range 1 3));
-          (1, map (fun p -> `Delete p) (int_range 1 40));
+          (3, map3 (fun p prio idle -> `Insert (p, prio, idle)) (int_range 1 40)
+                (int_range 1 3) (int_range 1 30));
+          (1, return `Expire_now);
           (1, map (fun t -> `Expire t) (float_bound_exclusive 100.0));
         ])
   in
@@ -273,20 +262,15 @@ let prop_microflow_equivalence =
         (fun op ->
           now := !now +. 0.5;
           match op with
-          | `Insert (p, prio) ->
+          | `Insert (p, prio, idle) ->
               let entry () =
-                entry_for ~priority:prio ~idle:30 ~out_port:p
+                entry_for ~priority:prio ~idle ~out_port:p
                   (udp_pkt ~src_port:p) ~now:!now
               in
               ignore (Flow_table.insert table (entry ()));
               true
-          | `Delete p ->
-              let m =
-                Of_match.of_flow_key
-                  (Option.get (Packet.flow_key (udp_pkt ~src_port:p)))
-              in
-              ignore
-                (Flow_table.delete table ~strict:false ~match_:m ~priority:0 ());
+          | `Expire_now ->
+              ignore (Flow_table.expire table ~now:!now);
               true
           | `Expire t ->
               ignore (Flow_table.expire table ~now:t);
@@ -315,12 +299,12 @@ let prop_inserted_flow_is_found =
         (fun p -> Flow_table.lookup table ~in_port:1 (udp_pkt ~src_port:p) <> None)
         ports)
 
-(* ---- Reference model: identical-entry search, delete, expiry ----
+(* ---- Reference model: identical-entry search, eviction, expiry ----
 
    A plain install-ordered list re-implements the table by brute force:
    [insert] replaces the entry with equal (priority, match), otherwise
    installs, or evicts the least-recently-used entry of minimal
-   priority (uid breaks ties); deletes and expiry filter the list. The
+   priority (uid breaks ties); expiry filters the list. The
    generated matches put several distinct rules into one exact-index
    bucket (a 5-tuple pinned further by in_port or MACs) beside
    wildcarded ones, so a search that looks in the wrong place, or stops
@@ -335,14 +319,6 @@ type model = {
 
 let model_identical ~match_ ~priority (_, (e : Flow_entry.t)) =
   e.Flow_entry.priority = priority && Of_match.equal e.Flow_entry.match_ match_
-
-let model_outputs_to out_port (_, (e : Flow_entry.t)) =
-  out_port = Of_wire.Port.none
-  || List.exists
-       (function
-         | Of_action.Output { port; _ } -> port = out_port
-         | _ -> false)
-       e.Flow_entry.actions
 
 let model_remove m keep = m.m_rules <- List.filter keep m.m_rules
 
@@ -386,22 +362,12 @@ let model_insert m (e : Flow_entry.t) =
         Flow_table.Evicted victim
   end
 
-let model_delete m ~strict ~out_port ~match_ ~priority =
-  let doomed (r : int * Flow_entry.t) =
-    (if strict then model_identical ~match_ ~priority r
-     else Of_match.subsumes ~general:match_ ~specific:(snd r).Flow_entry.match_)
-    && model_outputs_to out_port r
-  in
-  let n = List.length (List.filter doomed m.m_rules) in
-  model_remove m (fun r -> not (doomed r));
-  n
-
 let model_expire m ~now =
   let expired, live =
     List.partition (fun (_, e) -> Flow_entry.is_expired e ~now) m.m_rules
   in
   m.m_rules <- live;
-  List.map snd expired
+  List.length expired
 
 let model_key port =
   Flow_key.make ~proto:17 ~src_ip:(Ip.make 10 0 0 1) ~dst_ip:ip2
@@ -432,8 +398,6 @@ let model_match_gen =
 
 type model_op =
   | Ins of Of_match.t * int * int * int * int  (* match, prio, port, idle, hard *)
-  | Del_strict of Of_match.t * int * int  (* match, prio, out_port *)
-  | Del of Of_match.t * int  (* match, out_port *)
   | Expire
   | Touch of int
 
@@ -441,15 +405,13 @@ let pp_model_op = function
   | Ins (m, prio, port, idle, hard) ->
       Format.asprintf "insert %a prio=%d out=%d idle=%d hard=%d" Of_match.pp m
         prio port idle hard
-  | Del_strict (m, prio, out) ->
-      Format.asprintf "delete-strict %a prio=%d out_port=%d" Of_match.pp m prio out
-  | Del (m, out) -> Format.asprintf "delete %a out_port=%d" Of_match.pp m out
   | Expire -> "expire"
   | Touch i -> Printf.sprintf "touch #%d" i
 
+(* Rules leave the table by eviction at capacity (1-6 rules) and by
+   expiry, which the trace's short timeouts make frequent. *)
 let prop_model_equivalence =
   let prio = QCheck.Gen.int_range 0 2 in
-  let out_filter = QCheck.Gen.oneofl [ Of_wire.Port.none; 1; 2 ] in
   let op_gen =
     QCheck.Gen.(
       frequency
@@ -461,9 +423,7 @@ let prop_model_equivalence =
             let* idle = int_range 0 3 in
             let+ hard = int_range 0 4 in
             Ins (m, p, port, idle, hard) );
-          (2, map3 (fun m p o -> Del_strict (m, p, o)) model_match_gen prio out_filter);
-          (1, map2 (fun m o -> Del (m, o)) model_match_gen out_filter);
-          (1, return Expire);
+          (4, return Expire);
           (1, map (fun i -> Touch i) (int_range 0 7));
         ])
   in
@@ -500,17 +460,10 @@ let prop_model_equivalence =
                 match (Flow_table.insert table e, model_insert m e) with
                 | Flow_table.Evicted a, Flow_table.Evicted b -> a == b
                 | a, b -> a = b)
-            | Del_strict (match_, priority, out_port) ->
-                Flow_table.delete table ~strict:true ~out_port ~match_ ~priority ()
-                = model_delete m ~strict:true ~out_port ~match_ ~priority
-            | Del (match_, out_port) ->
-                Flow_table.delete table ~strict:false ~out_port ~match_
-                  ~priority:0 ()
-                = model_delete m ~strict:false ~out_port ~match_ ~priority:0
             | Expire ->
-                same_entries
-                  (Flow_table.expire table ~now:!now)
-                  (model_expire m ~now:!now)
+                (* Which entries went is checked below, against the
+                   entries left. *)
+                Flow_table.expire table ~now:!now = model_expire m ~now:!now
             | Touch i -> (
                 match List.nth_opt m.m_rules i with
                 | Some (_, e) ->
@@ -553,18 +506,39 @@ let swap_proto (pkt : Packet.t) =
       { pkt with Packet.l3 = Packet.Ipv4 ({ ip with Ipv4.proto = 17 }, Packet.Udp ({ Udp.src_port; dst_port }, p)) }
   | Packet.Ipv4 (_, Packet.Raw_l4 _) | Packet.Arp _ | Packet.Raw_l3 _ -> pkt
 
+(* The same packet with one header field set; a packet without that
+   header is left as it is. *)
+let with_eth f (pkt : Packet.t) = { pkt with Packet.eth = f pkt.Packet.eth }
+
+let with_ip f (pkt : Packet.t) =
+  match pkt.Packet.l3 with
+  | Packet.Ipv4 (ip, l4) -> { pkt with Packet.l3 = Packet.Ipv4 (f ip, l4) }
+  | Packet.Arp _ | Packet.Raw_l3 _ -> pkt
+
+let with_tos tos = with_ip (fun h -> { h with Ipv4.tos })
+
+let with_l4_ports f (pkt : Packet.t) =
+  match pkt.Packet.l3 with
+  | Packet.Ipv4 (ip, Packet.Udp ({ Udp.src_port; dst_port }, p)) ->
+      let src_port, dst_port = f (src_port, dst_port) in
+      { pkt with Packet.l3 = Packet.Ipv4 (ip, Packet.Udp ({ Udp.src_port; dst_port }, p)) }
+  | Packet.Ipv4 (ip, Packet.Tcp (tcp, p)) ->
+      let src_port, dst_port = f (tcp.Tcp.src_port, tcp.Tcp.dst_port) in
+      { pkt with Packet.l3 = Packet.Ipv4 (ip, Packet.Tcp ({ tcp with Tcp.src_port; dst_port }, p)) }
+  | Packet.Ipv4 (_, Packet.Raw_l4 _) | Packet.Arp _ | Packet.Raw_l3 _ -> pkt
+
 let redraw_one_field (in_port, pkt) =
   let open QCheck.Gen in
-  let rewritten action = map (fun v -> (in_port, Of_action.rewrite [ action v ] pkt)) in
+  let redrawn set = map (fun v -> (in_port, set v pkt)) in
   int_range 0 8 >>= function
   | 0 -> map (fun p -> (p, pkt)) gen_port
-  | 1 -> rewritten (fun m -> Of_action.Set_dl_src m) Test_packet.gen_mac
-  | 2 -> rewritten (fun m -> Of_action.Set_dl_dst m) Test_packet.gen_mac
-  | 3 -> rewritten (fun v -> Of_action.Set_nw_tos v) Test_packet.gen_tos
-  | 4 -> rewritten (fun ip -> Of_action.Set_nw_src ip) Test_packet.gen_ip
-  | 5 -> rewritten (fun ip -> Of_action.Set_nw_dst ip) Test_packet.gen_ip
-  | 6 -> rewritten (fun p -> Of_action.Set_tp_src p) Test_packet.gen_l4_port
-  | 7 -> rewritten (fun p -> Of_action.Set_tp_dst p) Test_packet.gen_l4_port
+  | 1 -> redrawn (fun m -> with_eth (fun e -> { e with Ethernet.src = m })) Test_packet.gen_mac
+  | 2 -> redrawn (fun m -> with_eth (fun e -> { e with Ethernet.dst = m })) Test_packet.gen_mac
+  | 3 -> redrawn with_tos Test_packet.gen_tos
+  | 4 -> redrawn (fun a -> with_ip (fun h -> { h with Ipv4.src = a })) Test_packet.gen_ip
+  | 5 -> redrawn (fun a -> with_ip (fun h -> { h with Ipv4.dst = a })) Test_packet.gen_ip
+  | 6 -> redrawn (fun p -> with_l4_ports (fun (_, d) -> (p, d))) Test_packet.gen_l4_port
+  | 7 -> redrawn (fun p -> with_l4_ports (fun (s, _) -> (s, p))) Test_packet.gen_l4_port
   | _ -> return (in_port, swap_proto pkt)
 
 (* The cache is an [Int_table] on the key's words, so two keys name the
@@ -651,7 +625,6 @@ let prop_lookup_frame_agrees =
 
 type slow_op =
   | S_insert of Of_match.t * int * int * int  (* match, priority, idle, hard *)
-  | S_delete of Of_match.t * int * bool  (* match, priority, strict *)
   | S_expire
   | S_lookup of int * Packet.t
 
@@ -659,10 +632,6 @@ let pp_slow_op = function
   | S_insert (m, prio, idle, hard) ->
       Format.asprintf "insert %a prio=%d idle=%d hard=%d" Of_match.pp m prio
         idle hard
-  | S_delete (m, prio, strict) ->
-      Format.asprintf "delete%s %a prio=%d"
-        (if strict then "-strict" else "")
-        Of_match.pp m prio
   | S_expire -> "expire"
   | S_lookup (in_port, pkt) ->
       Format.asprintf "lookup in_port=%d %a" in_port Of_match.pp
@@ -714,7 +683,7 @@ let gen_slow_case =
     let+ tos = option ~ratio:0.2 Test_packet.gen_tos in
     match tos with
     | None -> (in_port, pkt)
-    | Some v -> (in_port, Of_action.rewrite [ Of_action.Set_nw_tos v ] pkt)
+    | Some v -> (in_port, with_tos v pkt)
   in
   let prio = int_range 0 2 in
   list_size (int_range 1 40)
@@ -726,9 +695,7 @@ let gen_slow_case =
            let* idle = int_range 0 3 in
            let+ hard = int_range 0 4 in
            S_insert (m, p, idle, hard) );
-         (1, map2 (fun m p -> S_delete (m, p, true)) (traffic >>= gen_slow_match) prio);
-         (1, map (fun m -> S_delete (m, 0, false)) (traffic >>= gen_slow_match));
-         (1, return S_expire);
+         (3, return S_expire);
          (6, map (fun (in_port, pkt) -> S_lookup (in_port, pkt)) traffic);
        ])
 
@@ -750,9 +717,6 @@ let prop_slow_path_agrees =
                          ~hard_timeout:hard ~match_
                          ~actions:[ Of_action.output 2 ] ())
                       ~now:!now));
-              true
-          | S_delete (match_, priority, strict) ->
-              ignore (Flow_table.delete table ~strict ~match_ ~priority ());
               true
           | S_expire ->
               ignore (Flow_table.expire table ~now:!now);
@@ -781,7 +745,6 @@ let suite =
     Alcotest.test_case "LRU eviction at capacity" `Quick test_capacity_eviction;
     Alcotest.test_case "idle timeout" `Quick test_idle_timeout_expiry;
     Alcotest.test_case "hard timeout" `Quick test_hard_timeout_expiry;
-    Alcotest.test_case "strict and loose delete" `Quick test_delete_strict_and_loose;
     Alcotest.test_case "per-rule counters" `Quick test_stats_counters;
     Alcotest.test_case "microflow hit/miss counters" `Quick
       test_microflow_counters;

@@ -146,7 +146,8 @@ let test_ablations_smoke () =
     ~seed:2 ();
   Ablations.rule_install_latency ~latencies:[ 0.2e-3 ] ~rate:60.0 ~seed:2 ()
 
-(* The OpenFlow reply-xid contract: replies echo the request's id. *)
+(* The OpenFlow reply-xid contract: replies echo the request's id, and
+   so does the OFPT_ERROR refusing a DESC stats request. *)
 let test_switch_replies_echo_xid () =
   let open Sdn_sim in
   let open Sdn_openflow in
@@ -182,7 +183,7 @@ let test_switch_replies_echo_xid () =
     "every reply echoes its request xid"
     [
       (101l, "ECHO_REPLY"); (102l, "FEATURES_REPLY"); (103l, "GET_CONFIG_REPLY");
-      (104l, "BARRIER_REPLY"); (105l, "STATS_REPLY"); (106l, "VENDOR");
+      (104l, "BARRIER_REPLY"); (105l, "ERROR"); (106l, "VENDOR");
     ]
     (List.map (fun (x, t) -> (x, Of_wire.Msg_type.to_string t)) sorted)
 

@@ -14,25 +14,30 @@ let pkt_of_port src_port =
     ~dst_ip:(Ip.make 10 0 0 2) ~src_port ~dst_port:9
     ~payload:(Bytes.of_string "p") ()
 
-let entry_of_port ?(out_port = 2) src_port ~now =
+let entry_of_port ?(out_port = 2) ~hard src_port ~now =
   Sdn_switch.Flow_entry.of_flow_mod
-    (Of_flow_mod.add
+    (Of_flow_mod.add ~idle_timeout:0 ~hard_timeout:hard
        ~match_:(Of_match.of_flow_key (Option.get (Packet.flow_key (pkt_of_port src_port))))
        ~actions:[ Of_action.output out_port ]
        ())
     ~now
 
 (* Model-based test: a flow table restricted to exact 5-tuple rules
-   must behave like a map from source port to output port. *)
-type table_op = Insert of int * int | Delete of int | Lookup of int
+   must behave like a map from source port to output port. The clock
+   steps one second per operation; an insert may carry a hard timeout,
+   and the expiry sweep removes the rules whose timeout has run out. *)
+type table_op = Insert of int * int * int | Expire | Lookup of int
 
 let arbitrary_ops =
   let gen_op =
     QCheck.Gen.(
       frequency
         [
-          (4, map2 (fun p o -> Insert (1 + (p mod 20), 1 + (o mod 5))) nat nat);
-          (1, map (fun p -> Delete (1 + (p mod 20))) nat);
+          ( 4,
+            map3
+              (fun p o hard -> Insert (1 + (p mod 20), 1 + (o mod 5), hard))
+              nat nat (int_range 0 20) );
+          (1, return Expire);
           (5, map (fun p -> Lookup (1 + (p mod 20))) nat);
         ])
   in
@@ -47,28 +52,31 @@ let prop_flow_table_matches_model =
   QCheck.Test.make ~name:"flow table behaves like a port map" ~count:150
     arbitrary_ops (fun ops ->
       let table = Sdn_switch.Flow_table.create ~capacity:64 () in
+      (* source port -> (output port, expiry time or infinity) *)
       let model = Hashtbl.create 16 in
+      let now = ref 0.0 in
       List.for_all
         (fun op ->
+          now := !now +. 1.0;
           match op with
-          | Insert (src, out) ->
+          | Insert (src, out, hard) ->
               ignore
                 (Sdn_switch.Flow_table.insert table
-                   (entry_of_port ~out_port:out src ~now:0.0));
-              Hashtbl.replace model src out;
+                   (entry_of_port ~out_port:out ~hard src ~now:!now));
+              Hashtbl.replace model src
+                (out, if hard = 0 then Float.infinity else !now +. float_of_int hard);
               true
-          | Delete src ->
-              let m =
-                Of_match.of_flow_key
-                  (Option.get (Packet.flow_key (pkt_of_port src)))
+          | Expire ->
+              (* Which rules went, the lookups and the final size show. *)
+              let due =
+                Hashtbl.fold
+                  (fun src (_, until) acc -> if until <= !now then src :: acc else acc)
+                  model []
               in
-              ignore
-                (Sdn_switch.Flow_table.delete table ~strict:false ~match_:m
-                   ~priority:0 ());
-              Hashtbl.remove model src;
-              true
+              List.iter (Hashtbl.remove model) due;
+              Sdn_switch.Flow_table.expire table ~now:!now = List.length due
           | Lookup src -> (
-              let expected = Hashtbl.find_opt model src in
+              let expected = Option.map fst (Hashtbl.find_opt model src) in
               let actual =
                 Option.map out_port_of
                   (Sdn_switch.Flow_table.lookup table ~in_port:1 (pkt_of_port src))

@@ -65,7 +65,10 @@ let pkt_ins h =
     (function _, Of_codec.Packet_in p -> Some p | _ -> None)
     (messages h)
 
-let send_of h msg = Switch.handle_of_message h.switch (Of_codec.encode ~xid:7l msg)
+let send_of_xid h xid msg =
+  Switch.handle_of_message h.switch (Of_codec.encode ~xid msg)
+
+let send_of h msg = send_of_xid h 7l msg
 
 let test_miss_no_buffer_sends_full_packet () =
   let config = { Switch.default_config with Switch.mechanism = Switch.No_buffer } in
@@ -294,20 +297,144 @@ let test_negative_backoff_refused () =
   Alcotest.(check string) "still flow-granularity" "flow-granularity"
     (Switch.mechanism_to_string (Switch.mechanism h.switch))
 
+(* A refused request gets exactly one OFPT_ERROR, echoing its xid and
+   carrying the type and code OpenFlow 1.0 names, and changes nothing
+   else: the flow table and its microflow cache, both pools, the
+   forwarding counters and both egress ports stay as they were. *)
+let refusal_state h =
+  let table = Switch.flow_table h.switch in
+  ( ( Flow_table.length table,
+      Flow_table.microflow_length table,
+      Flow_table.microflow_flushes table ),
+    Switch.buffer_stats h.switch,
+    Option.map Flow_buffer.packets_buffered (Switch.flow_pool h.switch),
+    Switch.counters h.switch,
+    (List.length !(h.egress1), List.length !(h.egress2)) )
+
+let check_refused h ~name ~xid ~error_type ~code msg =
+  let entries = Flow_table.entries (Switch.flow_table h.switch) in
+  let before = refusal_state h and sent = List.length (messages h) in
+  Switch.handle_of_message h.switch (Of_codec.encode ~xid msg);
+  Engine.run ~until:(Engine.now h.engine +. 0.01) h.engine;
+  (match List.filteri (fun i _ -> i >= sent) (messages h) with
+  | [ (x, Of_codec.Error_msg e) ] ->
+      Alcotest.(check int32) (name ^ ": echoes the xid") xid x;
+      Alcotest.(check bool) (name ^ ": error type") true
+        (e.Of_error.error_type = error_type);
+      Alcotest.(check int) (name ^ ": error code") code e.Of_error.code
+  | l ->
+      Alcotest.failf "%s: expected one OFPT_ERROR, got [%s]" name
+        (String.concat "; "
+           (List.map
+              (fun (_, m) -> Of_wire.Msg_type.to_string (Of_codec.msg_type m))
+              l)));
+  Alcotest.(check bool) (name ^ ": same entries") true
+    (List.equal ( == ) entries (Flow_table.entries (Switch.flow_table h.switch)));
+  Alcotest.(check bool) (name ^ ": nothing else changed") true
+    (before = refusal_state h)
+
+(* A rule for [f] forwarding to port 2, and a microflow hit on it, so a
+   refusal has a table and a warm cache to leave alone. *)
+let install_and_hit h f =
+  let table = Switch.flow_table h.switch in
+  let hits = Flow_table.microflow_hits table in
+  let key = Option.get (Packet.peek_flow_key f) in
+  send_of h
+    (Of_codec.Flow_mod
+       (Of_flow_mod.add ~match_:(Of_match.of_flow_key key)
+          ~actions:[ Of_action.output 2 ] ()));
+  Engine.run ~until:(Engine.now h.engine +. 0.01) h.engine;
+  Switch.handle_frame h.switch ~in_port:1 f;
+  Switch.handle_frame h.switch ~in_port:1 f;
+  Engine.run ~until:(Engine.now h.engine +. 0.01) h.engine;
+  Alcotest.(check int) "one microflow hit" (hits + 1) (Flow_table.microflow_hits table)
+
+(* The switch answers no DESC or PORT request. *)
 let test_stats_replies () =
   let h = make_harness () in
-  send_of h (Of_codec.Stats_request Of_stats.Desc_request);
-  send_of h (Of_codec.Stats_request (Of_stats.Port_request { port_no = Of_wire.Port.none }));
-  Engine.run h.engine;
-  let replies =
-    List.filter_map (function _, Of_codec.Stats_reply r -> Some r | _ -> None) (messages h)
+  install_and_hit h (frame ~src_port:5 ());
+  let refused name xid req =
+    check_refused h ~name ~xid ~error_type:Of_error.Bad_request
+      ~code:Of_error.Bad_request_code.bad_stat (Of_codec.Stats_request req)
   in
-  match replies with
-  | [ Of_stats.Desc_reply desc; Of_stats.Port_reply ports ] ->
-      Alcotest.(check string) "dp_desc names mechanism" "packet-granularity"
-        desc.Of_stats.dp_desc;
-      Alcotest.(check int) "both ports reported" 2 (List.length ports)
-  | _ -> Alcotest.fail "expected desc + port replies"
+  refused "DESC" 21l Of_stats.Desc_request;
+  refused "PORT (all)" 22l (Of_stats.Port_request { port_no = Of_wire.Port.none });
+  refused "PORT 1" 23l (Of_stats.Port_request { port_no = 1 })
+
+(* FLOW and AGGREGATE requests are answered for the whole table only
+   (table 0xff or 0): a match, table or out_port filter is refused with
+   EPERM rather than answered for every entry. *)
+let check_whole_table_only ~kind request =
+  let h = make_harness () in
+  install_and_hit h (frame ~src_port:5 ());
+  install_and_hit h (frame ~src_port:6 ());
+  let answered xid ~table_id =
+    send_of_xid h xid
+      (Of_codec.Stats_request
+         (request ~match_:Of_match.wildcard_all ~table_id
+            ~out_port:Of_wire.Port.none));
+    Engine.run ~until:(Engine.now h.engine +. 0.01) h.engine;
+    match !(h.to_controller) with
+    | (x, Of_codec.Stats_reply reply) :: _ when Int32.equal x xid -> reply
+    | _ -> Alcotest.failf "%s: no reply to the whole-table request" kind
+  in
+  (match (answered 31l ~table_id:0xff, answered 32l ~table_id:0) with
+  | Of_stats.Flow_reply a, Of_stats.Flow_reply b ->
+      Alcotest.(check (pair int int)) "both entries" (2, 2)
+        (List.length a, List.length b)
+  | Of_stats.Aggregate_reply a, Of_stats.Aggregate_reply b ->
+      Alcotest.(check (pair int32 int32)) "both entries" (2l, 2l)
+        (a.flow_count, b.flow_count)
+  | _ -> Alcotest.failf "%s: wrong reply kind" kind);
+  let exact =
+    Of_match.of_flow_key (Option.get (Packet.peek_flow_key (frame ~src_port:5 ())))
+  in
+  List.iteri
+    (fun i (name, match_, table_id, out_port) ->
+      check_refused h ~name:(kind ^ " " ^ name) ~xid:(Int32.of_int (40 + i))
+        ~error_type:Of_error.Bad_request ~code:Of_error.Bad_request_code.eperm
+        (Of_codec.Stats_request (request ~match_ ~table_id ~out_port)))
+    [
+      ("match", exact, 0xff, Of_wire.Port.none);
+      ("out_port", Of_match.wildcard_all, 0xff, 2);
+      ("table_id", Of_match.wildcard_all, 1, Of_wire.Port.none);
+    ]
+
+let test_filtered_flow_stats_refused () =
+  check_whole_table_only ~kind:"FLOW" (fun ~match_ ~table_id ~out_port ->
+      Of_stats.Flow_request { match_; table_id; out_port })
+
+let test_filtered_aggregate_refused () =
+  check_whole_table_only ~kind:"AGGREGATE" (fun ~match_ ~table_id ~out_port ->
+      Of_stats.Aggregate_request { match_; table_id; out_port })
+
+(* FLOW_MOD DELETE and DELETE_STRICT are refused with BAD_COMMAND,
+   with or without an out_port filter: the rules stay installed and the
+   microflow cache stays warm. *)
+let test_flow_mod_delete_refused () =
+  let h = make_harness () in
+  let f = frame ~src_port:5 () in
+  install_and_hit h f;
+  let exact = Of_match.of_flow_key (Option.get (Packet.peek_flow_key f)) in
+  List.iteri
+    (fun i (name, command, match_, out_port) ->
+      check_refused h ~name ~xid:(Int32.of_int (50 + i))
+        ~error_type:Of_error.Flow_mod_failed
+        ~code:Of_error.Flow_mod_failed_code.bad_command
+        (Of_codec.Flow_mod
+           {
+             (Of_flow_mod.add ~match_ ~actions:[] ()) with
+             Of_flow_mod.command;
+             out_port;
+           }))
+    [
+      ("DELETE", Of_flow_mod.Delete, Of_match.wildcard_all, Of_wire.Port.none);
+      ("DELETE out_port", Of_flow_mod.Delete, Of_match.wildcard_all, 2);
+      ("DELETE_STRICT", Of_flow_mod.Delete_strict, exact, Of_wire.Port.none);
+    ];
+  Switch.handle_frame h.switch ~in_port:1 f;
+  Engine.run ~until:(Engine.now h.engine +. 0.01) h.engine;
+  Alcotest.(check int) "the rule still forwards" 3 (List.length !(h.egress2))
 
 let test_table_sweep_expires_rules () =
   let h = make_harness () in
@@ -325,10 +452,12 @@ let test_table_sweep_expires_rules () =
   Alcotest.(check int) "swept after idle timeout" 0
     (Flow_table.length (Switch.flow_table h.switch))
 
-(* Header rewrites through each way a frame reaches egress: a
-   microflow hit, a packet-granularity release, a flow-granularity
-   release and a full-data PACKET_OUT. Every egressed frame must be the
-   rewritten packet, encoded afresh. *)
+(* Header rewrites are refused on each way a frame could reach egress
+   with them: a FLOW_MOD installing a rule, a PACKET_OUT releasing a
+   packet-granularity unit, a FLOW_MOD releasing a flow-granularity
+   chain and a full-data PACKET_OUT. Each gets BAD_ACTION/BAD_TYPE, and
+   the buffered frames stay held: a plain release afterwards forwards
+   them unchanged. *)
 let rewrite_actions =
   [
     Of_action.Set_nw_tos 0x28;
@@ -337,43 +466,39 @@ let rewrite_actions =
     Of_action.output 2;
   ]
 
-let check_rewritten name f egressed ~count =
-  let expected =
-    match Packet.decode f with
-    | Ok pkt -> Packet.encode (Of_action.rewrite rewrite_actions pkt)
-    | Error e -> Alcotest.fail e
-  in
-  Alcotest.(check bool) (name ^ ": headers changed") false (Bytes.equal f expected);
-  Alcotest.(check (list bytes)) name (List.init count (fun _ -> expected)) egressed
+let refused_rewrite h ~name msg =
+  check_refused h ~name ~xid:61l ~error_type:Of_error.Bad_action
+    ~code:Of_error.Bad_action_code.bad_type msg
 
 let test_rewrites_on_every_egress_path () =
   let f = frame ~src_port:77 () in
-  let key = Option.get (Packet.peek_flow_key f) in
-  (* A microflow hit: the second frame is answered from the cache. *)
+  let rule ?buffer_id actions =
+    Of_codec.Flow_mod
+      (Of_flow_mod.add ?buffer_id
+         ~match_:(Of_match.of_flow_key (Option.get (Packet.peek_flow_key f)))
+         ~actions ())
+  in
+  (* A rule that would rewrite every hit. *)
   let h = make_harness () in
-  send_of h
-    (Of_codec.Flow_mod
-       (Of_flow_mod.add ~match_:(Of_match.of_flow_key key) ~actions:rewrite_actions ()));
-  Engine.run h.engine;
-  Switch.handle_frame h.switch ~in_port:1 f;
-  Switch.handle_frame h.switch ~in_port:1 f;
-  Engine.run h.engine;
-  Alcotest.(check int) "one microflow hit" 1
-    (Flow_table.microflow_hits (Switch.flow_table h.switch));
-  check_rewritten "microflow hit" f !(h.egress2) ~count:2;
+  install_and_hit h (frame ~src_port:5 ());
+  refused_rewrite h ~name:"FLOW_MOD" (rule rewrite_actions);
   (* A packet-granularity release by PACKET_OUT. *)
   let h = make_harness () in
   Switch.handle_frame h.switch ~in_port:1 f;
   Engine.run ~until:0.01 h.engine;
   let p = List.hd (pkt_ins h) in
-  send_of h
-    (Of_codec.Packet_out
-       {
-         (Of_packet_out.release ~buffer_id:p.Of_packet_in.buffer_id ~out_port:2) with
-         Of_packet_out.actions = rewrite_actions;
-       });
-  Engine.run ~until:0.02 h.engine;
-  check_rewritten "packet-granularity release" f !(h.egress2) ~count:1;
+  let release actions =
+    Of_codec.Packet_out
+      {
+        (Of_packet_out.release ~buffer_id:p.Of_packet_in.buffer_id ~out_port:2) with
+        Of_packet_out.actions;
+      }
+  in
+  refused_rewrite h ~name:"packet-granularity release" (release rewrite_actions);
+  send_of h (release [ Of_action.output 2 ]);
+  Engine.run ~until:(Engine.now h.engine +. 0.01) h.engine;
+  Alcotest.(check (list bytes)) "unit still held, released as it came" [ f ]
+    !(h.egress2);
   (* A flow-granularity chain released by FLOW_MOD. *)
   let config = { Switch.default_config with Switch.mechanism = Switch.Flow_granularity } in
   let h = make_harness ~config () in
@@ -381,23 +506,20 @@ let test_rewrites_on_every_egress_path () =
     Switch.handle_frame h.switch ~in_port:1 f
   done;
   Engine.run ~until:0.01 h.engine;
-  let p = List.hd (pkt_ins h) in
-  send_of h
-    (Of_codec.Flow_mod
-       (Of_flow_mod.add ~buffer_id:p.Of_packet_in.buffer_id
-          ~match_:(Of_match.of_flow_key key) ~actions:rewrite_actions ()));
-  Engine.run ~until:0.02 h.engine;
-  check_rewritten "flow-granularity release" f !(h.egress2) ~count:3;
+  let buffer_id = (List.hd (pkt_ins h)).Of_packet_in.buffer_id in
+  refused_rewrite h ~name:"flow-granularity release" (rule ~buffer_id rewrite_actions);
+  send_of h (rule ~buffer_id [ Of_action.output 2 ]);
+  Engine.run ~until:(Engine.now h.engine +. 0.01) h.engine;
+  Alcotest.(check (list bytes)) "chain still held, released as it came" [ f; f; f ]
+    !(h.egress2);
   (* A PACKET_OUT carrying the whole frame. *)
   let h = make_harness () in
-  send_of h
+  refused_rewrite h ~name:"full-data PACKET_OUT"
     (Of_codec.Packet_out
        {
          (Of_packet_out.full ~frame:f ~in_port:1 ~out_port:2) with
          Of_packet_out.actions = rewrite_actions;
-       });
-  Engine.run h.engine;
-  check_rewritten "full-data PACKET_OUT" f !(h.egress2) ~count:1
+       })
 
 (* OpenFlow port numbers are 16-bit: a port above 255 must get a
    hardware address from all of its bits in the FEATURES_REPLY, while
@@ -552,6 +674,12 @@ let suite =
     Alcotest.test_case "negative backoff refused" `Quick
       test_negative_backoff_refused;
     Alcotest.test_case "stats replies" `Quick test_stats_replies;
+    Alcotest.test_case "filtered FLOW stats refused" `Quick
+      test_filtered_flow_stats_refused;
+    Alcotest.test_case "filtered AGGREGATE refused" `Quick
+      test_filtered_aggregate_refused;
+    Alcotest.test_case "FLOW_MOD delete refused" `Quick
+      test_flow_mod_delete_refused;
     Alcotest.test_case "housekeeping sweep expires rules" `Quick
       test_table_sweep_expires_rules;
     Alcotest.test_case "header rewrites on every egress path" `Quick

@@ -157,12 +157,14 @@ let test_udp_burst () =
   Alcotest.(check (list int)) "seq by index" (List.init 50 Fun.id)
     (List.map (fun tag -> tag.Tag.seq) tags)
 
-let test_tcp_handshake_then_data () =
+(* The connection opens with SYN, SYN-ACK (the reverse direction, on
+   port 2) and ACK in small frames; full-size data follows. *)
+let test_tcp_idle_resume_handshake () =
   let plan =
-    Patterns.tcp_handshake_then_data ~rng:(rng ()) ~flow_id:1 ~data_packets:5
-      ~rate_mbps:50.0 ~frame_size:1000 ()
+    Patterns.tcp_idle_resume ~rng:(rng ()) ~flow_id:1 ~first_burst:3
+      ~idle_gap:10.0 ~second_burst:2 ~rate_mbps:50.0 ~frame_size:1000 ()
   in
-  Alcotest.(check int) "3 handshake + 5 data" 8 (Array.length plan.times);
+  Alcotest.(check int) "3 handshake + 3 + 2 data" 8 (Array.length plan.times);
   Alcotest.(check int) "bytes" plan.bytes
     (List.fold_left (fun acc f -> acc + Bytes.length f) 0 (frames plan));
   let decoded =
@@ -173,7 +175,7 @@ let test_tcp_handshake_then_data () =
         | Error e -> Alcotest.fail e)
       (frames plan)
   in
-  (match decoded with
+  match decoded with
   | (1, syn) :: (2, syn_ack) :: (1, ack) :: data -> (
       let flags pkt =
         match pkt.Packet.l3 with
@@ -187,12 +189,12 @@ let test_tcp_handshake_then_data () =
         (List.for_all
            (fun frame -> Bytes.length frame < 100)
            (List.filteri (fun i _ -> i < 3) (frames plan)));
-      match data with
-      | (_, first_data) :: _ ->
-          Alcotest.(check int) "data frames are full size" 1000
-            (Packet.size first_data)
-      | [] -> Alcotest.fail "expected data")
-  | _ -> Alcotest.fail "unexpected handshake shape")
+      Alcotest.(check (list int)) "data frames are full size, from port 1"
+        (List.init 5 (fun _ -> 1000))
+        (List.map
+           (fun (port, pkt) -> if port = 1 then Packet.size pkt else -1)
+           data))
+  | _ -> Alcotest.fail "unexpected handshake shape"
 
 let test_tcp_idle_resume_gap () =
   let plan =
@@ -545,8 +547,8 @@ let test_patterns_refuse_unsorting_arguments () =
       Patterns.tcp_idle_resume ~rng:(rng ()) ~flow_id:1 ~first_burst:2
         ~idle_gap:(-1.0) ~second_burst:2 ~rate_mbps:10.0 ~frame_size:100 ());
   refused "negative frame size" (fun () ->
-      Patterns.tcp_handshake_then_data ~rng:(rng ()) ~flow_id:1 ~data_packets:2
-        ~rate_mbps:10.0 ~frame_size:(-100) ());
+      Patterns.tcp_idle_resume ~rng:(rng ()) ~flow_id:1 ~first_burst:2
+        ~idle_gap:1.0 ~second_burst:2 ~rate_mbps:10.0 ~frame_size:(-100) ());
   let plan =
     Patterns.exp_a ~rng:(rng ()) ~jitter:1.0 ~n_flows:200 ~rate_mbps:10.0
       ~frame_size:100 ()
@@ -608,7 +610,8 @@ let suite =
     Alcotest.test_case "exp-b cross sequence" `Quick test_exp_b_cross_sequence;
     Alcotest.test_case "exp-b validation" `Quick test_exp_b_validation;
     Alcotest.test_case "udp burst" `Quick test_udp_burst;
-    Alcotest.test_case "tcp handshake then data" `Quick test_tcp_handshake_then_data;
+    Alcotest.test_case "tcp handshake then data" `Quick
+      test_tcp_idle_resume_handshake;
     Alcotest.test_case "tcp idle/resume gap" `Quick test_tcp_idle_resume_gap;
     Alcotest.test_case "pktgen schedules at times" `Quick
       test_pktgen_schedules_at_times;
